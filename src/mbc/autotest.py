@@ -4,8 +4,7 @@ invariants, and report violations with replayable traces.
 
 Generation is contract-blind (uniform over features and argument pools);
 filtering is the precondition's job.  Runs are deterministic for a fixed
-seed in single-worker mode; parallel mode partitions the seed space
-(worker i uses seed + i) and merges reports in canonical order.
+seed.
 """
 
 from __future__ import annotations
@@ -19,9 +18,9 @@ from . import containers
 from .checkers import _state_size
 from .contracts import (
     ContractViolation, PreconditionRejected, REGISTRY, abstract_state,
-    checked_command, checked_constructor, checked_query,
+    checked_command, checked_constructor, checked_query, draw_value,
 )
-from .model_math import MRel, MSeq, Ref, identity_relation, total_relation
+from .model_math import MRel, MSeq, Ref
 
 ELEMENT_POOL = [Ref(c) for c in "abcd"]
 MAX_OBJECT_SIZE = 8
@@ -99,28 +98,40 @@ def _decode_arg(e, faults, mode):
     raise ReplayError(f"unknown argument encoding {e!r}")
 
 
+def _decode_args(feature, encoded, faults, mode):
+    if len(encoded) != len(feature.arg_domains):
+        raise ReplayError(
+            f"{feature.name} takes {len(feature.arg_domains)} arguments, "
+            f"the trace gives {len(encoded)}")
+    return [_decode_arg(a, faults, mode) for a in encoded]
+
+
 def _replay_trace(trace, faults, mode):
     """Rebuild an object by re-running its recorded calls under checking.
     Raises the ContractViolation of whichever call fails."""
     if not trace:
         raise ReplayError("empty trace")
     head, *calls = trace
-    if head[0] != "new":
+    if head[0] != "new" or len(head) != 4:
         raise ReplayError("trace must start with a constructor entry")
     _, spec_name, ctor_name, ctor_args = head
     if spec_name not in REGISTRY:
         raise ReplayError(f"unknown container type {spec_name!r}")
     spec = REGISTRY[spec_name]
-    args = [_decode_arg(a, faults, mode) for a in ctor_args]
+    try:
+        ctor = spec.constructor(ctor_name)
+    except KeyError:
+        raise ReplayError(f"unknown constructor {spec_name}.{ctor_name}") from None
+    args = _decode_args(ctor, ctor_args, faults, mode)
     obj = checked_constructor(spec, ctor_name, args, mode=mode, faults=faults)
     for entry in calls:
-        if entry[0] != "call":
+        if entry[0] != "call" or len(entry) != 3:
             raise ReplayError(f"bad trace entry {entry!r}")
         _, feature_name, enc_args = entry
         if feature_name not in spec.features:
             raise ReplayError(f"unknown feature {spec_name}.{feature_name}")
         feature = spec.features[feature_name]
-        args = [_decode_arg(a, faults, mode) for a in enc_args]
+        args = _decode_args(feature, enc_args, faults, mode)
         if feature.kind == "command":
             checked_command(obj, feature_name, args, mode=mode)
         else:
@@ -149,25 +160,13 @@ class _LiveObject:
 
 
 def generate_arguments(feature, rng, pool, target=None):
-    """Draw an argument tuple for a feature from the element pool, integer
-    ranges, and live container objects; preconditions filter afterwards."""
+    """Draw an argument tuple for a feature from its argument domains over
+    the element pool, and from live container objects; preconditions filter
+    afterwards."""
     args = []
     encoded = []
     for d in feature.arg_domains:
-        kind = d[0]
-        if kind == "element":
-            a = rng.choice(ELEMENT_POOL)
-        elif kind == "int":
-            a = rng.randint(d[1], d[2])
-        elif kind == "bool":
-            a = rng.choice([False, True])
-        elif kind == "path":
-            n = rng.randint(0, d[1])
-            a = MSeq(rng.choice([False, True]) for _ in range(n))
-        elif kind == "relation":
-            a = rng.choice([identity_relation(ELEMENT_POOL),
-                            total_relation(ELEMENT_POOL)])
-        elif kind == "container":
+        if d[0] == "container":
             candidates = [o for o in pool
                           if o.spec.name == d[1] and o.obj is not target]
             if not candidates:
@@ -175,11 +174,10 @@ def generate_arguments(feature, rng, pool, target=None):
             live = rng.choice(candidates)
             args.append(live)
             encoded.append(["obj", [list(e) for e in live.trace]])
-            continue
         else:
-            raise ValueError(f"unknown argument domain {d!r}")
-        args.append(a)
-        encoded.append(_encode_arg(a))
+            a = draw_value(d, rng, ELEMENT_POOL)
+            args.append(a)
+            encoded.append(_encode_arg(a))
     return args, encoded
 
 
@@ -194,29 +192,14 @@ def _make_object(spec, rng, faults, mode, seed):
     return _LiveObject(spec, obj, [["new", spec.name, ctor.name, encoded]])
 
 
-def run_campaign(targets, budget: TestBudget, faults=None, mode="model",
-                 workers=1) -> CampaignResult:
+def run_campaign(targets, budget: TestBudget, faults=None,
+                 mode="model") -> CampaignResult:
     """Random-testing campaign over the given container types.
 
     Precondition rejections are filtered calls, never faults.  Every
     emitted FaultReport is self-validated by replaying its trace before it
     is returned.
     """
-    if workers > 1:
-        merged = CampaignResult(stats={
-            "calls": 0, "rejected": 0, "passed": 0, "violations": 0})
-        reports = []
-        per_worker = budget.max_calls // workers
-        for i in range(workers):
-            sub = TestBudget(per_worker, budget.max_objects,
-                             budget.wall_clock, budget.seed + i)
-            r = run_campaign(targets, sub, faults=faults, mode=mode)
-            for k in merged.stats:
-                merged.stats[k] += r.stats[k]
-            reports.extend(r.reports)
-        merged.reports = sorted(reports, key=lambda r: r.to_json())
-        return merged
-
     faults = faults or containers.FaultSwitch()
     for t in targets:
         if t not in REGISTRY:

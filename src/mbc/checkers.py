@@ -17,10 +17,10 @@ from types import SimpleNamespace
 
 from . import containers
 from .contracts import (
-    AbstractState, Ctx, REGISTRY, abstract_state, expand_frame,
+    AbstractState, Ctx, REGISTRY, abstract_state, domain_values, expand_frame,
     serialize_state,
 )
-from .model_math import MSeq, Ref, identity_relation, total_relation
+from .model_math import DomainError, Ref
 
 
 class EnumerationRefused(Exception):
@@ -31,16 +31,11 @@ class EnumerationRefused(Exception):
 class EnumerationConfig:
     universe: int = 2      # number of distinct element tokens
     max_size: int = 3      # max model structure size
-    max_int: int = 4       # magnitude bound for integer arguments
     depth: int = 3         # call depth for adequacy
     state_limit: int = 10**7
 
     def elements(self):
         return [Ref(chr(ord("a") + i)) for i in range(self.universe)]
-
-    def relations(self):
-        elems = self.elements()
-        return [identity_relation(elems), total_relation(elems)]
 
     def estimate(self) -> int:
         # Rough upper bound: sequences over the universe times cursor slots.
@@ -70,28 +65,6 @@ class CheckVerdict:
         }
 
 
-def _arg_pool(domain, cfg: EnumerationConfig):
-    kind = domain[0]
-    if kind == "element":
-        return cfg.elements()
-    if kind == "int":
-        lo, hi = domain[1], domain[2]
-        return list(range(max(lo, -cfg.max_int), min(hi, cfg.max_int) + 1))
-    if kind == "bool":
-        return [False, True]
-    if kind == "path":
-        maxlen = domain[1]
-        pool = []
-        for n in range(maxlen + 1):
-            pool.extend(MSeq(bits) for bits in itertools.product([False, True], repeat=n))
-        return pool
-    if kind == "relation":
-        return cfg.relations()
-    if kind == "container":
-        return None  # handled by the caller
-    raise ValueError(f"unknown argument domain {domain!r}")
-
-
 def _state_size(state: AbstractState) -> int:
     sizes = [getattr(v, "count") for v in state.values if hasattr(v, "count")]
     return max(sizes, default=0)
@@ -113,8 +86,7 @@ class Enumerated:
 
 def _build(spec, trace, faults=None):
     (ctor_name, ctor_args), *calls = trace
-    ctor = next(c for c in spec.constructors if c.name == ctor_name)
-    obj = ctor.body(*ctor_args, faults=faults)
+    obj = spec.constructor(ctor_name).body(*ctor_args, faults=faults)
     for fname, args in calls:
         spec.features[fname].body(obj, *args)
     return obj
@@ -140,8 +112,7 @@ def enumerate_states(name: str, cfg: EnumerationConfig, features=None):
     seen = set()
     frontier = []
     for ctor in spec.constructors:
-        pools = [_arg_pool(d, cfg) for d in ctor.arg_domains]
-        for args in itertools.product(*pools):
+        for args in _arg_combos(ctor, cfg, _no_containers):
             if not _raw_pre(ctor, None, args, None):
                 continue
             obj = ctor.body(*args)
@@ -157,8 +128,7 @@ def enumerate_states(name: str, cfg: EnumerationConfig, features=None):
     while frontier:
         cur = frontier.pop()
         for feat in commands:
-            pools = [_arg_pool(d, cfg) for d in feat.arg_domains]
-            for args in itertools.product(*pools):
+            for args in _arg_combos(feat, cfg, _no_containers):
                 if not _raw_pre(feat, cur.state, args, cur.obj.ref):
                     continue
                 obj = _build(spec, cur.trace)
@@ -197,8 +167,13 @@ def _arg_combos(feature, cfg, container_reps):
                                           new=None, rep=r)
                           for j, r in enumerate(reps)])
         else:
-            pools.append(_arg_pool(d, cfg))
+            pools.append(domain_values(d, cfg.elements()))
     return itertools.product(*pools)
+
+
+def _no_containers(name):
+    # For the callers that leave out features with container arguments.
+    return []
 
 
 def _model_clauses(feature, signature):
@@ -251,125 +226,99 @@ def _post_holds(clauses, old, new, args, result):
     ctx = Ctx(old=old, new=new, args=args, result=result, obj=None, cold=None)
     try:
         return all(c.fn(ctx) for c in clauses)
-    except Exception:
-        # A clause that escapes its domain on a candidate state rejects it.
+    except DomainError:
+        # A partial clause rejects a candidate outside its domain; any other
+        # exception is a specification error and propagates.
         return False
+
+
+def _completeness(name, feature, cfg, prestates, candidates, on_result):
+    """For every valid prestate (None for a constructor) and argument
+    combination, count the candidates that satisfy the model
+    postcondition; more than one makes the feature incomplete.  A
+    candidate is the poststate, or the result when ``on_result``.
+
+    Container arguments have their poststates pinned to the ones the
+    implementation actually produces; only the target poststate or the
+    result is varied (all registered contracts constrain target and
+    argument poststates independently).
+    """
+    spec = REGISTRY[name]
+    verdict = CheckVerdict(f"{name}.{feature.name}", tag=feature.incompleteness_tag)
+    clauses = _model_clauses(feature, spec.signature)
+    reps = _rep_cache(cfg)
+    show = repr if on_result else serialize_state
+    pinned = any(d[0] == "container" for d in feature.arg_domains)
+    for pre_e in prestates:
+        old, ref = (pre_e.state, pre_e.obj.ref) if pre_e else (None, None)
+        for args in _arg_combos(feature, cfg, reps):
+            if not _raw_pre(feature, old, args, ref):
+                continue
+            if pinned:
+                _pin_container_args(spec, feature, pre_e, args)
+            satisfying = [c for c in candidates
+                          if _post_holds(clauses, old, old if on_result else c,
+                                         args, c if on_result else None)]
+            verdict.states_checked += len(candidates)
+            if len(satisfying) > 1:
+                verdict.post_complete = False
+                where = f"from {serialize_state(old)}" if pre_e else "constructor"
+                verdict.witnesses.append(
+                    f"{where}: {show(satisfying[0])} vs {show(satisfying[1])}")
+    return verdict
+
+
+def _pin_container_args(spec, feature, pre_e, args):
+    """Run the feature once on replayed objects and record the poststate of
+    each container argument in its view."""
+    obj = _build(spec, pre_e.trace)
+    raw_args = [_build(REGISTRY[d[1]], a.rep.trace) if d[0] == "container"
+                else a for d, a in zip(feature.arg_domains, args)]
+    feature.body(obj, *raw_args)
+    for d, a, r in zip(feature.arg_domains, args, raw_args):
+        if d[0] == "container":
+            a.new = abstract_state(r)
 
 
 def check_command_completeness(name, feature_name, cfg) -> CheckVerdict:
     """For every valid prestate and argument combination, all candidate
     poststates satisfying the effective (frame-expanded) postcondition must
-    be abstractly equal.
-
-    Candidates are drawn from the enumerated state space.  For commands
-    with container arguments the argument poststates are fixed to the ones
-    the implementation actually produces, and only the target poststate is
-    varied (all registered contracts constrain target and argument
-    poststates independently).
-    """
-    spec = REGISTRY[name]
-    feature = spec.features[feature_name]
-    verdict = CheckVerdict(f"{name}.{feature_name}", tag=feature.incompleteness_tag)
-    clauses = _model_clauses(feature, spec.signature)
+    be abstractly equal.  Candidates are drawn from the enumerated state
+    space."""
     prestates = distinct_states(enumerate_states(name, cfg))
-    candidates = [e.state for e in prestates]
-    reps = _rep_cache(cfg)
-
-    has_container_args = any(d[0] == "container" for d in feature.arg_domains)
-    for pre_e in prestates:
-        for args in _arg_combos(feature, cfg, reps):
-            if not _raw_pre(feature, pre_e.state, args, pre_e.obj.ref):
-                continue
-            if has_container_args:
-                # Execute once to pin the argument poststates.
-                obj = _build(spec, pre_e.trace)
-                raw_args = []
-                for d, a in zip(feature.arg_domains, args):
-                    if d[0] == "container":
-                        raw_args.append(_build(REGISTRY[d[1]], a.rep.trace))
-                    else:
-                        raw_args.append(a)
-                feature.body(obj, *raw_args)
-                for d, a, r in zip(feature.arg_domains, args, raw_args):
-                    if d[0] == "container":
-                        a.new = abstract_state(r)
-                eval_args = tuple(args)
-            else:
-                eval_args = args
-            satisfying = [c for c in candidates
-                          if _post_holds(clauses, pre_e.state, c, eval_args, None)]
-            verdict.states_checked += len(candidates)
-            if len(satisfying) > 1:
-                verdict.post_complete = False
-                verdict.witnesses.append(
-                    f"from {serialize_state(pre_e.state)}: "
-                    f"{serialize_state(satisfying[0])} vs "
-                    f"{serialize_state(satisfying[1])}")
-    return verdict
+    return _completeness(name, REGISTRY[name].features[feature_name], cfg,
+                         prestates, [e.state for e in prestates], False)
 
 
 def _result_candidates(feature, cfg):
     d = feature.result_domain
     if d is None:
         return []
-    if d[0] == "bool":
-        return [False, True]
-    if d[0] == "int":
-        return list(range(-cfg.max_int, max(cfg.max_int, cfg.max_size) + 2))
-    if d[0] == "element":
-        return cfg.elements()
     if d[0] == "container":
         return [e.state for e in distinct_states(
             enumerate_states(d[1], cfg))]
-    raise ValueError(f"unknown result domain {d!r}")
+    if d == ("int",):
+        # Sizes up to one past the bound, and a margin of negatives.
+        d = ("int", -4, max(4, cfg.max_size) + 1)
+    return domain_values(d, cfg.elements())
 
 
 def check_query_completeness(name, feature_name, cfg) -> CheckVerdict:
-    """All results satisfying the postcondition must be equivalent: by
-    abstract state for value-bound queries, by identity token for
-    reference-bound ones."""
-    spec = REGISTRY[name]
-    feature = spec.features[feature_name]
-    verdict = CheckVerdict(f"{name}.{feature_name}", tag=feature.incompleteness_tag)
-    clauses = _model_clauses(feature, spec.signature)
+    """All results satisfying the postcondition must be equal: model
+    values by value, element results by token, container results by
+    abstract state."""
+    feature = REGISTRY[name].features[feature_name]
     prestates = distinct_states(enumerate_states(name, cfg))
-    candidates = _result_candidates(feature, cfg)
-    reps = _rep_cache(cfg)
-    for pre_e in prestates:
-        for args in _arg_combos(feature, cfg, reps):
-            if not _raw_pre(feature, pre_e.state, args, pre_e.obj.ref):
-                continue
-            satisfying = [c for c in candidates
-                          if _post_holds(clauses, pre_e.state, pre_e.state, args, c)]
-            verdict.states_checked += len(candidates)
-            if len(satisfying) > 1:
-                verdict.post_complete = False
-                a, b = satisfying[0], satisfying[1]
-                verdict.witnesses.append(
-                    f"from {serialize_state(pre_e.state)}: {a!r} vs {b!r}")
-    return verdict
+    return _completeness(name, feature, cfg, prestates,
+                         _result_candidates(feature, cfg), True)
 
 
 def check_constructor_completeness(name, ctor_name, cfg) -> CheckVerdict:
-    """Constructors are value-bound queries returning fresh objects."""
-    spec = REGISTRY[name]
-    ctor = next(c for c in spec.constructors if c.name == ctor_name)
-    verdict = CheckVerdict(f"{name}.{ctor_name}", tag=ctor.incompleteness_tag)
-    clauses = [c for c in ctor.clauses if c.tag == "model"]
+    """Constructors are queries returning fresh objects: all poststates
+    satisfying the postcondition must be abstractly equal."""
     candidates = [e.state for e in distinct_states(enumerate_states(name, cfg))]
-    reps = _rep_cache(cfg)
-    for args in _arg_combos(ctor, cfg, reps):
-        if not _raw_pre(ctor, None, args, None):
-            continue
-        satisfying = [c for c in candidates
-                      if _post_holds(clauses, None, c, args, None)]
-        verdict.states_checked += len(candidates)
-        if len(satisfying) > 1:
-            verdict.post_complete = False
-            verdict.witnesses.append(
-                f"constructor: {serialize_state(satisfying[0])} vs "
-                f"{serialize_state(satisfying[1])}")
-    return verdict
+    return _completeness(name, REGISTRY[name].constructor(ctor_name), cfg,
+                         [None], candidates, False)
 
 
 @dataclass
@@ -434,7 +383,7 @@ def check_observational_adequacy(name, cfg, model_fn=None, features=None):
         o1 = _build(spec, trace1)
         o2 = _build(spec, trace2)
         for feat in queries:
-            for args in _arg_combos(feat, cfg, lambda n: []):
+            for args in _arg_combos(feat, cfg, _no_containers):
                 if query_results(o1, feat, args) != query_results(o2, feat, args):
                     return True
         if depth == 0:
@@ -442,7 +391,7 @@ def check_observational_adequacy(name, cfg, model_fn=None, features=None):
         s1 = abstract_state(o1)
         s2 = abstract_state(o2)
         for feat in commands:
-            for args in _arg_combos(feat, cfg, lambda n: []):
+            for args in _arg_combos(feat, cfg, _no_containers):
                 p1 = _raw_pre(feat, s1, args, o1.ref)
                 p2 = _raw_pre(feat, s2, args, o2.ref)
                 if p1 != p2:

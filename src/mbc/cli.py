@@ -24,13 +24,6 @@ from .checkers import (
 from .contracts import REGISTRY
 
 
-def _seed_default() -> int:
-    try:
-        return int(os.environ.get("MBC_SEED", "0"))
-    except ValueError:
-        return 0
-
-
 def _resolve_targets(args) -> list:
     if getattr(args, "all", False):
         return list(containers.CONTAINER_NAMES)
@@ -63,8 +56,7 @@ def cmd_test(args) -> int:
             raise SystemExit2(f"unknown fault switch {name!r}")
         setattr(faults, name, True)
     budget = TestBudget(max_calls=args.calls, seed=args.seed)
-    result = run_campaign(targets, budget, faults=faults, mode=args.mode,
-                          workers=args.workers)
+    result = run_campaign(targets, budget, faults=faults, mode=args.mode)
     _emit(args, result.to_json_lines())
     return 1 if result.violations else 0
 
@@ -76,12 +68,7 @@ def _enum_config(args) -> EnumerationConfig:
 
 def cmd_complete(args) -> int:
     targets = _resolve_targets(args)
-    cfg = _enum_config(args)
-    try:
-        report = classify_library(cfg, names=targets)
-    except EnumerationRefused as e:
-        sys.stderr.write(f"refused: {e}\n")
-        return 2
+    report = classify_library(_enum_config(args), names=targets)
     _emit(args, report_to_json(report) + "\n")
     return 1 if report["summary"]["errors"] else 0
 
@@ -89,13 +76,8 @@ def cmd_complete(args) -> int:
 def cmd_adequacy(args) -> int:
     targets = _resolve_targets(args)
     cfg = _enum_config(args)
-    verdicts = []
-    try:
-        for name in targets:
-            verdicts.append(check_observational_adequacy(name, cfg).to_dict())
-    except EnumerationRefused as e:
-        sys.stderr.write(f"refused: {e}\n")
-        return 2
+    verdicts = [check_observational_adequacy(name, cfg).to_dict()
+                for name in targets]
     _emit(args, json.dumps(verdicts, ensure_ascii=False, sort_keys=True,
                            indent=2) + "\n")
     return 0 if all(v["adequate"] for v in verdicts) else 1
@@ -112,13 +94,9 @@ def cmd_report(args) -> int:
     targets = _resolve_targets(args)
     cfg = _enum_config(args)
     budget = TestBudget(max_calls=args.calls, seed=args.seed)
-    try:
-        completeness = classify_library(cfg, names=targets)
-        adequacy = [check_observational_adequacy(n, cfg).to_dict()
-                    for n in targets]
-    except EnumerationRefused as e:
-        sys.stderr.write(f"refused: {e}\n")
-        return 2
+    completeness = classify_library(cfg, names=targets)
+    adequacy = [check_observational_adequacy(n, cfg).to_dict()
+                for n in targets]
     campaign = run_campaign(targets, budget)
     combined = {
         "completeness": completeness,
@@ -149,6 +127,13 @@ def _add_enum_flags(p):
                    help="max structure size (default 3)")
 
 
+def _add_seed_flag(p):
+    # argparse converts a string default with ``type``, so a malformed
+    # MBC_SEED is a usage error (exit 2) unless --seed overrides it.
+    p.add_argument("--seed", type=int, default=os.environ.get("MBC_SEED", "0"),
+                   help="campaign seed (default $MBC_SEED, else 0)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mbc", description="Model-based contract tools.")
@@ -157,10 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("test", help="random contract testing")
     _add_target_flags(p)
     p.add_argument("--calls", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=_seed_default())
+    _add_seed_flag(p)
     p.add_argument("--inject", action="append", metavar="FAULT",
                    help="enable a named fault switch (repeatable)")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--mode", choices=["model", "classic"], default="model")
     p.set_defaults(func=cmd_test)
 
@@ -184,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_enum_flags(p)
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("--calls", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=_seed_default())
+    _add_seed_flag(p)
     p.set_defaults(func=cmd_report)
     return parser
 
@@ -200,6 +184,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit2 as e:
         sys.stderr.write(f"error: {e}\n")
+        return 2
+    except EnumerationRefused as e:
+        sys.stderr.write(f"refused: {e}\n")
         return 2
 
 

@@ -39,6 +39,47 @@ class FaultSwitch:
     merge_right_missing_link: bool = False
 
 
+def _count_query(cls, model):
+    """``count``: the size of the model query ``model``."""
+    return Feature(
+        "count", "query",
+        body=cls.do_count,
+        clauses=(Clause("count/result", "model",
+                        lambda c: c.result == getattr(c.old, model).count),),
+        result_domain=("int",))
+
+
+def _is_empty_query(cls, model):
+    """``is_empty``: whether the model query ``model`` is empty."""
+    return Feature(
+        "is_empty", "query",
+        body=cls.do_is_empty,
+        clauses=(Clause("is_empty/result", "model",
+                        lambda c: c.result == getattr(c.old, model).is_empty),),
+        result_domain=("bool",))
+
+
+def _make_empty(cls, models):
+    """``make_empty``: every model query in ``models`` starts empty."""
+    return Feature(
+        "make_empty", "constructor",
+        body=lambda faults=None: cls(faults=faults),
+        clauses=tuple(Clause(f"make_empty/{m}", "model",
+                             lambda c, _m=m: getattr(c.new, _m).is_empty)
+                      for m in models))
+
+
+def _wipe_out(cls, models):
+    """``wipe_out``: every model query in ``models`` ends empty."""
+    return Feature(
+        "wipe_out", "command",
+        body=cls.do_wipe_out,
+        clauses=tuple(Clause(f"wipe_out/{m}", "model",
+                             lambda c, _m=m: getattr(c.new, _m).is_empty)
+                      for m in models),
+        mentioned=frozenset(models))
+
+
 # ---------------------------------------------------------------------------
 # LinkedList: singly linked chain with internal cursor.
 # Model: (sequence, index); index 0 means "before", count+1 means "after".
@@ -169,7 +210,7 @@ def _linked_list_spec():
         mentioned=frozenset({"sequence", "index"}),
         arg_domains=(("element",),))
     item = Feature(
-        "item", "query", binding="reference",
+        "item", "query",
         pre=lambda s, a, r: s.sequence.domain.has(s.index),
         body=LinkedList.do_item,
         clauses=(
@@ -185,22 +226,8 @@ def _linked_list_spec():
                    lambda c: c.result == c.old.sequence.has(c.args[0])),
         ),
         arg_domains=(("element",),), result_domain=("bool",))
-    count = Feature(
-        "count", "query",
-        body=LinkedList.do_count,
-        clauses=(
-            Clause("count/result", "model",
-                   lambda c: c.result == c.old.sequence.count),
-        ),
-        result_domain=("int",))
-    is_empty = Feature(
-        "is_empty", "query",
-        body=LinkedList.do_is_empty,
-        clauses=(
-            Clause("is_empty/result", "model",
-                   lambda c: c.result == c.old.sequence.is_empty),
-        ),
-        result_domain=("bool",))
+    count = _count_query(LinkedList, "sequence")
+    is_empty = _is_empty_query(LinkedList, "sequence")
     duplicate = Feature(
         "duplicate", "query",
         pre=lambda s, a, r: a[0] >= 0,
@@ -262,7 +289,7 @@ def _linked_list_spec():
                         lambda o, s: 0 <= o.index <= o.count + 1),
     )
     return ContainerSpec(
-        "LinkedList", sig, LinkedList,
+        "LinkedList", sig,
         features=[put_right, item, has, count, is_empty, duplicate,
                   start, forth, go_before, merge_right],
         invariants=invariants,
@@ -333,7 +360,7 @@ def _array_spec():
         mentioned=frozenset({"map"}),
         arg_domains=(("element",), ("int", 0, 4)))
     item = Feature(
-        "item", "query", binding="reference",
+        "item", "query",
         pre=lambda s, a, r: s.map.domain.has(a[0]),
         body=ArrayT.do_item,
         clauses=(
@@ -383,7 +410,7 @@ def _array_spec():
                         lambda o, s: s.capacity >= s.map.count),
     )
     return ContainerSpec(
-        "ArrayT", sig, ArrayT,
+        "ArrayT", sig,
         features=[put, item, fill, reserve, capacity],
         invariants=invariants,
         constructors=[make])
@@ -418,10 +445,6 @@ class Table:
 
 def _table_spec():
     sig = ModelSignature([("map", "MMap")])
-    make_empty = Feature(
-        "make_empty", "constructor",
-        body=lambda faults=None: Table(faults=faults),
-        clauses=(Clause("make_empty/map", "model", lambda c: c.new.map.is_empty),))
     put = Feature(
         "put", "command",
         pre=lambda s, a, r: s.map.domain.has(a[1]),
@@ -442,7 +465,7 @@ def _table_spec():
         mentioned=frozenset({"map"}),
         arg_domains=(("element",), ("element",)))
     item = Feature(
-        "item", "query", binding="reference",
+        "item", "query",
         pre=lambda s, a, r: s.map.domain.has(a[0]),
         body=Table.do_item,
         clauses=(
@@ -450,16 +473,10 @@ def _table_spec():
                    lambda c: c.result == c.old.map.item(c.args[0])),
         ),
         arg_domains=(("element",),), result_domain=("element",))
-    count = Feature(
-        "count", "query",
-        body=Table.do_count,
-        clauses=(Clause("count/result", "model",
-                        lambda c: c.result == c.old.map.count),),
-        result_domain=("int",))
     return ContainerSpec(
-        "Table", sig, Table,
-        features=[put, force, item, count],
-        constructors=[make_empty])
+        "Table", sig,
+        features=[put, force, item, _count_query(Table, "map")],
+        constructors=[_make_empty(Table, ["map"])])
 
 
 # ---------------------------------------------------------------------------
@@ -539,183 +556,106 @@ def _linking_invariant(o, s):
                 lambda x: s.bag[x] == s.sequence.occurrences(x)))
 
 
+def _put_bag():
+    return Clause("put/bag", "model",
+                  lambda c: c.new.bag == c.old.bag.extended(c.args[0]))
+
+
 def _collection_spec():
     sig = ModelSignature([("bag", "MBag")])
-    make_empty = Feature(
-        "make_empty", "constructor",
-        body=lambda faults=None: Collection(faults=faults),
-        clauses=(Clause("make_empty/bag", "model", lambda c: c.new.bag.is_empty),))
     put = Feature(
         "put", "command",
         body=Collection.do_put,
-        clauses=(
-            Clause("put/bag", "model",
-                   lambda c: c.new.bag == c.old.bag.extended(c.args[0])),
-        ),
+        clauses=(_put_bag(),),
         mentioned=frozenset({"bag"}),
         arg_domains=(("element",),))
-    is_empty = Feature(
-        "is_empty", "query",
-        body=Collection.do_is_empty,
-        clauses=(Clause("is_empty/result", "model",
-                        lambda c: c.result == c.old.bag.is_empty),),
-        result_domain=("bool",))
-    count = Feature(
-        "count", "query",
-        body=Collection.do_count,
-        clauses=(Clause("count/result", "model",
-                        lambda c: c.result == c.old.bag.count),),
-        result_domain=("int",))
     occurrences = Feature(
         "occurrences", "query",
         body=Collection.do_occurrences,
         clauses=(Clause("occurrences/result", "model",
                         lambda c: c.result == c.old.bag[c.args[0]]),),
         arg_domains=(("element",),), result_domain=("int",))
-    wipe_out = Feature(
-        "wipe_out", "command",
-        body=Collection.do_wipe_out,
-        clauses=(Clause("wipe_out/bag", "model", lambda c: c.new.bag.is_empty),),
-        mentioned=frozenset({"bag"}))
     return ContainerSpec(
-        "Collection", sig, Collection,
-        features=[put, is_empty, count, occurrences, wipe_out],
-        constructors=[make_empty])
+        "Collection", sig,
+        features=[put, _is_empty_query(Collection, "bag"),
+                  _count_query(Collection, "bag"), occurrences,
+                  _wipe_out(Collection, ["bag"])],
+        constructors=[_make_empty(Collection, ["bag"])])
 
 
-def _dispenser_like_sig():
-    return ModelSignature([("bag", "MBag"), ("sequence", "MSeq")])
-
-
-def _dispenser_spec():
-    sig = _dispenser_like_sig()
-    make_empty = Feature(
-        "make_empty", "constructor",
-        body=lambda faults=None: Dispenser(faults=faults),
-        clauses=(Clause("make_empty/bag", "model", lambda c: c.new.bag.is_empty),
-                 Clause("make_empty/sequence", "model",
-                        lambda c: c.new.sequence.is_empty)))
-    # put inherits only the bag clause from Collection; the sequence is
-    # declared relevant but its new value is unspecified.
-    put = Feature(
-        "put", "command",
-        body=Dispenser.do_put,
-        clauses=(
-            Clause("put/bag", "model",
-                   lambda c: c.new.bag == c.old.bag.extended(c.args[0])),
-        ),
-        mentioned=frozenset({"bag"}),
-        relevant=frozenset({"sequence"}),
-        incompleteness_tag="inheritance",
-        arg_domains=(("element",),))
-    item = Feature(
-        "item", "query", binding="reference",
-        pre=lambda s, a, r: not s.sequence.is_empty,
-        body=Dispenser.do_item,
-        clauses=(
-            Clause("item/member", "model",
-                   lambda c: c.old.sequence.range.has(c.result)),
-        ),
-        incompleteness_tag="inheritance",
-        result_domain=("element",))
-    remove = Feature(
-        "remove", "command",
-        pre=lambda s, a, r: not s.sequence.is_empty,
-        body=Dispenser.do_remove,
-        clauses=(
-            Clause("remove/count", "model",
-                   lambda c: c.new.sequence.count == c.old.sequence.count - 1),
-            Clause("remove/bag_count", "model",
-                   lambda c: c.new.bag.count == c.old.bag.count - 1),
-        ),
-        mentioned=frozenset({"sequence", "bag"}),
-        incompleteness_tag="inheritance")
-    is_empty = Feature(
-        "is_empty", "query",
-        body=Dispenser.do_is_empty,
-        clauses=(Clause("is_empty/result", "model",
-                        lambda c: c.result == c.old.bag.is_empty),),
-        result_domain=("bool",))
-    count = Feature(
-        "count", "query",
-        body=Dispenser.do_count,
-        clauses=(Clause("count/result", "model",
-                        lambda c: c.result == c.old.bag.count),),
-        result_domain=("int",))
-    wipe_out = Feature(
-        "wipe_out", "command",
-        body=Dispenser.do_wipe_out,
-        clauses=(Clause("wipe_out/bag", "model", lambda c: c.new.bag.is_empty),
-                 Clause("wipe_out/sequence", "model",
-                        lambda c: c.new.sequence.is_empty)),
-        mentioned=frozenset({"bag", "sequence"}))
-    return ContainerSpec(
-        "Dispenser", sig, Dispenser,
-        features=[put, item, remove, is_empty, count, wipe_out],
-        invariants=(InvariantClause("linking", "model", _linking_invariant),),
-        constructors=[make_empty])
-
-
-def _stack_queue_spec(name, cls, item_pos, remove_clause, item_clause):
-    sig = _dispenser_like_sig()
-    make_empty = Feature(
-        "make_empty", "constructor",
-        body=lambda faults=None, _c=cls: _c(faults=faults),
-        clauses=(Clause("make_empty/bag", "model", lambda c: c.new.bag.is_empty),
-                 Clause("make_empty/sequence", "model",
-                        lambda c: c.new.sequence.is_empty)))
+def _dispenser_family_spec(name, cls, put_sequence, item_clause,
+                           remove_clauses, tag=None):
+    """Dispenser, Stack and Queue: a bag tied to a sequence by the linking
+    invariant.  ``put_sequence`` holds put's sequence clause; Dispenser
+    passes none, which leaves the sequence relevant but unspecified.
+    ``tag`` is the incompleteness tag of put, item and remove."""
+    sig = ModelSignature([("bag", "MBag"), ("sequence", "MSeq")])
+    both = frozenset({"bag", "sequence"})
+    put_mentions = both if put_sequence else frozenset({"bag"})
     put = Feature(
         "put", "command",
         body=cls.do_put,
-        clauses=(
-            Clause("put/bag", "model",
-                   lambda c: c.new.bag == c.old.bag.extended(c.args[0])),
-            Clause("put/sequence", "model",
-                   lambda c: c.new.sequence == c.old.sequence.extended(c.args[0])),
-        ),
-        mentioned=frozenset({"bag", "sequence"}),
+        clauses=(_put_bag(),) + put_sequence,
+        mentioned=put_mentions,
+        relevant=both - put_mentions,
+        incompleteness_tag=tag,
         arg_domains=(("element",),))
     item = Feature(
-        "item", "query", binding="reference",
+        "item", "query",
         pre=lambda s, a, r: not s.sequence.is_empty,
         body=cls.do_item,
-        clauses=(Clause("item/result", "model", item_clause),),
+        clauses=(item_clause,),
+        incompleteness_tag=tag,
         result_domain=("element",))
     remove = Feature(
         "remove", "command",
         pre=lambda s, a, r: not s.sequence.is_empty,
         body=cls.do_remove,
-        clauses=(
-            Clause("remove/sequence", "model", remove_clause),
+        clauses=remove_clauses,
+        mentioned=both,
+        incompleteness_tag=tag)
+    return ContainerSpec(
+        name, sig,
+        features=[put, item, remove, _is_empty_query(cls, "bag"),
+                  _count_query(cls, "bag"), _wipe_out(cls, ["bag", "sequence"])],
+        invariants=(InvariantClause("linking", "model", _linking_invariant),),
+        constructors=[_make_empty(cls, ["bag", "sequence"])])
+
+
+def _dispenser_spec():
+    # put inherits only the bag clause from Collection; item and remove say
+    # no more than membership and counts.
+    return _dispenser_family_spec(
+        "Dispenser", Dispenser,
+        put_sequence=(),
+        item_clause=Clause("item/member", "model",
+                           lambda c: c.old.sequence.range.has(c.result)),
+        remove_clauses=(
+            Clause("remove/count", "model",
+                   lambda c: c.new.sequence.count == c.old.sequence.count - 1),
+            Clause("remove/bag_count", "model",
+                   lambda c: c.new.bag.count == c.old.bag.count - 1),
+        ),
+        tag="inheritance")
+
+
+def _stack_queue_spec(name, cls, item_pos, remove_sequence):
+    # Both put at the sequence end; item_pos(state) is the position that
+    # item reads and remove takes away.
+    return _dispenser_family_spec(
+        name, cls,
+        put_sequence=(Clause(
+            "put/sequence", "model",
+            lambda c: c.new.sequence == c.old.sequence.extended(c.args[0])),),
+        item_clause=Clause(
+            "item/result", "model",
+            lambda c: c.result == c.old.sequence.item(item_pos(c.old))),
+        remove_clauses=(
+            Clause("remove/sequence", "model", remove_sequence),
             Clause("remove/bag", "model",
                    lambda c: c.new.bag == c.old.bag.removed(
                        c.old.sequence.item(item_pos(c.old)))),
-        ),
-        mentioned=frozenset({"bag", "sequence"}))
-    is_empty = Feature(
-        "is_empty", "query",
-        body=cls.do_is_empty,
-        clauses=(Clause("is_empty/result", "model",
-                        lambda c: c.result == c.old.bag.is_empty),),
-        result_domain=("bool",))
-    count = Feature(
-        "count", "query",
-        body=cls.do_count,
-        clauses=(Clause("count/result", "model",
-                        lambda c: c.result == c.old.bag.count),),
-        result_domain=("int",))
-    wipe_out = Feature(
-        "wipe_out", "command",
-        body=cls.do_wipe_out,
-        clauses=(Clause("wipe_out/bag", "model", lambda c: c.new.bag.is_empty),
-                 Clause("wipe_out/sequence", "model",
-                        lambda c: c.new.sequence.is_empty)),
-        mentioned=frozenset({"bag", "sequence"}))
-    return ContainerSpec(
-        name, sig, cls,
-        features=[put, item, remove, is_empty, count, wipe_out],
-        invariants=(InvariantClause("linking", "model", _linking_invariant),),
-        constructors=[make_empty])
+        ))
 
 
 def _stack_spec():
@@ -723,10 +663,8 @@ def _stack_spec():
     return _stack_queue_spec(
         "Stack", Stack,
         item_pos=lambda s: s.sequence.count,
-        remove_clause=lambda c: c.new.sequence == c.old.sequence.front(
-            c.old.sequence.count - 1),
-        item_clause=lambda c: c.result == c.old.sequence.item(
-            c.old.sequence.count))
+        remove_sequence=lambda c: c.new.sequence == c.old.sequence.front(
+            c.old.sequence.count - 1))
 
 
 def _queue_spec():
@@ -734,8 +672,7 @@ def _queue_spec():
     return _stack_queue_spec(
         "Queue", Queue,
         item_pos=lambda s: 1,
-        remove_clause=lambda c: c.new.sequence == c.old.sequence.tail(2),
-        item_clause=lambda c: c.result == c.old.sequence.item(1))
+        remove_sequence=lambda c: c.new.sequence == c.old.sequence.tail(2))
 
 
 # ---------------------------------------------------------------------------
@@ -810,12 +747,7 @@ def _eqset_spec():
         ),
         mentioned=frozenset({"set"}),
         arg_domains=(("element",),))
-    count = Feature(
-        "count", "query",
-        body=EqSet.do_count,
-        clauses=(Clause("count/result", "model",
-                        lambda c: c.result == c.old.set.count),),
-        result_domain=("int",))
+    count = _count_query(EqSet, "set")
     invariants = (
         InvariantClause("no_equivalent_pair", "model",
                         lambda o, s: all(
@@ -825,7 +757,7 @@ def _eqset_spec():
                         lambda o, s: _relation_is_equivalence(s.relation)),
     )
     return ContainerSpec(
-        "EqSet", sig, EqSet,
+        "EqSet", sig,
         features=[has, add, count],
         invariants=invariants,
         constructors=[make])
@@ -891,10 +823,6 @@ class BinaryTree:
 
 def _tree_spec():
     sig = ModelSignature([("map", "MMap")])
-    make_empty = Feature(
-        "make_empty", "constructor",
-        body=lambda faults=None: BinaryTree(faults=faults),
-        clauses=(Clause("make_empty/map", "model", lambda c: c.new.map.is_empty),))
     add_root = Feature(
         "add_root", "command",
         pre=lambda s, a, r: s.map.is_empty,
@@ -919,7 +847,7 @@ def _tree_spec():
         mentioned=frozenset({"map"}),
         arg_domains=(("path", 2), ("bool",), ("element",)))
     item_at = Feature(
-        "item_at", "query", binding="reference",
+        "item_at", "query",
         pre=lambda s, a, r: s.map.domain.has(a[0]),
         body=BinaryTree.do_item_at,
         clauses=(
@@ -927,22 +855,17 @@ def _tree_spec():
                    lambda c: c.result == c.old.map.item(c.args[0])),
         ),
         arg_domains=(("path", 2),), result_domain=("element",))
-    count = Feature(
-        "count", "query",
-        body=BinaryTree.do_count,
-        clauses=(Clause("count/result", "model",
-                        lambda c: c.result == c.old.map.count),),
-        result_domain=("int",))
+    count = _count_query(BinaryTree, "map")
 
     def prefix_closed(o, s):
         return s.map.domain.for_all(
             lambda p: p.is_empty or s.map.domain.has(p.front(p.count - 1)))
 
     return ContainerSpec(
-        "BinaryTree", sig, BinaryTree,
+        "BinaryTree", sig,
         features=[add_root, put_child, item_at, count],
         invariants=(InvariantClause("prefix_closed", "model", prefix_closed),),
-        constructors=[make_empty])
+        constructors=[_make_empty(BinaryTree, ["map"])])
 
 
 ALL_SPECS = [

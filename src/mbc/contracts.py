@@ -8,11 +8,14 @@ against live objects.
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
-from .model_math import ModelValue, Ref, to_text
+from .model_math import (
+    MSeq, ModelValue, identity_relation, to_text, total_relation,
+)
 
 
 class UsageError(Exception):
@@ -154,25 +157,63 @@ class InvariantClause:
 class Feature:
     name: str
     kind: str  # "command" | "query" | "constructor"
-    binding: str = "value"  # for queries: "value" | "reference"
     pre: Optional[Callable] = None  # fn(state, args, target_ref) -> bool
     body: Optional[Callable] = None  # fn(obj, *args) -> result
     clauses: Tuple[Clause, ...] = ()
     mentioned: frozenset = frozenset()
     relevant: frozenset = frozenset()
     incompleteness_tag: Optional[str] = None  # nondeterministic | inheritance | information-hiding
-    arg_domains: Tuple = ()
+    arg_domains: Tuple = ()  # one domain per argument, see domain_values
     result_domain: Optional[object] = None
+
+
+# Argument domains.  A feature declares one per argument: a tuple whose
+# first entry names the kind.
+#   ("element",)        an element token of the universe in use
+#   ("int", lo, hi)     an integer in lo..hi
+#   ("bool",)           False or True
+#   ("path", n)         a tree path: a sequence of at most n booleans
+#   ("relation",)       the identity or the total relation on the universe
+#   ("container", T)    an object of registered type T; the caller supplies
+#                       it (the checkers enumerate them, the tester draws
+#                       live objects from its pool)
+# Result domains use the same kinds, except that an integer result may
+# leave its bounds to the checker: ("int",).
+
+def domain_values(domain, elements):
+    """All values of a non-container domain, in a fixed order, over the
+    element tokens ``elements``."""
+    kind = domain[0]
+    if kind == "element":
+        return list(elements)
+    if kind == "int":
+        return list(range(domain[1], domain[2] + 1))
+    if kind == "bool":
+        return [False, True]
+    if kind == "path":
+        return [MSeq(bits) for n in range(domain[1] + 1)
+                for bits in itertools.product([False, True], repeat=n)]
+    if kind == "relation":
+        return [identity_relation(elements), total_relation(elements)]
+    raise ValueError(f"unknown argument domain {domain!r}")
+
+
+def draw_value(domain, rng, elements):
+    """One random value of a non-container domain: a uniform choice over
+    ``domain_values``, except that a path draws its length, then its bits."""
+    if domain[0] == "path":
+        n = rng.randint(0, domain[1])
+        return MSeq(rng.choice([False, True]) for _ in range(n))
+    return rng.choice(domain_values(domain, elements))
 
 
 class ContainerSpec:
     """Self-description of a container type for the engine and the tools."""
 
-    def __init__(self, name, signature, factory, features, invariants=(),
+    def __init__(self, name, signature, features, invariants=(),
                  constructors=(), snapshot=None):
         self.name = name
         self.signature = signature
-        self.factory = factory
         self.features = {f.name: f for f in features}
         self.invariants = tuple(invariants)
         self.constructors = tuple(constructors)
@@ -182,6 +223,12 @@ class ContainerSpec:
                 if s not in signature.names:
                     raise ConfigurationError(
                         f"{name}.{f.name}: unknown model query {s!r}")
+
+    def constructor(self, name) -> Feature:
+        for c in self.constructors:
+            if c.name == name:
+                return c
+        raise KeyError(f"{self.name} has no constructor {name!r}")
 
     def commands(self):
         return [f for f in self.features.values() if f.kind == "command"]
@@ -210,14 +257,6 @@ def abstract_state(obj) -> AbstractState:
     spec = spec_of(obj)
     values = [getattr(obj, "model_" + name)() for name in spec.signature.names]
     return AbstractState(spec.signature, values)
-
-
-def reference_equal(x, y) -> bool:
-    return x.ref == y.ref
-
-
-def object_equal(x, y) -> bool:
-    return abstract_equal(abstract_state(x), abstract_state(y))
 
 
 class ArgView:
@@ -253,13 +292,6 @@ def _serialize_arg(a) -> str:
     return to_text(a)
 
 
-@dataclass(frozen=True)
-class OldSnapshot:
-    """Pre-call abstract states of the target and its container arguments."""
-    target: AbstractState
-    arguments: Tuple[AbstractState, ...] = ()
-
-
 def expand_frame(feature: Feature, signature: ModelSignature):
     """Effective clause list: explicit clauses, then one implicit
     ``s = old s`` clause for every model query not mentioned or relevant."""
@@ -291,6 +323,22 @@ def _check_invariants(obj, feature_name, old_text, args_text, mode, seed):
                 old_text, serialize_state(state), args_text, seed=seed)
 
 
+def _check_post(feature_name, clauses, ctx, mode, old_text, args_text, seed):
+    """Evaluate, in order, the postcondition clauses ``mode`` keeps; raise
+    ContractViolation at the first false one, naming the clauses evaluated
+    up to it."""
+    evaluated = []
+    for clause in clauses:
+        if not _mode_keeps(clause.tag, mode):
+            continue
+        evaluated.append(clause.cid)
+        if not clause.fn(ctx):
+            raise ContractViolation(
+                feature_name, clause.cid, "postcondition",
+                old_text, serialize_state(ctx.new), args_text,
+                seed=seed, evaluated=evaluated)
+
+
 def checked_command(obj, feature_name, args=(), mode="model", seed=None):
     """Run a command under contract checking.
 
@@ -315,16 +363,8 @@ def checked_command(obj, feature_name, args=(), mode="model", seed=None):
         if isinstance(v, ArgView):
             v.refresh()
     ctx = Ctx(old=old, new=new, args=views, result=None, obj=obj, cold=cold)
-    evaluated = []
-    for clause in expand_frame(feature, spec.signature):
-        if not _mode_keeps(clause.tag, mode):
-            continue
-        evaluated.append(clause.cid)
-        if not clause.fn(ctx):
-            raise ContractViolation(
-                feature_name, clause.cid, "postcondition",
-                old_text, serialize_state(new), args_text,
-                seed=seed, evaluated=evaluated)
+    _check_post(feature_name, expand_frame(feature, spec.signature), ctx,
+                mode, old_text, args_text, seed)
     _check_invariants(obj, feature_name, old_text, args_text, mode, seed)
     for v in views:
         if isinstance(v, ArgView):
@@ -364,16 +404,8 @@ def checked_query(obj, feature_name, args=(), mode="model", seed=None):
 
     result_view = abstract_state(result) if _is_container(result) else result
     ctx = Ctx(old=old, new=new, args=views, result=result_view, obj=obj, cold=cold)
-    evaluated = []
-    for clause in feature.clauses:
-        if not _mode_keeps(clause.tag, mode):
-            continue
-        evaluated.append(clause.cid)
-        if not clause.fn(ctx):
-            raise ContractViolation(
-                feature_name, clause.cid, "postcondition",
-                old_text, serialize_state(new), args_text,
-                seed=seed, evaluated=evaluated)
+    _check_post(feature_name, feature.clauses, ctx, mode, old_text, args_text,
+                seed)
     return result
 
 
@@ -381,7 +413,7 @@ def checked_constructor(spec: ContainerSpec, ctor_name: str, args=(),
                         mode="model", seed=None, faults=None):
     """Build an object through a registered constructor and check its
     postcondition and the class invariant."""
-    ctor = next(c for c in spec.constructors if c.name == ctor_name)
+    ctor = spec.constructor(ctor_name)
     views = _views(args)
     args_text = tuple(_serialize_arg(v) for v in views)
     if ctor.pre is not None and not ctor.pre(None, views, None):
@@ -391,23 +423,6 @@ def checked_constructor(spec: ContainerSpec, ctor_name: str, args=(),
     state = abstract_state(obj)
     ctx = Ctx(old=None, new=state, args=views, result=None, obj=obj,
               cold=None)
-    evaluated = []
-    for clause in ctor.clauses:
-        if not _mode_keeps(clause.tag, mode):
-            continue
-        evaluated.append(clause.cid)
-        if not clause.fn(ctx):
-            raise ContractViolation(
-                ctor_name, clause.cid, "postcondition",
-                "()", serialize_state(state), args_text,
-                seed=seed, evaluated=evaluated)
+    _check_post(ctor_name, ctor.clauses, ctx, mode, "()", args_text, seed)
     _check_invariants(obj, ctor_name, "()", args_text, mode, seed)
     return obj
-
-
-def check_linking_invariant(state: AbstractState, parent_query: str,
-                            derive: Callable, predicate: Callable) -> bool:
-    """True iff the linking predicate holds between the child state and the
-    parent model value derived from it."""
-    parent_value = derive(state)
-    return bool(predicate(state, parent_value))

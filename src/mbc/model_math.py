@@ -49,8 +49,6 @@ class Ref:
 # A ModelValue is one of: bool, int, Ref, MSeq, MSet, MBag, MMap, MRel.
 ModelValue = object
 
-_TAG_RANK = {}
-
 
 def order_key(v: ModelValue):
     """Canonical total-order key over all model values."""

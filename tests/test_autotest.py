@@ -39,15 +39,6 @@ class TestCampaigns:
         b = run_campaign(CONTAINER_NAMES, TestBudget(max_calls=2000, seed=2))
         assert a.stats != b.stats
 
-    def test_workers_partition_seed_space(self):
-        r = run_campaign(["LinkedList"], TestBudget(max_calls=4000, seed=3),
-                         faults=faulty(), workers=2)
-        assert r.stats["calls"] == 4000
-        assert r.violations == len(r.reports)
-        # Reports are merged in canonical order.
-        lines = [rep.to_json() for rep in r.reports]
-        assert lines == sorted(lines)
-
     def test_unknown_target_rejected(self):
         with pytest.raises(KeyError):
             run_campaign(["Nope"], TestBudget(max_calls=10))
@@ -90,6 +81,21 @@ class TestReplay:
         with pytest.raises(ReplayError):
             replay(FaultReport(violation={},
                                trace=[["new", "NoSuch", "make_empty", []]]))
+
+    def test_unknown_constructor_rejected(self):
+        with pytest.raises(ReplayError, match="unknown constructor"):
+            replay(FaultReport(violation={},
+                               trace=[["new", "Stack", "nope", []]]))
+
+    def test_constructor_arity_rejected(self):
+        with pytest.raises(ReplayError, match="takes 0 arguments"):
+            replay(FaultReport(violation={}, trace=[
+                ["new", "Stack", "make_empty", [["elem", "a"]]]]))
+
+    def test_feature_arity_rejected(self):
+        with pytest.raises(ReplayError, match="takes 1 arguments"):
+            replay(FaultReport(violation={}, trace=[
+                ["new", "Stack", "make_empty", []], ["call", "put", []]]))
 
 
 def test_result_json_lines_shape():

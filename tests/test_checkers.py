@@ -63,6 +63,19 @@ class TestCompleteness:
         v = check_command_completeness("ArrayT", "reserve", CFG)
         assert not v.post_complete and v.tag == "information-hiding"
 
+    def test_clause_error_is_not_a_rejection(self):
+        # Only DomainError (a partial clause) rejects a candidate; a
+        # misspelt model query must fail loudly, not read as complete.
+        feature = REGISTRY["Collection"].features["wipe_out"]
+        saved = feature.clauses
+        feature.clauses = (Clause("wipe_out/bag", "model",
+                                  lambda c: c.new.bgg.is_empty),)
+        try:
+            with pytest.raises(AttributeError):
+                check_command_completeness("Collection", "wipe_out", CFG)
+        finally:
+            feature.clauses = saved
+
     def test_merge_right_complete_with_pinned_arguments(self):
         v = check_command_completeness("LinkedList", "merge_right", CFG)
         assert v.post_complete
@@ -79,7 +92,7 @@ class TestCompleteness:
 
         flipping = lambda s, a, r, _it=itertools.count(): next(_it) % 2 == 0
         spec = ContainerSpec(
-            "LeakyCollection", sig, Leaky,
+            "LeakyCollection", sig,
             features=[
                 Feature("put", "command",
                         body=Leaky.do_put,

@@ -40,6 +40,12 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out.splitlines()[0])["stats"]["violations"] == 0
 
+    def test_workers_flag_is_gone_2(self, capsys):
+        code, _, err = run(capsys, "test", "--target", "Stack",
+                           "--calls", "10", "--workers", "2")
+        assert code == 2
+        assert "--workers" in err
+
     def test_violations_are_1(self, capsys):
         code, out, _ = run(capsys, "test", "--target", "LinkedList",
                            "--calls", "10000", "--seed", "0",
@@ -82,6 +88,16 @@ class TestSubcommands:
         args = build_parser().parse_args(["test", "--target", "Stack"])
         # Parser defaults are bound at build time, so rebuild under the env.
         assert args.seed == 77
+
+    def test_malformed_seed_env_is_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("MBC_SEED", "abc")
+        code, _, err = run(capsys, "test", "--target", "Stack", "--calls", "10")
+        assert code == 2
+        assert "invalid int value" in err
+        # An explicit --seed does not read the environment.
+        code, _, _ = run(capsys, "test", "--target", "Stack", "--calls", "10",
+                         "--seed", "3")
+        assert code == 0
 
     def test_out_flag_writes_file(self, capsys, tmp_path):
         p = tmp_path / "r.jsonl"

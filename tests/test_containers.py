@@ -7,8 +7,7 @@ from mbc.containers import (
 )
 from mbc.contracts import (
     ContractViolation, PreconditionRejected, REGISTRY, abstract_state,
-    check_linking_invariant, checked_command, checked_constructor,
-    checked_query,
+    checked_command, checked_constructor, checked_query,
 )
 from mbc.model_math import MBag, MMap, MSeq, MSet, Ref, total_relation
 
@@ -163,10 +162,7 @@ class TestCollectionFamily:
         for x in (A, B, A):
             checked_command(d, "put", [x])
         s = abstract_state(d)
-        assert check_linking_invariant(
-            s, "bag",
-            derive=lambda st: st.sequence.to_bag(),
-            predicate=lambda st, bag: st.bag == bag)
+        assert s.bag == s.sequence.to_bag()
 
 
 class TestEqSet:

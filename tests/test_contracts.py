@@ -1,15 +1,17 @@
 """Contract engine: frame expansion, checked calls, purity, violations."""
 
 import json
+import random
 
 import pytest
 
-from mbc.containers import Ref, FaultSwitch
+from mbc.autotest import ELEMENT_POOL
+from mbc.containers import ALL_SPECS, Ref, FaultSwitch
 from mbc.contracts import (
     Clause, ConfigurationError, ContainerSpec, ContractViolation, Feature,
     ModelSignature, PreconditionRejected, REGISTRY, UsageError, AbstractState,
     abstract_equal, abstract_state, checked_command, checked_constructor,
-    checked_query, expand_frame, serialize_state,
+    checked_query, domain_values, draw_value, expand_frame, serialize_state,
 )
 from mbc.model_math import MSeq
 
@@ -63,7 +65,7 @@ class TestFrameExpansion:
         sig = ModelSignature([("value", "int")])
         bad = Feature("f", "command", mentioned=frozenset({"nope"}))
         with pytest.raises(ConfigurationError):
-            ContainerSpec("Bad", sig, object, features=[bad])
+            ContainerSpec("Bad", sig, features=[bad])
 
 
 class TestCheckedCalls:
@@ -141,3 +143,20 @@ class TestCheckedCalls:
         checked_command(a, "merge_right", [b])
         assert abstract_state(a).sequence == MSeq([Ref("y"), Ref("x")])
         assert abstract_state(b).sequence.is_empty
+
+
+class TestDomains:
+    def test_declared_domains_have_values_and_draws_fall_inside(self):
+        domains = sorted({d for spec in ALL_SPECS
+                          for f in list(spec.features.values()) + list(spec.constructors)
+                          for d in f.arg_domains if d[0] != "container"})
+        assert {d[0] for d in domains} == {"element", "int", "bool", "path",
+                                           "relation"}
+        rng = random.Random(0)
+        for d in domains:
+            values = domain_values(d, ELEMENT_POOL)
+            assert values, d
+            typed = [(type(v), v) for v in values]
+            for _ in range(200):
+                x = draw_value(d, rng, ELEMENT_POOL)
+                assert (type(x), x) in typed, (d, x)

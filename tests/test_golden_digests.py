@@ -1,0 +1,29 @@
+"""Byte-identity gate: the sha256 of two CLI outputs is pinned.
+
+A change that alters either output on purpose updates its digest here and
+says why in CHANGES.md, as is done for the golden Boogie file."""
+
+import hashlib
+
+import pytest
+
+from mbc.cli import main
+
+GOLDEN = {
+    "report": (
+        ["report", "--all", "--max-size", "2", "--calls", "2000",
+         "--seed", "7"],
+        0, "7eb37f6a3b23bee2d9138e71f2bc7f34d9d4abd30b89f843db1a5f25dff7b7c8"),
+    "fault-campaign": (
+        ["test", "--target", "LinkedList", "--inject",
+         "merge_right_missing_link", "--calls", "3000", "--seed", "0"],
+        1, "0c29230c483e558af39a419a5020be01662fb316b721f24374fdfb24689e161b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_digest(name, tmp_path):
+    argv, exit_code, digest = GOLDEN[name]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == exit_code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
