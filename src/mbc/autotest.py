@@ -82,20 +82,28 @@ def _encode_arg(a):
 
 
 def _decode_arg(e, faults, mode):
-    kind = e[0]
-    if kind == "elem":
-        return Ref(e[1])
-    if kind == "bool":
-        return bool(e[1])
-    if kind == "int":
-        return int(e[1])
-    if kind == "path":
-        return MSeq(bool(b) for b in e[1])
-    if kind == "rel":
-        return MRel((Ref(x), Ref(y)) for x, y in e[1])
+    kind, value = e
     if kind == "obj":
-        return _replay_trace(e[1], faults, mode)
+        return _replay_trace(value, faults, mode)
+    try:
+        if kind == "elem":
+            return Ref(value)
+        if kind == "bool":
+            return bool(value)
+        if kind == "int":
+            return int(value)
+        if kind == "path":
+            return MSeq(bool(b) for b in value)
+        if kind == "rel":
+            return MRel((Ref(x), Ref(y)) for x, y in value)
+    except (TypeError, ValueError) as err:
+        raise ReplayError(f"bad argument value {e!r}") from err
     raise ReplayError(f"unknown argument encoding {e!r}")
+
+
+# The encoding tag of each argument-domain kind.
+_TAGS = {"element": "elem", "int": "int", "bool": "bool", "path": "path",
+         "relation": "rel", "container": "obj"}
 
 
 def _decode_args(feature, encoded, faults, mode):
@@ -103,6 +111,15 @@ def _decode_args(feature, encoded, faults, mode):
         raise ReplayError(
             f"{feature.name} takes {len(feature.arg_domains)} arguments, "
             f"the trace gives {len(encoded)}")
+    for domain, e in zip(feature.arg_domains, encoded):
+        if not (isinstance(e, list) and len(e) == 2):
+            raise ReplayError(
+                f"{feature.name}: argument encoding {e!r} is not a "
+                f"[tag, value] pair")
+        if e[0] != _TAGS[domain[0]]:
+            raise ReplayError(
+                f"{feature.name}: argument {e!r} is not tagged "
+                f"{_TAGS[domain[0]]!r}, as its domain {domain[0]} requires")
     return [_decode_arg(a, faults, mode) for a in encoded]
 
 

@@ -311,19 +311,31 @@ def _mode_keeps(clause_tag: str, mode: str) -> bool:
     return mode == "model" or clause_tag == "classic"
 
 
-def _check_invariants(obj, feature_name, old_text, args_text, mode, seed):
+def _violation(feature_name, clause, kind, old, new, views, seed,
+               evaluated=()):
+    """A ContractViolation whose state and argument texts are written now.
+    ``old`` is None for a constructor; every snapshot is immutable, so the
+    text is the same as if it had been written before the call."""
+    return ContractViolation(
+        feature_name, clause, kind,
+        "()" if old is None else serialize_state(old), serialize_state(new),
+        tuple(_serialize_arg(v) for v in views), seed=seed,
+        evaluated=evaluated)
+
+
+def _check_invariants(obj, feature_name, old, views, mode, seed):
     spec = spec_of(obj)
     state = abstract_state(obj)
     for inv in spec.invariants:
         if not _mode_keeps(inv.tag, mode):
             continue
         if not inv.fn(obj, state):
-            raise ContractViolation(
-                feature_name, f"{spec.name}/invariant:{inv.cid}", "class-invariant",
-                old_text, serialize_state(state), args_text, seed=seed)
+            raise _violation(
+                feature_name, f"{spec.name}/invariant:{inv.cid}",
+                "class-invariant", old, state, views, seed)
 
 
-def _check_post(feature_name, clauses, ctx, mode, old_text, args_text, seed):
+def _check_post(feature_name, clauses, ctx, mode, seed):
     """Evaluate, in order, the postcondition clauses ``mode`` keeps; raise
     ContractViolation at the first false one, naming the clauses evaluated
     up to it."""
@@ -333,10 +345,9 @@ def _check_post(feature_name, clauses, ctx, mode, old_text, args_text, seed):
             continue
         evaluated.append(clause.cid)
         if not clause.fn(ctx):
-            raise ContractViolation(
-                feature_name, clause.cid, "postcondition",
-                old_text, serialize_state(ctx.new), args_text,
-                seed=seed, evaluated=evaluated)
+            raise _violation(
+                feature_name, clause.cid, "postcondition", ctx.old, ctx.new,
+                ctx.args, seed, evaluated)
 
 
 def checked_command(obj, feature_name, args=(), mode="model", seed=None):
@@ -350,10 +361,8 @@ def checked_command(obj, feature_name, args=(), mode="model", seed=None):
     views = _views(args)
     old = abstract_state(obj)
     cold = spec.snapshot(obj)
-    args_text = tuple(_serialize_arg(v) for v in views)
     if feature.pre is not None and not feature.pre(old, views, obj.ref):
         raise PreconditionRejected(f"{spec.name}.{feature_name}")
-    old_text = serialize_state(old)
 
     raw = tuple(v.obj if isinstance(v, ArgView) else v for v in views)
     feature.body(obj, *raw)
@@ -364,11 +373,11 @@ def checked_command(obj, feature_name, args=(), mode="model", seed=None):
             v.refresh()
     ctx = Ctx(old=old, new=new, args=views, result=None, obj=obj, cold=cold)
     _check_post(feature_name, expand_frame(feature, spec.signature), ctx,
-                mode, old_text, args_text, seed)
-    _check_invariants(obj, feature_name, old_text, args_text, mode, seed)
+                mode, seed)
+    _check_invariants(obj, feature_name, old, views, mode, seed)
     for v in views:
         if isinstance(v, ArgView):
-            _check_invariants(v.obj, feature_name, old_text, args_text, mode, seed)
+            _check_invariants(v.obj, feature_name, old, views, mode, seed)
     return None
 
 
@@ -381,31 +390,28 @@ def checked_query(obj, feature_name, args=(), mode="model", seed=None):
     views = _views(args)
     old = abstract_state(obj)
     cold = spec.snapshot(obj)
-    args_text = tuple(_serialize_arg(v) for v in views)
     if feature.pre is not None and not feature.pre(old, views, obj.ref):
         raise PreconditionRejected(f"{spec.name}.{feature_name}")
-    old_text = serialize_state(old)
 
     raw = tuple(v.obj if isinstance(v, ArgView) else v for v in views)
     result = feature.body(obj, *raw)
 
     new = abstract_state(obj)
     if not abstract_equal(old, new):
-        raise ContractViolation(
+        raise _violation(
             feature_name, f"{feature_name}/purity:target", "abstract-purity",
-            old_text, serialize_state(new), args_text, seed=seed)
+            old, new, views, seed)
     for v in views:
         if isinstance(v, ArgView):
             v.refresh()
             if not abstract_equal(v.old, v.new):
-                raise ContractViolation(
-                    feature_name, f"{feature_name}/purity:argument", "abstract-purity",
-                    old_text, serialize_state(v.new), args_text, seed=seed)
+                raise _violation(
+                    feature_name, f"{feature_name}/purity:argument",
+                    "abstract-purity", old, v.new, views, seed)
 
     result_view = abstract_state(result) if _is_container(result) else result
     ctx = Ctx(old=old, new=new, args=views, result=result_view, obj=obj, cold=cold)
-    _check_post(feature_name, feature.clauses, ctx, mode, old_text, args_text,
-                seed)
+    _check_post(feature_name, feature.clauses, ctx, mode, seed)
     return result
 
 
@@ -415,7 +421,6 @@ def checked_constructor(spec: ContainerSpec, ctor_name: str, args=(),
     postcondition and the class invariant."""
     ctor = spec.constructor(ctor_name)
     views = _views(args)
-    args_text = tuple(_serialize_arg(v) for v in views)
     if ctor.pre is not None and not ctor.pre(None, views, None):
         raise PreconditionRejected(f"{spec.name}.{ctor_name}")
     raw = tuple(v.obj if isinstance(v, ArgView) else v for v in views)
@@ -423,6 +428,6 @@ def checked_constructor(spec: ContainerSpec, ctor_name: str, args=(),
     state = abstract_state(obj)
     ctx = Ctx(old=None, new=state, args=views, result=None, obj=obj,
               cold=None)
-    _check_post(ctor_name, ctor.clauses, ctx, mode, "()", args_text, seed)
-    _check_invariants(obj, ctor_name, "()", args_text, mode, seed)
+    _check_post(ctor_name, ctor.clauses, ctx, mode, seed)
+    _check_invariants(obj, ctor_name, None, views, mode, seed)
     return obj

@@ -4,6 +4,15 @@ Every structure is finite, immutable, and carries a canonical total order,
 so iteration and serialization are deterministic.  Booleans and integers are
 represented by the native ``bool`` and ``int`` types; elements of generic
 containers are opaque :class:`Ref` tokens compared by identity token.
+
+Canonical identity is :func:`order_key`: the constructors of ``MSet``,
+``MBag`` and ``MRel`` compute it once per entry, sort once, and merge
+neighbours with equal keys, keeping an element's first occurrence.  So
+``True`` and ``1`` stay distinct elements, whatever the insertion order.
+(``__eq__`` still compares stored tuples with ``==``, which does not tell
+them apart.)  Stored tuples are built from lists, never from generators:
+``tuple(<generator>)`` over-allocates and then shrinks, which on CPython
+fills the per-length tuple free lists and raises peak memory.
 """
 
 from __future__ import annotations
@@ -171,10 +180,24 @@ class MSeq:
         return sum(1 for x in self.items if x == v)
 
     def to_bag(self) -> "MBag":
-        b = MBag()
-        for x in self.items:
-            b = b.extended(x)
-        return b
+        return MBag([(x, 1) for x in self.items])
+
+
+def _key_order(keys):
+    """Positions of ``keys`` in ascending key order; equal keys keep their
+    input order."""
+    return sorted(range(len(keys)), key=keys.__getitem__)
+
+
+def _first_per_key(items, keys):
+    """``items`` in ascending order of their ``keys``, keeping the first
+    item of each run of equal keys."""
+    kept, last = [], None
+    for i in _key_order(keys):
+        if keys[i] != last:
+            kept.append(items[i])
+            last = keys[i]
+    return kept
 
 
 class MSet:
@@ -183,11 +206,10 @@ class MSet:
     __slots__ = ("elements",)
 
     def __init__(self, elements: Iterable[ModelValue] = ()):
-        seen = []
-        for x in elements:
-            if not any(x == y for y in seen):
-                seen.append(x)
-        self.elements = tuple(sorted(seen, key=order_key))
+        xs = list(elements)
+        if len(xs) > 1:
+            xs = _first_per_key(xs, [order_key(x) for x in xs])
+        self.elements = tuple(xs)
 
     def __eq__(self, other):
         return isinstance(other, MSet) and self.elements == other.elements
@@ -258,15 +280,20 @@ class MBag:
         for x, n in pairs:
             if n < 0:
                 raise DomainError("negative multiplicity")
-            if n == 0:
-                continue
-            for i, (y, m) in enumerate(acc):
-                if x == y:
-                    acc[i] = (y, m + n)
-                    break
-            else:
+            if n:
                 acc.append((x, n))
-        self.pairs = tuple(sorted(acc, key=lambda p: order_key(p[0])))
+        if len(acc) > 1:
+            keys = [order_key(x) for x, _ in acc]
+            merged, last = [], None
+            for i in _key_order(keys):
+                if keys[i] != last:
+                    merged.append(acc[i])
+                    last = keys[i]
+                else:
+                    x, n = merged[-1]
+                    merged[-1] = (x, n + acc[i][1])
+            acc = merged
+        self.pairs = tuple(acc)
 
     def __eq__(self, other):
         return isinstance(other, MBag) and self.pairs == other.pairs
@@ -393,12 +420,11 @@ class MRel:
     __slots__ = ("pairs",)
 
     def __init__(self, pairs: Iterable[Tuple[ModelValue, ModelValue]] = ()):
-        seen = []
-        for p in pairs:
-            x, y = p
-            if not any(x == a and y == b for a, b in seen):
-                seen.append((x, y))
-        self.pairs = tuple(sorted(seen, key=lambda p: (order_key(p[0]), order_key(p[1]))))
+        acc = [(x, y) for x, y in pairs]
+        if len(acc) > 1:
+            acc = _first_per_key(
+                acc, [(order_key(x), order_key(y)) for x, y in acc])
+        self.pairs = tuple(acc)
 
     def __eq__(self, other):
         return isinstance(other, MRel) and self.pairs == other.pairs

@@ -1,14 +1,16 @@
 """Random-testing harness: determinism, fault discovery, replay."""
 
 import json
+import random
 
 import pytest
 
 from mbc.autotest import (
-    CampaignResult, FaultReport, ReplayError, TestBudget, replay,
-    run_campaign,
+    CampaignResult, FaultReport, ReplayError, TestBudget, _decode_args,
+    generate_arguments, replay, run_campaign,
 )
 from mbc.containers import CONTAINER_NAMES, FaultSwitch
+from mbc.contracts import REGISTRY
 
 
 def faulty():
@@ -96,6 +98,39 @@ class TestReplay:
         with pytest.raises(ReplayError, match="takes 1 arguments"):
             replay(FaultReport(violation={}, trace=[
                 ["new", "Stack", "make_empty", []], ["call", "put", []]]))
+
+    def test_argument_kind_mismatch_rejected(self):
+        # Stack.put takes an element; an integer in its place used to
+        # replay clean.
+        with pytest.raises(ReplayError, match="not tagged 'elem'"):
+            replay(FaultReport(violation={}, trace=[
+                ["new", "Stack", "make_empty", []],
+                ["call", "put", [["int", 3]]]]))
+
+    def test_argument_not_an_encoding_rejected(self):
+        with pytest.raises(ReplayError, match=r"not a \[tag, value\] pair"):
+            replay(FaultReport(violation={}, trace=[
+                ["new", "Stack", "make_empty", []], ["call", "put", [5]]]))
+
+    def test_argument_bad_value_rejected(self):
+        with pytest.raises(ReplayError, match="bad argument value"):
+            replay(FaultReport(violation={}, trace=[
+                ["new", "ArrayT", "make",
+                 [["int", "x"], ["int", 3], ["elem", "a"]]]]))
+
+    def test_drawn_encodings_decode_to_the_drawn_arguments(self):
+        rng = random.Random(0)
+        for name in CONTAINER_NAMES:
+            spec = REGISTRY[name]
+            for f in list(spec.features.values()) + list(spec.constructors):
+                if any(d[0] == "container" for d in f.arg_domains):
+                    continue
+                for _ in range(5):
+                    args, encoded = generate_arguments(f, rng, [])
+                    assert _decode_args(f, encoded, None, "model") == args
+                    assert [e[0] for e in encoded] == [
+                        {"element": "elem", "relation": "rel"}.get(d[0], d[0])
+                        for d in f.arg_domains]
 
 
 def test_result_json_lines_shape():

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from mbc import contracts
 from mbc.autotest import ELEMENT_POOL
 from mbc.containers import ALL_SPECS, Ref, FaultSwitch
 from mbc.contracts import (
@@ -143,6 +144,36 @@ class TestCheckedCalls:
         checked_command(a, "merge_right", [b])
         assert abstract_state(a).sequence == MSeq([Ref("y"), Ref("x")])
         assert abstract_state(b).sequence.is_empty
+
+
+class TestViolationText:
+    def test_clean_calls_write_no_text(self, monkeypatch):
+        # State and argument text is written only when a violation is raised.
+        calls = []
+        for name in ("serialize_state", "to_text"):
+            real = getattr(contracts, name)
+            monkeypatch.setattr(contracts, name,
+                                lambda v, _real=real: calls.append(v) or _real(v))
+        a, b = make_list("x", "y"), make_list("z")
+        checked_command(a, "start")
+        checked_command(a, "merge_right", [b])
+        assert checked_query(a, "item") == Ref("x")
+        assert checked_query(a, "has", [Ref("z")]) is True
+        assert checked_query(a, "count") == 3
+        assert calls == []
+
+    def test_argument_text_shows_the_state_before_the_call(self):
+        faults = FaultSwitch(merge_right_missing_link=True)
+        a = checked_constructor(SPEC, "make_empty", [], faults=faults)
+        checked_command(a, "put_right", [Ref("x")])
+        b = checked_constructor(SPEC, "make_empty", [], faults=faults)
+        checked_command(b, "put_right", [Ref("y")])
+        with pytest.raises(ContractViolation) as e:
+            checked_command(a, "merge_right", [b])
+        assert e.value.clause == "merge_right/sequence"
+        assert abstract_state(b).sequence.is_empty  # the body emptied it
+        assert e.value.args == (f"{b.ref.token}:(⟨y⟩, 0)",)
+        assert e.value.old_state == "(⟨x⟩, 0)"
 
 
 class TestDomains:

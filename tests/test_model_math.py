@@ -1,9 +1,15 @@
-"""Model-value algebra: operation examples plus exhaustive small-space laws."""
+"""Model-value algebra: operation examples, exhaustive small-space laws,
+and property tests of the canonical constructors against a quadratic
+reference."""
 
 import itertools
+import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mbc import model_math
 from mbc.model_math import (
     DomainError, MBag, MMap, MRel, MSeq, MSet, OverflowReported, Ref,
     check_int, identity_relation, int_interval, order_key, to_text,
@@ -210,3 +216,165 @@ class TestCanonicalForm:
         assert check_int(2**63 - 1) == 2**63 - 1
         with pytest.raises(OverflowReported):
             check_int(2**63)
+
+
+# -- canonical constructors against a quadratic reference -----------------
+#
+# The reference dedups by order_key equality with a scan over what it has
+# kept, then sorts.  Results are compared by identity, so "the first
+# occurrence is kept" is checked too: each drawn Ref and MSeq is a fresh
+# object.
+
+PROPERTY = settings(max_examples=80, deadline=None, derandomize=True,
+                    database=None)
+
+
+def same_key(x, y):
+    return order_key(x) == order_key(y)
+
+
+def reference_set(xs):
+    kept = []
+    for x in xs:
+        if not any(same_key(x, y) for y in kept):
+            kept.append(x)
+    return sorted(kept, key=order_key)
+
+
+def reference_bag(pairs):
+    acc = []
+    for x, n in pairs:
+        if n < 0:
+            raise DomainError("negative multiplicity")
+        if n == 0:
+            continue
+        for i, (y, m) in enumerate(acc):
+            if same_key(x, y):
+                acc[i] = (y, m + n)
+                break
+        else:
+            acc.append((x, n))
+    return sorted(acc, key=lambda p: order_key(p[0]))
+
+
+def reference_rel(pairs):
+    kept = []
+    for x, y in pairs:
+        if not any(same_key(x, a) and same_key(y, b) for a, b in kept):
+            kept.append((x, y))
+    return sorted(kept, key=lambda p: (order_key(p[0]), order_key(p[1])))
+
+
+def identical(got, want):
+    return len(got) == len(want) and all(a is b for a, b in zip(got, want))
+
+
+def identical_pairs(got, want):
+    return (len(got) == len(want)
+            and all(a[0] is b[0] and a[1] == b[1] for a, b in zip(got, want)))
+
+
+def _model_values(bools):
+    scalars = st.booleans() if bools else st.integers(-3, 3)
+    atoms = st.one_of(scalars, st.builds(Ref, st.sampled_from("abcd")))
+    return st.recursive(
+        atoms, lambda inner: st.builds(MSeq, st.lists(inner, max_size=3)),
+        max_leaves=4)
+
+
+# One value holds booleans or integers, never both: that mix is the open
+# bool/int equality question, kept to its own regression test.
+MODEL_VALUES = {bools: _model_values(bools) for bools in (False, True)}
+MULTIPLICITIES = {bools: st.integers(0, 3) for bools in (False, True)}
+
+
+def value_lists(**kw):
+    return st.booleans().flatmap(
+        lambda bools: st.lists(MODEL_VALUES[bools], **kw))
+
+
+def pair_lists(seconds, **kw):
+    return st.booleans().flatmap(lambda bools: st.lists(
+        st.tuples(MODEL_VALUES[bools], seconds[bools]), **kw))
+
+
+class TestCanonicalConstructors:
+    @PROPERTY
+    @given(value_lists(max_size=12))
+    def test_set_matches_reference(self, xs):
+        assert identical(MSet(xs).elements, reference_set(xs))
+
+    @PROPERTY
+    @given(pair_lists(MULTIPLICITIES, max_size=12))
+    def test_bag_matches_reference(self, pairs):
+        assert identical_pairs(MBag(pairs).pairs, reference_bag(pairs))
+
+    @PROPERTY
+    @given(value_lists(max_size=12))
+    def test_to_bag_matches_reference(self, xs):
+        want = reference_bag([(x, 1) for x in xs])
+        assert identical_pairs(MSeq(xs).to_bag().pairs, want)
+
+    @PROPERTY
+    @given(pair_lists(MODEL_VALUES, max_size=10))
+    def test_rel_matches_reference(self, pairs):
+        got = MRel(pairs).pairs
+        want = reference_rel(pairs)
+        assert len(got) == len(want)
+        assert all(a[0] is b[0] and a[1] is b[1] for a, b in zip(got, want))
+
+    @PROPERTY
+    @given(pair_lists(MULTIPLICITIES, max_size=8), st.data())
+    def test_negative_multiplicity_rejected(self, pairs, data):
+        at = data.draw(st.integers(0, len(pairs)))
+        bad = pairs[:at] + [(Ref("a"), data.draw(st.integers(-3, -1)))] + pairs[at:]
+        with pytest.raises(DomainError, match="negative multiplicity"):
+            MBag(bad)
+
+    @PROPERTY
+    @given(st.lists(st.integers(-5, 5), min_size=1, unique=True), st.data())
+    def test_map_duplicate_key_rejected(self, keys, data):
+        dup = data.draw(st.sampled_from(keys))
+        pairs = [(k, A) for k in keys]
+        pairs.insert(data.draw(st.integers(0, len(pairs))), (dup, B))
+        with pytest.raises(DomainError, match=re.escape(f"duplicate key {dup!r}")):
+            MMap(pairs)
+
+    def test_zero_multiplicities_dropped(self):
+        assert MBag([(A, 0), (B, 0)]).pairs == ()
+        assert MBag([(A, 0), (A, 2), (B, 0)]).pairs == ((A, 2),)
+
+    def test_bool_and_int_are_distinct_whatever_the_order(self):
+        # order_key is the identity: True and 1 are two elements, stored
+        # True first, whichever is inserted first.
+        for xs in ([1, True], [True, 1]):
+            assert [order_key(x) for x in MSet(xs).elements] == [(0, True), (1, 1)]
+            bag = MBag([(x, 1) for x in xs])
+            assert [(order_key(x), n) for x, n in bag.pairs] == [
+                ((0, True), 1), ((1, 1), 1)]
+
+    def test_constructors_are_linear(self, monkeypatch):
+        # Counts, not times: one bag for a whole sequence, and one order_key
+        # call per element.
+        calls = {"order_key": 0, "bags": 0}
+        real_key, real_init = model_math.order_key, MBag.__init__
+
+        def counting_key(v):
+            calls["order_key"] += 1
+            return real_key(v)
+
+        def counting_init(self, *args, **kwargs):
+            calls["bags"] += 1
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(model_math, "order_key", counting_key)
+        monkeypatch.setattr(MBag, "__init__", counting_init)
+        refs = [Ref(f"r{i:02d}") for i in range(64)]
+        random.Random(0).shuffle(refs)
+        bag = MSeq(refs).to_bag()
+        assert calls["bags"] == 1
+        assert calls["order_key"] <= 64
+        assert bag.count == 64
+        calls["order_key"] = 0
+        assert MSet(refs).count == 64
+        assert calls["order_key"] <= 64
