@@ -11,18 +11,19 @@ from __future__ import annotations
 
 import json
 import random
-import time
 from dataclasses import dataclass, field
 
 from . import containers
 from .checkers import _state_size
 from .contracts import (
     ContractViolation, PreconditionRejected, REGISTRY, abstract_state,
-    checked_command, checked_constructor, checked_query, draw_value,
+    checked_command, checked_constructor, checked_query, domain_values,
+    draw_value,
 )
-from .model_math import MRel, MSeq, Ref
+from .model_math import Ref
 
 ELEMENT_POOL = [Ref(c) for c in "abcd"]
+MAX_OBJECTS = 32      # live objects in a campaign's pool
 MAX_OBJECT_SIZE = 8
 
 
@@ -34,8 +35,6 @@ class ReplayError(Exception):
 class TestBudget:
     __test__ = False  # not a test case, despite the name
     max_calls: int = 10_000
-    max_objects: int = 32
-    wall_clock: float = 600.0
     seed: int = 0
 
 
@@ -65,45 +64,38 @@ class CampaignResult:
         return "\n".join(lines) + "\n"
 
 
-def _encode_arg(a):
-    if isinstance(a, Ref):
-        return ["elem", a.token]
-    if isinstance(a, bool):
-        return ["bool", a]
-    if isinstance(a, int):
-        return ["int", a]
-    if isinstance(a, MSeq):
-        return ["path", [bool(b) for b in a.items]]
-    if isinstance(a, MRel):
-        return ["rel", [[x.token, y.token] for x, y in a.pairs]]
-    if hasattr(a, "spec_name"):
-        raise TypeError("container arguments are encoded by the caller")
-    raise TypeError(f"cannot encode argument {a!r}")
-
-
-def _decode_arg(e, faults, mode):
-    kind, value = e
-    if kind == "obj":
-        return _replay_trace(value, faults, mode)
-    try:
-        if kind == "elem":
-            return Ref(value)
-        if kind == "bool":
-            return bool(value)
-        if kind == "int":
-            return int(value)
-        if kind == "path":
-            return MSeq(bool(b) for b in value)
-        if kind == "rel":
-            return MRel((Ref(x), Ref(y)) for x, y in value)
-    except (TypeError, ValueError) as err:
-        raise ReplayError(f"bad argument value {e!r}") from err
-    raise ReplayError(f"unknown argument encoding {e!r}")
-
-
 # The encoding tag of each argument-domain kind.
 _TAGS = {"element": "elem", "int": "int", "bool": "bool", "path": "path",
          "relation": "rel", "container": "obj"}
+
+
+def _encode_arg(domain, a):
+    """The ``[tag, value]`` encoding of a value ``a`` of a non-container
+    domain; container arguments are encoded by the caller."""
+    kind = domain[0]
+    if kind == "element":
+        value = a.token
+    elif kind == "path":
+        value = list(a.items)
+    elif kind == "relation":
+        value = [[x.token, y.token] for x, y in a.pairs]
+    else:
+        value = a
+    return [_TAGS[kind], value]
+
+
+def _decode_arg(domain, e, faults, mode):
+    """The value of ``domain`` that encodes as ``e``: a container argument
+    is replayed from its trace; any other is looked up among the domain's
+    values, so a value outside the declared domain is rejected.  Encodings
+    are compared by ``repr``, which tells JSON ``true`` from ``1``."""
+    if domain[0] == "container":
+        return _replay_trace(e[1], faults, mode)
+    for v in domain_values(domain, ELEMENT_POOL):
+        if repr(_encode_arg(domain, v)) == repr(e):
+            return v
+    raise ReplayError(
+        f"bad argument value {e!r}: not in the domain {domain!r}")
 
 
 def _decode_args(feature, encoded, faults, mode):
@@ -120,7 +112,8 @@ def _decode_args(feature, encoded, faults, mode):
             raise ReplayError(
                 f"{feature.name}: argument {e!r} is not tagged "
                 f"{_TAGS[domain[0]]!r}, as its domain {domain[0]} requires")
-    return [_decode_arg(a, faults, mode) for a in encoded]
+    return [_decode_arg(d, a, faults, mode)
+            for d, a in zip(feature.arg_domains, encoded)]
 
 
 def _replay_trace(trace, faults, mode):
@@ -194,7 +187,7 @@ def generate_arguments(feature, rng, pool, target=None):
         else:
             a = draw_value(d, rng, ELEMENT_POOL)
             args.append(a)
-            encoded.append(_encode_arg(a))
+            encoded.append(_encode_arg(d, a))
     return args, encoded
 
 
@@ -226,16 +219,13 @@ def run_campaign(targets, budget: TestBudget, faults=None,
     pool: list[_LiveObject] = []
     stats = {"calls": 0, "rejected": 0, "passed": 0, "violations": 0}
     reports = []
-    deadline = time.monotonic() + budget.wall_clock
 
     while stats["calls"] < budget.max_calls:
-        if time.monotonic() > deadline:
-            break
         target_name = rng.choice(targets)
         spec = REGISTRY[target_name]
         live_of_type = [o for o in pool if o.spec.name == target_name]
         make_new = (not live_of_type
-                    or (len(pool) < budget.max_objects and rng.random() < 0.15))
+                    or (len(pool) < MAX_OBJECTS and rng.random() < 0.15))
         if make_new:
             stats["calls"] += 1
             try:

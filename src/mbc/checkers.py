@@ -6,6 +6,13 @@
   poststates/results equivalent),
 - bounded observational adequacy of the chosen model (model-tuple equality
   versus indistinguishability under call sequences of depth <= k).
+
+Every verdict reads the bounded state space of a container from
+``state_space``, which enumerates it once per configuration object (and
+interface restriction) and keeps it on that object.  The objects it holds
+are shared by every checker run with the configuration, so they are
+read-only: a checker that runs a body first rebuilds the object from its
+trace with ``_build``.
 """
 
 from __future__ import annotations
@@ -33,6 +40,9 @@ class EnumerationConfig:
     max_size: int = 3      # max model structure size
     depth: int = 3         # call depth for adequacy
     state_limit: int = 10**7
+    # state_space's memo: not a setting, so not an init field.
+    _spaces: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def elements(self):
         return [Ref(chr(ord("a") + i)) for i in range(self.universe)]
@@ -112,7 +122,7 @@ def enumerate_states(name: str, cfg: EnumerationConfig, features=None):
     seen = set()
     frontier = []
     for ctor in spec.constructors:
-        for args in _arg_combos(ctor, cfg, _no_containers):
+        for args in _arg_combos(ctor, cfg):
             if not _raw_pre(ctor, None, args, None):
                 continue
             obj = ctor.body(*args)
@@ -128,7 +138,7 @@ def enumerate_states(name: str, cfg: EnumerationConfig, features=None):
     while frontier:
         cur = frontier.pop()
         for feat in commands:
-            for args in _arg_combos(feat, cfg, _no_containers):
+            for args in _arg_combos(feat, cfg):
                 if not _raw_pre(feat, cur.state, args, cur.obj.ref):
                     continue
                 obj = _build(spec, cur.trace)
@@ -155,25 +165,33 @@ def distinct_states(enumerated):
     return sorted(reps.values(), key=lambda e: serialize_state(e.state))
 
 
-def _arg_combos(feature, cfg, container_reps):
+def state_space(name, cfg, features=None):
+    """``(produced, reps)``: every object ``enumerate_states`` produces for
+    ``name`` under ``cfg`` (with the interface restricted to ``features``),
+    and one representative per abstract state.  Enumerated once per
+    configuration object; the objects are shared, so callers must not
+    mutate them."""
+    key = (name, None if features is None else frozenset(features))
+    if key not in cfg._spaces:
+        produced = enumerate_states(name, cfg, features=features)
+        cfg._spaces[key] = (produced, distinct_states(produced))
+    return cfg._spaces[key]
+
+
+def _arg_combos(feature, cfg):
     """Cartesian product of argument pools; container arguments are drawn
     from the enumerated states of their type (as symbolic views carrying a
     replayable representative)."""
     pools = []
     for d in feature.arg_domains:
         if d[0] == "container":
-            reps = container_reps(d[1])
+            reps = state_space(d[1], cfg)[1]
             pools.append([SimpleNamespace(ref=Ref(f"arg{j}"), old=r.state,
                                           new=None, rep=r)
                           for j, r in enumerate(reps)])
         else:
             pools.append(domain_values(d, cfg.elements()))
     return itertools.product(*pools)
-
-
-def _no_containers(name):
-    # For the callers that leave out features with container arguments.
-    return []
 
 
 def _model_clauses(feature, signature):
@@ -191,35 +209,21 @@ def check_precondition_soundness(name, feature_name, cfg) -> CheckVerdict:
     feature = spec.features[feature_name]
     verdict = CheckVerdict(f"{name}.{feature_name}", tag=feature.incompleteness_tag)
     if feature.pre is None:
-        verdict.states_checked = 0
         return verdict
     groups = {}
-    for e in enumerate_states(name, cfg):
+    for e in state_space(name, cfg)[0]:
         groups.setdefault(e.state, []).append(e)
-    cstates = _rep_cache(cfg)
     for state, members in groups.items():
         if len(members) < 2:
             continue
-        for args in _arg_combos(feature, cfg, cstates):
-            vals = {feature.pre(abstract_state(m.obj), args, m.obj.ref)
-                    for m in members}
+        for args in _arg_combos(feature, cfg):
+            vals = {feature.pre(m.state, args, m.obj.ref) for m in members}
             verdict.states_checked += len(members)
             if len(vals) > 1:
                 verdict.pre_sound = False
                 verdict.witnesses.append(
                     f"pre disagreement at {serialize_state(state)}")
     return verdict
-
-
-def _rep_cache(cfg):
-    cache = {}
-
-    def reps(n):
-        if n not in cache:
-            cache[n] = distinct_states(enumerate_states(n, cfg))
-        return cache[n]
-
-    return reps
 
 
 def _post_holds(clauses, old, new, args, result):
@@ -246,12 +250,11 @@ def _completeness(name, feature, cfg, prestates, candidates, on_result):
     spec = REGISTRY[name]
     verdict = CheckVerdict(f"{name}.{feature.name}", tag=feature.incompleteness_tag)
     clauses = _model_clauses(feature, spec.signature)
-    reps = _rep_cache(cfg)
     show = repr if on_result else serialize_state
     pinned = any(d[0] == "container" for d in feature.arg_domains)
     for pre_e in prestates:
         old, ref = (pre_e.state, pre_e.obj.ref) if pre_e else (None, None)
-        for args in _arg_combos(feature, cfg, reps):
+        for args in _arg_combos(feature, cfg):
             if not _raw_pre(feature, old, args, ref):
                 continue
             if pinned:
@@ -285,7 +288,7 @@ def check_command_completeness(name, feature_name, cfg) -> CheckVerdict:
     poststates satisfying the effective (frame-expanded) postcondition must
     be abstractly equal.  Candidates are drawn from the enumerated state
     space."""
-    prestates = distinct_states(enumerate_states(name, cfg))
+    prestates = state_space(name, cfg)[1]
     return _completeness(name, REGISTRY[name].features[feature_name], cfg,
                          prestates, [e.state for e in prestates], False)
 
@@ -295,8 +298,7 @@ def _result_candidates(feature, cfg):
     if d is None:
         return []
     if d[0] == "container":
-        return [e.state for e in distinct_states(
-            enumerate_states(d[1], cfg))]
+        return [e.state for e in state_space(d[1], cfg)[1]]
     if d == ("int",):
         # Sizes up to one past the bound, and a margin of negatives.
         d = ("int", -4, max(4, cfg.max_size) + 1)
@@ -308,7 +310,7 @@ def check_query_completeness(name, feature_name, cfg) -> CheckVerdict:
     values by value, element results by token, container results by
     abstract state."""
     feature = REGISTRY[name].features[feature_name]
-    prestates = distinct_states(enumerate_states(name, cfg))
+    prestates = state_space(name, cfg)[1]
     return _completeness(name, feature, cfg, prestates,
                          _result_candidates(feature, cfg), True)
 
@@ -316,7 +318,7 @@ def check_query_completeness(name, feature_name, cfg) -> CheckVerdict:
 def check_constructor_completeness(name, ctor_name, cfg) -> CheckVerdict:
     """Constructors are queries returning fresh objects: all poststates
     satisfying the postcondition must be abstractly equal."""
-    candidates = [e.state for e in distinct_states(enumerate_states(name, cfg))]
+    candidates = [e.state for e in state_space(name, cfg)[1]]
     return _completeness(name, REGISTRY[name].constructor(ctor_name), cfg,
                          [None], candidates, False)
 
@@ -339,6 +341,48 @@ class AdequacyVerdict:
         }
 
 
+def _query_result(obj, feat, args):
+    state = abstract_state(obj)
+    if not _raw_pre(feat, state, args, obj.ref):
+        return ("rejected",)
+    result = feat.body(obj, *args)
+    if hasattr(result, "spec_name"):
+        return ("value", tuple(abstract_state(result).values))
+    if isinstance(result, Ref):
+        # Reference-bound results are compared as the element tokens the
+        # client can observe.
+        return ("ref", result.token)
+    return ("value", result)
+
+
+def _distinguishable(spec, cfg, queries, commands, trace1, trace2, depth):
+    """Whether some call sequence of at most ``depth`` commands followed by
+    a query tells the objects built by the two traces apart."""
+    o1 = _build(spec, trace1)
+    o2 = _build(spec, trace2)
+    for feat in queries:
+        for args in _arg_combos(feat, cfg):
+            if _query_result(o1, feat, args) != _query_result(o2, feat, args):
+                return True
+    if depth == 0:
+        return False
+    s1 = abstract_state(o1)
+    s2 = abstract_state(o2)
+    for feat in commands:
+        for args in _arg_combos(feat, cfg):
+            p1 = _raw_pre(feat, s1, args, o1.ref)
+            p2 = _raw_pre(feat, s2, args, o2.ref)
+            if p1 != p2:
+                return True
+            if not p1:
+                continue
+            if _distinguishable(spec, cfg, queries, commands,
+                                trace1 + ((feat.name, args),),
+                                trace2 + ((feat.name, args),), depth - 1):
+                return True
+    return False
+
+
 def check_observational_adequacy(name, cfg, model_fn=None, features=None):
     """Compare model-tuple equality against bounded indistinguishability.
 
@@ -349,65 +393,23 @@ def check_observational_adequacy(name, cfg, model_fn=None, features=None):
     spec = REGISTRY[name]
     if model_fn is None:
         model_fn = lambda obj: abstract_state(obj).values
-    allowed = set(features) if features is not None else None
 
-    def enabled(feats):
-        return [f for f in feats if allowed is None or f.name in allowed]
+    def interface(feats):
+        return [f for f in feats
+                if (features is None or f.name in features)
+                and not any(d[0] == "container" for d in f.arg_domains)]
 
-    commands = [f for f in enabled(spec.commands())
-                if not any(d[0] == "container" for d in f.arg_domains)]
-    queries = [f for f in enabled(spec.queries())
-               if not any(d[0] == "container" for d in f.arg_domains)]
-
+    commands = interface(spec.commands())
+    queries = interface(spec.queries())
     # Representatives: one object per *full* concrete-model state, so pairs
     # cover both equal and distinct variant models.
-    reps = {}
-    for e in enumerate_states(name, cfg, features=allowed):
-        reps.setdefault(e.state, e)
-    reps = sorted(reps.values(), key=lambda e: serialize_state(e.state))
-
-    def query_results(obj, feat, args):
-        state = abstract_state(obj)
-        if not _raw_pre(feat, state, args, obj.ref):
-            return ("rejected",)
-        result = feat.body(obj, *args)
-        if hasattr(result, "spec_name"):
-            return ("value", tuple(abstract_state(result).values))
-        if isinstance(result, Ref):
-            # Reference-bound results are compared as the element tokens
-            # the client can observe.
-            return ("ref", result.token)
-        return ("value", result)
-
-    def distinguishable(trace1, trace2, depth):
-        o1 = _build(spec, trace1)
-        o2 = _build(spec, trace2)
-        for feat in queries:
-            for args in _arg_combos(feat, cfg, _no_containers):
-                if query_results(o1, feat, args) != query_results(o2, feat, args):
-                    return True
-        if depth == 0:
-            return False
-        s1 = abstract_state(o1)
-        s2 = abstract_state(o2)
-        for feat in commands:
-            for args in _arg_combos(feat, cfg, _no_containers):
-                p1 = _raw_pre(feat, s1, args, o1.ref)
-                p2 = _raw_pre(feat, s2, args, o2.ref)
-                if p1 != p2:
-                    return True
-                if not p1:
-                    continue
-                if distinguishable(trace1 + ((feat.name, args),),
-                                   trace2 + ((feat.name, args),), depth - 1):
-                    return True
-        return False
-
+    reps = state_space(name, cfg, features)[1]
     verdict = AdequacyVerdict(name, cfg.depth)
     for e1, e2 in itertools.combinations(reps, 2):
         verdict.pairs_checked += 1
         same_model = model_fn(e1.obj) == model_fn(e2.obj)
-        dist = distinguishable(e1.trace, e2.trace, cfg.depth)
+        dist = _distinguishable(spec, cfg, queries, commands,
+                                e1.trace, e2.trace, cfg.depth)
         if same_model and dist:
             verdict.adequate = False
             verdict.failures.append(

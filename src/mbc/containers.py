@@ -551,9 +551,7 @@ class Queue(_SeqBacked):
 
 
 def _linking_invariant(o, s):
-    return (s.bag.domain == s.sequence.range
-            and s.bag.domain.for_all(
-                lambda x: s.bag[x] == s.sequence.occurrences(x)))
+    return s.bag == s.sequence.to_bag()
 
 
 def _put_bag():
@@ -783,17 +781,17 @@ class BinaryTree:
         self.ref = fresh_ref()
         self.root = None
 
+    # The walks use an explicit stack: a recursive nested function is a
+    # reference cycle, left for the cyclic collector on every call.
     def model_map(self) -> MMap:
         pairs = []
-
-        def walk(node, path):
-            if node is None:
-                return
-            pairs.append((MSeq(path), node.item))
-            walk(node.left, path + [False])
-            walk(node.right, path + [True])
-
-        walk(self.root, [])
+        todo = [(self.root, [])]
+        while todo:
+            node, path = todo.pop()
+            if node is not None:
+                pairs.append((MSeq(path), node.item))
+                todo += [(node.right, path + [True]),
+                         (node.left, path + [False])]
         return MMap(pairs)
 
     def _node_at(self, path: MSeq):
@@ -816,9 +814,14 @@ class BinaryTree:
         return self._node_at(path).item
 
     def do_count(self):
-        def size(node):
-            return 0 if node is None else 1 + size(node.left) + size(node.right)
-        return size(self.root)
+        n = 0
+        todo = [self.root]
+        while todo:
+            node = todo.pop()
+            if node is not None:
+                n += 1
+                todo += [node.left, node.right]
+        return n
 
 
 def _tree_spec():

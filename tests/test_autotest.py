@@ -118,6 +118,25 @@ class TestReplay:
                 ["new", "ArrayT", "make",
                  [["int", "x"], ["int", 3], ["elem", "a"]]]]))
 
+    @pytest.mark.parametrize("trace", [
+        # ArrayT.make's upper bound is ("int", 0, 3).
+        [["new", "ArrayT", "make", [["int", 1], ["int", 50], ["elem", "a"]]]],
+        # An element token is a string from the element pool.
+        [["new", "Stack", "make_empty", []], ["call", "put", [["elem", 7]]]],
+        # LinkedList.duplicate's count is ("int", 0, 4).
+        [["new", "LinkedList", "make_empty", []],
+         ["call", "duplicate", [["int", 9]]]],
+        # JSON true is not the integer 1, nor 1 the boolean true.
+        [["new", "LinkedList", "make_empty", []],
+         ["call", "duplicate", [["int", True]]]],
+        [["new", "BinaryTree", "make_empty", []],
+         ["call", "add_root", [["elem", "a"]]],
+         ["call", "put_child", [["path", []], ["bool", 1], ["elem", "b"]]]],
+    ])
+    def test_argument_outside_domain_rejected(self, trace):
+        with pytest.raises(ReplayError, match="not in the domain"):
+            replay(FaultReport(violation={}, trace=trace))
+
     def test_drawn_encodings_decode_to_the_drawn_arguments(self):
         rng = random.Random(0)
         for name in CONTAINER_NAMES:

@@ -1,13 +1,18 @@
 """Brute-force soundness/completeness and observational adequacy."""
 
+import gc
+import weakref
+
 import pytest
 
+from mbc import checkers
 from mbc.checkers import (
     EnumerationConfig, EnumerationRefused, check_command_completeness,
     check_observational_adequacy, check_precondition_soundness,
     check_query_completeness, classify_feature, classify_library,
-    distinct_states, enumerate_states,
+    distinct_states, enumerate_states, state_space,
 )
+from mbc.containers import CONTAINER_NAMES
 from mbc.contracts import (
     Clause, ContainerSpec, Feature, ModelSignature, REGISTRY, abstract_state,
     register,
@@ -32,6 +37,46 @@ class TestEnumeration:
         big = EnumerationConfig(universe=30, max_size=30, state_limit=1000)
         with pytest.raises(EnumerationRefused):
             enumerate_states("Collection", big)
+
+
+class TestStateSpace:
+    def test_one_enumeration_per_container(self, monkeypatch):
+        enumerated = []
+        real = checkers.enumerate_states
+
+        def counting(name, cfg, features=None):
+            enumerated.append(name)
+            return real(name, cfg, features=features)
+
+        monkeypatch.setattr(checkers, "enumerate_states", counting)
+        classify_library(EnumerationConfig(max_size=2))
+        assert sorted(enumerated) == sorted(CONTAINER_NAMES)
+
+    def test_shared_objects_are_not_mutated(self):
+        cfg = EnumerationConfig(max_size=2)
+        classify_library(cfg)
+        for name in CONTAINER_NAMES:
+            check_observational_adequacy(name, cfg)
+        for name in CONTAINER_NAMES:
+            produced, reps = state_space(name, cfg)
+            assert all(abstract_state(e.obj) == e.state for e in produced)
+            assert {e.state for e in reps} == {e.state for e in produced}
+
+    def test_config_freed_without_cyclic_gc(self):
+        # The memo lives on the config, so nothing a check leaves behind
+        # may keep the config alive until a cyclic collection.
+        cfg = EnumerationConfig(max_size=2)
+        alive = weakref.ref(cfg)
+        gc.collect()
+        gc.disable()
+        try:
+            classify_library(cfg, names=["LinkedList", "Queue"])
+            for name in ("LinkedList", "Queue"):
+                check_observational_adequacy(name, cfg)
+            del cfg
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 class TestCompleteness:

@@ -1,5 +1,7 @@
 """Container library behaviour against hand-derived transitions."""
 
+import gc
+
 import pytest
 
 from mbc.containers import (
@@ -164,6 +166,17 @@ class TestCollectionFamily:
         s = abstract_state(d)
         assert s.bag == s.sequence.to_bag()
 
+    def test_linking_invariant_compares_multiplicities(self):
+        from types import SimpleNamespace
+        from mbc.containers import _linking_invariant
+        seq = MSeq([A, B, A])
+        for bag, linked in [(MBag([(A, 2), (B, 1)]), True),
+                            (MBag([(A, 1), (B, 1)]), False),
+                            (MBag([(A, 2), (B, 1), (C, 1)]), False),
+                            (MBag([(A, 2)]), False)]:
+            s = SimpleNamespace(bag=bag, sequence=seq)
+            assert _linking_invariant(None, s) is linked, bag
+
 
 class TestEqSet:
     def test_equivalence_classes_collapse(self):
@@ -190,6 +203,22 @@ class TestBinaryTree:
                           (MSeq([True, False]), C)])
         assert checked_query(t, "item_at", [MSeq([True])]) == B
         assert checked_query(t, "count") == 3
+
+    @pytest.mark.parametrize("query", ["model_map", "do_count"])
+    def test_walks_leave_no_cycles(self, query):
+        # Each call must free all it allocates by reference counting alone.
+        t = build("BinaryTree")
+        checked_command(t, "add_root", [A])
+        checked_command(t, "put_child", [MSeq(), False, B])
+        checked_command(t, "put_child", [MSeq(), True, C])
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(10):
+                getattr(t, query)()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_detached_child_rejected(self):
         t = build("BinaryTree")
