@@ -90,7 +90,11 @@ def _decode_arg(domain, e, faults, mode):
     values, so a value outside the declared domain is rejected.  Encodings
     are compared by ``repr``, which tells JSON ``true`` from ``1``."""
     if domain[0] == "container":
-        return _replay_trace(e[1], faults, mode)
+        obj = _replay_trace(e[1], faults, mode)
+        if obj.spec_name != domain[1]:
+            raise ReplayError(
+                f"argument {obj.spec_name} object is not a {domain[1]}")
+        return obj
     for v in domain_values(domain, ELEMENT_POOL):
         if repr(_encode_arg(domain, v)) == repr(e):
             return v
@@ -99,6 +103,9 @@ def _decode_arg(domain, e, faults, mode):
 
 
 def _decode_args(feature, encoded, faults, mode):
+    if not isinstance(encoded, list):
+        raise ReplayError(
+            f"{feature.name}: arguments {encoded!r} are not a list")
     if len(encoded) != len(feature.arg_domains):
         raise ReplayError(
             f"{feature.name} takes {len(feature.arg_domains)} arguments, "
@@ -119,13 +126,13 @@ def _decode_args(feature, encoded, faults, mode):
 def _replay_trace(trace, faults, mode):
     """Rebuild an object by re-running its recorded calls under checking.
     Raises the ContractViolation of whichever call fails."""
-    if not trace:
-        raise ReplayError("empty trace")
+    if not (isinstance(trace, list) and trace):
+        raise ReplayError(f"trace {trace!r} is not a nonempty list")
     head, *calls = trace
-    if head[0] != "new" or len(head) != 4:
+    if not (isinstance(head, list) and len(head) == 4 and head[0] == "new"):
         raise ReplayError("trace must start with a constructor entry")
     _, spec_name, ctor_name, ctor_args = head
-    if spec_name not in REGISTRY:
+    if not isinstance(spec_name, str) or spec_name not in REGISTRY:
         raise ReplayError(f"unknown container type {spec_name!r}")
     spec = REGISTRY[spec_name]
     try:
@@ -135,10 +142,12 @@ def _replay_trace(trace, faults, mode):
     args = _decode_args(ctor, ctor_args, faults, mode)
     obj = checked_constructor(spec, ctor_name, args, mode=mode, faults=faults)
     for entry in calls:
-        if entry[0] != "call" or len(entry) != 3:
+        if not (isinstance(entry, list) and len(entry) == 3
+                and entry[0] == "call"):
             raise ReplayError(f"bad trace entry {entry!r}")
         _, feature_name, enc_args = entry
-        if feature_name not in spec.features:
+        if not (isinstance(feature_name, str)
+                and feature_name in spec.features):
             raise ReplayError(f"unknown feature {spec_name}.{feature_name}")
         feature = spec.features[feature_name]
         args = _decode_args(feature, enc_args, faults, mode)

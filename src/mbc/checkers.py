@@ -34,12 +34,15 @@ class EnumerationRefused(Exception):
     """Requested bounds would enumerate too many states."""
 
 
+# Most states an enumeration may estimate or produce.
+STATE_LIMIT = 10**7
+
+
 @dataclass
 class EnumerationConfig:
     universe: int = 2      # number of distinct element tokens
     max_size: int = 3      # max model structure size
     depth: int = 3         # call depth for adequacy
-    state_limit: int = 10**7
     # state_space's memo: not a setting, so not an init field.
     _spaces: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
@@ -76,7 +79,7 @@ class CheckVerdict:
 
 
 def _state_size(state: AbstractState) -> int:
-    sizes = [getattr(v, "count") for v in state.values if hasattr(v, "count")]
+    sizes = [getattr(v, "count") for v in state if hasattr(v, "count")]
     return max(sizes, default=0)
 
 
@@ -113,9 +116,9 @@ def enumerate_states(name: str, cfg: EnumerationConfig, features=None):
     state space of every registered type).
     """
     spec = REGISTRY[name]
-    if cfg.estimate() > cfg.state_limit:
+    if cfg.estimate() > STATE_LIMIT:
         raise EnumerationRefused(
-            f"estimated {cfg.estimate()} states exceeds limit {cfg.state_limit}")
+            f"estimated {cfg.estimate()} states exceeds limit {STATE_LIMIT}")
     allowed = set(features) if features is not None else None
 
     produced = []
@@ -148,9 +151,9 @@ def enumerate_states(name: str, cfg: EnumerationConfig, features=None):
                     continue
                 e = Enumerated(cur.trace + ((feat.name, args),), obj, state)
                 produced.append(e)
-                if len(produced) > cfg.state_limit:
+                if len(produced) > STATE_LIMIT:
                     raise EnumerationRefused(
-                        f"more than {cfg.state_limit} states produced")
+                        f"more than {STATE_LIMIT} states produced")
                 if e.state not in seen:
                     seen.add(e.state)
                     frontier.append(e)
@@ -347,7 +350,7 @@ def _query_result(obj, feat, args):
         return ("rejected",)
     result = feat.body(obj, *args)
     if hasattr(result, "spec_name"):
-        return ("value", tuple(abstract_state(result).values))
+        return ("value", abstract_state(result))
     if isinstance(result, Ref):
         # Reference-bound results are compared as the element tokens the
         # client can observe.
@@ -386,13 +389,13 @@ def _distinguishable(spec, cfg, queries, commands, trace1, trace2, depth):
 def check_observational_adequacy(name, cfg, model_fn=None, features=None):
     """Compare model-tuple equality against bounded indistinguishability.
 
-    ``model_fn`` maps a concrete object to its model tuple (defaults to the
-    registered model queries); ``features`` optionally restricts the
-    interface.  Verdicts are valid up to call depth ``cfg.depth`` only.
+    ``model_fn`` maps a concrete object to its model tuple (default
+    ``abstract_state``); ``features`` optionally restricts the interface.
+    Verdicts are valid up to call depth ``cfg.depth`` only.
     """
     spec = REGISTRY[name]
     if model_fn is None:
-        model_fn = lambda obj: abstract_state(obj).values
+        model_fn = abstract_state
 
     def interface(feats):
         return [f for f in feats

@@ -4,6 +4,12 @@ and runtime checking of pre/postconditions, invariants, and abstract purity.
 Container types register a :class:`ContainerSpec` describing their model
 queries and contracted features; the functions here evaluate the contracts
 against live objects.
+
+An abstract state is a tuple of model values, of one AbstractState type
+per signature.  A checked call takes each object's state (the target's
+and every container argument's) once before the body and once after it,
+and checks postconditions, purity and invariants against those
+snapshots.  A body that raises is an ``exception`` violation.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Optional, Sequence, Tuple
 
 from .model_math import (
@@ -42,7 +49,7 @@ class ContractViolation(Exception):
         super().__init__(f"{clause} [{kind}]")
         self.feature = feature
         self.clause = clause
-        self.kind = kind  # precondition | postcondition | class-invariant | abstract-purity
+        self.kind = kind  # postcondition | class-invariant | abstract-purity | exception
         self.old_state = old_state
         self.new_state = new_state
         self.args = args
@@ -70,6 +77,10 @@ class ModelSignature:
             raise ConfigurationError("signature names must be unique and nonempty")
         self.entries = tuple(entries)
         self.names = tuple(names)
+        # This signature's states: ``state.q`` reads the entry of query q.
+        namespace = {q: property(itemgetter(i)) for i, q in enumerate(names)}
+        namespace["__slots__"] = ()
+        self.state_type = type("AbstractState", (AbstractState,), namespace)
 
     def __len__(self):
         return len(self.entries)
@@ -78,46 +89,33 @@ class ModelSignature:
         return f"ModelSignature({list(self.entries)!r})"
 
 
-class AbstractState:
-    """Tuple of model values, one per signature entry, in signature order."""
+class AbstractState(tuple):
+    """Tuple of model values, one per signature entry, in signature order.
 
-    __slots__ = ("signature", "values")
+    Abstract equivalence is tuple equality and the hash is the tuple's, so
+    ``(True,)`` and ``(1,)`` are equal and hash alike.  Nothing tells states
+    apart by signature: on this library two signatures of one arity either
+    share their sorts (Table and BinaryTree) or differ in the class of
+    their first value, which never compares equal.
+    """
 
-    def __init__(self, signature: ModelSignature, values: Sequence[ModelValue]):
+    __slots__ = ()
+
+    def __new__(cls, signature: ModelSignature, values: Sequence[ModelValue]):
         if len(values) != len(signature):
             raise UsageError("state arity does not match signature")
-        self.signature = signature
-        self.values = tuple(values)
+        return tuple.__new__(signature.state_type, values)
 
-    def __getattr__(self, name):
-        sig = object.__getattribute__(self, "signature")
-        vals = object.__getattribute__(self, "values")
-        try:
-            return vals[sig.names.index(name)]
-        except ValueError:
-            raise AttributeError(name) from None
-
-    def __eq__(self, other):
-        return (isinstance(other, AbstractState)
-                and self.signature.names == other.signature.names
-                and self.values == other.values)
-
-    def __hash__(self):
-        from .model_math import order_key
-        return hash(tuple(order_key(v) for v in self.values))
+    def __reduce__(self):
+        # For copy and deepcopy; the generated type is not picklable by name.
+        return tuple.__new__, (type(self), tuple(self))
 
     def __repr__(self):
         return f"AbstractState({serialize_state(self)})"
 
 
 def serialize_state(state: AbstractState) -> str:
-    return "(" + ", ".join(to_text(v) for v in state.values) + ")"
-
-
-def abstract_equal(a: AbstractState, b: AbstractState) -> bool:
-    if a.signature.names != b.signature.names:
-        raise UsageError("abstract_equal on mismatched signatures")
-    return a.values == b.values
+    return "(" + ", ".join(to_text(v) for v in state) + ")"
 
 
 @dataclass
@@ -323,9 +321,9 @@ def _violation(feature_name, clause, kind, old, new, views, seed,
         evaluated=evaluated)
 
 
-def _check_invariants(obj, feature_name, old, views, mode, seed):
+def _check_invariants(obj, state, feature_name, old, views, mode, seed):
+    """Check ``obj``'s class invariant against ``state``, its poststate."""
     spec = spec_of(obj)
-    state = abstract_state(obj)
     for inv in spec.invariants:
         if not _mode_keeps(inv.tag, mode):
             continue
@@ -350,11 +348,25 @@ def _check_post(feature_name, clauses, ctx, mode, seed):
                 ctx.args, seed, evaluated)
 
 
+def _run_body(feature, obj, views, old, seed):
+    """Run a command or query body on the raw arguments.  An exception it
+    raises is an ``exception`` violation, raised from the original; the
+    object's state is written as ``old`` before and after."""
+    raw = tuple(v.obj if isinstance(v, ArgView) else v for v in views)
+    try:
+        return feature.body(obj, *raw)
+    except Exception as e:
+        raise _violation(
+            feature.name, f"{feature.name}/exception:{type(e).__name__}",
+            "exception", old, old, views, seed) from e
+
+
 def checked_command(obj, feature_name, args=(), mode="model", seed=None):
     """Run a command under contract checking.
 
     Raises PreconditionRejected when the precondition filters the call,
-    ContractViolation on any false postcondition or invariant clause.
+    ContractViolation on any false postcondition or invariant clause, or
+    when the body raises.
     """
     spec = spec_of(obj)
     feature = spec.features[feature_name]
@@ -364,8 +376,7 @@ def checked_command(obj, feature_name, args=(), mode="model", seed=None):
     if feature.pre is not None and not feature.pre(old, views, obj.ref):
         raise PreconditionRejected(f"{spec.name}.{feature_name}")
 
-    raw = tuple(v.obj if isinstance(v, ArgView) else v for v in views)
-    feature.body(obj, *raw)
+    _run_body(feature, obj, views, old, seed)
 
     new = abstract_state(obj)
     for v in views:
@@ -374,10 +385,11 @@ def checked_command(obj, feature_name, args=(), mode="model", seed=None):
     ctx = Ctx(old=old, new=new, args=views, result=None, obj=obj, cold=cold)
     _check_post(feature_name, expand_frame(feature, spec.signature), ctx,
                 mode, seed)
-    _check_invariants(obj, feature_name, old, views, mode, seed)
+    _check_invariants(obj, new, feature_name, old, views, mode, seed)
     for v in views:
         if isinstance(v, ArgView):
-            _check_invariants(v.obj, feature_name, old, views, mode, seed)
+            _check_invariants(v.obj, v.new, feature_name, old, views, mode,
+                              seed)
     return None
 
 
@@ -393,18 +405,17 @@ def checked_query(obj, feature_name, args=(), mode="model", seed=None):
     if feature.pre is not None and not feature.pre(old, views, obj.ref):
         raise PreconditionRejected(f"{spec.name}.{feature_name}")
 
-    raw = tuple(v.obj if isinstance(v, ArgView) else v for v in views)
-    result = feature.body(obj, *raw)
+    result = _run_body(feature, obj, views, old, seed)
 
     new = abstract_state(obj)
-    if not abstract_equal(old, new):
+    if old != new:
         raise _violation(
             feature_name, f"{feature_name}/purity:target", "abstract-purity",
             old, new, views, seed)
     for v in views:
         if isinstance(v, ArgView):
             v.refresh()
-            if not abstract_equal(v.old, v.new):
+            if v.old != v.new:
                 raise _violation(
                     feature_name, f"{feature_name}/purity:argument",
                     "abstract-purity", old, v.new, views, seed)
@@ -429,5 +440,5 @@ def checked_constructor(spec: ContainerSpec, ctor_name: str, args=(),
     ctx = Ctx(old=None, new=state, args=views, result=None, obj=obj,
               cold=None)
     _check_post(ctor_name, ctor.clauses, ctx, mode, seed)
-    _check_invariants(obj, ctor_name, None, views, mode, seed)
+    _check_invariants(obj, state, ctor_name, None, views, mode, seed)
     return obj

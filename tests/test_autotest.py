@@ -13,6 +13,9 @@ from mbc.containers import CONTAINER_NAMES, FaultSwitch
 from mbc.contracts import REGISTRY
 
 
+LL = ["new", "LinkedList", "make_empty", []]
+
+
 def faulty():
     return FaultSwitch(merge_right_missing_link=True)
 
@@ -44,6 +47,22 @@ class TestCampaigns:
     def test_unknown_target_rejected(self):
         with pytest.raises(KeyError):
             run_campaign(["Nope"], TestBudget(max_calls=10))
+
+    def test_raising_body_is_a_replayable_report(self, monkeypatch):
+        def remove(stack):
+            if len(stack.items) >= 2:
+                raise IndexError("remove from a stack of two")
+            stack.items.pop()
+
+        monkeypatch.setattr(REGISTRY["Stack"].features["remove"], "body",
+                            remove)
+        r = run_campaign(["Stack"], TestBudget(max_calls=500, seed=1))
+        assert r.reports
+        assert {rep.violation["clause"] for rep in r.reports} == {
+            "remove/exception:IndexError"}
+        for rep in r.reports:
+            assert rep.violation["kind"] == "exception"
+            assert replay(rep).clause == "remove/exception:IndexError"
 
 
 class TestReplay:
@@ -135,6 +154,22 @@ class TestReplay:
     ])
     def test_argument_outside_domain_rejected(self, trace):
         with pytest.raises(ReplayError, match="not in the domain"):
+            replay(FaultReport(violation={}, trace=trace))
+
+    @pytest.mark.parametrize("trace", [
+        [5],
+        [LL, 7],
+        [["new", "LinkedList", "make_empty", 5]],
+        [["new", ["x"], "make_empty", []]],
+        [LL, ["call", ["x"], []]],
+        [LL, ["call", "put_right", 5]],
+        [LL, ["call", "merge_right", [["obj", 5]]]],
+        # A container argument of the wrong type.
+        [LL, ["call", "merge_right",
+              [["obj", [["new", "Stack", "make_empty", []]]]]]],
+    ])
+    def test_malformed_shape_rejected(self, trace):
+        with pytest.raises(ReplayError):
             replay(FaultReport(violation={}, trace=trace))
 
     def test_drawn_encodings_decode_to_the_drawn_arguments(self):

@@ -34,7 +34,7 @@ class TestEnumeration:
             assert abstract_state(rebuilt) == e.state
 
     def test_refusal_over_budget(self):
-        big = EnumerationConfig(universe=30, max_size=30, state_limit=1000)
+        big = EnumerationConfig(universe=30, max_size=30)
         with pytest.raises(EnumerationRefused):
             enumerate_states("Collection", big)
 

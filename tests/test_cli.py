@@ -1,9 +1,14 @@
 """CLI behaviour and exit codes."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import mbc
 from mbc.cli import main
 
 
@@ -74,6 +79,16 @@ class TestSubcommands:
         p = tmp_path / "t.bpl"
         code, _, _ = run(capsys, "export-boogie", "--out", str(p))
         assert code == 0 and p.read_text(encoding="utf-8") == out
+
+    def test_python_dash_m_runs_the_cli(self):
+        # Import the copy of mbc under test, installed or not.
+        src = str(pathlib.Path(mbc.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-m", "mbc", "export-boogie"],
+                             capture_output=True, env=env, check=True).stdout
+        golden = pathlib.Path(__file__).parent / "golden" / "theories.bpl"
+        assert out == golden.read_bytes()
 
     def test_report_combined(self, capsys):
         code, out, _ = run(capsys, "report", "--target", "Collection",

@@ -1,5 +1,6 @@
 """Contract engine: frame expansion, checked calls, purity, violations."""
 
+import copy
 import json
 import random
 
@@ -11,8 +12,8 @@ from mbc.containers import ALL_SPECS, Ref, FaultSwitch
 from mbc.contracts import (
     Clause, ConfigurationError, ContainerSpec, ContractViolation, Feature,
     ModelSignature, PreconditionRejected, REGISTRY, UsageError, AbstractState,
-    abstract_equal, abstract_state, checked_command, checked_constructor,
-    checked_query, domain_values, draw_value, expand_frame, serialize_state,
+    abstract_state, checked_command, checked_constructor, checked_query,
+    domain_values, draw_value, expand_frame, serialize_state,
 )
 from mbc.model_math import MSeq
 
@@ -37,12 +38,103 @@ class TestAbstractState:
 
     def test_equality_and_serialization(self):
         a, b = make_list("x"), make_list("x")
-        assert abstract_equal(abstract_state(a), abstract_state(b))
+        assert abstract_state(a) == abstract_state(b)
         assert serialize_state(abstract_state(a)) == "(⟨x⟩, 0)"
 
     def test_arity_mismatch(self):
         with pytest.raises(UsageError):
             AbstractState(SPEC.signature, [MSeq()])
+
+    def test_state_is_a_tuple(self):
+        s = abstract_state(make_list("x", "y"))
+        assert isinstance(s, tuple) and isinstance(s, AbstractState)
+        assert s == tuple(s) == (MSeq([Ref("x"), Ref("y")]), 0)
+        assert hash(s) == hash(tuple(s))
+        # The model query, not tuple.index.
+        assert s.index == 0
+        assert repr(s) == "AbstractState((⟨x,y⟩, 0))"
+
+    def test_copies_keep_the_type(self):
+        s = abstract_state(make_list("x"))
+        for c in (copy.copy(s), copy.deepcopy(s)):
+            assert type(c) is type(s) and c == s and c.index == 0
+
+    def test_equal_states_hash_alike(self):
+        sig = ModelSignature([("value", "int")])
+        a, b = AbstractState(sig, [True]), AbstractState(sig, [1])
+        assert a == b and hash(a) == hash(b)
+
+
+class TestSnapshots:
+    """A checked call takes each object's abstract state once before the
+    body and once after it; invariants are checked on the snapshot."""
+
+    def _count_states(self, monkeypatch):
+        calls = []
+        real = contracts.abstract_state
+        monkeypatch.setattr(contracts, "abstract_state",
+                            lambda obj: calls.append(obj) or real(obj))
+        return calls
+
+    def test_abstract_state_calls_per_checked_call(self, monkeypatch):
+        stack = checked_constructor(REGISTRY["Stack"], "make_empty", [])
+        a, b = make_list("x"), make_list("y")
+        calls = self._count_states(monkeypatch)
+        checked_constructor(REGISTRY["Stack"], "make_empty", [])
+        assert len(calls) == 1
+        calls.clear()
+        checked_command(stack, "put", [Ref("a")])
+        assert len(calls) == 2
+        calls.clear()
+        checked_command(a, "merge_right", [b])
+        assert len(calls) == 4 and calls.count(a) == calls.count(b) == 2
+        calls.clear()
+        assert checked_query(a, "count") == 2
+        assert len(calls) == 2
+
+    def test_argument_invariant_checked(self, monkeypatch):
+        # The body leaves the argument's count field stale; with the classic
+        # clause that reads the same field dropped, only the argument's
+        # invariant can see it.
+        feature = SPEC.features["merge_right"]
+        original = feature.body
+
+        def stale(o, other):
+            n = other.count
+            original(o, other)
+            other.count = n
+
+        monkeypatch.setattr(feature, "body", stale)
+        monkeypatch.setattr(feature, "clauses", tuple(
+            c for c in feature.clauses
+            if c.cid != "merge_right/other_is_empty_classic"))
+        a, b = make_list("x"), make_list("y")
+        with pytest.raises(ContractViolation) as e:
+            checked_command(a, "merge_right", [b])
+        assert e.value.clause == "LinkedList/invariant:count_consistent"
+        assert e.value.new_state == "(⟨⟩, 0)"  # the argument's poststate
+
+
+class TestBodyExceptions:
+    def test_command_body_raises(self, monkeypatch):
+        stack = checked_constructor(REGISTRY["Stack"], "make_empty", [])
+        checked_command(stack, "put", [Ref("a")])
+        feature = REGISTRY["Stack"].features["remove"]
+        monkeypatch.setattr(feature, "body", lambda o: [].pop())
+        with pytest.raises(ContractViolation) as e:
+            checked_command(stack, "remove")
+        v = e.value
+        assert (v.clause, v.kind) == ("remove/exception:IndexError", "exception")
+        assert isinstance(v.__cause__, IndexError)
+        assert v.old_state == v.new_state == "({a:1}, ⟨a⟩)"
+
+    def test_query_body_raises(self, monkeypatch):
+        obj = make_list("x")
+        monkeypatch.setattr(SPEC.features["has"], "body", lambda o, x: 1 // 0)
+        with pytest.raises(ContractViolation) as e:
+            checked_query(obj, "has", [Ref("x")])
+        assert e.value.clause == "has/exception:ZeroDivisionError"
+        assert e.value.args == ("x",)
 
 
 class TestFrameExpansion:

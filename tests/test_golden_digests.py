@@ -1,4 +1,4 @@
-"""Byte-identity gate: the sha256 of two CLI outputs is pinned.
+"""Byte-identity gate: the sha256 of three CLI outputs is pinned.
 
 A change that alters either output on purpose updates its digest here and
 says why in CHANGES.md, as is done for the golden Boogie file."""
@@ -18,6 +18,10 @@ GOLDEN = {
         ["test", "--target", "LinkedList", "--inject",
          "merge_right_missing_link", "--calls", "3000", "--seed", "0"],
         1, "0c29230c483e558af39a419a5020be01662fb316b721f24374fdfb24689e161b"),
+    "classic-campaign": (
+        ["test", "--all", "--calls", "3000", "--seed", "3", "--mode",
+         "classic"],
+        0, "8db7c8c6feeb87f8137386ce9ae0557c5022b7758ad941abae334480a03e04ee"),
 }
 
 
