@@ -3,7 +3,9 @@
 - precondition soundness (agreement across concrete objects with equal
   abstract state),
 - postcondition completeness for commands and queries (all satisfying
-  poststates/results equivalent),
+  poststates/results equivalent): a defining clause's value is computed
+  once per (prestate, arguments) pair and only the candidates that hold
+  it are kept, and the relational clauses run on those only,
 - bounded observational adequacy of the chosen model (model-tuple equality
   versus indistinguishability under call sequences of depth <= k).
 
@@ -198,10 +200,8 @@ def _arg_combos(feature, cfg):
 
 
 def _model_clauses(feature, signature):
-    if feature.kind == "command":
-        clauses = expand_frame(feature, signature)
-    else:
-        clauses = list(feature.clauses)
+    clauses = (expand_frame(feature, signature) if feature.kind == "command"
+               else feature.clauses)
     return [c for c in clauses if c.tag == "model"]
 
 
@@ -239,11 +239,31 @@ def _post_holds(clauses, old, new, args, result):
         return False
 
 
+def _satisfying(defining, relational, candidates, keys, old, args,
+                on_result):
+    """The candidates, in order, that satisfy the postcondition.  Each
+    defining clause's ``expr`` is evaluated once (a DomainError leaves no
+    candidate); a candidate is kept when its ``keys`` entry, the values of
+    the defined targets, equals the expected tuple, and then the relational
+    clauses hold.  Tuples are compared with ``==``, not hashed: equal model
+    values may hash differently (``MSeq([1])`` and ``MSeq([True])``)."""
+    ctx = Ctx(old=old, new=None, args=args, result=None, obj=None, cold=None)
+    try:
+        expected = tuple([d.expr(ctx) for d in defining])
+    except DomainError:
+        return []
+    return [c for c, k in zip(candidates, keys) if k == expected
+            and _post_holds(relational, old, old if on_result else c, args,
+                            c if on_result else None)]
+
+
 def _completeness(name, feature, cfg, prestates, candidates, on_result):
     """For every valid prestate (None for a constructor) and argument
     combination, count the candidates that satisfy the model
     postcondition; more than one makes the feature incomplete.  A
-    candidate is the poststate, or the result when ``on_result``.
+    candidate is the poststate, or the result when ``on_result``.  The
+    defining clauses are evaluated once per pair, the relational ones only
+    on the candidates that match them (see ``_satisfying``).
 
     Container arguments have their poststates pinned to the ones the
     implementation actually produces; only the target poststate or the
@@ -253,6 +273,12 @@ def _completeness(name, feature, cfg, prestates, candidates, on_result):
     spec = REGISTRY[name]
     verdict = CheckVerdict(f"{name}.{feature.name}", tag=feature.incompleteness_tag)
     clauses = _model_clauses(feature, spec.signature)
+    defining = [c for c in clauses if c.target is not None]
+    relational = [c for c in clauses if c.target is None]
+    # A query's defining clauses all target its result (ContainerSpec
+    # checks this).
+    keys = [tuple([c if on_result else getattr(c, d.target) for d in defining])
+            for c in candidates]
     show = repr if on_result else serialize_state
     pinned = any(d[0] == "container" for d in feature.arg_domains)
     for pre_e in prestates:
@@ -262,9 +288,8 @@ def _completeness(name, feature, cfg, prestates, candidates, on_result):
                 continue
             if pinned:
                 _pin_container_args(spec, feature, pre_e, args)
-            satisfying = [c for c in candidates
-                          if _post_holds(clauses, old, old if on_result else c,
-                                         args, c if on_result else None)]
+            satisfying = _satisfying(defining, relational, candidates, keys,
+                                     old, args, on_result)
             verdict.states_checked += len(candidates)
             if len(satisfying) > 1:
                 verdict.post_complete = False

@@ -44,8 +44,8 @@ def _count_query(cls, model):
     return Feature(
         "count", "query",
         body=cls.do_count,
-        clauses=(Clause("count/result", "model",
-                        lambda c: c.result == getattr(c.old, model).count),),
+        clauses=(Clause.defines("count/result", "result",
+                                lambda c: getattr(c.old, model).count),),
         result_domain=("int",))
 
 
@@ -54,8 +54,8 @@ def _is_empty_query(cls, model):
     return Feature(
         "is_empty", "query",
         body=cls.do_is_empty,
-        clauses=(Clause("is_empty/result", "model",
-                        lambda c: c.result == getattr(c.old, model).is_empty),),
+        clauses=(Clause.defines("is_empty/result", "result",
+                                lambda c: getattr(c.old, model).is_empty),),
         result_domain=("bool",))
 
 
@@ -190,18 +190,17 @@ def _linked_list_spec():
         clauses=(
             Clause("make_empty/sequence", "model",
                    lambda c: c.new.sequence.is_empty),
-            Clause("make_empty/index", "model", lambda c: c.new.index == 0),
+            Clause.defines("make_empty/index", "index", lambda c: 0),
         ))
     put_right = Feature(
         "put_right", "command",
         pre=lambda s, a, r: 0 <= s.index <= s.sequence.count,
         body=LinkedList.do_put_right,
         clauses=(
-            Clause("put_right/sequence", "model",
-                   lambda c: c.new.sequence == c.old.sequence.front(c.old.index)
-                   .extended(c.args[0]) + c.old.sequence.tail(c.old.index + 1)),
-            Clause("put_right/index", "model",
-                   lambda c: c.new.index == c.old.index),
+            Clause.defines("put_right/sequence", "sequence",
+                           lambda c: c.old.sequence.front(c.old.index)
+                           .extended(c.args[0]) + c.old.sequence.tail(c.old.index + 1)),
+            Clause.defines("put_right/index", "index", lambda c: c.old.index),
             Clause("put_right/count_classic", "classic",
                    lambda c: c.obj.count == c.cold["count"] + 1),
             Clause("put_right/index_classic", "classic",
@@ -214,16 +213,16 @@ def _linked_list_spec():
         pre=lambda s, a, r: s.sequence.domain.has(s.index),
         body=LinkedList.do_item,
         clauses=(
-            Clause("item/result", "model",
-                   lambda c: c.result == c.old.sequence.item(c.old.index)),
+            Clause.defines("item/result", "result",
+                           lambda c: c.old.sequence.item(c.old.index)),
         ),
         result_domain=("element",))
     has = Feature(
         "has", "query",
         body=LinkedList.do_has,
         clauses=(
-            Clause("has/result", "model",
-                   lambda c: c.result == c.old.sequence.has(c.args[0])),
+            Clause.defines("has/result", "result",
+                           lambda c: c.old.sequence.has(c.args[0])),
         ),
         arg_domains=(("element",),), result_domain=("bool",))
     count = _count_query(LinkedList, "sequence")
@@ -243,30 +242,29 @@ def _linked_list_spec():
     start = Feature(
         "start", "command",
         body=LinkedList.do_start,
-        clauses=(Clause("start/index", "model", lambda c: c.new.index == 1),),
+        clauses=(Clause.defines("start/index", "index", lambda c: 1),),
         mentioned=frozenset({"index"}))
     forth = Feature(
         "forth", "command",
         pre=lambda s, a, r: s.index <= s.sequence.count,
         body=LinkedList.do_forth,
-        clauses=(Clause("forth/index", "model",
-                        lambda c: c.new.index == c.old.index + 1),),
+        clauses=(Clause.defines("forth/index", "index",
+                                lambda c: c.old.index + 1),),
         mentioned=frozenset({"index"}))
     go_before = Feature(
         "go_before", "command",
         body=LinkedList.do_go_before,
-        clauses=(Clause("go_before/index", "model", lambda c: c.new.index == 0),),
+        clauses=(Clause.defines("go_before/index", "index", lambda c: 0),),
         mentioned=frozenset({"index"}))
     merge_right = Feature(
         "merge_right", "command",
         pre=lambda s, a, r: a[0].ref != r and 0 <= s.index <= s.sequence.count,
         body=LinkedList.do_merge_right,
         clauses=(
-            Clause("merge_right/sequence", "model",
-                   lambda c: c.new.sequence == c.old.sequence.front(c.old.index)
-                   + c.args[0].old.sequence + c.old.sequence.tail(c.old.index + 1)),
-            Clause("merge_right/index", "model",
-                   lambda c: c.new.index == c.old.index),
+            Clause.defines("merge_right/sequence", "sequence",
+                           lambda c: c.old.sequence.front(c.old.index)
+                           + c.args[0].old.sequence + c.old.sequence.tail(c.old.index + 1)),
+            Clause.defines("merge_right/index", "index", lambda c: c.old.index),
             Clause("merge_right/other_sequence", "model",
                    lambda c: c.args[0].new.sequence.is_empty),
             Clause("merge_right/other_index", "model",
@@ -345,8 +343,8 @@ def _array_spec():
             Clause("make/map", "model",
                    lambda c: c.new.map.domain == int_interval(c.args[0], c.args[1])
                    and c.new.map.is_constant(c.args[2])),
-            Clause("make/capacity", "model",
-                   lambda c: c.new.capacity == c.args[1] - c.args[0] + 1),
+            Clause.defines("make/capacity", "capacity",
+                           lambda c: c.args[1] - c.args[0] + 1),
         ),
         arg_domains=(("int", 1, 1), ("int", 0, 3), ("element",)))
     put = Feature(
@@ -354,8 +352,8 @@ def _array_spec():
         pre=lambda s, a, r: s.map.domain.has(a[1]),
         body=ArrayT.do_put,
         clauses=(
-            Clause("put/map", "model",
-                   lambda c: c.new.map == c.old.map.replaced_at(c.args[1], c.args[0])),
+            Clause.defines("put/map", "map",
+                           lambda c: c.old.map.replaced_at(c.args[1], c.args[0])),
         ),
         mentioned=frozenset({"map"}),
         arg_domains=(("element",), ("int", 0, 4)))
@@ -364,8 +362,8 @@ def _array_spec():
         pre=lambda s, a, r: s.map.domain.has(a[0]),
         body=ArrayT.do_item,
         clauses=(
-            Clause("item/result", "model",
-                   lambda c: c.result == c.old.map.item(c.args[0])),
+            Clause.defines("item/result", "result",
+                           lambda c: c.old.map.item(c.args[0])),
         ),
         arg_domains=(("int", 0, 4),), result_domain=("element",))
     fill = Feature(
@@ -400,8 +398,8 @@ def _array_spec():
     capacity = Feature(
         "capacity", "query",
         body=ArrayT.do_capacity,
-        clauses=(Clause("capacity/result", "model",
-                        lambda c: c.result == c.old.capacity),),
+        clauses=(Clause.defines("capacity/result", "result",
+                                lambda c: c.old.capacity),),
         result_domain=("int",))
     invariants = (
         InvariantClause("domain_contiguous", "model",
@@ -450,8 +448,8 @@ def _table_spec():
         pre=lambda s, a, r: s.map.domain.has(a[1]),
         body=Table.do_put,
         clauses=(
-            Clause("put/map", "model",
-                   lambda c: c.new.map == c.old.map.replaced_at(c.args[1], c.args[0])),
+            Clause.defines("put/map", "map",
+                           lambda c: c.old.map.replaced_at(c.args[1], c.args[0])),
         ),
         mentioned=frozenset({"map"}),
         arg_domains=(("element",), ("element",)))
@@ -459,8 +457,8 @@ def _table_spec():
         "force", "command",
         body=Table.do_force,
         clauses=(
-            Clause("force/map", "model",
-                   lambda c: c.new.map == c.old.map.updated(c.args[1], c.args[0])),
+            Clause.defines("force/map", "map",
+                           lambda c: c.old.map.updated(c.args[1], c.args[0])),
         ),
         mentioned=frozenset({"map"}),
         arg_domains=(("element",), ("element",)))
@@ -469,8 +467,8 @@ def _table_spec():
         pre=lambda s, a, r: s.map.domain.has(a[0]),
         body=Table.do_item,
         clauses=(
-            Clause("item/result", "model",
-                   lambda c: c.result == c.old.map.item(c.args[0])),
+            Clause.defines("item/result", "result",
+                           lambda c: c.old.map.item(c.args[0])),
         ),
         arg_domains=(("element",),), result_domain=("element",))
     return ContainerSpec(
@@ -555,8 +553,8 @@ def _linking_invariant(o, s):
 
 
 def _put_bag():
-    return Clause("put/bag", "model",
-                  lambda c: c.new.bag == c.old.bag.extended(c.args[0]))
+    return Clause.defines("put/bag", "bag",
+                          lambda c: c.old.bag.extended(c.args[0]))
 
 
 def _collection_spec():
@@ -570,8 +568,8 @@ def _collection_spec():
     occurrences = Feature(
         "occurrences", "query",
         body=Collection.do_occurrences,
-        clauses=(Clause("occurrences/result", "model",
-                        lambda c: c.result == c.old.bag[c.args[0]]),),
+        clauses=(Clause.defines("occurrences/result", "result",
+                                lambda c: c.old.bag[c.args[0]]),),
         arg_domains=(("element",),), result_domain=("int",))
     return ContainerSpec(
         "Collection", sig,
@@ -642,17 +640,16 @@ def _stack_queue_spec(name, cls, item_pos, remove_sequence):
     # item reads and remove takes away.
     return _dispenser_family_spec(
         name, cls,
-        put_sequence=(Clause(
-            "put/sequence", "model",
-            lambda c: c.new.sequence == c.old.sequence.extended(c.args[0])),),
-        item_clause=Clause(
-            "item/result", "model",
-            lambda c: c.result == c.old.sequence.item(item_pos(c.old))),
+        put_sequence=(Clause.defines(
+            "put/sequence", "sequence",
+            lambda c: c.old.sequence.extended(c.args[0])),),
+        item_clause=Clause.defines(
+            "item/result", "result",
+            lambda c: c.old.sequence.item(item_pos(c.old))),
         remove_clauses=(
-            Clause("remove/sequence", "model", remove_sequence),
-            Clause("remove/bag", "model",
-                   lambda c: c.new.bag == c.old.bag.removed(
-                       c.old.sequence.item(item_pos(c.old)))),
+            Clause.defines("remove/sequence", "sequence", remove_sequence),
+            Clause.defines("remove/bag", "bag", lambda c: c.old.bag.removed(
+                c.old.sequence.item(item_pos(c.old)))),
         ))
 
 
@@ -661,8 +658,7 @@ def _stack_spec():
     return _stack_queue_spec(
         "Stack", Stack,
         item_pos=lambda s: s.sequence.count,
-        remove_sequence=lambda c: c.new.sequence == c.old.sequence.front(
-            c.old.sequence.count - 1))
+        remove_sequence=lambda c: c.old.sequence.front(c.old.sequence.count - 1))
 
 
 def _queue_spec():
@@ -670,7 +666,7 @@ def _queue_spec():
     return _stack_queue_spec(
         "Queue", Queue,
         item_pos=lambda s: 1,
-        remove_sequence=lambda c: c.new.sequence == c.old.sequence.tail(2))
+        remove_sequence=lambda c: c.old.sequence.tail(2))
 
 
 # ---------------------------------------------------------------------------
@@ -718,8 +714,7 @@ def _eqset_spec():
         body=lambda rel, faults=None: EqSet(rel, faults=faults),
         clauses=(
             Clause("make/set", "model", lambda c: c.new.set.is_empty),
-            Clause("make/relation", "model",
-                   lambda c: c.new.relation == c.args[0]),
+            Clause.defines("make/relation", "relation", lambda c: c.args[0]),
         ),
         arg_domains=(("relation",),))
     has = Feature(
@@ -727,9 +722,9 @@ def _eqset_spec():
         pre=lambda s, a, r: s.relation.domain.has(a[0]),
         body=EqSet.do_has,
         clauses=(
-            Clause("has/result", "model",
-                   lambda c: c.result == (not (c.old.set
-                   * c.old.relation.image_of(c.args[0])).is_empty)),
+            Clause.defines("has/result", "result",
+                           lambda c: not (c.old.set
+                           * c.old.relation.image_of(c.args[0])).is_empty),
         ),
         arg_domains=(("element",),), result_domain=("bool",))
     add = Feature(
@@ -737,11 +732,10 @@ def _eqset_spec():
         pre=lambda s, a, r: s.relation.domain.has(a[0]),
         body=EqSet.do_add,
         clauses=(
-            Clause("add/set", "model",
-                   lambda c: c.new.set == (
-                       c.old.set
-                       if not (c.old.set * c.old.relation.image_of(c.args[0])).is_empty
-                       else c.old.set | MSet([c.args[0]]))),
+            Clause.defines("add/set", "set", lambda c: (
+                c.old.set
+                if not (c.old.set * c.old.relation.image_of(c.args[0])).is_empty
+                else c.old.set | MSet([c.args[0]]))),
         ),
         mentioned=frozenset({"set"}),
         arg_domains=(("element",),))
@@ -843,9 +837,8 @@ def _tree_spec():
                              and not s.map.domain.has(a[0].extended(a[1]))),
         body=BinaryTree.do_put_child,
         clauses=(
-            Clause("put_child/map", "model",
-                   lambda c: c.new.map == c.old.map.updated(
-                       c.args[0].extended(c.args[1]), c.args[2])),
+            Clause.defines("put_child/map", "map", lambda c: c.old.map.updated(
+                c.args[0].extended(c.args[1]), c.args[2])),
         ),
         mentioned=frozenset({"map"}),
         arg_domains=(("path", 2), ("bool",), ("element",)))
@@ -854,8 +847,8 @@ def _tree_spec():
         pre=lambda s, a, r: s.map.domain.has(a[0]),
         body=BinaryTree.do_item_at,
         clauses=(
-            Clause("item_at/result", "model",
-                   lambda c: c.result == c.old.map.item(c.args[0])),
+            Clause.defines("item_at/result", "result",
+                           lambda c: c.old.map.item(c.args[0])),
         ),
         arg_domains=(("path", 2),), result_domain=("element",))
     count = _count_query(BinaryTree, "map")

@@ -9,19 +9,21 @@ An abstract state is a tuple of model values, of one AbstractState type
 per signature.  A checked call takes each object's state (the target's
 and every container argument's) once before the body and once after it,
 and checks postconditions, purity and invariants against those
-snapshots.  A body that raises is an ``exception`` violation.
+snapshots.  A body that raises is an ``exception`` violation; so is a
+postcondition or invariant clause that raises anything but ``DomainError``,
+which makes the clause false.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Optional, Sequence, Tuple
 
 from .model_math import (
-    MSeq, ModelValue, identity_relation, to_text, total_relation,
+    DomainError, MSeq, ModelValue, identity_relation, to_text, total_relation,
 )
 
 
@@ -137,10 +139,29 @@ class Ctx:
 
 @dataclass(frozen=True)
 class Clause:
-    """One postcondition clause; ``fn(ctx) -> bool``."""
+    """One postcondition clause; ``fn(ctx) -> bool``.
+
+    A defining clause (built by :meth:`defines`) also names the ``target``
+    it pins, a model query of the poststate or ``"result"``, and the
+    ``expr(ctx)`` it must equal; ``expr`` reads no poststate and no result.
+    The checkers evaluate ``expr`` once instead of testing ``fn`` on every
+    candidate.  Frame clauses are defining; the rest are relational.
+    """
     cid: str
     tag: str  # "model" or "classic"
     fn: Callable
+    target: Optional[str] = None
+    expr: Optional[Callable] = None
+
+    @classmethod
+    def defines(cls, cid, target, expr):
+        """The model clause ``new.target == expr(ctx)``, or
+        ``result == expr(ctx)`` when ``target`` is ``"result"``."""
+        if target == "result":
+            fn = lambda c: c.result == expr(c)
+        else:
+            fn = lambda c: getattr(c.new, target) == expr(c)
+        return cls(cid, "model", fn, target, expr)
 
 
 @dataclass(frozen=True)
@@ -163,6 +184,9 @@ class Feature:
     incompleteness_tag: Optional[str] = None  # nondeterministic | inheritance | information-hiding
     arg_domains: Tuple = ()  # one domain per argument, see domain_values
     result_domain: Optional[object] = None
+    # expand_frame's memo: (clauses, signature, expanded clauses).
+    _frame: Optional[tuple] = field(default=None, init=False, repr=False,
+                                    compare=False)
 
 
 # Argument domains.  A feature declares one per argument: a tuple whose
@@ -216,11 +240,14 @@ class ContainerSpec:
         self.invariants = tuple(invariants)
         self.constructors = tuple(constructors)
         self.snapshot = snapshot or (lambda obj: {})
-        for f in features:
+        for f in list(features) + list(constructors):
             for s in f.mentioned | f.relevant:
                 if s not in signature.names:
                     raise ConfigurationError(
                         f"{name}.{f.name}: unknown model query {s!r}")
+            for c in f.clauses:
+                if c.target is not None:
+                    _check_target(name, f, c, signature)
 
     def constructor(self, name) -> Feature:
         for c in self.constructors:
@@ -233,6 +260,23 @@ class ContainerSpec:
 
     def queries(self):
         return [f for f in self.features.values() if f.kind == "query"]
+
+
+def _check_target(name, feature, clause, signature):
+    """A query's defining clause pins its result; a command's or
+    constructor's pins a model query, and a command's one it mentions (the
+    frame defines every other)."""
+    where = f"{name}.{feature.name}: clause {clause.cid}"
+    if feature.kind == "query":
+        if clause.target != "result":
+            raise ConfigurationError(f"{where} must define 'result'")
+    elif clause.target not in signature.names:
+        raise ConfigurationError(
+            f"{where} defines unknown model query {clause.target!r}")
+    elif feature.kind == "command" and clause.target not in feature.mentioned:
+        raise ConfigurationError(
+            f"{where} defines {clause.target!r}, which the feature does not "
+            f"mention")
 
 
 REGISTRY: dict = {}
@@ -291,17 +335,21 @@ def _serialize_arg(a) -> str:
 
 
 def expand_frame(feature: Feature, signature: ModelSignature):
-    """Effective clause list: explicit clauses, then one implicit
-    ``s = old s`` clause for every model query not mentioned or relevant."""
+    """Effective clause tuple: explicit clauses, then one frame clause for
+    every model query q neither mentioned nor relevant, which defines q as
+    ``old.q``.  Built once per clause tuple and signature and kept on the
+    feature, so callers must not mutate it."""
     if feature.kind != "command":
         raise UsageError("frame expansion applies to commands")
-    clauses = list(feature.clauses)
-    for s in signature.names:
-        if s in feature.mentioned or s in feature.relevant:
-            continue
-        def frame_fn(ctx, _q=s):
-            return getattr(ctx.new, _q) == getattr(ctx.old, _q)
-        clauses.append(Clause(f"{feature.name}/frame:{s}", "model", frame_fn))
+    memo = feature._frame
+    if memo is not None and memo[0] is feature.clauses and memo[1] is signature:
+        return memo[2]
+    clauses = tuple(feature.clauses) + tuple(
+        Clause.defines(f"{feature.name}/frame:{q}", q,
+                       lambda c, _q=q: getattr(c.old, _q))
+        for q in signature.names
+        if q not in feature.mentioned and q not in feature.relevant)
+    feature._frame = (feature.clauses, signature, clauses)
     return clauses
 
 
@@ -322,27 +370,46 @@ def _violation(feature_name, clause, kind, old, new, views, seed,
 
 
 def _check_invariants(obj, state, feature_name, old, views, mode, seed):
-    """Check ``obj``'s class invariant against ``state``, its poststate."""
+    """Check ``obj``'s class invariant against ``state``, its poststate.
+    A clause raising DomainError is false; one raising anything else is an
+    ``exception`` violation, raised from the original."""
     spec = spec_of(obj)
     for inv in spec.invariants:
         if not _mode_keeps(inv.tag, mode):
             continue
-        if not inv.fn(obj, state):
+        cid = f"{spec.name}/invariant:{inv.cid}"
+        try:
+            holds = inv.fn(obj, state)
+        except DomainError:
+            holds = False
+        except Exception as e:
             raise _violation(
-                feature_name, f"{spec.name}/invariant:{inv.cid}",
-                "class-invariant", old, state, views, seed)
+                feature_name, f"{cid}/exception:{type(e).__name__}",
+                "exception", old, state, views, seed) from e
+        if not holds:
+            raise _violation(
+                feature_name, cid, "class-invariant", old, state, views, seed)
 
 
 def _check_post(feature_name, clauses, ctx, mode, seed):
     """Evaluate, in order, the postcondition clauses ``mode`` keeps; raise
     ContractViolation at the first false one, naming the clauses evaluated
-    up to it."""
+    up to it.  A clause raising DomainError is false; one raising anything
+    else is an ``exception`` violation, raised from the original."""
     evaluated = []
     for clause in clauses:
         if not _mode_keeps(clause.tag, mode):
             continue
         evaluated.append(clause.cid)
-        if not clause.fn(ctx):
+        try:
+            holds = clause.fn(ctx)
+        except DomainError:
+            holds = False
+        except Exception as e:
+            raise _violation(
+                feature_name, f"{clause.cid}/exception:{type(e).__name__}",
+                "exception", ctx.old, ctx.new, ctx.args, seed, evaluated) from e
+        if not holds:
             raise _violation(
                 feature_name, clause.cid, "postcondition", ctx.old, ctx.new,
                 ctx.args, seed, evaluated)

@@ -13,6 +13,16 @@ neighbours with equal keys, keeping an element's first occurrence.  So
 them apart.)  Stored tuples are built from lists, never from generators:
 ``tuple(<generator>)`` over-allocates and then shrinks, which on CPython
 fills the per-length tuple free lists and raises peak memory.
+
+Values derived from an already canonical value skip the sort: the domains
+of ``MSeq``, ``MBag`` and ``MMap``, ``int_interval``, ``MSet.intersection``
+and ``difference``, and ``MMap.restricted`` and ``replaced_at`` go through
+``_canonical_set`` or ``_canonical_map``.  Their input is an ascending
+``range``, or the stored entries in order, or a subsequence of them: keys
+already distinct and ascending by ``order_key``, which is the tuple the
+sorting constructor would build.  (``MMap`` keys are distinct by
+``order_key`` because equal keys compare ``==``, which ``MMap`` rejects.)
+An ``MMap`` computes its domain once, on first read.
 """
 
 from __future__ import annotations
@@ -167,7 +177,7 @@ class MSeq:
 
     @property
     def domain(self) -> "MSet":
-        return MSet(range(1, self.count + 1))
+        return _canonical_set(list(range(1, self.count + 1)))
 
     @property
     def range(self) -> "MSet":
@@ -238,10 +248,10 @@ class MSet:
         return MSet(self.elements + other.elements)
 
     def intersection(self, other: "MSet") -> "MSet":
-        return MSet(x for x in self.elements if other.has(x))
+        return _canonical_set([x for x in self.elements if other.has(x)])
 
     def difference(self, other: "MSet") -> "MSet":
-        return MSet(x for x in self.elements if not other.has(x))
+        return _canonical_set([x for x in self.elements if not other.has(x)])
 
     def __or__(self, other):
         return self.union(other)
@@ -259,6 +269,14 @@ class MSet:
         return any(p(x) for x in self.elements)
 
 
+def _canonical_set(xs: list) -> MSet:
+    """The set of ``xs``, which are distinct and in ascending
+    ``order_key`` order already."""
+    s = MSet.__new__(MSet)
+    s.elements = tuple(xs)
+    return s
+
+
 def int_interval(l: int, u: int) -> MSet:
     """The set {l, l+1, ..., u}; empty when u < l."""
     check_int(l)
@@ -267,7 +285,7 @@ def int_interval(l: int, u: int) -> MSet:
         return MSet()
     if u - l >= 10**6:
         raise OverflowReported(f"interval [{l},{u}] too large to expand")
-    return MSet(range(l, u + 1))
+    return _canonical_set(list(range(l, u + 1)))
 
 
 class MBag:
@@ -306,7 +324,7 @@ class MBag:
 
     @property
     def domain(self) -> MSet:
-        return MSet(x for x, _ in self.pairs)
+        return _canonical_set([x for x, _ in self.pairs])
 
     @property
     def count(self) -> int:
@@ -337,7 +355,7 @@ class MBag:
 class MMap:
     """Finite partial function from model values to model values."""
 
-    __slots__ = ("pairs",)
+    __slots__ = ("pairs", "_domain")
 
     def __init__(self, pairs: Iterable[Tuple[ModelValue, ModelValue]] = ()):
         acc = []
@@ -347,6 +365,7 @@ class MMap:
                     raise DomainError(f"duplicate key {k!r}")
             acc.append((k, v))
         self.pairs = tuple(sorted(acc, key=lambda p: order_key(p[0])))
+        self._domain = None
 
     def __eq__(self, other):
         return isinstance(other, MMap) and self.pairs == other.pairs
@@ -359,7 +378,9 @@ class MMap:
 
     @property
     def domain(self) -> MSet:
-        return MSet(k for k, _ in self.pairs)
+        if self._domain is None:
+            self._domain = _canonical_set([k for k, _ in self.pairs])
+        return self._domain
 
     @property
     def range(self) -> MSet:
@@ -388,13 +409,13 @@ class MMap:
     def replaced_at(self, k: ModelValue, v: ModelValue) -> "MMap":
         if not self.has_key(k):
             raise DomainError(f"replaced_at on absent key {k!r}")
-        return MMap((y, v if y == k else w) for y, w in self.pairs)
+        return _canonical_map([(y, v if y == k else w) for y, w in self.pairs])
 
     def updated(self, k: ModelValue, v: ModelValue) -> "MMap":
         return MMap(tuple((y, w) for y, w in self.pairs if y != k) + ((k, v),))
 
     def restricted(self, keys: MSet) -> "MMap":
-        return MMap((y, w) for y, w in self.pairs if keys.has(y))
+        return _canonical_map([(y, w) for y, w in self.pairs if keys.has(y)])
 
     def __or__(self, keys: MSet) -> "MMap":
         return self.restricted(keys)
@@ -412,6 +433,15 @@ class MMap:
             else:
                 m = m.updated(k, v)
         return m
+
+
+def _canonical_map(pairs: list) -> MMap:
+    """The map of ``pairs``, whose keys are distinct and in ascending
+    ``order_key`` order already."""
+    m = MMap.__new__(MMap)
+    m.pairs = tuple(pairs)
+    m._domain = None
+    return m
 
 
 class MRel:

@@ -10,7 +10,8 @@ from mbc.autotest import (
     generate_arguments, replay, run_campaign,
 )
 from mbc.containers import CONTAINER_NAMES, FaultSwitch
-from mbc.contracts import REGISTRY
+from mbc.contracts import Clause, InvariantClause, REGISTRY
+from mbc.model_math import Ref
 
 
 LL = ["new", "LinkedList", "make_empty", []]
@@ -18,6 +19,39 @@ LL = ["new", "LinkedList", "make_empty", []]
 
 def faulty():
     return FaultSwitch(merge_right_missing_link=True)
+
+
+def _stack_put_bag(fn):
+    def patch(monkeypatch):
+        put = REGISTRY["Stack"].features["put"]
+        monkeypatch.setattr(put, "clauses",
+                            (Clause("put/bag", "model", fn),) + put.clauses[1:])
+    return patch
+
+
+def _stack_invariant(fn):
+    def patch(monkeypatch):
+        monkeypatch.setattr(REGISTRY["Stack"], "invariants",
+                            (InvariantClause("pair", "model", fn),))
+    return patch
+
+
+# A clause that raises: DomainError makes it false, anything else is an
+# exception violation.  Each raises only on some states the campaign reaches
+# (no constructor builds a stack of two).
+RAISING_CLAUSES = {
+    "post-domain-error": (
+        _stack_put_bag(lambda c: c.old.bag.count != 1
+                       or c.old.bag.removed(Ref("zz")) is None),
+        "put/bag", "postcondition"),
+    "invariant-domain-error": (
+        _stack_invariant(lambda o, s: s.sequence.count != 2
+                         or s.sequence.item(3) is not None),
+        "Stack/invariant:pair", "class-invariant"),
+    "post-zero-division": (
+        _stack_put_bag(lambda c: 1 // (c.old.bag.count - 1) is not None),
+        "put/bag/exception:ZeroDivisionError", "exception"),
+}
 
 
 class TestCampaigns:
@@ -63,6 +97,16 @@ class TestCampaigns:
         for rep in r.reports:
             assert rep.violation["kind"] == "exception"
             assert replay(rep).clause == "remove/exception:IndexError"
+
+    @pytest.mark.parametrize("case", sorted(RAISING_CLAUSES))
+    def test_raising_clause_is_a_replayable_report(self, monkeypatch, case):
+        patch, clause, kind = RAISING_CLAUSES[case]
+        patch(monkeypatch)
+        r = run_campaign(["Stack"], TestBudget(max_calls=300, seed=1))
+        assert r.reports
+        for rep in r.reports:
+            assert (rep.violation["clause"], rep.violation["kind"]) == (clause, kind)
+            assert replay(rep).clause == clause
 
 
 class TestReplay:

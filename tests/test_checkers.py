@@ -1,5 +1,6 @@
 """Brute-force soundness/completeness and observational adequacy."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -7,7 +8,7 @@ import pytest
 
 from mbc import checkers
 from mbc.checkers import (
-    EnumerationConfig, EnumerationRefused, check_command_completeness,
+    CheckVerdict, EnumerationConfig, EnumerationRefused, check_command_completeness,
     check_observational_adequacy, check_precondition_soundness,
     check_query_completeness, classify_feature, classify_library,
     distinct_states, enumerate_states, state_space,
@@ -15,7 +16,7 @@ from mbc.checkers import (
 from mbc.containers import CONTAINER_NAMES
 from mbc.contracts import (
     Clause, ContainerSpec, Feature, ModelSignature, REGISTRY, abstract_state,
-    register,
+    register, serialize_state,
 )
 
 CFG = EnumerationConfig()
@@ -121,6 +122,13 @@ class TestCompleteness:
         finally:
             feature.clauses = saved
 
+    def test_misspelt_expr_is_not_a_rejection(self, monkeypatch):
+        feature = REGISTRY["Collection"].features["put"]
+        monkeypatch.setattr(feature, "clauses", (Clause.defines(
+            "put/bag", "bag", lambda c: c.old.bgg.extended(c.args[0])),))
+        with pytest.raises(AttributeError):
+            check_command_completeness("Collection", "put", CFG)
+
     def test_merge_right_complete_with_pinned_arguments(self):
         v = check_command_completeness("LinkedList", "merge_right", CFG)
         assert v.post_complete
@@ -160,6 +168,112 @@ class TestCompleteness:
             assert not v.pre_sound
         finally:
             del REGISTRY["LeakyCollection"]
+
+
+def reference_completeness(name, feature, cfg, prestates, candidates,
+                           on_result):
+    """Generate and test: every model clause on every candidate."""
+    spec = REGISTRY[name]
+    verdict = CheckVerdict(f"{name}.{feature.name}", tag=feature.incompleteness_tag)
+    clauses = checkers._model_clauses(feature, spec.signature)
+    show = repr if on_result else serialize_state
+    pinned = any(d[0] == "container" for d in feature.arg_domains)
+    for pre_e in prestates:
+        old, ref = (pre_e.state, pre_e.obj.ref) if pre_e else (None, None)
+        for args in checkers._arg_combos(feature, cfg):
+            if not checkers._raw_pre(feature, old, args, ref):
+                continue
+            if pinned:
+                checkers._pin_container_args(spec, feature, pre_e, args)
+            satisfying = [c for c in candidates
+                          if checkers._post_holds(
+                              clauses, old, old if on_result else c, args,
+                              c if on_result else None)]
+            verdict.states_checked += len(candidates)
+            if len(satisfying) > 1:
+                verdict.post_complete = False
+                where = f"from {serialize_state(old)}" if pre_e else "constructor"
+                verdict.witnesses.append(
+                    f"{where}: {show(satisfying[0])} vs {show(satisfying[1])}")
+    return verdict
+
+
+def all_features():
+    for name in CONTAINER_NAMES:
+        spec = REGISTRY[name]
+        for fname in list(spec.features) + [c.name for c in spec.constructors]:
+            yield name, fname
+
+
+# The model clauses that pin no query by definition, with the query each
+# constrains (None: a container argument's).
+RELATIONAL = {
+    "make_empty/sequence": "sequence", "make_empty/map": "map",
+    "make_empty/bag": "bag", "wipe_out/bag": "bag",
+    "wipe_out/sequence": "sequence",
+    "fill/domain": "map", "fill/inside": "map", "fill/outside": "map",
+    "reserve/grows": "capacity", "reserve/enough": "capacity",
+    "item/member": "result", "remove/count": "sequence",
+    "remove/bag_count": "bag", "merge_right/other_sequence": None,
+    "merge_right/other_index": None, "duplicate/sequence": "result",
+    "duplicate/index": "result", "add_root/count": "map",
+    "add_root/root": "map", "make/map": "map", "make/set": "set",
+}
+
+
+class TestDefiningClauses:
+    @pytest.mark.parametrize("bounds", [dict(max_size=2),
+                                        dict(universe=3, max_size=2)])
+    def test_verdicts_equal_generate_and_test(self, monkeypatch, bounds):
+        cfg = EnumerationConfig(**bounds)
+        got = {f: classify_feature(*f, cfg).to_dict() for f in all_features()}
+        monkeypatch.setattr(checkers, "_completeness", reference_completeness)
+        want = {f: classify_feature(*f, cfg).to_dict() for f in all_features()}
+        assert got == want
+
+    def test_merge_right_counts(self, monkeypatch):
+        feature = REGISTRY["LinkedList"].features["merge_right"]
+        evals = {}
+
+        def counting(clause):
+            def expr(ctx):
+                evals[clause.cid] += 1
+                return clause.expr(ctx)
+            evals[clause.cid] = 0
+            return dataclasses.replace(clause, expr=expr)
+
+        monkeypatch.setattr(feature, "clauses", tuple(
+            counting(c) if c.target else c for c in feature.clauses))
+        calls = []
+        real = checkers._post_holds
+        monkeypatch.setattr(checkers, "_post_holds",
+                            lambda *a: calls.append(1) or real(*a))
+        cfg = EnumerationConfig(max_size=2)
+        v = check_command_completeness("LinkedList", "merge_right", cfg)
+        pairs = 408
+        assert v.post_complete
+        assert v.states_checked == pairs * len(state_space("LinkedList", cfg)[1])
+        assert evals == {"merge_right/sequence": pairs, "merge_right/index": pairs}
+        assert len(calls) <= pairs
+
+    def test_every_model_clause_defines_or_is_listed(self):
+        seen = set()
+        for name, fname in all_features():
+            spec = REGISTRY[name]
+            feature = spec.features.get(fname) or spec.constructor(fname)
+            pinned = set(feature.relevant)
+            for c in checkers._model_clauses(feature, spec.signature):
+                if c.target is None:
+                    assert c.cid in RELATIONAL, f"{name}.{c.cid}"
+                    seen.add(c.cid)
+                    pinned.add(RELATIONAL[c.cid])
+                else:
+                    pinned.add(c.target)
+                if "/frame:" in c.cid:
+                    assert c.target == c.cid.split(":")[1]
+            if feature.kind != "query":
+                assert pinned >= set(spec.signature.names), f"{name}.{fname}"
+        assert seen == set(RELATIONAL)
 
 
 class TestAdequacy:

@@ -10,7 +10,7 @@ from mbc import contracts
 from mbc.autotest import ELEMENT_POOL
 from mbc.containers import ALL_SPECS, Ref, FaultSwitch
 from mbc.contracts import (
-    Clause, ConfigurationError, ContainerSpec, ContractViolation, Feature,
+    Clause, ConfigurationError, ContainerSpec, ContractViolation, Ctx, Feature,
     ModelSignature, PreconditionRejected, REGISTRY, UsageError, AbstractState,
     abstract_state, checked_command, checked_constructor, checked_query,
     domain_values, draw_value, expand_frame, serialize_state,
@@ -154,11 +154,66 @@ class TestFrameExpansion:
         with pytest.raises(UsageError):
             expand_frame(SPEC.features["count"], SPEC.signature)
 
+    def test_frame_clauses_define_their_query(self):
+        start = SPEC.features["start"]
+        frame = expand_frame(start, SPEC.signature)[-1]
+        assert (frame.cid, frame.target) == ("start/frame:sequence", "sequence")
+        old = abstract_state(make_list("x"))
+        assert frame.expr(Ctx(old=old, new=None)) == old.sequence
+
+    def test_expanded_once_per_clause_tuple(self, monkeypatch):
+        start = SPEC.features["start"]
+        first = expand_frame(start, SPEC.signature)
+        assert isinstance(first, tuple)
+        assert expand_frame(start, SPEC.signature) is first
+        own = (Clause.defines("start/index", "index", lambda c: 1),)
+        monkeypatch.setattr(start, "clauses", own)
+        again = expand_frame(start, SPEC.signature)
+        assert again[0] is own[0]
+        assert [c.cid for c in again] == [c.cid for c in first]
+
     def test_signature_validation(self):
         sig = ModelSignature([("value", "int")])
         bad = Feature("f", "command", mentioned=frozenset({"nope"}))
         with pytest.raises(ConfigurationError):
             ContainerSpec("Bad", sig, features=[bad])
+        ctor = Feature("make", "constructor", relevant=frozenset({"nope"}))
+        with pytest.raises(ConfigurationError, match="unknown model query"):
+            ContainerSpec("Bad", sig, features=[], constructors=[ctor])
+
+
+def _defines(target):
+    return (Clause.defines("f/x", target, lambda c: 0),)
+
+
+class TestDefiningClauses:
+    SIG = ModelSignature([("value", "int"), ("other", "int")])
+
+    def test_fn_compares_with_expr(self):
+        state = AbstractState(self.SIG, [3, 4])
+        value = Clause.defines("f/value", "value", lambda c: c.old.other - 1)
+        assert value.fn(Ctx(old=state, new=state))
+        result = Clause.defines("q/result", "result", lambda c: c.old.other)
+        assert result.fn(Ctx(old=state, new=None, result=4))
+        assert not result.fn(Ctx(old=state, new=None, result=3))
+
+    @pytest.mark.parametrize("feature, message", [
+        (Feature("f", "command", clauses=_defines("nope"),
+                 mentioned=frozenset({"value"})), "unknown model query 'nope'"),
+        (Feature("f", "command", clauses=_defines("value"),
+                 mentioned=frozenset({"other"})), "does not mention"),
+        (Feature("f", "query", clauses=_defines("value")), "define 'result'"),
+    ])
+    def test_bad_target_rejected(self, feature, message):
+        with pytest.raises(ConfigurationError, match=message):
+            ContainerSpec("Bad", self.SIG, features=[feature])
+
+    def test_constructor_target_must_be_a_query(self):
+        ctor = Feature("make", "constructor", clauses=_defines("result"))
+        with pytest.raises(ConfigurationError, match="unknown model query"):
+            ContainerSpec("Bad", self.SIG, features=[], constructors=[ctor])
+        ok = Feature("make", "constructor", clauses=_defines("value"))
+        ContainerSpec("Good", self.SIG, features=[], constructors=[ok])
 
 
 class TestCheckedCalls:

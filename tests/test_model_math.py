@@ -378,3 +378,74 @@ class TestCanonicalConstructors:
         calls["order_key"] = 0
         assert MSet(refs).count == 64
         assert calls["order_key"] <= 64
+
+
+def same_ints(got, want):
+    return (list(got) == list(want)
+            and [type(x) for x in got] == [type(x) for x in want])
+
+
+def maps(**kw):
+    # Keys distinct by order_key, so never equal: a valid MMap.
+    return st.booleans().flatmap(lambda bools: st.lists(
+        st.tuples(MODEL_VALUES[bools], MODEL_VALUES[bools]), **kw)).map(
+            lambda pairs: MMap(zip(MSet([k for k, _ in pairs]).elements,
+                                   [v for _, v in pairs])))
+
+
+class TestDerivedValues:
+    """Values derived from a canonical value skip the sort; each must hold
+    the tuple the sorting constructor builds from the same entries."""
+
+    @PROPERTY
+    @given(value_lists(max_size=12))
+    def test_sequence_domain(self, xs):
+        assert same_ints(MSeq(xs).domain.elements,
+                         MSet(list(range(1, len(xs) + 1))).elements)
+
+    @PROPERTY
+    @given(st.integers(-20, 20), st.integers(-20, 20))
+    def test_int_interval(self, l, u):
+        assert same_ints(int_interval(l, u).elements,
+                         MSet(list(range(l, u + 1))).elements)
+
+    @PROPERTY
+    @given(pair_lists(MULTIPLICITIES, max_size=12))
+    def test_bag_domain(self, pairs):
+        bag = MBag(pairs)
+        assert identical(bag.domain.elements, MSet([x for x, _ in bag.pairs]).elements)
+
+    @PROPERTY
+    @given(maps(max_size=10))
+    def test_map_domain_built_once(self, m):
+        assert identical(m.domain.elements, MSet([k for k, _ in m.pairs]).elements)
+        assert m.domain is m.domain
+
+    @PROPERTY
+    @given(value_lists(max_size=10), value_lists(max_size=10))
+    def test_intersection_and_difference(self, xs, ys):
+        s, t = MSet(xs), MSet(ys)
+        assert identical(s.intersection(t).elements,
+                         MSet([x for x in s.elements if t.has(x)]).elements)
+        assert identical(s.difference(t).elements,
+                         MSet([x for x in s.elements if not t.has(x)]).elements)
+
+    @PROPERTY
+    @given(maps(max_size=10), value_lists(max_size=10))
+    def test_restricted(self, m, ks):
+        keys = MSet(ks) | MSet(m.domain.elements[::2])
+        got = m.restricted(keys)
+        want = MMap([(y, w) for y, w in m.pairs if keys.has(y)])
+        assert len(got.pairs) == len(want.pairs)
+        assert all(a[0] is b[0] and a[1] is b[1] for a, b in zip(got.pairs, want.pairs))
+        assert identical(got.domain.elements, want.domain.elements)
+
+    @PROPERTY
+    @given(maps(min_size=1, max_size=10), st.data())
+    def test_replaced_at(self, m, data):
+        k = data.draw(st.sampled_from(m.domain.elements))
+        got = m.replaced_at(k, A)
+        want = MMap([(y, A if y == k else w) for y, w in m.pairs])
+        assert len(got.pairs) == len(want.pairs)
+        assert all(a[0] is b[0] and a[1] is b[1] for a, b in zip(got.pairs, want.pairs))
+        assert identical(got.domain.elements, want.domain.elements)
