@@ -4,7 +4,8 @@ invariants, and report violations with replayable traces.
 
 Generation is contract-blind (uniform over features and argument pools);
 filtering is the precondition's job.  Runs are deterministic for a fixed
-seed.
+seed.  Constructor, command and query calls take one path, in the
+campaign and in replay; a failing constructor's report has a one-entry trace.
 """
 
 from __future__ import annotations
@@ -123,6 +124,19 @@ def _decode_args(feature, encoded, faults, mode):
             for d, a in zip(feature.arg_domains, encoded)]
 
 
+def _call(spec, obj, feature, args, faults, mode):
+    """Make one checked call of ``feature`` and return the object a trace
+    goes on with: the new one for a constructor, else ``obj``."""
+    if feature.kind == "constructor":
+        return checked_constructor(spec, feature.name, args, mode=mode,
+                                   faults=faults)
+    if feature.kind == "command":
+        checked_command(obj, feature.name, args, mode=mode)
+    else:
+        checked_query(obj, feature.name, args, mode=mode)
+    return obj
+
+
 def _replay_trace(trace, faults, mode):
     """Rebuild an object by re-running its recorded calls under checking.
     Raises the ContractViolation of whichever call fails."""
@@ -139,8 +153,8 @@ def _replay_trace(trace, faults, mode):
         ctor = spec.constructor(ctor_name)
     except KeyError:
         raise ReplayError(f"unknown constructor {spec_name}.{ctor_name}") from None
-    args = _decode_args(ctor, ctor_args, faults, mode)
-    obj = checked_constructor(spec, ctor_name, args, mode=mode, faults=faults)
+    obj = _call(spec, None, ctor, _decode_args(ctor, ctor_args, faults, mode),
+                faults, mode)
     for entry in calls:
         if not (isinstance(entry, list) and len(entry) == 3
                 and entry[0] == "call"):
@@ -150,11 +164,8 @@ def _replay_trace(trace, faults, mode):
                 and feature_name in spec.features):
             raise ReplayError(f"unknown feature {spec_name}.{feature_name}")
         feature = spec.features[feature_name]
-        args = _decode_args(feature, enc_args, faults, mode)
-        if feature.kind == "command":
-            checked_command(obj, feature_name, args, mode=mode)
-        else:
-            checked_query(obj, feature_name, args, mode=mode)
+        obj = _call(spec, obj, feature,
+                    _decode_args(feature, enc_args, faults, mode), faults, mode)
     return obj
 
 
@@ -200,24 +211,13 @@ def generate_arguments(feature, rng, pool, target=None):
     return args, encoded
 
 
-def _make_object(spec, rng, faults, mode, seed):
-    ctor = rng.choice(spec.constructors)
-    drawn = generate_arguments(ctor, rng, [])
-    if drawn is None:
-        return None
-    args, encoded = drawn
-    obj = checked_constructor(spec, ctor.name, args, mode=mode, seed=seed,
-                              faults=faults)
-    return _LiveObject(spec, obj, [["new", spec.name, ctor.name, encoded]])
-
-
 def run_campaign(targets, budget: TestBudget, faults=None,
                  mode="model") -> CampaignResult:
     """Random-testing campaign over the given container types.
 
     Precondition rejections are filtered calls, never faults.  Every
-    emitted FaultReport is self-validated by replaying its trace before it
-    is returned.
+    emitted FaultReport carries the campaign seed and is self-validated by
+    replaying its trace before it is returned.
     """
     faults = faults or containers.FaultSwitch()
     for t in targets:
@@ -233,58 +233,50 @@ def run_campaign(targets, budget: TestBudget, faults=None,
         target_name = rng.choice(targets)
         spec = REGISTRY[target_name]
         live_of_type = [o for o in pool if o.spec.name == target_name]
-        make_new = (not live_of_type
-                    or (len(pool) < MAX_OBJECTS and rng.random() < 0.15))
-        if make_new:
-            stats["calls"] += 1
-            try:
-                live = _make_object(spec, rng, faults, mode, budget.seed)
-            except PreconditionRejected:
-                stats["rejected"] += 1
-                continue
-            if live is None:
-                continue
-            stats["passed"] += 1
-            pool.append(live)
-            continue
-
-        live = rng.choice(live_of_type)
-        feature = rng.choice(list(spec.features.values()))
+        if not live_of_type or (len(pool) < MAX_OBJECTS
+                                and rng.random() < 0.15):
+            live = _LiveObject(spec, None, [])
+            feature = rng.choice(spec.constructors)
+        else:
+            live = rng.choice(live_of_type)
+            feature = rng.choice(list(spec.features.values()))
         drawn = generate_arguments(feature, rng, pool, target=live.obj)
         if drawn is None:
             continue
         args, encoded = drawn
+        entry = (["new", spec.name, feature.name, encoded]
+                 if feature.kind == "constructor"
+                 else ["call", feature.name, encoded])
         raw_args = [a.obj if isinstance(a, _LiveObject) else a for a in args]
         stats["calls"] += 1
         try:
-            if feature.kind == "command":
-                checked_command(live.obj, feature.name, raw_args,
-                                mode=mode, seed=budget.seed)
-            else:
-                checked_query(live.obj, feature.name, raw_args,
-                              mode=mode, seed=budget.seed)
+            obj = _call(spec, live.obj, feature, raw_args, faults, mode)
         except PreconditionRejected:
             stats["rejected"] += 1
             continue
         except ContractViolation as v:
             stats["violations"] += 1
             trace = [list(e) for e in live.trace]
-            trace.append(["call", feature.name, encoded])
-            report = FaultReport(violation=json.loads(v.to_json()), trace=trace)
+            trace.append(entry)
+            report = FaultReport(violation={**v.to_dict(), "seed": budget.seed},
+                                 trace=trace)
             confirmed = replay(report, faults=faults, mode=mode)
             if confirmed is None or confirmed.clause != v.clause:
                 raise RuntimeError(
                     f"fault report failed self-validation: {v.clause}")
             reports.append(report)
-            pool.remove(live)
             # The call may have mutated its container arguments before the
             # violation surfaced; their traces are stale too.
-            for a in args:
+            for a in [live, *args]:
                 if isinstance(a, _LiveObject) and a in pool:
                     pool.remove(a)
             continue
         stats["passed"] += 1
-        live.trace.append(["call", feature.name, encoded])
+        live.trace.append(entry)
+        if feature.kind == "constructor":
+            live.obj = obj
+            pool.append(live)
+            continue
         # Container arguments were mutated outside their own trace: retire.
         for a in args:
             if isinstance(a, _LiveObject) and a in pool and feature.kind == "command":

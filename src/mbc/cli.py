@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from . import boogie_export, containers
 from .autotest import TestBudget, run_campaign
@@ -36,6 +37,10 @@ def _resolve_targets(args) -> list:
     return list(args.target)
 
 
+# The least value of each bound flag.
+_LEAST = {"calls": 0, "depth": 0, "max_size": 0, "universe": 1}
+
+
 class SystemExit2(Exception):
     """Usage-level error reported with exit code 2."""
 
@@ -50,11 +55,7 @@ def _emit(args, text: str):
 
 def cmd_test(args) -> int:
     targets = _resolve_targets(args)
-    faults = containers.FaultSwitch()
-    for name in args.inject or []:
-        if not hasattr(faults, name):
-            raise SystemExit2(f"unknown fault switch {name!r}")
-        setattr(faults, name, True)
+    faults = containers.FaultSwitch(**dict.fromkeys(args.inject or [], True))
     budget = TestBudget(max_calls=args.calls, seed=args.seed)
     result = run_campaign(targets, budget, faults=faults, mode=args.mode)
     _emit(args, result.to_json_lines())
@@ -102,7 +103,7 @@ def cmd_report(args) -> int:
         "completeness": completeness,
         "adequacy": adequacy,
         "testing": {"stats": campaign.stats,
-                    "reports": [json.loads(r.to_json())
+                    "reports": [{"violation": r.violation, "trace": r.trace}
                                 for r in campaign.reports]},
     }
     _emit(args, json.dumps(combined, ensure_ascii=False, sort_keys=True,
@@ -144,6 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calls", type=int, default=10_000)
     _add_seed_flag(p)
     p.add_argument("--inject", action="append", metavar="FAULT",
+                   choices=[f.name for f in fields(containers.FaultSwitch)],
                    help="enable a named fault switch (repeatable)")
     p.add_argument("--mode", choices=["model", "classic"], default="model")
     p.set_defaults(func=cmd_test)
@@ -177,6 +179,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        for name, lo in _LEAST.items():
+            if getattr(args, name, lo) < lo:
+                parser.error(f"argument --{name.replace('_', '-')}: "
+                             f"must be at least {lo}")
     except SystemExit as e:
         # argparse exits 2 on usage errors already; normalize others.
         return 2 if e.code not in (0, None) else 0

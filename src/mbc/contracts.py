@@ -9,15 +9,15 @@ An abstract state is a tuple of model values, of one AbstractState type
 per signature.  A checked call takes each object's state (the target's
 and every container argument's) once before the body and once after it,
 and checks postconditions, purity and invariants against those
-snapshots.  A body that raises is an ``exception`` violation; so is a
-postcondition or invariant clause that raises anything but ``DomainError``,
-which makes the clause false.
+snapshots (a constructor has no state before).  Constructors, commands
+and queries follow one rule: a body that raises is an ``exception``
+violation; so is a postcondition or invariant clause that raises anything
+but ``DomainError``, which makes the clause false.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Optional, Sequence, Tuple
@@ -44,10 +44,10 @@ class PreconditionRejected(Exception):
 
 
 class ContractViolation(Exception):
-    """A postcondition, invariant, or purity clause evaluated to false."""
+    """A checked call failed: a postcondition, invariant or purity clause
+    was false, or the body or a clause raised (kind ``exception``)."""
 
-    def __init__(self, feature, clause, kind, old_state, new_state, args,
-                 seed=None, evaluated=()):
+    def __init__(self, feature, clause, kind, old_state, new_state, args):
         super().__init__(f"{clause} [{kind}]")
         self.feature = feature
         self.clause = clause
@@ -55,19 +55,16 @@ class ContractViolation(Exception):
         self.old_state = old_state
         self.new_state = new_state
         self.args = args
-        self.seed = seed
-        self.evaluated = tuple(evaluated)
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def to_dict(self) -> dict:
+        return {
             "feature": self.feature,
             "clause": self.clause,
             "kind": self.kind,
             "old_state": self.old_state,
             "new_state": self.new_state,
             "args": list(self.args),
-            "seed": self.seed,
-        }, ensure_ascii=False, sort_keys=True)
+        }
 
 
 class ModelSignature:
@@ -357,83 +354,65 @@ def _mode_keeps(clause_tag: str, mode: str) -> bool:
     return mode == "model" or clause_tag == "classic"
 
 
-def _violation(feature_name, clause, kind, old, new, views, seed,
-               evaluated=()):
-    """A ContractViolation whose state and argument texts are written now.
-    ``old`` is None for a constructor; every snapshot is immutable, so the
-    text is the same as if it had been written before the call."""
+def _violation(feature_name, clause, kind, old, new, views):
+    """A ContractViolation whose texts are written now, from immutable
+    snapshots; a state that does not exist (a constructor's) is ``()``."""
     return ContractViolation(
         feature_name, clause, kind,
-        "()" if old is None else serialize_state(old), serialize_state(new),
-        tuple(_serialize_arg(v) for v in views), seed=seed,
-        evaluated=evaluated)
+        "()" if old is None else serialize_state(old),
+        "()" if new is None else serialize_state(new),
+        tuple(_serialize_arg(v) for v in views))
 
 
-def _check_invariants(obj, state, feature_name, old, views, mode, seed):
-    """Check ``obj``'s class invariant against ``state``, its poststate.
-    A clause raising DomainError is false; one raising anything else is an
+def _check_clauses(clauses, args, kind, feature_name, old, new, views, mode,
+                   prefix=""):
+    """Evaluate, in order, the clauses ``mode`` keeps as ``fn(*args)``; raise
+    a ``kind`` violation, named ``prefix`` + id, at the first false one.  A
+    clause raising DomainError is false; one raising anything else is an
     ``exception`` violation, raised from the original."""
-    spec = spec_of(obj)
-    for inv in spec.invariants:
-        if not _mode_keeps(inv.tag, mode):
-            continue
-        cid = f"{spec.name}/invariant:{inv.cid}"
-        try:
-            holds = inv.fn(obj, state)
-        except DomainError:
-            holds = False
-        except Exception as e:
-            raise _violation(
-                feature_name, f"{cid}/exception:{type(e).__name__}",
-                "exception", old, state, views, seed) from e
-        if not holds:
-            raise _violation(
-                feature_name, cid, "class-invariant", old, state, views, seed)
-
-
-def _check_post(feature_name, clauses, ctx, mode, seed):
-    """Evaluate, in order, the postcondition clauses ``mode`` keeps; raise
-    ContractViolation at the first false one, naming the clauses evaluated
-    up to it.  A clause raising DomainError is false; one raising anything
-    else is an ``exception`` violation, raised from the original."""
-    evaluated = []
     for clause in clauses:
         if not _mode_keeps(clause.tag, mode):
             continue
-        evaluated.append(clause.cid)
         try:
-            holds = clause.fn(ctx)
+            holds = clause.fn(*args)
         except DomainError:
             holds = False
         except Exception as e:
             raise _violation(
-                feature_name, f"{clause.cid}/exception:{type(e).__name__}",
-                "exception", ctx.old, ctx.new, ctx.args, seed, evaluated) from e
+                feature_name,
+                f"{prefix}{clause.cid}/exception:{type(e).__name__}",
+                "exception", old, new, views) from e
         if not holds:
-            raise _violation(
-                feature_name, clause.cid, "postcondition", ctx.old, ctx.new,
-                ctx.args, seed, evaluated)
+            raise _violation(feature_name, prefix + clause.cid, kind, old, new,
+                             views)
 
 
-def _run_body(feature, obj, views, old, seed):
-    """Run a command or query body on the raw arguments.  An exception it
-    raises is an ``exception`` violation, raised from the original; the
-    object's state is written as ``old`` before and after."""
+def _check_invariants(obj, state, feature_name, old, views, mode):
+    """Check ``obj``'s class invariant against ``state``, its poststate."""
+    spec = spec_of(obj)
+    _check_clauses(spec.invariants, (obj, state), "class-invariant",
+                   feature_name, old, state, views, mode,
+                   f"{spec.name}/invariant:")
+
+
+def _run_body(name, views, old, body, *head):
+    """Return ``body(*head, *raw arguments)``.  An exception it raises is
+    an ``exception`` violation, raised from the original; ``old`` (None
+    for a constructor) is written as both states."""
     raw = tuple(v.obj if isinstance(v, ArgView) else v for v in views)
     try:
-        return feature.body(obj, *raw)
+        return body(*head, *raw)
     except Exception as e:
-        raise _violation(
-            feature.name, f"{feature.name}/exception:{type(e).__name__}",
-            "exception", old, old, views, seed) from e
+        raise _violation(name, f"{name}/exception:{type(e).__name__}",
+                         "exception", old, old, views) from e
 
 
-def checked_command(obj, feature_name, args=(), mode="model", seed=None):
+def checked_command(obj, feature_name, args=(), mode="model"):
     """Run a command under contract checking.
 
     Raises PreconditionRejected when the precondition filters the call,
     ContractViolation on any false postcondition or invariant clause, or
-    when the body raises.
+    when the body or a clause raises.
     """
     spec = spec_of(obj)
     feature = spec.features[feature_name]
@@ -443,24 +422,22 @@ def checked_command(obj, feature_name, args=(), mode="model", seed=None):
     if feature.pre is not None and not feature.pre(old, views, obj.ref):
         raise PreconditionRejected(f"{spec.name}.{feature_name}")
 
-    _run_body(feature, obj, views, old, seed)
+    _run_body(feature_name, views, old, feature.body, obj)
 
     new = abstract_state(obj)
     for v in views:
         if isinstance(v, ArgView):
             v.refresh()
     ctx = Ctx(old=old, new=new, args=views, result=None, obj=obj, cold=cold)
-    _check_post(feature_name, expand_frame(feature, spec.signature), ctx,
-                mode, seed)
-    _check_invariants(obj, new, feature_name, old, views, mode, seed)
+    _check_clauses(expand_frame(feature, spec.signature), (ctx,),
+                   "postcondition", feature_name, old, new, views, mode)
+    _check_invariants(obj, new, feature_name, old, views, mode)
     for v in views:
         if isinstance(v, ArgView):
-            _check_invariants(v.obj, v.new, feature_name, old, views, mode,
-                              seed)
-    return None
+            _check_invariants(v.obj, v.new, feature_name, old, views, mode)
 
 
-def checked_query(obj, feature_name, args=(), mode="model", seed=None):
+def checked_query(obj, feature_name, args=(), mode="model"):
     """Run a query under contract checking, including abstract purity:
     the target's and every container argument's abstract state must be
     unchanged by the call."""
@@ -472,40 +449,41 @@ def checked_query(obj, feature_name, args=(), mode="model", seed=None):
     if feature.pre is not None and not feature.pre(old, views, obj.ref):
         raise PreconditionRejected(f"{spec.name}.{feature_name}")
 
-    result = _run_body(feature, obj, views, old, seed)
+    result = _run_body(feature_name, views, old, feature.body, obj)
 
     new = abstract_state(obj)
     if old != new:
         raise _violation(
             feature_name, f"{feature_name}/purity:target", "abstract-purity",
-            old, new, views, seed)
+            old, new, views)
     for v in views:
         if isinstance(v, ArgView):
             v.refresh()
             if v.old != v.new:
                 raise _violation(
                     feature_name, f"{feature_name}/purity:argument",
-                    "abstract-purity", old, v.new, views, seed)
+                    "abstract-purity", old, v.new, views)
 
     result_view = abstract_state(result) if _is_container(result) else result
     ctx = Ctx(old=old, new=new, args=views, result=result_view, obj=obj, cold=cold)
-    _check_post(feature_name, feature.clauses, ctx, mode, seed)
+    _check_clauses(feature.clauses, (ctx,), "postcondition", feature_name,
+                   old, new, views, mode)
     return result
 
 
 def checked_constructor(spec: ContainerSpec, ctor_name: str, args=(),
-                        mode="model", seed=None, faults=None):
+                        mode="model", faults=None):
     """Build an object through a registered constructor and check its
-    postcondition and the class invariant."""
+    postcondition and the class invariant, as a command's are checked."""
     ctor = spec.constructor(ctor_name)
     views = _views(args)
     if ctor.pre is not None and not ctor.pre(None, views, None):
         raise PreconditionRejected(f"{spec.name}.{ctor_name}")
-    raw = tuple(v.obj if isinstance(v, ArgView) else v for v in views)
-    obj = ctor.body(*raw, faults=faults)
+    obj = _run_body(ctor_name, views, None,
+                    lambda *raw: ctor.body(*raw, faults=faults))
     state = abstract_state(obj)
-    ctx = Ctx(old=None, new=state, args=views, result=None, obj=obj,
-              cold=None)
-    _check_post(ctor_name, ctor.clauses, ctx, mode, seed)
-    _check_invariants(obj, state, ctor_name, None, views, mode, seed)
+    ctx = Ctx(old=None, new=state, args=views, obj=obj)
+    _check_clauses(ctor.clauses, (ctx,), "postcondition", ctor_name, None,
+                   state, views, mode)
+    _check_invariants(obj, state, ctor_name, None, views, mode)
     return obj

@@ -9,7 +9,7 @@ from mbc.autotest import (
     CampaignResult, FaultReport, ReplayError, TestBudget, _decode_args,
     generate_arguments, replay, run_campaign,
 )
-from mbc.containers import CONTAINER_NAMES, FaultSwitch
+from mbc.containers import CONTAINER_NAMES, EqSet, FaultSwitch
 from mbc.contracts import Clause, InvariantClause, REGISTRY
 from mbc.model_math import Ref
 
@@ -51,6 +51,34 @@ RAISING_CLAUSES = {
     "post-zero-division": (
         _stack_put_bag(lambda c: 1 // (c.old.bag.count - 1) is not None),
         "put/bag/exception:ZeroDivisionError", "exception"),
+}
+
+
+def _eqset_make_raises(monkeypatch):
+    def make(rel, faults=None):
+        if rel.count > 4:
+            raise RuntimeError("boom")
+        return EqSet(rel, faults=faults)
+
+    monkeypatch.setattr(REGISTRY["EqSet"].constructor("make"), "body", make)
+
+
+def _queue_make_empty_false(monkeypatch):
+    ctor = REGISTRY["Queue"].constructor("make_empty")
+    monkeypatch.setattr(ctor, "clauses", tuple(
+        Clause(k.cid, k.tag, lambda c: False) if k.cid == "make_empty/bag"
+        else k for k in ctor.clauses))
+
+
+# A constructor that fails.  EqSet.make raises on the total relation over
+# the element pool (16 pairs), not on the identity (4), so EqSet campaigns
+# go on; Queue.make_empty's bag clause is always false, so every Queue
+# construction is a report while the Stack calls go on.
+FAILING_CONSTRUCTORS = {
+    "body-raises": (_eqset_make_raises, ["EqSet"],
+                    "make/exception:RuntimeError", "exception"),
+    "post-false": (_queue_make_empty_false, ["Queue", "Stack"],
+                   "make_empty/bag", "postcondition"),
 }
 
 
@@ -96,6 +124,7 @@ class TestCampaigns:
             "remove/exception:IndexError"}
         for rep in r.reports:
             assert rep.violation["kind"] == "exception"
+            assert rep.violation["seed"] == 1
             assert replay(rep).clause == "remove/exception:IndexError"
 
     @pytest.mark.parametrize("case", sorted(RAISING_CLAUSES))
@@ -106,6 +135,23 @@ class TestCampaigns:
         assert r.reports
         for rep in r.reports:
             assert (rep.violation["clause"], rep.violation["kind"]) == (clause, kind)
+            assert replay(rep).clause == clause
+
+    @pytest.mark.parametrize("case", sorted(FAILING_CONSTRUCTORS))
+    def test_failing_constructor_is_a_replayable_report(self, monkeypatch,
+                                                        case):
+        patch, targets, clause, kind = FAILING_CONSTRUCTORS[case]
+        patch(monkeypatch)
+        r = run_campaign(targets, TestBudget(max_calls=300, seed=4))
+        assert r.stats["calls"] == 300
+        assert r.reports and r.stats["passed"] > 0
+        assert r.violations == len(r.reports)
+        for rep in r.reports:
+            assert (rep.violation["clause"], rep.violation["kind"]) == (clause, kind)
+            assert rep.violation["old_state"] == "()"
+            assert rep.violation["seed"] == 4
+            [(new, type_name, _, _)] = rep.trace
+            assert (new, type_name) == ("new", targets[0])
             assert replay(rep).clause == clause
 
 

@@ -33,6 +33,36 @@ class TestExitCodes:
                          "--calls", "10", "--inject", "no_such_fault")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["adequacy", "--target", "Queue", "--depth", "-1"], "--depth"),
+        (["complete", "--target", "Stack", "--max-size", "-1"], "--max-size"),
+        (["complete", "--target", "Stack", "--universe", "0"], "--universe"),
+        (["test", "--target", "Stack", "--calls", "-1"], "--calls"),
+        (["report", "--target", "Stack", "--depth", "-2"], "--depth"),
+        (["report", "--target", "Stack", "--calls", "-5"], "--calls"),
+    ])
+    def test_bound_out_of_range_is_2(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"argument {flag}: must be at least" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["adequacy", "--target", "Queue", "--depth", "0"],
+        ["complete", "--target", "Stack", "--max-size", "0"],
+        ["complete", "--target", "Stack", "--universe", "1"],
+        ["test", "--target", "Stack", "--calls", "0"],
+    ])
+    def test_least_bound_is_accepted(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code in (0, 1) and json.loads(out)
+
+    @pytest.mark.parametrize("name", ["__class__", "__eq__", "faults", ""])
+    def test_inject_takes_only_fault_switches(self, capsys, name):
+        code, out, err = run(capsys, "test", "--target", "Stack",
+                             "--calls", "10", "--inject", name)
+        assert code == 2 and out == ""
+        assert "invalid choice" in err
+
     def test_refused_enumeration_is_2(self, capsys):
         code, _, err = run(capsys, "complete", "--target", "Collection",
                            "--universe", "40", "--max-size", "40")

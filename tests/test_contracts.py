@@ -136,6 +136,19 @@ class TestBodyExceptions:
         assert e.value.clause == "has/exception:ZeroDivisionError"
         assert e.value.args == ("x",)
 
+    def test_constructor_body_raises(self, monkeypatch):
+        eqset = REGISTRY["EqSet"]
+        monkeypatch.setattr(eqset.constructor("make"), "body",
+                            lambda rel, faults=None: 1 // 0)
+        rel = domain_values(("relation",), ELEMENT_POOL)[0]
+        with pytest.raises(ContractViolation) as e:
+            checked_constructor(eqset, "make", [rel])
+        v = e.value
+        assert (v.clause, v.kind) == ("make/exception:ZeroDivisionError",
+                                      "exception")
+        assert isinstance(v.__cause__, ZeroDivisionError)
+        assert v.old_state == v.new_state == "()"
+
 
 class TestFrameExpansion:
     def test_unmentioned_queries_get_frame_clauses(self):
@@ -264,9 +277,10 @@ class TestCheckedCalls:
         obj.count = 7
         with pytest.raises(ContractViolation) as e:
             checked_command(obj, "start")
-        d = json.loads(e.value.to_json())
+        d = e.value.to_dict()
         assert set(d) == {"feature", "clause", "kind", "old_state",
-                          "new_state", "args", "seed"}
+                          "new_state", "args"}
+        assert json.loads(json.dumps(d)) == d
 
     def test_classic_mode_skips_model_clauses(self):
         faults = FaultSwitch(merge_right_missing_link=True)

@@ -1,4 +1,4 @@
-"""Byte-identity gate: the sha256 of five CLI outputs is pinned.
+"""Byte-identity gate: the sha256 of seven CLI outputs is pinned.
 
 A change that alters any of them on purpose updates its digest here and
 says why in CHANGES.md, as is done for the golden Boogie file."""
@@ -13,6 +13,12 @@ GOLDEN = {
     "complete": (
         ["complete", "--all"],
         0, "ad6afe0ff4a01754d18e1e9e624c9d3ed6180d4109a96ed2c672f59c2db37074"),
+    "adequacy": (
+        ["adequacy", "--all"],
+        0, "c47ccb06f7ae7e534d2bd446ed9784ba6a9db5910fb1779fa4e0003765501d4f"),
+    "campaign": (
+        ["test", "--all", "--calls", "20000", "--seed", "7"],
+        0, "c8d4d890a74b5fee6ce2f7fced70e4723199dbdbac0712dc4faeaf51f01b4ae3"),
     "complete-universe-3": (
         ["complete", "--all", "--universe", "3", "--max-size", "2"],
         0, "9962c1ad0f8f52602b4a04ae6cc6563317eaf3f84f87614430e2f9a804425ce3"),
