@@ -125,16 +125,14 @@ def _decode_args(feature, encoded, faults, mode):
 
 
 def _call(spec, obj, feature, args, faults, mode):
-    """Make one checked call of ``feature`` and return the object a trace
-    goes on with: the new one for a constructor, else ``obj``."""
+    """Make one checked call of ``feature`` and return what it returns:
+    a constructor's new object, a command's poststate, a query's result."""
     if feature.kind == "constructor":
         return checked_constructor(spec, feature.name, args, mode=mode,
                                    faults=faults)
     if feature.kind == "command":
-        checked_command(obj, feature.name, args, mode=mode)
-    else:
-        checked_query(obj, feature.name, args, mode=mode)
-    return obj
+        return checked_command(obj, feature.name, args, mode=mode)
+    return checked_query(obj, feature.name, args, mode=mode)
 
 
 def _replay_trace(trace, faults, mode):
@@ -164,8 +162,8 @@ def _replay_trace(trace, faults, mode):
                 and feature_name in spec.features):
             raise ReplayError(f"unknown feature {spec_name}.{feature_name}")
         feature = spec.features[feature_name]
-        obj = _call(spec, obj, feature,
-                    _decode_args(feature, enc_args, faults, mode), faults, mode)
+        _call(spec, obj, feature,
+              _decode_args(feature, enc_args, faults, mode), faults, mode)
     return obj
 
 
@@ -182,23 +180,26 @@ def replay(report: FaultReport, faults=None, mode="model"):
     return None
 
 
-@dataclass
+@dataclass(eq=False)
 class _LiveObject:
+    """A pool object, its trace, and its abstract state after its last
+    passed call.  Compared by identity."""
     spec: object
     obj: object
     trace: list
+    state: object = None
 
 
-def generate_arguments(feature, rng, pool, target=None):
+def generate_arguments(feature, rng, pools, target=None):
     """Draw an argument tuple for a feature from its argument domains over
-    the element pool, and from live container objects; preconditions filter
-    afterwards."""
+    the element pool, and from the live objects of ``pools`` (type name to
+    live objects); preconditions filter afterwards."""
     args = []
     encoded = []
     for d in feature.arg_domains:
         if d[0] == "container":
-            candidates = [o for o in pool
-                          if o.spec.name == d[1] and o.obj is not target]
+            candidates = [o for o in pools.get(d[1], ())
+                          if o.obj is not target]
             if not candidates:
                 return None
             live = rng.choice(candidates)
@@ -218,6 +219,13 @@ def run_campaign(targets, budget: TestBudget, faults=None,
     Precondition rejections are filtered calls, never faults.  Every
     emitted FaultReport carries the campaign seed and is self-validated by
     replaying its trace before it is returned.
+
+    The pool keeps one insertion-ordered list of live objects per type.
+    The size cap reads each object's state as its last passed call left
+    it: a command's returns its poststate, a query proves the state
+    unchanged, a constructor's is taken once here.  That holds because a
+    pool object changes only inside its own checked calls: a command
+    retires its container arguments and a query checks theirs for purity.
     """
     faults = faults or containers.FaultSwitch()
     for t in targets:
@@ -225,22 +233,31 @@ def run_campaign(targets, budget: TestBudget, faults=None,
             raise KeyError(f"unknown container type {t!r}")
     containers.reset_ref_counter()
     rng = random.Random(budget.seed)
-    pool: list[_LiveObject] = []
+    pools = {t: [] for t in targets}
+    features = {t: list(REGISTRY[t].features.values()) for t in targets}
+    live_count = 0
     stats = {"calls": 0, "rejected": 0, "passed": 0, "violations": 0}
     reports = []
+
+    def retire(a):
+        nonlocal live_count
+        of_type = pools[a.spec.name]
+        if a in of_type:
+            of_type.remove(a)
+            live_count -= 1
 
     while stats["calls"] < budget.max_calls:
         target_name = rng.choice(targets)
         spec = REGISTRY[target_name]
-        live_of_type = [o for o in pool if o.spec.name == target_name]
-        if not live_of_type or (len(pool) < MAX_OBJECTS
+        live_of_type = pools[target_name]
+        if not live_of_type or (live_count < MAX_OBJECTS
                                 and rng.random() < 0.15):
             live = _LiveObject(spec, None, [])
             feature = rng.choice(spec.constructors)
         else:
             live = rng.choice(live_of_type)
-            feature = rng.choice(list(spec.features.values()))
-        drawn = generate_arguments(feature, rng, pool, target=live.obj)
+            feature = rng.choice(features[target_name])
+        drawn = generate_arguments(feature, rng, pools, target=live.obj)
         if drawn is None:
             continue
         args, encoded = drawn
@@ -250,7 +267,7 @@ def run_campaign(targets, budget: TestBudget, faults=None,
         raw_args = [a.obj if isinstance(a, _LiveObject) else a for a in args]
         stats["calls"] += 1
         try:
-            obj = _call(spec, live.obj, feature, raw_args, faults, mode)
+            out = _call(spec, live.obj, feature, raw_args, faults, mode)
         except PreconditionRejected:
             stats["rejected"] += 1
             continue
@@ -268,19 +285,23 @@ def run_campaign(targets, budget: TestBudget, faults=None,
             # The call may have mutated its container arguments before the
             # violation surfaced; their traces are stale too.
             for a in [live, *args]:
-                if isinstance(a, _LiveObject) and a in pool:
-                    pool.remove(a)
+                if isinstance(a, _LiveObject):
+                    retire(a)
             continue
         stats["passed"] += 1
         live.trace.append(entry)
         if feature.kind == "constructor":
-            live.obj = obj
-            pool.append(live)
+            live.obj = out
+            live.state = abstract_state(out)
+            live_of_type.append(live)
+            live_count += 1
             continue
-        # Container arguments were mutated outside their own trace: retire.
-        for a in args:
-            if isinstance(a, _LiveObject) and a in pool and feature.kind == "command":
-                pool.remove(a)
-        if _state_size(abstract_state(live.obj)) > MAX_OBJECT_SIZE:
-            pool.remove(live)
+        if feature.kind == "command":
+            live.state = out
+            # Container arguments were mutated outside their own trace.
+            for a in args:
+                if isinstance(a, _LiveObject):
+                    retire(a)
+        if _state_size(live.state) > MAX_OBJECT_SIZE:
+            retire(live)
     return CampaignResult(stats=stats, reports=reports)

@@ -9,10 +9,11 @@ An abstract state is a tuple of model values, of one AbstractState type
 per signature.  A checked call takes each object's state (the target's
 and every container argument's) once before the body and once after it,
 and checks postconditions, purity and invariants against those
-snapshots (a constructor has no state before).  Constructors, commands
-and queries follow one rule: a body that raises is an ``exception``
-violation; so is a postcondition or invariant clause that raises anything
-but ``DomainError``, which makes the clause false.
+snapshots (a constructor has no state before); a checked command
+returns its poststate.  Constructors, commands and queries follow one
+rule: a body or a model query that raises is an ``exception`` violation;
+so is a precondition, postcondition or invariant clause that raises
+anything but ``DomainError``, which makes it false.
 """
 
 from __future__ import annotations
@@ -300,32 +301,36 @@ def abstract_state(obj) -> AbstractState:
 
 class ArgView:
     """A container argument as seen by contract clauses: identity token
-    plus its abstract states before and after the call."""
+    plus its abstract states before and after the call (None until
+    taken)."""
 
     __slots__ = ("ref", "old", "new", "obj", "cold")
 
     def __init__(self, obj):
         self.obj = obj
         self.ref = obj.ref
-        self.old = abstract_state(obj)
+        self.old = None
         self.new = None
         self.cold = spec_of(obj).snapshot(obj)
-
-    def refresh(self):
-        self.new = abstract_state(self.obj)
 
 
 def _is_container(x) -> bool:
     return hasattr(x, "spec_name") and x.spec_name in REGISTRY
 
 
-def _views(args):
-    return tuple(ArgView(a) if _is_container(a) else a for a in args)
+def _views(feature_name, args):
+    """The arguments as clauses see them, each container argument with its
+    prestate taken."""
+    views = tuple(ArgView(a) if _is_container(a) else a for a in args)
+    for v in views:
+        if isinstance(v, ArgView):
+            v.old = _state(v.obj, feature_name, None, None, views)
+    return views
 
 
 def _serialize_arg(a) -> str:
     if isinstance(a, ArgView):
-        return f"{a.ref.token}:{serialize_state(a.old)}"
+        return f"{a.ref.token}:{_state_text(a.old)}"
     if isinstance(a, (bool, int)):
         return str(a)
     return to_text(a)
@@ -354,14 +359,55 @@ def _mode_keeps(clause_tag: str, mode: str) -> bool:
     return mode == "model" or clause_tag == "classic"
 
 
+def _state_text(state):
+    """``serialize_state(state)``, or ``()`` for a state that does not
+    exist (a constructor's prestate, or one whose model query raised)."""
+    return "()" if state is None else serialize_state(state)
+
+
 def _violation(feature_name, clause, kind, old, new, views):
     """A ContractViolation whose texts are written now, from immutable
-    snapshots; a state that does not exist (a constructor's) is ``()``."""
+    snapshots."""
     return ContractViolation(
-        feature_name, clause, kind,
-        "()" if old is None else serialize_state(old),
-        "()" if new is None else serialize_state(new),
+        feature_name, clause, kind, _state_text(old), _state_text(new),
         tuple(_serialize_arg(v) for v in views))
+
+
+def _exception(feature_name, where, e, old, new, views):
+    """The ``exception`` violation named ``<where>/exception:<Type>`` for
+    an exception ``e`` raised while checking a call of ``feature_name``."""
+    return _violation(feature_name, f"{where}/exception:{type(e).__name__}",
+                      "exception", old, new, views)
+
+
+def _state(obj, feature_name, old, new, views):
+    """``abstract_state(obj)``, taken for a call of ``feature_name``.  A
+    model query that raises is an ``exception`` violation named
+    ``<feature>/model/exception:<Type>``, raised from the original, with
+    the states ``old`` and ``new`` taken so far."""
+    try:
+        return abstract_state(obj)
+    except Exception as e:
+        raise _exception(feature_name, f"{feature_name}/model", e, old, new,
+                         views) from e
+
+
+def _check_pre(spec, feature, state, views, ref):
+    """Raise PreconditionRejected unless ``feature``'s precondition holds.
+    One raising DomainError is false; one raising anything else is an
+    ``exception`` violation named ``<feature>/precondition/exception:<Type>``,
+    raised from the original."""
+    if feature.pre is None:
+        return
+    try:
+        holds = feature.pre(state, views, ref)
+    except DomainError:
+        holds = False
+    except Exception as e:
+        raise _exception(feature.name, f"{feature.name}/precondition", e,
+                         state, state, views) from e
+    if not holds:
+        raise PreconditionRejected(f"{spec.name}.{feature.name}")
 
 
 def _check_clauses(clauses, args, kind, feature_name, old, new, views, mode,
@@ -378,10 +424,8 @@ def _check_clauses(clauses, args, kind, feature_name, old, new, views, mode,
         except DomainError:
             holds = False
         except Exception as e:
-            raise _violation(
-                feature_name,
-                f"{prefix}{clause.cid}/exception:{type(e).__name__}",
-                "exception", old, new, views) from e
+            raise _exception(feature_name, prefix + clause.cid, e, old, new,
+                             views) from e
         if not holds:
             raise _violation(feature_name, prefix + clause.cid, kind, old, new,
                              views)
@@ -403,31 +447,30 @@ def _run_body(name, views, old, body, *head):
     try:
         return body(*head, *raw)
     except Exception as e:
-        raise _violation(name, f"{name}/exception:{type(e).__name__}",
-                         "exception", old, old, views) from e
+        raise _exception(name, name, e, old, old, views) from e
 
 
 def checked_command(obj, feature_name, args=(), mode="model"):
-    """Run a command under contract checking.
+    """Run a command under contract checking and return the poststate it
+    checked, ``abstract_state(obj)`` after the call.
 
     Raises PreconditionRejected when the precondition filters the call,
     ContractViolation on any false postcondition or invariant clause, or
-    when the body or a clause raises.
+    when the body, a clause, the precondition or a model query raises.
     """
     spec = spec_of(obj)
     feature = spec.features[feature_name]
-    views = _views(args)
-    old = abstract_state(obj)
+    views = _views(feature_name, args)
+    old = _state(obj, feature_name, None, None, views)
     cold = spec.snapshot(obj)
-    if feature.pre is not None and not feature.pre(old, views, obj.ref):
-        raise PreconditionRejected(f"{spec.name}.{feature_name}")
+    _check_pre(spec, feature, old, views, obj.ref)
 
     _run_body(feature_name, views, old, feature.body, obj)
 
-    new = abstract_state(obj)
+    new = _state(obj, feature_name, old, None, views)
     for v in views:
         if isinstance(v, ArgView):
-            v.refresh()
+            v.new = _state(v.obj, feature_name, old, new, views)
     ctx = Ctx(old=old, new=new, args=views, result=None, obj=obj, cold=cold)
     _check_clauses(expand_frame(feature, spec.signature), (ctx,),
                    "postcondition", feature_name, old, new, views, mode)
@@ -435,6 +478,7 @@ def checked_command(obj, feature_name, args=(), mode="model"):
     for v in views:
         if isinstance(v, ArgView):
             _check_invariants(v.obj, v.new, feature_name, old, views, mode)
+    return new
 
 
 def checked_query(obj, feature_name, args=(), mode="model"):
@@ -443,28 +487,28 @@ def checked_query(obj, feature_name, args=(), mode="model"):
     unchanged by the call."""
     spec = spec_of(obj)
     feature = spec.features[feature_name]
-    views = _views(args)
-    old = abstract_state(obj)
+    views = _views(feature_name, args)
+    old = _state(obj, feature_name, None, None, views)
     cold = spec.snapshot(obj)
-    if feature.pre is not None and not feature.pre(old, views, obj.ref):
-        raise PreconditionRejected(f"{spec.name}.{feature_name}")
+    _check_pre(spec, feature, old, views, obj.ref)
 
     result = _run_body(feature_name, views, old, feature.body, obj)
 
-    new = abstract_state(obj)
+    new = _state(obj, feature_name, old, None, views)
     if old != new:
         raise _violation(
             feature_name, f"{feature_name}/purity:target", "abstract-purity",
             old, new, views)
     for v in views:
         if isinstance(v, ArgView):
-            v.refresh()
+            v.new = _state(v.obj, feature_name, old, new, views)
             if v.old != v.new:
                 raise _violation(
                     feature_name, f"{feature_name}/purity:argument",
                     "abstract-purity", old, v.new, views)
 
-    result_view = abstract_state(result) if _is_container(result) else result
+    result_view = (_state(result, feature_name, old, new, views)
+                   if _is_container(result) else result)
     ctx = Ctx(old=old, new=new, args=views, result=result_view, obj=obj, cold=cold)
     _check_clauses(feature.clauses, (ctx,), "postcondition", feature_name,
                    old, new, views, mode)
@@ -476,12 +520,11 @@ def checked_constructor(spec: ContainerSpec, ctor_name: str, args=(),
     """Build an object through a registered constructor and check its
     postcondition and the class invariant, as a command's are checked."""
     ctor = spec.constructor(ctor_name)
-    views = _views(args)
-    if ctor.pre is not None and not ctor.pre(None, views, None):
-        raise PreconditionRejected(f"{spec.name}.{ctor_name}")
+    views = _views(ctor_name, args)
+    _check_pre(spec, ctor, None, views, None)
     obj = _run_body(ctor_name, views, None,
                     lambda *raw: ctor.body(*raw, faults=faults))
-    state = abstract_state(obj)
+    state = _state(obj, ctor_name, None, None, views)
     ctx = Ctx(old=None, new=state, args=views, obj=obj)
     _check_clauses(ctor.clauses, (ctx,), "postcondition", ctor_name, None,
                    state, views, mode)

@@ -9,8 +9,13 @@ Canonical identity is :func:`order_key`: the constructors of ``MSet``,
 ``MBag`` and ``MRel`` compute it once per entry, sort once, and merge
 neighbours with equal keys, keeping an element's first occurrence.  So
 ``True`` and ``1`` stay distinct elements, whatever the insertion order.
+``MMap`` sorts its keys the same way and rejects neighbours with equal
+keys, so ``1`` and ``True`` are two keys of one map.  ``MRel.has`` looks
+the pair's keys up in the set of keys its constructor computed.
 (``__eq__`` still compares stored tuples with ``==``, which does not tell
-them apart.)  Stored tuples are built from lists, never from generators:
+``True`` from ``1``; so do the other membership tests, ``MSeq.has``,
+``MSet.has``, ``MBag.multiplicity``, ``MMap.has_key`` and ``MMap.item``.)
+Stored tuples are built from lists, never from generators:
 ``tuple(<generator>)`` over-allocates and then shrinks, which on CPython
 fills the per-length tuple free lists and raises peak memory.
 
@@ -20,13 +25,13 @@ and ``difference``, and ``MMap.restricted`` and ``replaced_at`` go through
 ``_canonical_set`` or ``_canonical_map``.  Their input is an ascending
 ``range``, or the stored entries in order, or a subsequence of them: keys
 already distinct and ascending by ``order_key``, which is the tuple the
-sorting constructor would build.  (``MMap`` keys are distinct by
-``order_key`` because equal keys compare ``==``, which ``MMap`` rejects.)
+sorting constructor would build.
 An ``MMap`` computes its domain once, on first read.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Iterable, Iterator, Tuple
 
 INT_MIN = -(2**63)
@@ -358,13 +363,18 @@ class MMap:
     __slots__ = ("pairs", "_domain")
 
     def __init__(self, pairs: Iterable[Tuple[ModelValue, ModelValue]] = ()):
-        acc = []
-        for k, v in pairs:
-            for y, _ in acc:
-                if k == y:
-                    raise DomainError(f"duplicate key {k!r}")
-            acc.append((k, v))
-        self.pairs = tuple(sorted(acc, key=lambda p: order_key(p[0])))
+        acc = [(k, v) for k, v in pairs]
+        keys = [order_key(k) for k, _ in acc]
+        # Keys in strictly ascending order are sorted and distinct already.
+        if not all(map(operator.lt, keys, keys[1:])):
+            order = _key_order(keys)
+            # The sort is stable, so of two neighbours with equal keys the
+            # second is the later in ``pairs``; name the first such key.
+            later = [j for i, j in zip(order, order[1:]) if keys[i] == keys[j]]
+            if later:
+                raise DomainError(f"duplicate key {acc[min(later)][0]!r}")
+            acc = [acc[i] for i in order]
+        self.pairs = tuple(acc)
         self._domain = None
 
     def __eq__(self, other):
@@ -445,16 +455,18 @@ def _canonical_map(pairs: list) -> MMap:
 
 
 class MRel:
-    """Finite set of ordered pairs."""
+    """Finite set of ordered pairs; ``_keys`` holds the ``order_key`` pair
+    of each, for ``has``."""
 
-    __slots__ = ("pairs",)
+    __slots__ = ("pairs", "_keys")
 
     def __init__(self, pairs: Iterable[Tuple[ModelValue, ModelValue]] = ()):
         acc = [(x, y) for x, y in pairs]
+        keys = [(order_key(x), order_key(y)) for x, y in acc]
         if len(acc) > 1:
-            acc = _first_per_key(
-                acc, [(order_key(x), order_key(y)) for x, y in acc])
+            acc = _first_per_key(acc, keys)
         self.pairs = tuple(acc)
+        self._keys = frozenset(keys)
 
     def __eq__(self, other):
         return isinstance(other, MRel) and self.pairs == other.pairs
@@ -474,7 +486,7 @@ class MRel:
         return len(self.pairs)
 
     def has(self, x: ModelValue, y: ModelValue) -> bool:
-        return any(x == a and y == b for a, b in self.pairs)
+        return (order_key(x), order_key(y)) in self._keys
 
     def image_of(self, x: ModelValue) -> MSet:
         return MSet(b for a, b in self.pairs if a == x)

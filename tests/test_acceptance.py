@@ -3,6 +3,7 @@
 Lines are written to the real stdout so they survive pytest capture.
 """
 
+import hashlib
 import itertools
 import json
 import pathlib
@@ -101,13 +102,21 @@ def test_criterion_3_fault_experiment():
             "same traces", elapsed)
 
 
+# The sha256 of criterion 4's campaign output, as `mbc test --all --calls
+# 100000 --seed 7` writes it.
+CLEAN_LIBRARY_SHA256 = (
+    "d40a6184e049e17802dff868f922c2543ae805c815a66b1ca772451555c27999")
+
+
 def test_criterion_4_clean_library():
     t0 = time.time()
     r = run_campaign(CONTAINER_NAMES, TestBudget(max_calls=100_000, seed=7))
+    digest = hashlib.sha256(r.to_json_lines().encode("utf-8")).hexdigest()
     elapsed = time.time() - t0
-    _report(4, r.violations == 0 and elapsed < 300,
-            f"100k calls, {r.stats['rejected']} filtered, 0 violations",
-            elapsed)
+    _report(4, r.violations == 0 and digest == CLEAN_LIBRARY_SHA256
+            and elapsed < 300,
+            f"100k calls, {r.stats['rejected']} filtered, 0 violations, "
+            f"output sha256 {digest[:8]}", elapsed)
 
 
 def _adequacy_triple():

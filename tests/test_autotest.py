@@ -9,9 +9,10 @@ from mbc.autotest import (
     CampaignResult, FaultReport, ReplayError, TestBudget, _decode_args,
     generate_arguments, replay, run_campaign,
 )
-from mbc.containers import CONTAINER_NAMES, EqSet, FaultSwitch
+from mbc import autotest
+from mbc.containers import CONTAINER_NAMES, EqSet, FaultSwitch, Stack
 from mbc.contracts import Clause, InvariantClause, REGISTRY
-from mbc.model_math import Ref
+from mbc.model_math import MSeq, Ref
 
 
 LL = ["new", "LinkedList", "make_empty", []]
@@ -79,6 +80,38 @@ FAILING_CONSTRUCTORS = {
                     "make/exception:RuntimeError", "exception"),
     "post-false": (_queue_make_empty_false, ["Queue", "Stack"],
                    "make_empty/bag", "postcondition"),
+}
+
+
+def _stack_sequence_raises(monkeypatch):
+    def model_sequence(self):
+        if len(self.items) >= 3:
+            raise IndexError("walk off the end")
+        return MSeq(self.items)
+
+    monkeypatch.setattr(Stack, "model_sequence", model_sequence)
+
+
+def _stack_remove_pre(pre):
+    def patch(monkeypatch):
+        monkeypatch.setattr(REGISTRY["Stack"].features["remove"], "pre", pre)
+    return patch
+
+
+# A precondition or model query that raises.  A precondition raising
+# DomainError is false, so the call is a rejection; one raising anything
+# else, and a raising model query, is an exception violation.  No
+# constructor builds a stack of one or three, so only calls raise.
+RAISING_HOOKS = {
+    "model-query": (_stack_sequence_raises,
+                    {"put/model/exception:IndexError"}),
+    "pre-domain-error": (
+        _stack_remove_pre(lambda s, a, r: s.sequence.item(5) is not None),
+        set()),
+    "pre-zero-division": (
+        _stack_remove_pre(lambda s, a, r: not s.sequence.is_empty
+                          and 1 // (s.sequence.count - 1) is not None),
+        {"remove/precondition/exception:ZeroDivisionError"}),
 }
 
 
@@ -153,6 +186,42 @@ class TestCampaigns:
             [(new, type_name, _, _)] = rep.trace
             assert (new, type_name) == ("new", targets[0])
             assert replay(rep).clause == clause
+
+
+    @pytest.mark.parametrize("case", sorted(RAISING_HOOKS))
+    def test_raising_hook_is_a_replayable_report(self, monkeypatch, case):
+        patch, clauses = RAISING_HOOKS[case]
+        patch(monkeypatch)
+        r = run_campaign(["Stack"], TestBudget(max_calls=300, seed=1))
+        assert r.stats["calls"] == 300
+        assert {rep.violation["clause"] for rep in r.reports} == clauses
+        for rep in r.reports:
+            assert rep.violation["kind"] == "exception"
+            assert replay(rep).clause == rep.violation["clause"]
+        if not clauses:
+            assert r.stats["rejected"] > 0
+
+    def test_state_taken_once_per_passed_constructor(self, monkeypatch):
+        # A command returns its poststate and a query leaves the state as
+        # it was, so the size cap takes no state of its own.
+        counts = {"states": 0, "constructed": 0}
+        state, constructor = autotest.abstract_state, autotest.checked_constructor
+
+        def counting_state(obj):
+            counts["states"] += 1
+            return state(obj)
+
+        def counting_constructor(*args, **kwargs):
+            obj = constructor(*args, **kwargs)
+            counts["constructed"] += 1
+            return obj
+
+        monkeypatch.setattr(autotest, "abstract_state", counting_state)
+        monkeypatch.setattr(autotest, "checked_constructor",
+                            counting_constructor)
+        r = run_campaign(CONTAINER_NAMES, TestBudget(max_calls=3000, seed=1))
+        assert r.stats["passed"] > counts["constructed"] > 0
+        assert counts["states"] == counts["constructed"]
 
 
 class TestReplay:

@@ -150,6 +150,83 @@ class TestBodyExceptions:
         assert v.old_state == v.new_state == "()"
 
 
+class TestRaisingHooks:
+    """A precondition raising DomainError is false; one raising anything
+    else, or a raising model query, is an ``exception`` violation."""
+
+    def _stack(self, *tokens):
+        stack = checked_constructor(REGISTRY["Stack"], "make_empty", [])
+        for t in tokens:
+            checked_command(stack, "put", [Ref(t)])
+        return stack
+
+    def test_precondition_domain_error_is_a_rejection(self, monkeypatch):
+        stack = self._stack("a")
+        monkeypatch.setattr(REGISTRY["Stack"].features["remove"], "pre",
+                            lambda s, a, r: s.sequence.item(5) is not None)
+        with pytest.raises(PreconditionRejected):
+            checked_command(stack, "remove")
+
+    def test_precondition_raises(self, monkeypatch):
+        stack = self._stack("a")
+        monkeypatch.setattr(REGISTRY["Stack"].features["remove"], "pre",
+                            lambda s, a, r: 1 // 0)
+        with pytest.raises(ContractViolation) as e:
+            checked_command(stack, "remove")
+        v = e.value
+        assert (v.clause, v.kind) == (
+            "remove/precondition/exception:ZeroDivisionError", "exception")
+        assert isinstance(v.__cause__, ZeroDivisionError)
+        assert v.old_state == v.new_state == "({a:1}, ⟨a⟩)"
+
+    def test_constructor_precondition_raises(self, monkeypatch):
+        make = REGISTRY["EqSet"].constructor("make")
+        monkeypatch.setattr(make, "pre", lambda s, a, r: s.count)
+        rel = domain_values(("relation",), ELEMENT_POOL)[0]
+        with pytest.raises(ContractViolation) as e:
+            checked_constructor(REGISTRY["EqSet"], "make", [rel])
+        assert e.value.clause == "make/precondition/exception:AttributeError"
+        assert e.value.old_state == e.value.new_state == "()"
+
+    @pytest.mark.parametrize("size, old", [(2, "({a:1,b:1}, ⟨a,b⟩)"),
+                                           (3, "()")])
+    def test_model_query_raises(self, monkeypatch, size, old):
+        # A stack of two raises in its poststate, one of three in its
+        # prestate.
+        stack = self._stack(*"abc"[:size])
+
+        def model_sequence(self):
+            if len(self.items) >= 3:
+                raise IndexError("walk off the end")
+            return MSeq(self.items)
+
+        monkeypatch.setattr(type(stack), "model_sequence", model_sequence)
+        with pytest.raises(ContractViolation) as e:
+            checked_command(stack, "put", [Ref("d")])
+        v = e.value
+        assert (v.clause, v.kind) == ("put/model/exception:IndexError",
+                                      "exception")
+        assert isinstance(v.__cause__, IndexError)
+        assert (v.old_state, v.new_state) == (old, "()")
+
+    def test_argument_model_query_raises(self, monkeypatch):
+        a, b = make_list("x"), make_list("y")
+        real = type(b).model_sequence
+
+        def model_sequence(self):
+            if self is b:
+                raise RuntimeError("broken argument")
+            return real(self)
+
+        monkeypatch.setattr(type(b), "model_sequence", model_sequence)
+        with pytest.raises(ContractViolation) as e:
+            checked_command(a, "merge_right", [b])
+        v = e.value
+        assert v.clause == "merge_right/model/exception:RuntimeError"
+        assert v.old_state == v.new_state == "()"
+        assert v.args == (f"{b.ref.token}:()",)
+
+
 class TestFrameExpansion:
     def test_unmentioned_queries_get_frame_clauses(self):
         start = SPEC.features["start"]
@@ -299,6 +376,13 @@ class TestCheckedCalls:
     def test_constructor_postcondition(self):
         obj = checked_constructor(SPEC, "make_empty", [])
         assert abstract_state(obj).sequence.is_empty
+
+    def test_command_returns_its_poststate(self):
+        obj = make_list("x")
+        new = checked_command(obj, "put_right", [Ref("y")])
+        assert new == abstract_state(obj)
+        assert type(new) is type(abstract_state(obj))
+        assert checked_command(obj, "forth") == abstract_state(obj)
 
     def test_argument_views_carry_old_and_new(self):
         a, b = make_list("x"), make_list("y")

@@ -449,3 +449,58 @@ class TestDerivedValues:
         assert len(got.pairs) == len(want.pairs)
         assert all(a[0] is b[0] and a[1] is b[1] for a, b in zip(got.pairs, want.pairs))
         assert identical(got.domain.elements, want.domain.elements)
+
+
+# -- membership by order_key ------------------------------------------------
+
+REFS = st.builds(Ref, st.sampled_from("abcde"))
+
+
+def scan_has(rel, x, y):
+    """``MRel.has`` as a quadratic scan with ``==``."""
+    return any(x == a and y == b for a, b in rel.pairs)
+
+
+def count_ref_eq(monkeypatch):
+    calls = []
+    real = Ref.__eq__
+    monkeypatch.setattr(Ref, "__eq__",
+                        lambda self, other: calls.append(1) or real(self, other))
+    return calls
+
+
+class TestKeyedMembership:
+    """``MMap``'s duplicate-key check and ``MRel.has`` key by
+    ``order_key``, without a scan over ``==``."""
+
+    def test_map_keeps_one_and_true_apart(self):
+        m = MMap([(1, "a"), (True, "b")])
+        assert m.count == 2
+        assert [(order_key(k), v) for k, v in m.pairs] == [
+            ((0, True), "b"), ((1, 1), "a")]
+
+    def test_map_duplicate_names_the_first_repeat(self):
+        with pytest.raises(DomainError, match="duplicate key 2$"):
+            MMap([(1, A), (2, A), (2, B), (1, B)])
+
+    def test_map_build_makes_no_ref_eq(self, monkeypatch):
+        keys = [Ref(t) for t in "hgfedcba"]
+        calls = count_ref_eq(monkeypatch)
+        m = MMap([(k, A) for k in keys])
+        assert m.count == 8 and not calls
+
+    def test_rel_has_makes_no_ref_eq(self, monkeypatch):
+        universe = [Ref(t) for t in "abcd"]
+        total = total_relation(universe)
+        calls = count_ref_eq(monkeypatch)
+        assert all(total.has(x, y) for x in universe for y in universe)
+        assert not total.has(A, Ref("e"))
+        assert not calls
+
+    @PROPERTY
+    @given(st.lists(st.tuples(REFS, REFS), max_size=12), REFS, REFS)
+    def test_rel_has_matches_scan(self, pairs, x, y):
+        rel = MRel(pairs)
+        assert rel.has(x, y) == scan_has(rel, x, y)
+        for a, b in pairs:
+            assert rel.has(a, b)
