@@ -14,7 +14,9 @@ keys, so ``1`` and ``True`` are two keys of one map.  ``MRel.has`` looks
 the pair's keys up in the set of keys its constructor computed.
 (``__eq__`` still compares stored tuples with ``==``, which does not tell
 ``True`` from ``1``; so do the other membership tests, ``MSeq.has``,
-``MSet.has``, ``MBag.multiplicity``, ``MMap.has_key`` and ``MMap.item``.)
+``MSet.has``, ``MBag.multiplicity``, ``MMap.has_key``, ``MMap.item`` and
+``MRel.image_of``, and so ``MRel.has`` can disagree with ``image_of`` and
+``domain`` on bool/int pairs.)
 Stored tuples are built from lists, never from generators:
 ``tuple(<generator>)`` over-allocates and then shrinks, which on CPython
 fills the per-length tuple free lists and raises peak memory.
@@ -31,7 +33,6 @@ An ``MMap`` computes its domain once, on first read.
 
 from __future__ import annotations
 
-import operator
 from typing import Callable, Iterable, Iterator, Tuple
 
 INT_MIN = -(2**63)
@@ -365,16 +366,13 @@ class MMap:
     def __init__(self, pairs: Iterable[Tuple[ModelValue, ModelValue]] = ()):
         acc = [(k, v) for k, v in pairs]
         keys = [order_key(k) for k, _ in acc]
-        # Keys in strictly ascending order are sorted and distinct already.
-        if not all(map(operator.lt, keys, keys[1:])):
-            order = _key_order(keys)
-            # The sort is stable, so of two neighbours with equal keys the
-            # second is the later in ``pairs``; name the first such key.
-            later = [j for i, j in zip(order, order[1:]) if keys[i] == keys[j]]
-            if later:
-                raise DomainError(f"duplicate key {acc[min(later)][0]!r}")
-            acc = [acc[i] for i in order]
-        self.pairs = tuple(acc)
+        order = _key_order(keys)
+        # The sort is stable, so of two neighbours with equal keys the
+        # second is the later in ``pairs``; name the first such key.
+        later = [j for i, j in zip(order, order[1:]) if keys[i] == keys[j]]
+        if later:
+            raise DomainError(f"duplicate key {acc[min(later)][0]!r}")
+        self.pairs = tuple([acc[i] for i in order])
         self._domain = None
 
     def __eq__(self, other):
@@ -456,7 +454,14 @@ def _canonical_map(pairs: list) -> MMap:
 
 class MRel:
     """Finite set of ordered pairs; ``_keys`` holds the ``order_key`` pair
-    of each, for ``has``."""
+    of each, for ``has``.
+
+    ``has`` keys by ``order_key``, but ``image_of`` matches ``x`` with
+    ``==`` and ``domain`` is an ``MSet``, whose ``has`` uses ``==``.  So on
+    mixed bool/int pairs they disagree: for ``MRel([(True, True)])``,
+    ``has(1, 1)`` is false while ``image_of(1).has(1)`` and
+    ``domain.has(1)`` are true.  ``has`` raises ``TypeError`` on an
+    argument that is not a model value, as ``order_key`` does."""
 
     __slots__ = ("pairs", "_keys")
 

@@ -339,7 +339,7 @@ class TestReplay:
                 if any(d[0] == "container" for d in f.arg_domains):
                     continue
                 for _ in range(5):
-                    args, encoded = generate_arguments(f, rng, [])
+                    args, encoded = generate_arguments(f, rng, {})
                     assert _decode_args(f, encoded, None, "model") == args
                     assert [e[0] for e in encoded] == [
                         {"element": "elem", "relation": "rel"}.get(d[0], d[0])

@@ -497,6 +497,15 @@ class TestKeyedMembership:
         assert not total.has(A, Ref("e"))
         assert not calls
 
+    def test_rel_has_disagrees_with_image_and_domain_on_bool_int(self):
+        # Known gap (ROADMAP 1(a)): only ``has`` keys by ``order_key``;
+        # ``image_of`` and ``MSet.has`` still use ``==``.
+        r = MRel([(True, True)])
+        assert r.has(True, True) and not r.has(1, 1)
+        assert r.image_of(1).has(1) and r.domain.has(1)
+        with pytest.raises(TypeError):
+            r.has(object(), True)
+
     @PROPERTY
     @given(st.lists(st.tuples(REFS, REFS), max_size=12), REFS, REFS)
     def test_rel_has_matches_scan(self, pairs, x, y):
