@@ -266,13 +266,6 @@ def export_all_text() -> str:
     return "\n".join(parts)
 
 
-def export_all(out_path) -> None:
-    """Write all theories; two runs produce byte-identical files."""
-    text = export_all_text()
-    with open(out_path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(text)
-
-
 def exported_operations():
     return sorted(op for _, fns, _ in _SORTS.values() for op, _ in fns)
 

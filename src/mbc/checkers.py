@@ -1,17 +1,18 @@
 """Brute-force checkers over enumerated small state spaces:
 
 - precondition soundness (agreement across concrete objects with equal
-  abstract state),
-- postcondition completeness for commands and queries (all satisfying
-  poststates/results equivalent): a defining clause's value is computed
-  once per (prestate, arguments) pair and only the candidates that hold
-  it are kept, and the relational clauses run on those only,
+  abstract state) and postcondition completeness for commands and queries
+  (all satisfying poststates/results equivalent), both from one pass over
+  (abstract state, arguments) pairs: a defining clause's value is computed
+  once per pair and only the candidates that hold it are kept, and the
+  relational clauses run on those only,
 - bounded observational adequacy of the chosen model (model-tuple equality
   versus indistinguishability under call sequences of depth <= k).
 
 Every verdict reads the bounded state space of a container from
-``state_space``, which enumerates it once per configuration object (and
-interface restriction) and keeps it on that object.  The objects it holds
+``state_space``: the produced objects grouped by abstract state, each group
+led by its representative.  It is enumerated once per configuration object
+(and interface restriction) and kept on that object.  The objects it holds
 are shared by every checker run with the configuration, so they are
 read-only: a checker that runs a body first rebuilds the object from its
 trace with ``_build``.
@@ -86,9 +87,15 @@ def _state_size(state: AbstractState) -> int:
 
 
 def _raw_pre(feature, state, args, ref):
+    """``feature``'s precondition on an abstract state, by the runtime's
+    rule: an absent one holds, and one raising DomainError is false; any
+    other exception propagates."""
     if feature.pre is None:
         return True
-    return feature.pre(state, args, ref)
+    try:
+        return feature.pre(state, args, ref)
+    except DomainError:
+        return False
 
 
 @dataclass
@@ -108,34 +115,40 @@ def _build(spec, trace, faults=None):
 
 
 def enumerate_states(name: str, cfg: EnumerationConfig, features=None):
-    """All reachable concrete objects within the size bounds, with traces.
+    """All reachable concrete objects within the size bounds, with traces,
+    grouped by abstract state.
 
-    Objects are produced by breadth-first search over constructor and
-    command calls; exploration continues only from states not seen before,
-    but every produced object is kept, so one abstract state may appear
-    with several concrete layouts.  Commands taking container arguments are
-    not used for reachability (the remaining commands already cover the
-    state space of every registered type).
+    Objects are produced by a search over constructor and command calls
+    that pops its frontier last in, first out; exploration continues only
+    from the first object of each abstract state, but every produced object
+    is kept, so a group may hold several concrete layouts.  Each group
+    starts with its first produced object, its representative, and the
+    groups are sorted by ``serialize_state``.  Commands taking container
+    arguments are not used for reachability (the remaining commands already
+    cover the state space of every registered type).
     """
     spec = REGISTRY[name]
     if cfg.estimate() > STATE_LIMIT:
         raise EnumerationRefused(
             f"estimated {cfg.estimate()} states exceeds limit {STATE_LIMIT}")
     allowed = set(features) if features is not None else None
-
-    produced = []
-    seen = set()
+    groups = {}
     frontier = []
+    produced = itertools.count(1)
+
+    def keep(e):
+        if next(produced) > STATE_LIMIT:
+            raise EnumerationRefused(f"more than {STATE_LIMIT} states produced")
+        group = groups.setdefault(e.state, [])
+        if not group:
+            frontier.append(e)
+        group.append(e)
+
     for ctor in spec.constructors:
         for args in _arg_combos(ctor, cfg):
-            if not _raw_pre(ctor, None, args, None):
-                continue
-            obj = ctor.body(*args)
-            e = Enumerated(((ctor.name, args),), obj, abstract_state(obj))
-            produced.append(e)
-            if e.state not in seen:
-                seen.add(e.state)
-                frontier.append(e)
+            if _raw_pre(ctor, None, args, None):
+                obj = ctor.body(*args)
+                keep(Enumerated(((ctor.name, args),), obj, abstract_state(obj)))
 
     commands = [f for f in spec.commands()
                 if (allowed is None or f.name in allowed)
@@ -149,37 +162,21 @@ def enumerate_states(name: str, cfg: EnumerationConfig, features=None):
                 obj = _build(spec, cur.trace)
                 feat.body(obj, *args)
                 state = abstract_state(obj)
-                if _state_size(state) > cfg.max_size:
-                    continue
-                e = Enumerated(cur.trace + ((feat.name, args),), obj, state)
-                produced.append(e)
-                if len(produced) > STATE_LIMIT:
-                    raise EnumerationRefused(
-                        f"more than {STATE_LIMIT} states produced")
-                if e.state not in seen:
-                    seen.add(e.state)
-                    frontier.append(e)
-    return produced
-
-
-def distinct_states(enumerated):
-    """One representative per abstract state, in deterministic order."""
-    reps = {}
-    for e in enumerated:
-        reps.setdefault(e.state, e)
-    return sorted(reps.values(), key=lambda e: serialize_state(e.state))
+                if _state_size(state) <= cfg.max_size:
+                    keep(Enumerated(cur.trace + ((feat.name, args),), obj,
+                                    state))
+    return sorted(groups.values(), key=lambda g: serialize_state(g[0].state))
 
 
 def state_space(name, cfg, features=None):
-    """``(produced, reps)``: every object ``enumerate_states`` produces for
-    ``name`` under ``cfg`` (with the interface restricted to ``features``),
-    and one representative per abstract state.  Enumerated once per
-    configuration object; the objects are shared, so callers must not
+    """What ``enumerate_states`` gives for ``name`` under ``cfg`` (with the
+    interface restricted to ``features``): one list of objects per abstract
+    state, led by its representative, in state-text order.  Enumerated once
+    per configuration object; the objects are shared, so callers must not
     mutate them."""
     key = (name, None if features is None else frozenset(features))
     if key not in cfg._spaces:
-        produced = enumerate_states(name, cfg, features=features)
-        cfg._spaces[key] = (produced, distinct_states(produced))
+        cfg._spaces[key] = enumerate_states(name, cfg, features=features)
     return cfg._spaces[key]
 
 
@@ -190,10 +187,9 @@ def _arg_combos(feature, cfg):
     pools = []
     for d in feature.arg_domains:
         if d[0] == "container":
-            reps = state_space(d[1], cfg)[1]
-            pools.append([SimpleNamespace(ref=Ref(f"arg{j}"), old=r.state,
-                                          new=None, rep=r)
-                          for j, r in enumerate(reps)])
+            pools.append([SimpleNamespace(ref=Ref(f"arg{j}"), old=g[0].state,
+                                          new=None, rep=g[0])
+                          for j, g in enumerate(state_space(d[1], cfg))])
         else:
             pools.append(domain_values(d, cfg.elements()))
     return itertools.product(*pools)
@@ -203,30 +199,6 @@ def _model_clauses(feature, signature):
     clauses = (expand_frame(feature, signature) if feature.kind == "command"
                else feature.clauses)
     return [c for c in clauses if c.tag == "model"]
-
-
-def check_precondition_soundness(name, feature_name, cfg) -> CheckVerdict:
-    """pre must agree on every pair of concrete objects with equal abstract
-    state (for every argument combination)."""
-    spec = REGISTRY[name]
-    feature = spec.features[feature_name]
-    verdict = CheckVerdict(f"{name}.{feature_name}", tag=feature.incompleteness_tag)
-    if feature.pre is None:
-        return verdict
-    groups = {}
-    for e in state_space(name, cfg)[0]:
-        groups.setdefault(e.state, []).append(e)
-    for state, members in groups.items():
-        if len(members) < 2:
-            continue
-        for args in _arg_combos(feature, cfg):
-            vals = {feature.pre(m.state, args, m.obj.ref) for m in members}
-            verdict.states_checked += len(members)
-            if len(vals) > 1:
-                verdict.pre_sound = False
-                verdict.witnesses.append(
-                    f"pre disagreement at {serialize_state(state)}")
-    return verdict
 
 
 def _post_holds(clauses, old, new, args, result):
@@ -257,10 +229,13 @@ def _satisfying(defining, relational, candidates, keys, old, args,
                             c if on_result else None)]
 
 
-def _completeness(name, feature, cfg, prestates, candidates, on_result):
-    """For every valid prestate (None for a constructor) and argument
-    combination, count the candidates that satisfy the model
-    postcondition; more than one makes the feature incomplete.  A
+def _completeness(name, feature, cfg, groups, candidates, on_result):
+    """Both verdicts from one pass over the (state group, arguments) pairs
+    of ``groups`` (``[[None]]`` for a constructor).  The precondition must
+    agree on every object of a group: one that disagrees with the
+    representative makes it unsound, with one witness per pair.  Where it
+    holds on the representative, count the candidates that satisfy the
+    model postcondition; more than one makes the feature incomplete.  A
     candidate is the poststate, or the result when ``on_result``.  The
     defining clauses are evaluated once per pair, the relational ones only
     on the candidates that match them (see ``_satisfying``).
@@ -281,10 +256,25 @@ def _completeness(name, feature, cfg, prestates, candidates, on_result):
             for c in candidates]
     show = repr if on_result else serialize_state
     pinned = any(d[0] == "container" for d in feature.arg_domains)
-    for pre_e in prestates:
+    pre = feature.pre
+    for group in groups:
+        pre_e = group[0]
         old, ref = (pre_e.state, pre_e.obj.ref) if pre_e else (None, None)
+        others = group[1:] if pre is not None else ()
         for args in _arg_combos(feature, cfg):
-            if not _raw_pre(feature, old, args, ref):
+            holds = _raw_pre(feature, old, args, ref)
+            for e in others:
+                # _raw_pre's rule, inline: this runs once per object.
+                try:
+                    value = pre(e.state, args, e.obj.ref)
+                except DomainError:
+                    value = False
+                if value != holds:
+                    verdict.pre_sound = False
+                    verdict.witnesses.append(
+                        f"pre disagreement at {serialize_state(old)}")
+                    break
+            if not holds:
                 continue
             if pinned:
                 _pin_container_args(spec, feature, pre_e, args)
@@ -316,9 +306,9 @@ def check_command_completeness(name, feature_name, cfg) -> CheckVerdict:
     poststates satisfying the effective (frame-expanded) postcondition must
     be abstractly equal.  Candidates are drawn from the enumerated state
     space."""
-    prestates = state_space(name, cfg)[1]
+    groups = state_space(name, cfg)
     return _completeness(name, REGISTRY[name].features[feature_name], cfg,
-                         prestates, [e.state for e in prestates], False)
+                         groups, [g[0].state for g in groups], False)
 
 
 def _result_candidates(feature, cfg):
@@ -326,7 +316,7 @@ def _result_candidates(feature, cfg):
     if d is None:
         return []
     if d[0] == "container":
-        return [e.state for e in state_space(d[1], cfg)[1]]
+        return [g[0].state for g in state_space(d[1], cfg)]
     if d == ("int",):
         # Sizes up to one past the bound, and a margin of negatives.
         d = ("int", -4, max(4, cfg.max_size) + 1)
@@ -338,17 +328,16 @@ def check_query_completeness(name, feature_name, cfg) -> CheckVerdict:
     values by value, element results by token, container results by
     abstract state."""
     feature = REGISTRY[name].features[feature_name]
-    prestates = state_space(name, cfg)[1]
-    return _completeness(name, feature, cfg, prestates,
+    return _completeness(name, feature, cfg, state_space(name, cfg),
                          _result_candidates(feature, cfg), True)
 
 
 def check_constructor_completeness(name, ctor_name, cfg) -> CheckVerdict:
     """Constructors are queries returning fresh objects: all poststates
     satisfying the postcondition must be abstractly equal."""
-    candidates = [e.state for e in state_space(name, cfg)[1]]
+    candidates = [g[0].state for g in state_space(name, cfg)]
     return _completeness(name, REGISTRY[name].constructor(ctor_name), cfg,
-                         [None], candidates, False)
+                         [[None]], candidates, False)
 
 
 @dataclass
@@ -431,7 +420,7 @@ def check_observational_adequacy(name, cfg, model_fn=None, features=None):
     queries = interface(spec.queries())
     # Representatives: one object per *full* concrete-model state, so pairs
     # cover both equal and distinct variant models.
-    reps = state_space(name, cfg, features)[1]
+    reps = [g[0] for g in state_space(name, cfg, features)]
     verdict = AdequacyVerdict(name, cfg.depth)
     for e1, e2 in itertools.combinations(reps, 2):
         verdict.pairs_checked += 1
@@ -458,15 +447,9 @@ def classify_feature(name, feature_name, cfg) -> CheckVerdict:
     spec = REGISTRY[name]
     if any(c.name == feature_name for c in spec.constructors):
         return check_constructor_completeness(name, feature_name, cfg)
-    feature = spec.features[feature_name]
-    pre_v = check_precondition_soundness(name, feature_name, cfg)
-    if feature.kind == "command":
-        v = check_command_completeness(name, feature_name, cfg)
-    else:
-        v = check_query_completeness(name, feature_name, cfg)
-    v.pre_sound = pre_v.pre_sound
-    v.witnesses.extend(pre_v.witnesses)
-    return v
+    if spec.features[feature_name].kind == "command":
+        return check_command_completeness(name, feature_name, cfg)
+    return check_query_completeness(name, feature_name, cfg)
 
 
 def classify_library(cfg, names=None) -> dict:

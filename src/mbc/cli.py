@@ -5,7 +5,8 @@ soundness/completeness), adequacy (bounded observational adequacy),
 export-boogie (theory files), report (combined JSON report).
 
 Exit codes: 0 clean, 1 contract violations or untagged incompleteness
-found, 2 usage errors or refused enumerations.
+found, 2 usage errors (an ``--out`` path that cannot be written among them)
+or refused enumerations.
 """
 
 from __future__ import annotations
@@ -46,11 +47,17 @@ class SystemExit2(Exception):
 
 
 def _emit(args, text: str):
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text)
-    else:
+    """Write ``text`` to ``--out``, with ``\n`` line ends on every
+    platform, else to stdout.  A file that cannot be written is a usage
+    error."""
+    if not getattr(args, "out", None):
         sys.stdout.write(text)
+        return
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as f:
+            f.write(text)
+    except OSError as e:
+        raise SystemExit2(f"cannot write {args.out}: {e.strerror or e}") from e
 
 
 def cmd_test(args) -> int:

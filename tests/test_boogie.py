@@ -6,13 +6,14 @@ import pytest
 
 import mbc.model_math as mm
 from mbc import boogie_export as bx
+from mbc.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "theories.bpl"
 
 
 def test_matches_golden_byte_exactly(tmp_path):
     out = tmp_path / "theories.bpl"
-    bx.export_all(out)
+    assert main(["export-boogie", "--out", str(out)]) == 0
     assert out.read_bytes() == GOLDEN.read_bytes()
 
 
@@ -78,6 +79,6 @@ def test_missing_annotation_rejected():
 
 def test_export_deterministic(tmp_path):
     p1, p2 = tmp_path / "a.bpl", tmp_path / "b.bpl"
-    bx.export_all(p1)
-    bx.export_all(p2)
+    for p in (p1, p2):
+        assert main(["export-boogie", "--out", str(p)]) == 0
     assert p1.read_bytes() == p2.read_bytes()

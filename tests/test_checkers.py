@@ -9,11 +9,10 @@ import pytest
 from mbc import checkers
 from mbc.checkers import (
     CheckVerdict, EnumerationConfig, EnumerationRefused, check_command_completeness,
-    check_observational_adequacy, check_precondition_soundness,
-    check_query_completeness, classify_feature, classify_library,
-    distinct_states, enumerate_states, state_space,
+    check_observational_adequacy, check_query_completeness, classify_feature,
+    classify_library, enumerate_states, state_space,
 )
-from mbc.containers import CONTAINER_NAMES
+from mbc.containers import CONTAINER_NAMES, reset_ref_counter
 from mbc.contracts import (
     Clause, ContainerSpec, Feature, ModelSignature, REGISTRY, abstract_state,
     register, serialize_state,
@@ -24,15 +23,23 @@ CFG = EnumerationConfig()
 
 class TestEnumeration:
     def test_reaches_all_small_collections(self):
-        states = distinct_states(enumerate_states("Collection", CFG))
+        states = enumerate_states("Collection", CFG)
         # Bags over {a, b} with total multiplicity <= 3: 1+2+3+4 states.
         assert len(states) == 10
 
     def test_traces_replay(self):
         from mbc.checkers import _build
-        for e in distinct_states(enumerate_states("Stack", CFG)):
+        for e in (g[0] for g in enumerate_states("Stack", CFG)):
             rebuilt = _build(REGISTRY["Stack"], e.trace)
             assert abstract_state(rebuilt) == e.state
+
+    def test_groups_are_distinct_states_in_text_order(self):
+        for name in CONTAINER_NAMES:
+            groups = state_space(name, CFG)
+            texts = [serialize_state(g[0].state) for g in groups]
+            assert texts == sorted(set(texts)), name
+            for g in groups:
+                assert all(e.state == g[0].state for e in g), name
 
     def test_refusal_over_budget(self):
         big = EnumerationConfig(universe=30, max_size=30)
@@ -59,9 +66,8 @@ class TestStateSpace:
         for name in CONTAINER_NAMES:
             check_observational_adequacy(name, cfg)
         for name in CONTAINER_NAMES:
-            produced, reps = state_space(name, cfg)
-            assert all(abstract_state(e.obj) == e.state for e in produced)
-            assert {e.state for e in reps} == {e.state for e in produced}
+            for group in state_space(name, cfg):
+                assert all(abstract_state(e.obj) == e.state for e in group)
 
     def test_config_freed_without_cyclic_gc(self):
         # The memo lives on the config, so nothing a check leaves behind
@@ -78,6 +84,45 @@ class TestStateSpace:
             assert alive() is None
         finally:
             gc.enable()
+
+
+class TestPreconditionSoundness:
+    def test_one_pass_per_state_group(self, monkeypatch):
+        # Soundness and completeness share one loop over (group,
+        # arguments): one argument enumeration per group, not a second
+        # pass over the groups of several objects.
+        cfg = EnumerationConfig()
+        groups = state_space("Stack", cfg)
+        calls = []
+        real = checkers._arg_combos
+        monkeypatch.setattr(checkers, "_arg_combos",
+                            lambda *a: calls.append(1) or real(*a))
+        v = classify_feature("Stack", "remove", cfg)
+        assert v.pre_sound and v.post_complete
+        assert len(calls) == len(groups) == 15
+
+    def test_identity_dependent_precondition_unsound(self, monkeypatch):
+        # Objects with equal model tuples have different identity tokens,
+        # so a precondition that reads the target's token is unsound.
+        monkeypatch.setattr(
+            REGISTRY["Stack"].features["item"], "pre",
+            lambda s, a, r: not s.sequence.is_empty and r.token.endswith("0"))
+        reset_ref_counter()
+        v = classify_feature("Stack", "item", EnumerationConfig())
+        assert not v.pre_sound
+        witnesses = [w for w in v.witnesses if w.startswith("pre disagreement")]
+        assert len(witnesses) == 3
+
+    def test_domain_error_in_precondition_is_false(self, monkeypatch):
+        # As at run time: a precondition outside its domain rejects the
+        # call, in enumeration, completeness and adequacy alike.
+        monkeypatch.setattr(REGISTRY["Stack"].features["remove"], "pre",
+                            lambda s, a, r: s.sequence.item(2) is not None)
+        cfg = EnumerationConfig()
+        v = classify_feature("Stack", "remove", cfg)
+        assert v.pre_sound and v.post_complete
+        assert v.states_checked == 180
+        assert check_observational_adequacy("Stack", cfg).adequate
 
 
 class TestCompleteness:
@@ -164,21 +209,32 @@ class TestCompleteness:
                                   clauses=())])
         register(spec)
         try:
-            v = check_precondition_soundness("LeakyCollection", "leaky", CFG)
+            v = classify_feature("LeakyCollection", "leaky", CFG)
             assert not v.pre_sound
         finally:
             del REGISTRY["LeakyCollection"]
 
 
-def reference_completeness(name, feature, cfg, prestates, candidates,
+def reference_completeness(name, feature, cfg, groups, candidates,
                            on_result):
-    """Generate and test: every model clause on every candidate."""
+    """Generate and test: every model clause on every candidate; and
+    precondition soundness as a set of values over each whole group."""
     spec = REGISTRY[name]
     verdict = CheckVerdict(f"{name}.{feature.name}", tag=feature.incompleteness_tag)
+    if feature.pre is not None:
+        for group in groups:
+            if len(group) < 2:
+                continue
+            for args in checkers._arg_combos(feature, cfg):
+                vals = {feature.pre(m.state, args, m.obj.ref) for m in group}
+                if len(vals) > 1:
+                    verdict.pre_sound = False
+                    verdict.witnesses.append(
+                        f"pre disagreement at {serialize_state(group[0].state)}")
     clauses = checkers._model_clauses(feature, spec.signature)
     show = repr if on_result else serialize_state
     pinned = any(d[0] == "container" for d in feature.arg_domains)
-    for pre_e in prestates:
+    for pre_e in (g[0] for g in groups):
         old, ref = (pre_e.state, pre_e.obj.ref) if pre_e else (None, None)
         for args in checkers._arg_combos(feature, cfg):
             if not checkers._raw_pre(feature, old, args, ref):
@@ -252,7 +308,7 @@ class TestDefiningClauses:
         v = check_command_completeness("LinkedList", "merge_right", cfg)
         pairs = 408
         assert v.post_complete
-        assert v.states_checked == pairs * len(state_space("LinkedList", cfg)[1])
+        assert v.states_checked == pairs * len(state_space("LinkedList", cfg))
         assert evals == {"merge_right/sequence": pairs, "merge_right/index": pairs}
         assert len(calls) <= pairs
 

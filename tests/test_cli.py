@@ -69,6 +69,17 @@ class TestExitCodes:
         assert code == 2
         assert "refused" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["complete", "--target", "Stack"],
+        ["test", "--target", "Stack", "--calls", "10"],
+    ])
+    def test_unwritable_out_is_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write") and str(path) in err
+        assert not path.exists()
+
     def test_clean_run_is_0(self, capsys):
         code, out, _ = run(capsys, "test", "--target", "Stack",
                            "--calls", "300", "--seed", "5")
