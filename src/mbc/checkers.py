@@ -7,15 +7,17 @@
   once per pair and only the candidates that hold it are kept, and the
   relational clauses run on those only,
 - bounded observational adequacy of the chosen model (model-tuple equality
-  versus indistinguishability under call sequences of depth <= k).
+  versus indistinguishability under call sequences of depth <= k), one
+  loop over calls per pair; by default it tests minimality only.
 
-Every verdict reads the bounded state space of a container from
-``state_space``: the produced objects grouped by abstract state, each group
-led by its representative.  It is enumerated once per configuration object
-(and interface restriction) and kept on that object.  The objects it holds
-are shared by every checker run with the configuration, so they are
-read-only: a checker that runs a body first rebuilds the object from its
-trace with ``_build``.
+Each exploration (an enumeration, a verdict, an adequacy check) builds its
+calls, ``(feature, arguments)`` pairs, once.  Every verdict reads the
+bounded state space of a container from ``state_space``: the produced
+objects grouped by abstract state, each group led by its representative.
+It is enumerated once per configuration object (and interface restriction)
+and kept on that object.  The objects it holds are shared by every checker
+run with the configuration, so they are read-only: a checker that runs a
+body first rebuilds the object from its trace with ``_build``.
 """
 
 from __future__ import annotations
@@ -131,7 +133,7 @@ def enumerate_states(name: str, cfg: EnumerationConfig, features=None):
     if cfg.estimate() > STATE_LIMIT:
         raise EnumerationRefused(
             f"estimated {cfg.estimate()} states exceeds limit {STATE_LIMIT}")
-    allowed = set(features) if features is not None else None
+    containers.reset_ref_counter()
     groups = {}
     frontier = []
     produced = itertools.count(1)
@@ -150,21 +152,17 @@ def enumerate_states(name: str, cfg: EnumerationConfig, features=None):
                 obj = ctor.body(*args)
                 keep(Enumerated(((ctor.name, args),), obj, abstract_state(obj)))
 
-    commands = [f for f in spec.commands()
-                if (allowed is None or f.name in allowed)
-                and not any(d[0] == "container" for d in f.arg_domains)]
+    calls = _calls(spec.commands(), cfg, features)
     while frontier:
         cur = frontier.pop()
-        for feat in commands:
-            for args in _arg_combos(feat, cfg):
-                if not _raw_pre(feat, cur.state, args, cur.obj.ref):
-                    continue
-                obj = _build(spec, cur.trace)
-                feat.body(obj, *args)
-                state = abstract_state(obj)
-                if _state_size(state) <= cfg.max_size:
-                    keep(Enumerated(cur.trace + ((feat.name, args),), obj,
-                                    state))
+        for feat, args in calls:
+            if not _raw_pre(feat, cur.state, args, cur.obj.ref):
+                continue
+            obj = _build(spec, cur.trace)
+            feat.body(obj, *args)
+            state = abstract_state(obj)
+            if _state_size(state) <= cfg.max_size:
+                keep(Enumerated(cur.trace + ((feat.name, args),), obj, state))
     return sorted(groups.values(), key=lambda g: serialize_state(g[0].state))
 
 
@@ -193,6 +191,16 @@ def _arg_combos(feature, cfg):
         else:
             pools.append(domain_values(d, cfg.elements()))
     return itertools.product(*pools)
+
+
+def _calls(features, cfg, allowed=None):
+    """``(feature, arguments)`` for each of ``features`` named in
+    ``allowed`` (all if None) and each of its argument combinations;
+    features taking a container argument are left out."""
+    return [(f, args) for f in features
+            if (allowed is None or f.name in allowed)
+            and not any(d[0] == "container" for d in f.arg_domains)
+            for args in _arg_combos(f, cfg)]
 
 
 def _model_clauses(feature, signature):
@@ -257,11 +265,12 @@ def _completeness(name, feature, cfg, groups, candidates, on_result):
     show = repr if on_result else serialize_state
     pinned = any(d[0] == "container" for d in feature.arg_domains)
     pre = feature.pre
+    combos = list(_arg_combos(feature, cfg))
     for group in groups:
         pre_e = group[0]
         old, ref = (pre_e.state, pre_e.obj.ref) if pre_e else (None, None)
         others = group[1:] if pre is not None else ()
-        for args in _arg_combos(feature, cfg):
+        for args in combos:
             holds = _raw_pre(feature, old, args, ref)
             for e in others:
                 # _raw_pre's rule, inline: this runs once per object.
@@ -277,7 +286,7 @@ def _completeness(name, feature, cfg, groups, candidates, on_result):
             if not holds:
                 continue
             if pinned:
-                _pin_container_args(spec, feature, pre_e, args)
+                args = _pin_container_args(spec, feature, pre_e, args)
             satisfying = _satisfying(defining, relational, candidates, keys,
                                      old, args, on_result)
             verdict.states_checked += len(candidates)
@@ -290,15 +299,17 @@ def _completeness(name, feature, cfg, groups, candidates, on_result):
 
 
 def _pin_container_args(spec, feature, pre_e, args):
-    """Run the feature once on replayed objects and record the poststate of
-    each container argument in its view."""
+    """Run the feature once on replayed objects and return ``args`` with
+    each container argument's view replaced by one that also carries the
+    argument's poststate.  The views in ``args`` are shared by every pair
+    of the verdict and are left as they are."""
     obj = _build(spec, pre_e.trace)
     raw_args = [_build(REGISTRY[d[1]], a.rep.trace) if d[0] == "container"
                 else a for d, a in zip(feature.arg_domains, args)]
     feature.body(obj, *raw_args)
-    for d, a, r in zip(feature.arg_domains, args, raw_args):
-        if d[0] == "container":
-            a.new = abstract_state(r)
+    return tuple(SimpleNamespace(ref=a.ref, old=a.old, new=abstract_state(r),
+                                 rep=a.rep) if d[0] == "container" else a
+                 for d, a, r in zip(feature.arg_domains, args, raw_args))
 
 
 def check_command_completeness(name, feature_name, cfg) -> CheckVerdict:
@@ -359,44 +370,40 @@ class AdequacyVerdict:
 
 
 def _query_result(obj, feat, args):
-    state = abstract_state(obj)
-    if not _raw_pre(feat, state, args, obj.ref):
-        return ("rejected",)
+    """What a client observes of a query whose precondition holds: a
+    container result by its abstract state, an element by its token."""
     result = feat.body(obj, *args)
     if hasattr(result, "spec_name"):
         return ("value", abstract_state(result))
     if isinstance(result, Ref):
-        # Reference-bound results are compared as the element tokens the
-        # client can observe.
         return ("ref", result.token)
     return ("value", result)
 
 
-def _distinguishable(spec, cfg, queries, commands, trace1, trace2, depth):
+def _distinguishable(spec, queries, commands, trace1, trace2, depth):
     """Whether some call sequence of at most ``depth`` commands followed by
-    a query tells the objects built by the two traces apart."""
+    a query tells the objects built by the two traces apart.  One loop over
+    the calls: a precondition that holds on one object only tells them
+    apart, a query compares results, a command recurses.  Each object's
+    state is taken once: a query leaves it unchanged, as the runtime's
+    purity check enforces."""
     o1 = _build(spec, trace1)
     o2 = _build(spec, trace2)
-    for feat in queries:
-        for args in _arg_combos(feat, cfg):
-            if _query_result(o1, feat, args) != _query_result(o2, feat, args):
-                return True
-    if depth == 0:
-        return False
     s1 = abstract_state(o1)
     s2 = abstract_state(o2)
-    for feat in commands:
-        for args in _arg_combos(feat, cfg):
-            p1 = _raw_pre(feat, s1, args, o1.ref)
-            p2 = _raw_pre(feat, s2, args, o2.ref)
-            if p1 != p2:
+    for feat, args in queries + (commands if depth else []):
+        holds = _raw_pre(feat, s1, args, o1.ref)
+        if holds != _raw_pre(feat, s2, args, o2.ref):
+            return True
+        if not holds:
+            continue
+        if feat.kind == "query":
+            if _query_result(o1, feat, args) != _query_result(o2, feat, args):
                 return True
-            if not p1:
-                continue
-            if _distinguishable(spec, cfg, queries, commands,
-                                trace1 + ((feat.name, args),),
-                                trace2 + ((feat.name, args),), depth - 1):
-                return True
+        elif _distinguishable(spec, queries, commands,
+                              trace1 + ((feat.name, args),),
+                              trace2 + ((feat.name, args),), depth - 1):
+            return True
     return False
 
 
@@ -405,38 +412,30 @@ def check_observational_adequacy(name, cfg, model_fn=None, features=None):
 
     ``model_fn`` maps a concrete object to its model tuple (default
     ``abstract_state``); ``features`` optionally restricts the interface.
-    Verdicts are valid up to call depth ``cfg.depth`` only.
+    Verdicts are valid up to call depth ``cfg.depth`` only.  Under the
+    default model every pair of representatives is model-distinct, so only
+    minimality is tested; soundness needs a coarser ``model_fn``.
     """
     spec = REGISTRY[name]
     if model_fn is None:
         model_fn = abstract_state
-
-    def interface(feats):
-        return [f for f in feats
-                if (features is None or f.name in features)
-                and not any(d[0] == "container" for d in f.arg_domains)]
-
-    commands = interface(spec.commands())
-    queries = interface(spec.queries())
+    queries = _calls(spec.queries(), cfg, features)
+    commands = _calls(spec.commands(), cfg, features)
     # Representatives: one object per *full* concrete-model state, so pairs
     # cover both equal and distinct variant models.
-    reps = [g[0] for g in state_space(name, cfg, features)]
+    reps = [(g[0], model_fn(g[0].obj))
+            for g in state_space(name, cfg, features)]
     verdict = AdequacyVerdict(name, cfg.depth)
-    for e1, e2 in itertools.combinations(reps, 2):
+    for (e1, m1), (e2, m2) in itertools.combinations(reps, 2):
         verdict.pairs_checked += 1
-        same_model = model_fn(e1.obj) == model_fn(e2.obj)
-        dist = _distinguishable(spec, cfg, queries, commands,
-                                e1.trace, e2.trace, cfg.depth)
-        if same_model and dist:
+        same_model = m1 == m2
+        if same_model == _distinguishable(spec, queries, commands, e1.trace,
+                                          e2.trace, cfg.depth):
             verdict.adequate = False
-            verdict.failures.append(
-                f"soundness: model-equal but distinguishable: "
-                f"{serialize_state(e1.state)} vs {serialize_state(e2.state)}")
-        elif not same_model and not dist:
-            verdict.adequate = False
-            verdict.failures.append(
-                f"minimality: model-distinct but indistinguishable: "
-                f"{serialize_state(e1.state)} vs {serialize_state(e2.state)}")
+            kind = ("soundness: model-equal but distinguishable" if same_model
+                    else "minimality: model-distinct but indistinguishable")
+            verdict.failures.append(f"{kind}: {serialize_state(e1.state)} "
+                                    f"vs {serialize_state(e2.state)}")
     return verdict
 
 

@@ -49,6 +49,32 @@ def _count_query(cls, model):
         result_domain=("int",))
 
 
+def _map_item(name, body, key_domain):
+    """A query returning the value that the ``map`` model holds at its key
+    argument, which must be in the domain."""
+    return Feature(
+        name, "query",
+        pre=lambda s, a, r: s.map.domain.has(a[0]),
+        body=body,
+        clauses=(Clause.defines(f"{name}/result", "result",
+                                lambda c: c.old.map.item(c.args[0])),),
+        arg_domains=(key_domain,), result_domain=("element",))
+
+
+def _map_put(cls, key_domain):
+    """``put(v, k)``: replace the value at key ``k``, which must be in the
+    domain of the ``map`` model."""
+    return Feature(
+        "put", "command",
+        pre=lambda s, a, r: s.map.domain.has(a[1]),
+        body=cls.do_put,
+        clauses=(Clause.defines(
+            "put/map", "map",
+            lambda c: c.old.map.replaced_at(c.args[1], c.args[0])),),
+        mentioned=frozenset({"map"}),
+        arg_domains=(("element",), key_domain))
+
+
 def _is_empty_query(cls, model):
     """``is_empty``: whether the model query ``model`` is empty."""
     return Feature(
@@ -347,25 +373,6 @@ def _array_spec():
                            lambda c: c.args[1] - c.args[0] + 1),
         ),
         arg_domains=(("int", 1, 1), ("int", 0, 3), ("element",)))
-    put = Feature(
-        "put", "command",
-        pre=lambda s, a, r: s.map.domain.has(a[1]),
-        body=ArrayT.do_put,
-        clauses=(
-            Clause.defines("put/map", "map",
-                           lambda c: c.old.map.replaced_at(c.args[1], c.args[0])),
-        ),
-        mentioned=frozenset({"map"}),
-        arg_domains=(("element",), ("int", 0, 4)))
-    item = Feature(
-        "item", "query",
-        pre=lambda s, a, r: s.map.domain.has(a[0]),
-        body=ArrayT.do_item,
-        clauses=(
-            Clause.defines("item/result", "result",
-                           lambda c: c.old.map.item(c.args[0])),
-        ),
-        arg_domains=(("int", 0, 4),), result_domain=("element",))
     fill = Feature(
         "fill", "command",
         pre=lambda s, a, r: s.map.domain.has(a[1]) and s.map.domain.has(a[2]),
@@ -409,7 +416,9 @@ def _array_spec():
     )
     return ContainerSpec(
         "ArrayT", sig,
-        features=[put, item, fill, reserve, capacity],
+        features=[_map_put(ArrayT, ("int", 0, 4)),
+                  _map_item("item", ArrayT.do_item, ("int", 0, 4)),
+                  fill, reserve, capacity],
         invariants=invariants,
         constructors=[make])
 
@@ -443,16 +452,6 @@ class Table:
 
 def _table_spec():
     sig = ModelSignature([("map", "MMap")])
-    put = Feature(
-        "put", "command",
-        pre=lambda s, a, r: s.map.domain.has(a[1]),
-        body=Table.do_put,
-        clauses=(
-            Clause.defines("put/map", "map",
-                           lambda c: c.old.map.replaced_at(c.args[1], c.args[0])),
-        ),
-        mentioned=frozenset({"map"}),
-        arg_domains=(("element",), ("element",)))
     force = Feature(
         "force", "command",
         body=Table.do_force,
@@ -462,18 +461,11 @@ def _table_spec():
         ),
         mentioned=frozenset({"map"}),
         arg_domains=(("element",), ("element",)))
-    item = Feature(
-        "item", "query",
-        pre=lambda s, a, r: s.map.domain.has(a[0]),
-        body=Table.do_item,
-        clauses=(
-            Clause.defines("item/result", "result",
-                           lambda c: c.old.map.item(c.args[0])),
-        ),
-        arg_domains=(("element",),), result_domain=("element",))
     return ContainerSpec(
         "Table", sig,
-        features=[put, force, item, _count_query(Table, "map")],
+        features=[_map_put(Table, ("element",)), force,
+                  _map_item("item", Table.do_item, ("element",)),
+                  _count_query(Table, "map")],
         constructors=[_make_empty(Table, ["map"])])
 
 
@@ -516,18 +508,6 @@ class Collection(_SeqBacked):
         return self.items.count(v)
 
 
-class Dispenser(_SeqBacked):
-    # Concrete stand-in used to enumerate the abstract class: append-only
-    # puts reach every sequence, removal/item operate at the end.
-    spec_name = "Dispenser"
-
-    def do_item(self):
-        return self.items[-1]
-
-    def do_remove(self):
-        self.items.pop()
-
-
 class Stack(_SeqBacked):
     spec_name = "Stack"
 
@@ -536,6 +516,12 @@ class Stack(_SeqBacked):
 
     def do_remove(self):
         self.items.pop()
+
+
+class Dispenser(Stack):
+    # Concrete stand-in used to enumerate the abstract class: Stack's
+    # append-only puts reach every sequence, removal/item operate at the end.
+    spec_name = "Dispenser"
 
 
 class Queue(_SeqBacked):
@@ -842,16 +828,6 @@ def _tree_spec():
         ),
         mentioned=frozenset({"map"}),
         arg_domains=(("path", 2), ("bool",), ("element",)))
-    item_at = Feature(
-        "item_at", "query",
-        pre=lambda s, a, r: s.map.domain.has(a[0]),
-        body=BinaryTree.do_item_at,
-        clauses=(
-            Clause.defines("item_at/result", "result",
-                           lambda c: c.old.map.item(c.args[0])),
-        ),
-        arg_domains=(("path", 2),), result_domain=("element",))
-    count = _count_query(BinaryTree, "map")
 
     def prefix_closed(o, s):
         return s.map.domain.for_all(
@@ -859,7 +835,9 @@ def _tree_spec():
 
     return ContainerSpec(
         "BinaryTree", sig,
-        features=[add_root, put_child, item_at, count],
+        features=[add_root, put_child,
+                  _map_item("item_at", BinaryTree.do_item_at, ("path", 2)),
+                  _count_query(BinaryTree, "map")],
         invariants=(InvariantClause("prefix_closed", "model", prefix_closed),),
         constructors=[_make_empty(BinaryTree, ["map"])])
 

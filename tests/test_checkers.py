@@ -12,7 +12,7 @@ from mbc.checkers import (
     check_observational_adequacy, check_query_completeness, classify_feature,
     classify_library, enumerate_states, state_space,
 )
-from mbc.containers import CONTAINER_NAMES, reset_ref_counter
+from mbc.containers import CONTAINER_NAMES, fresh_ref, reset_ref_counter
 from mbc.contracts import (
     Clause, ContainerSpec, Feature, ModelSignature, REGISTRY, abstract_state,
     register, serialize_state,
@@ -89,8 +89,8 @@ class TestStateSpace:
 class TestPreconditionSoundness:
     def test_one_pass_per_state_group(self, monkeypatch):
         # Soundness and completeness share one loop over (group,
-        # arguments): one argument enumeration per group, not a second
-        # pass over the groups of several objects.
+        # arguments), and the verdict builds its argument combinations
+        # once for all the groups.
         cfg = EnumerationConfig()
         groups = state_space("Stack", cfg)
         calls = []
@@ -99,7 +99,8 @@ class TestPreconditionSoundness:
                             lambda *a: calls.append(1) or real(*a))
         v = classify_feature("Stack", "remove", cfg)
         assert v.pre_sound and v.post_complete
-        assert len(calls) == len(groups) == 15
+        assert len(groups) == 15
+        assert len(calls) == 1
 
     def test_identity_dependent_precondition_unsound(self, monkeypatch):
         # Objects with equal model tuples have different identity tokens,
@@ -110,6 +111,20 @@ class TestPreconditionSoundness:
         reset_ref_counter()
         v = classify_feature("Stack", "item", EnumerationConfig())
         assert not v.pre_sound
+        witnesses = [w for w in v.witnesses if w.startswith("pre disagreement")]
+        assert len(witnesses) == 3
+
+    @pytest.mark.parametrize("prior", [3, 7])
+    def test_verdict_independent_of_earlier_tokens(self, monkeypatch, prior):
+        # The test above with tokens drawn before the check: the
+        # enumeration draws its own from #0 whatever the process built.
+        monkeypatch.setattr(
+            REGISTRY["Stack"].features["item"], "pre",
+            lambda s, a, r: not s.sequence.is_empty and r.token.endswith("0"))
+        reset_ref_counter()
+        for _ in range(prior):
+            fresh_ref()
+        v = classify_feature("Stack", "item", EnumerationConfig())
         witnesses = [w for w in v.witnesses if w.startswith("pre disagreement")]
         assert len(witnesses) == 3
 
@@ -240,7 +255,7 @@ def reference_completeness(name, feature, cfg, groups, candidates,
             if not checkers._raw_pre(feature, old, args, ref):
                 continue
             if pinned:
-                checkers._pin_container_args(spec, feature, pre_e, args)
+                args = checkers._pin_container_args(spec, feature, pre_e, args)
             satisfying = [c for c in candidates
                           if checkers._post_holds(
                               clauses, old, old if on_result else c, args,
@@ -312,6 +327,25 @@ class TestDefiningClauses:
         assert evals == {"merge_right/sequence": pairs, "merge_right/index": pairs}
         assert len(calls) <= pairs
 
+    def test_container_views_shared_but_unchanged(self, monkeypatch):
+        # The verdict builds its argument views once for every group;
+        # pinning a container argument's poststate makes a new view.
+        views = []
+        real = checkers._arg_combos
+
+        def capturing(feature, cfg):
+            combos = list(real(feature, cfg))
+            views.extend(a for args in combos for a in args
+                         if hasattr(a, "rep"))
+            return iter(combos)
+
+        monkeypatch.setattr(checkers, "_arg_combos", capturing)
+        cfg = EnumerationConfig(max_size=2)
+        first = classify_feature("LinkedList", "merge_right", cfg).to_dict()
+        second = classify_feature("LinkedList", "merge_right", cfg).to_dict()
+        assert first == second
+        assert views and all(a.new is None for a in views)
+
     def test_every_model_clause_defines_or_is_listed(self):
         seen = set()
         for name, fname in all_features():
@@ -355,6 +389,22 @@ class TestAdequacy:
         assert not v.adequate
         assert any(f.startswith("minimality") for f in v.failures)
         assert not any(f.startswith("soundness") for f in v.failures)
+
+    def test_one_snapshot_per_built_object(self, monkeypatch):
+        # Each _distinguishable call takes the state of its two objects
+        # once, and the default model is taken once per representative.
+        cfg = EnumerationConfig(max_size=2)
+        reps = len(state_space("Stack", cfg))
+        counts = {"abstract_state": 0, "_distinguishable": 0}
+        for fn in counts:
+            def counting(*a, _fn=fn, _real=getattr(checkers, fn)):
+                counts[_fn] += 1
+                return _real(*a)
+            monkeypatch.setattr(checkers, fn, counting)
+        assert check_observational_adequacy("Stack", cfg).adequate
+        assert counts["abstract_state"] == (
+            2 * counts["_distinguishable"] + reps)
+        assert (reps, counts["_distinguishable"]) == (7, 51)
 
     def test_witness_pair_concrete(self):
         v = check_observational_adequacy("Queue", CFG,
