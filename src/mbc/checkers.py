@@ -30,7 +30,7 @@ from types import SimpleNamespace
 from . import containers
 from .contracts import (
     AbstractState, Ctx, REGISTRY, abstract_state, domain_values, expand_frame,
-    serialize_state,
+    pre_holds, serialize_state,
 )
 from .model_math import DomainError, Ref
 
@@ -88,18 +88,6 @@ def _state_size(state: AbstractState) -> int:
     return max(sizes, default=0)
 
 
-def _raw_pre(feature, state, args, ref):
-    """``feature``'s precondition on an abstract state, by the runtime's
-    rule: an absent one holds, and one raising DomainError is false; any
-    other exception propagates."""
-    if feature.pre is None:
-        return True
-    try:
-        return feature.pre(state, args, ref)
-    except DomainError:
-        return False
-
-
 @dataclass
 class Enumerated:
     """One reachable concrete object with its build trace."""
@@ -108,9 +96,9 @@ class Enumerated:
     state: AbstractState
 
 
-def _build(spec, trace, faults=None):
+def _build(spec, trace):
     (ctor_name, ctor_args), *calls = trace
-    obj = spec.constructor(ctor_name).body(*ctor_args, faults=faults)
+    obj = spec.constructor(ctor_name).body(*ctor_args)
     for fname, args in calls:
         spec.features[fname].body(obj, *args)
     return obj
@@ -148,7 +136,7 @@ def enumerate_states(name: str, cfg: EnumerationConfig, features=None):
 
     for ctor in spec.constructors:
         for args in _arg_combos(ctor, cfg):
-            if _raw_pre(ctor, None, args, None):
+            if pre_holds(ctor, None, args, None):
                 obj = ctor.body(*args)
                 keep(Enumerated(((ctor.name, args),), obj, abstract_state(obj)))
 
@@ -156,7 +144,7 @@ def enumerate_states(name: str, cfg: EnumerationConfig, features=None):
     while frontier:
         cur = frontier.pop()
         for feat, args in calls:
-            if not _raw_pre(feat, cur.state, args, cur.obj.ref):
+            if not pre_holds(feat, cur.state, args, cur.obj.ref):
                 continue
             obj = _build(spec, cur.trace)
             feat.body(obj, *args)
@@ -256,29 +244,23 @@ def _completeness(name, feature, cfg, groups, candidates, on_result):
     spec = REGISTRY[name]
     verdict = CheckVerdict(f"{name}.{feature.name}", tag=feature.incompleteness_tag)
     clauses = _model_clauses(feature, spec.signature)
-    defining = [c for c in clauses if c.target is not None]
-    relational = [c for c in clauses if c.target is None]
+    defining = [c for c in clauses if c.expr is not None]
+    relational = [c for c in clauses if c.expr is None]
     # A query's defining clauses all target its result (ContainerSpec
     # checks this).
     keys = [tuple([c if on_result else getattr(c, d.target) for d in defining])
             for c in candidates]
     show = repr if on_result else serialize_state
     pinned = any(d[0] == "container" for d in feature.arg_domains)
-    pre = feature.pre
     combos = list(_arg_combos(feature, cfg))
     for group in groups:
         pre_e = group[0]
         old, ref = (pre_e.state, pre_e.obj.ref) if pre_e else (None, None)
-        others = group[1:] if pre is not None else ()
+        others = group[1:] if feature.pre is not None else ()
         for args in combos:
-            holds = _raw_pre(feature, old, args, ref)
+            holds = pre_holds(feature, old, args, ref)
             for e in others:
-                # _raw_pre's rule, inline: this runs once per object.
-                try:
-                    value = pre(e.state, args, e.obj.ref)
-                except DomainError:
-                    value = False
-                if value != holds:
+                if pre_holds(feature, e.state, args, e.obj.ref) != holds:
                     verdict.pre_sound = False
                     verdict.witnesses.append(
                         f"pre disagreement at {serialize_state(old)}")
@@ -392,8 +374,8 @@ def _distinguishable(spec, queries, commands, trace1, trace2, depth):
     s1 = abstract_state(o1)
     s2 = abstract_state(o2)
     for feat, args in queries + (commands if depth else []):
-        holds = _raw_pre(feat, s1, args, o1.ref)
-        if holds != _raw_pre(feat, s2, args, o2.ref):
+        holds = pre_holds(feat, s1, args, o1.ref)
+        if holds != pre_holds(feat, s2, args, o2.ref):
             return True
         if not holds:
             continue

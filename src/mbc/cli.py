@@ -27,6 +27,7 @@ from .contracts import REGISTRY
 
 
 def _resolve_targets(args) -> list:
+    """The named container types, each once, in the order first given."""
     if getattr(args, "all", False):
         return list(containers.CONTAINER_NAMES)
     if not args.target:
@@ -35,7 +36,7 @@ def _resolve_targets(args) -> list:
         if t not in REGISTRY:
             raise SystemExit2(f"unknown target {t!r}; known: "
                               + ", ".join(sorted(REGISTRY)))
-    return list(args.target)
+    return list(dict.fromkeys(args.target))
 
 
 # The least value of each bound flag.

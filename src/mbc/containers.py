@@ -71,7 +71,6 @@ def _map_put(cls, key_domain):
         clauses=(Clause.defines(
             "put/map", "map",
             lambda c: c.old.map.replaced_at(c.args[1], c.args[0])),),
-        mentioned=frozenset({"map"}),
         arg_domains=(("element",), key_domain))
 
 
@@ -91,7 +90,8 @@ def _make_empty(cls, models):
         "make_empty", "constructor",
         body=lambda faults=None: cls(faults=faults),
         clauses=tuple(Clause(f"make_empty/{m}", "model",
-                             lambda c, _m=m: getattr(c.new, _m).is_empty)
+                             lambda c, _m=m: getattr(c.new, _m).is_empty,
+                             target=m)
                       for m in models))
 
 
@@ -101,9 +101,9 @@ def _wipe_out(cls, models):
         "wipe_out", "command",
         body=cls.do_wipe_out,
         clauses=tuple(Clause(f"wipe_out/{m}", "model",
-                             lambda c, _m=m: getattr(c.new, _m).is_empty)
-                      for m in models),
-        mentioned=frozenset(models))
+                             lambda c, _m=m: getattr(c.new, _m).is_empty,
+                             target=m)
+                      for m in models))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +215,7 @@ def _linked_list_spec():
         body=lambda faults=None: LinkedList(faults=faults),
         clauses=(
             Clause("make_empty/sequence", "model",
-                   lambda c: c.new.sequence.is_empty),
+                   lambda c: c.new.sequence.is_empty, target="sequence"),
             Clause.defines("make_empty/index", "index", lambda c: 0),
         ))
     put_right = Feature(
@@ -232,7 +232,6 @@ def _linked_list_spec():
             Clause("put_right/index_classic", "classic",
                    lambda c: c.obj.index == c.cold["index"]),
         ),
-        mentioned=frozenset({"sequence", "index"}),
         arg_domains=(("element",),))
     item = Feature(
         "item", "query",
@@ -260,28 +259,27 @@ def _linked_list_spec():
         clauses=(
             Clause("duplicate/sequence", "model",
                    lambda c: c.result.sequence == c.old.sequence.interval(
-                       c.old.index, c.old.index + c.args[0] - 1)),
-            Clause("duplicate/index", "model", lambda c: c.result.index == 0),
+                       c.old.index, c.old.index + c.args[0] - 1),
+                   target="result"),
+            Clause("duplicate/index", "model", lambda c: c.result.index == 0,
+                   target="result"),
         ),
         arg_domains=(("int", 0, 4),),
         result_domain=("container", "LinkedList"))
     start = Feature(
         "start", "command",
         body=LinkedList.do_start,
-        clauses=(Clause.defines("start/index", "index", lambda c: 1),),
-        mentioned=frozenset({"index"}))
+        clauses=(Clause.defines("start/index", "index", lambda c: 1),))
     forth = Feature(
         "forth", "command",
         pre=lambda s, a, r: s.index <= s.sequence.count,
         body=LinkedList.do_forth,
         clauses=(Clause.defines("forth/index", "index",
-                                lambda c: c.old.index + 1),),
-        mentioned=frozenset({"index"}))
+                                lambda c: c.old.index + 1),))
     go_before = Feature(
         "go_before", "command",
         body=LinkedList.do_go_before,
-        clauses=(Clause.defines("go_before/index", "index", lambda c: 0),),
-        mentioned=frozenset({"index"}))
+        clauses=(Clause.defines("go_before/index", "index", lambda c: 0),))
     merge_right = Feature(
         "merge_right", "command",
         pre=lambda s, a, r: a[0].ref != r and 0 <= s.index <= s.sequence.count,
@@ -302,7 +300,6 @@ def _linked_list_spec():
             Clause("merge_right/other_is_empty_classic", "classic",
                    lambda c: c.args[0].obj.count == 0),
         ),
-        mentioned=frozenset({"sequence", "index"}),
         arg_domains=(("container", "LinkedList"),))
     invariants = (
         InvariantClause("index_bounds", "model",
@@ -368,7 +365,7 @@ def _array_spec():
         clauses=(
             Clause("make/map", "model",
                    lambda c: c.new.map.domain == int_interval(c.args[0], c.args[1])
-                   and c.new.map.is_constant(c.args[2])),
+                   and c.new.map.is_constant(c.args[2]), target="map"),
             Clause.defines("make/capacity", "capacity",
                            lambda c: c.args[1] - c.args[0] + 1),
         ),
@@ -379,15 +376,15 @@ def _array_spec():
         body=ArrayT.do_fill,
         clauses=(
             Clause("fill/domain", "model",
-                   lambda c: c.new.map.domain == c.old.map.domain),
+                   lambda c: c.new.map.domain == c.old.map.domain, target="map"),
             Clause("fill/inside", "model",
                    lambda c: (c.new.map | int_interval(c.args[1], c.args[2]))
-                   .is_constant(c.args[0])),
+                   .is_constant(c.args[0]), target="map"),
             Clause("fill/outside", "model",
                    lambda c: (c.new.map | (c.new.map.domain - int_interval(c.args[1], c.args[2])))
-                   == (c.old.map | (c.old.map.domain - int_interval(c.args[1], c.args[2])))),
+                   == (c.old.map | (c.old.map.domain - int_interval(c.args[1], c.args[2]))),
+                   target="map"),
         ),
-        mentioned=frozenset({"map"}),
         arg_domains=(("element",), ("int", 0, 4), ("int", 0, 4)))
     reserve = Feature(
         "reserve", "command",
@@ -395,11 +392,10 @@ def _array_spec():
         body=ArrayT.do_reserve,
         clauses=(
             Clause("reserve/grows", "model",
-                   lambda c: c.new.capacity >= c.old.capacity),
+                   lambda c: c.new.capacity >= c.old.capacity, target="capacity"),
             Clause("reserve/enough", "model",
-                   lambda c: c.new.capacity >= c.args[0]),
+                   lambda c: c.new.capacity >= c.args[0], target="capacity"),
         ),
-        mentioned=frozenset({"capacity"}),
         incompleteness_tag="information-hiding",
         arg_domains=(("int", 0, 4),))
     capacity = Feature(
@@ -459,7 +455,6 @@ def _table_spec():
             Clause.defines("force/map", "map",
                            lambda c: c.old.map.updated(c.args[1], c.args[0])),
         ),
-        mentioned=frozenset({"map"}),
         arg_domains=(("element",), ("element",)))
     return ContainerSpec(
         "Table", sig,
@@ -549,7 +544,6 @@ def _collection_spec():
         "put", "command",
         body=Collection.do_put,
         clauses=(_put_bag(),),
-        mentioned=frozenset({"bag"}),
         arg_domains=(("element",),))
     occurrences = Feature(
         "occurrences", "query",
@@ -572,14 +566,11 @@ def _dispenser_family_spec(name, cls, put_sequence, item_clause,
     passes none, which leaves the sequence relevant but unspecified.
     ``tag`` is the incompleteness tag of put, item and remove."""
     sig = ModelSignature([("bag", "MBag"), ("sequence", "MSeq")])
-    both = frozenset({"bag", "sequence"})
-    put_mentions = both if put_sequence else frozenset({"bag"})
     put = Feature(
         "put", "command",
         body=cls.do_put,
         clauses=(_put_bag(),) + put_sequence,
-        mentioned=put_mentions,
-        relevant=both - put_mentions,
+        relevant=frozenset() if put_sequence else frozenset({"sequence"}),
         incompleteness_tag=tag,
         arg_domains=(("element",),))
     item = Feature(
@@ -594,7 +585,6 @@ def _dispenser_family_spec(name, cls, put_sequence, item_clause,
         pre=lambda s, a, r: not s.sequence.is_empty,
         body=cls.do_remove,
         clauses=remove_clauses,
-        mentioned=both,
         incompleteness_tag=tag)
     return ContainerSpec(
         name, sig,
@@ -611,12 +601,15 @@ def _dispenser_spec():
         "Dispenser", Dispenser,
         put_sequence=(),
         item_clause=Clause("item/member", "model",
-                           lambda c: c.old.sequence.range.has(c.result)),
+                           lambda c: c.old.sequence.range.has(c.result),
+                           target="result"),
         remove_clauses=(
             Clause("remove/count", "model",
-                   lambda c: c.new.sequence.count == c.old.sequence.count - 1),
+                   lambda c: c.new.sequence.count == c.old.sequence.count - 1,
+                   target="sequence"),
             Clause("remove/bag_count", "model",
-                   lambda c: c.new.bag.count == c.old.bag.count - 1),
+                   lambda c: c.new.bag.count == c.old.bag.count - 1,
+                   target="bag"),
         ),
         tag="inheritance")
 
@@ -699,7 +692,8 @@ def _eqset_spec():
         pre=lambda s, a, r: _relation_is_equivalence(a[0]),
         body=lambda rel, faults=None: EqSet(rel, faults=faults),
         clauses=(
-            Clause("make/set", "model", lambda c: c.new.set.is_empty),
+            Clause("make/set", "model", lambda c: c.new.set.is_empty,
+                   target="set"),
             Clause.defines("make/relation", "relation", lambda c: c.args[0]),
         ),
         arg_domains=(("relation",),))
@@ -723,7 +717,6 @@ def _eqset_spec():
                 if not (c.old.set * c.old.relation.image_of(c.args[0])).is_empty
                 else c.old.set | MSet([c.args[0]]))),
         ),
-        mentioned=frozenset({"set"}),
         arg_domains=(("element",),))
     count = _count_query(EqSet, "set")
     invariants = (
@@ -811,11 +804,11 @@ def _tree_spec():
         pre=lambda s, a, r: s.map.is_empty,
         body=BinaryTree.do_add_root,
         clauses=(
-            Clause("add_root/count", "model", lambda c: c.new.map.count == 1),
+            Clause("add_root/count", "model", lambda c: c.new.map.count == 1,
+                   target="map"),
             Clause("add_root/root", "model",
-                   lambda c: c.new.map.item(MSeq()) == c.args[0]),
+                   lambda c: c.new.map.item(MSeq()) == c.args[0], target="map"),
         ),
-        mentioned=frozenset({"map"}),
         arg_domains=(("element",),))
     put_child = Feature(
         "put_child", "command",
@@ -826,7 +819,6 @@ def _tree_spec():
             Clause.defines("put_child/map", "map", lambda c: c.old.map.updated(
                 c.args[0].extended(c.args[1]), c.args[2])),
         ),
-        mentioned=frozenset({"map"}),
         arg_domains=(("path", 2), ("bool",), ("element",)))
 
     def prefix_closed(o, s):

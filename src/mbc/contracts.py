@@ -139,11 +139,14 @@ class Ctx:
 class Clause:
     """One postcondition clause; ``fn(ctx) -> bool``.
 
-    A defining clause (built by :meth:`defines`) also names the ``target``
-    it pins, a model query of the poststate or ``"result"``, and the
-    ``expr(ctx)`` it must equal; ``expr`` reads no poststate and no result.
-    The checkers evaluate ``expr`` once instead of testing ``fn`` on every
-    candidate.  Frame clauses are defining; the rest are relational.
+    A model clause names the ``target`` it constrains: a model query of the
+    poststate for a command or constructor, ``"result"`` for a query, and
+    None for a clause on a container argument's poststate.  A command's
+    frame covers every query no clause targets.  A defining clause (built
+    by :meth:`defines`) also gives the ``expr(ctx)`` its target must equal;
+    ``expr`` reads no poststate and no result.  The checkers evaluate
+    ``expr`` once instead of testing ``fn`` on every candidate.  Frame
+    clauses are defining; the rest, with no ``expr``, are relational.
     """
     cid: str
     tag: str  # "model" or "classic"
@@ -177,7 +180,6 @@ class Feature:
     pre: Optional[Callable] = None  # fn(state, args, target_ref) -> bool
     body: Optional[Callable] = None  # fn(obj, *args) -> result
     clauses: Tuple[Clause, ...] = ()
-    mentioned: frozenset = frozenset()
     relevant: frozenset = frozenset()
     incompleteness_tag: Optional[str] = None  # nondeterministic | inheritance | information-hiding
     arg_domains: Tuple = ()  # one domain per argument, see domain_values
@@ -239,7 +241,7 @@ class ContainerSpec:
         self.constructors = tuple(constructors)
         self.snapshot = snapshot or (lambda obj: {})
         for f in list(features) + list(constructors):
-            for s in f.mentioned | f.relevant:
+            for s in f.relevant:
                 if s not in signature.names:
                     raise ConfigurationError(
                         f"{name}.{f.name}: unknown model query {s!r}")
@@ -261,20 +263,15 @@ class ContainerSpec:
 
 
 def _check_target(name, feature, clause, signature):
-    """A query's defining clause pins its result; a command's or
-    constructor's pins a model query, and a command's one it mentions (the
-    frame defines every other)."""
+    """A query's clause constrains its result; a command's or
+    constructor's, a model query."""
     where = f"{name}.{feature.name}: clause {clause.cid}"
     if feature.kind == "query":
         if clause.target != "result":
-            raise ConfigurationError(f"{where} must define 'result'")
+            raise ConfigurationError(f"{where} must target 'result'")
     elif clause.target not in signature.names:
         raise ConfigurationError(
-            f"{where} defines unknown model query {clause.target!r}")
-    elif feature.kind == "command" and clause.target not in feature.mentioned:
-        raise ConfigurationError(
-            f"{where} defines {clause.target!r}, which the feature does not "
-            f"mention")
+            f"{where} targets unknown model query {clause.target!r}")
 
 
 REGISTRY: dict = {}
@@ -338,19 +335,19 @@ def _serialize_arg(a) -> str:
 
 def expand_frame(feature: Feature, signature: ModelSignature):
     """Effective clause tuple: explicit clauses, then one frame clause for
-    every model query q neither mentioned nor relevant, which defines q as
-    ``old.q``.  Built once per clause tuple and signature and kept on the
-    feature, so callers must not mutate it."""
+    every model query q that no clause targets and that is not relevant,
+    which defines q as ``old.q``.  Built once per clause tuple and
+    signature and kept on the feature, so callers must not mutate it."""
     if feature.kind != "command":
         raise UsageError("frame expansion applies to commands")
     memo = feature._frame
     if memo is not None and memo[0] is feature.clauses and memo[1] is signature:
         return memo[2]
+    targets = {c.target for c in feature.clauses} | feature.relevant
     clauses = tuple(feature.clauses) + tuple(
         Clause.defines(f"{feature.name}/frame:{q}", q,
                        lambda c, _q=q: getattr(c.old, _q))
-        for q in signature.names
-        if q not in feature.mentioned and q not in feature.relevant)
+        for q in signature.names if q not in targets)
     feature._frame = (feature.clauses, signature, clauses)
     return clauses
 
@@ -392,17 +389,25 @@ def _state(obj, feature_name, old, new, views):
                          views) from e
 
 
+def pre_holds(feature, state, args, ref):
+    """Whether ``feature``'s precondition holds on ``state``: an absent one
+    holds, and one raising DomainError is false; any other exception
+    propagates."""
+    if feature.pre is None:
+        return True
+    try:
+        return feature.pre(state, args, ref)
+    except DomainError:
+        return False
+
+
 def _check_pre(spec, feature, state, views, ref):
-    """Raise PreconditionRejected unless ``feature``'s precondition holds.
-    One raising DomainError is false; one raising anything else is an
+    """Raise PreconditionRejected unless ``feature``'s precondition holds
+    (``pre_holds``).  One raising anything but DomainError is an
     ``exception`` violation named ``<feature>/precondition/exception:<Type>``,
     raised from the original."""
-    if feature.pre is None:
-        return
     try:
-        holds = feature.pre(state, views, ref)
-    except DomainError:
-        holds = False
+        holds = pre_holds(feature, state, views, ref)
     except Exception as e:
         raise _exception(feature.name, f"{feature.name}/precondition", e,
                          state, state, views) from e

@@ -26,7 +26,8 @@ def _stack_put_bag(fn):
     def patch(monkeypatch):
         put = REGISTRY["Stack"].features["put"]
         monkeypatch.setattr(put, "clauses",
-                            (Clause("put/bag", "model", fn),) + put.clauses[1:])
+                            (Clause("put/bag", "model", fn, target="bag"),)
+                            + put.clauses[1:])
     return patch
 
 
@@ -67,7 +68,8 @@ def _eqset_make_raises(monkeypatch):
 def _queue_make_empty_false(monkeypatch):
     ctor = REGISTRY["Queue"].constructor("make_empty")
     monkeypatch.setattr(ctor, "clauses", tuple(
-        Clause(k.cid, k.tag, lambda c: False) if k.cid == "make_empty/bag"
+        Clause(k.cid, k.tag, lambda c: False, k.target)
+        if k.cid == "make_empty/bag"
         else k for k in ctor.clauses))
 
 

@@ -6,7 +6,7 @@ import weakref
 
 import pytest
 
-from mbc import checkers
+from mbc import checkers, contracts
 from mbc.checkers import (
     CheckVerdict, EnumerationConfig, EnumerationRefused, check_command_completeness,
     check_observational_adequacy, check_query_completeness, classify_feature,
@@ -210,14 +210,13 @@ class TestCompleteness:
                 Feature("put", "command",
                         body=Leaky.do_put,
                         clauses=(Clause("put/bag", "model",
-                                        lambda c: c.new.bag == c.old.bag.extended(c.args[0])),),
-                        mentioned=frozenset({"bag"}),
+                                        lambda c: c.new.bag == c.old.bag.extended(c.args[0]),
+                                        target="bag"),),
                         arg_domains=(("element",),)),
                 Feature("leaky", "command",
                         pre=flipping,
                         body=lambda o: None,
-                        clauses=(),
-                        mentioned=frozenset({"bag"})),
+                        clauses=()),
             ],
             constructors=[Feature("make_empty", "constructor",
                                   body=lambda faults=None: Leaky(faults=faults),
@@ -252,7 +251,7 @@ def reference_completeness(name, feature, cfg, groups, candidates,
     for pre_e in (g[0] for g in groups):
         old, ref = (pre_e.state, pre_e.obj.ref) if pre_e else (None, None)
         for args in checkers._arg_combos(feature, cfg):
-            if not checkers._raw_pre(feature, old, args, ref):
+            if not contracts.pre_holds(feature, old, args, ref):
                 continue
             if pinned:
                 args = checkers._pin_container_args(spec, feature, pre_e, args)
@@ -314,7 +313,7 @@ class TestDefiningClauses:
             return dataclasses.replace(clause, expr=expr)
 
         monkeypatch.setattr(feature, "clauses", tuple(
-            counting(c) if c.target else c for c in feature.clauses))
+            counting(c) if c.expr else c for c in feature.clauses))
         calls = []
         real = checkers._post_holds
         monkeypatch.setattr(checkers, "_post_holds",
@@ -353,12 +352,11 @@ class TestDefiningClauses:
             feature = spec.features.get(fname) or spec.constructor(fname)
             pinned = set(feature.relevant)
             for c in checkers._model_clauses(feature, spec.signature):
-                if c.target is None:
+                if c.expr is None:
                     assert c.cid in RELATIONAL, f"{name}.{c.cid}"
+                    assert c.target == RELATIONAL[c.cid], f"{name}.{c.cid}"
                     seen.add(c.cid)
-                    pinned.add(RELATIONAL[c.cid])
-                else:
-                    pinned.add(c.target)
+                pinned.add(c.target)
                 if "/frame:" in c.cid:
                     assert c.target == c.cid.split(":")[1]
             if feature.kind != "query":

@@ -86,6 +86,18 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out.splitlines()[0])["stats"]["violations"] == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["complete", "--max-size", "2"],
+        ["adequacy", "--max-size", "2"],
+        ["test", "--calls", "200", "--seed", "3"],
+    ])
+    def test_repeated_target_counts_once(self, capsys, argv):
+        once = run(capsys, *argv, "--target", "Dispenser",
+                   "--target", "Stack")
+        repeated = run(capsys, *argv, "--target", "Dispenser",
+                       "--target", "Stack", "--target", "Dispenser")
+        assert repeated == once
+
     def test_workers_flag_is_gone_2(self, capsys):
         code, _, err = run(capsys, "test", "--target", "Stack",
                            "--calls", "10", "--workers", "2")

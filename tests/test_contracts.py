@@ -237,7 +237,7 @@ class TestFrameExpansion:
     def test_mentioned_and_relevant_are_skipped(self):
         put = REGISTRY["Dispenser"].features["put"]
         cids = [c.cid for c in expand_frame(put, REGISTRY["Dispenser"].signature)]
-        # bag is mentioned, sequence is relevant: no frame clause for either.
+        # bag is targeted, sequence is relevant: no frame clause for either.
         assert not any("frame:" in c for c in cids)
 
     def test_only_commands(self):
@@ -264,7 +264,8 @@ class TestFrameExpansion:
 
     def test_signature_validation(self):
         sig = ModelSignature([("value", "int")])
-        bad = Feature("f", "command", mentioned=frozenset({"nope"}))
+        bad = Feature("f", "command", clauses=(
+            Clause("f/nope", "model", lambda c: True, target="nope"),))
         with pytest.raises(ConfigurationError):
             ContainerSpec("Bad", sig, features=[bad])
         ctor = Feature("make", "constructor", relevant=frozenset({"nope"}))
@@ -288,11 +289,9 @@ class TestDefiningClauses:
         assert not result.fn(Ctx(old=state, new=None, result=3))
 
     @pytest.mark.parametrize("feature, message", [
-        (Feature("f", "command", clauses=_defines("nope"),
-                 mentioned=frozenset({"value"})), "unknown model query 'nope'"),
-        (Feature("f", "command", clauses=_defines("value"),
-                 mentioned=frozenset({"other"})), "does not mention"),
-        (Feature("f", "query", clauses=_defines("value")), "define 'result'"),
+        (Feature("f", "command", clauses=_defines("nope")),
+         "unknown model query 'nope'"),
+        (Feature("f", "query", clauses=_defines("value")), "target 'result'"),
     ])
     def test_bad_target_rejected(self, feature, message):
         with pytest.raises(ConfigurationError, match=message):

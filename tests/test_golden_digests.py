@@ -4,10 +4,13 @@ A change that alters any of them on purpose updates its digest here and
 says why in CHANGES.md, as is done for the golden Boogie file."""
 
 import hashlib
+import json
 
 import pytest
 
 from mbc.cli import main
+from mbc.containers import CONTAINER_NAMES
+from mbc.contracts import REGISTRY, expand_frame
 
 GOLDEN = {
     "complete": (
@@ -55,3 +58,26 @@ def test_output_digest(name, tmp_path):
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == exit_code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# Each feature's effective model and classic clauses, as (id, tag, target
+# of a defining clause): a command's after frame expansion, a query's and a
+# constructor's as written.  Only a violation shows a clause id in the
+# outputs above, so this pins the frame clauses no run happens to break.
+CLAUSE_LISTS = (
+    "f54c726466b2c66582040aabe5e876aa13ed7f86e22bf213205fc5ee41873793")
+
+
+def test_effective_clause_lists_digest():
+    lists = []
+    for name in CONTAINER_NAMES:
+        spec = REGISTRY[name]
+        for f in list(spec.features.values()) + list(spec.constructors):
+            clauses = (expand_frame(f, spec.signature) if f.kind == "command"
+                       else f.clauses)
+            lists.append([name, f.name, [
+                [c.cid, c.tag, c.target if c.expr is not None else None]
+                for c in clauses]])
+    assert len(lists) == 58
+    text = json.dumps(lists, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == CLAUSE_LISTS
