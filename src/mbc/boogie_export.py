@@ -1,10 +1,10 @@
 """Axiomatic Boogie theories for the model sorts.
 
-Each exported operation carries a mapped-to annotation naming its target
-theory symbol; the emitted theory declares one function per operation plus
-its minimal defining axioms.  Output is byte-deterministic: sorts are
-ordered alphabetically and, within a sort, type declaration, functions, and
-axioms appear in declaration order.
+One table, ``_SORTS``, pairs each exported ``model_math`` operation with
+its Boogie function declaration; the emitted theory declares each function
+under a comment naming its operation, then the minimal defining axioms.
+Output is byte-deterministic: sorts are ordered alphabetically and, within
+a sort, type declaration, functions, and axioms appear in declaration order.
 
 Whitespace policy: single space around operators, two-space indent inside
 axioms, one blank line between sorts.
@@ -16,52 +16,8 @@ HEADER = "// Axiomatic theories for the immutable model sorts.\n"
 
 
 class ExportError(Exception):
-    """An operation is registered for export without an annotation."""
+    """An unregistered sort, or text the grammar check rejects."""
 
-
-# Operation name (as in model_math) -> target theory symbol.
-MAPPED_TO = {
-    "MSeq.count": "Sequence.count(Current)",
-    "MSeq.is_empty": "Sequence.is_empty(Current)",
-    "MSeq.extended": "Sequence.extended(Current, x)",
-    "MSeq.front": "Sequence.front(Current, n)",
-    "MSeq.tail": "Sequence.tail(Current, n)",
-    "MSeq.concat": "Sequence.concat(Current, other)",
-    "MSeq.interval": "Sequence.interval(Current, l, u)",
-    "MSeq.item": "Sequence.item(Current, i)",
-    "MSeq.domain": "Sequence.domain(Current)",
-    "MSeq.range": "Sequence.range(Current)",
-    "MSeq.has": "Sequence.has(Current, x)",
-    "MSeq.occurrences": "Sequence.occurrences(Current, x)",
-    "MSeq.to_bag": "Sequence.to_bag(Current)",
-    "MSet.count": "Set.count(Current)",
-    "MSet.is_empty": "Set.is_empty(Current)",
-    "MSet.has": "Set.has(Current, x)",
-    "MSet.union": "Set.union(Current, other)",
-    "MSet.intersection": "Set.intersection(Current, other)",
-    "MSet.difference": "Set.difference(Current, other)",
-    "int_interval": "Set.int_interval(l, u)",
-    "MBag.count": "Bag.count(Current)",
-    "MBag.is_empty": "Bag.is_empty(Current)",
-    "MBag.domain": "Bag.domain(Current)",
-    "MBag.multiplicity": "Bag.multiplicity(Current, x)",
-    "MBag.extended": "Bag.extended(Current, x)",
-    "MBag.removed": "Bag.removed(Current, x)",
-    "MMap.count": "Map.count(Current)",
-    "MMap.is_empty": "Map.is_empty(Current)",
-    "MMap.domain": "Map.domain(Current)",
-    "MMap.range": "Map.range(Current)",
-    "MMap.has_key": "Map.has_key(Current, k)",
-    "MMap.item": "Map.item(Current, k)",
-    "MMap.replaced_at": "Map.replaced_at(Current, k, v)",
-    "MMap.updated": "Map.updated(Current, k, v)",
-    "MMap.restricted": "Map.restricted(Current, keys)",
-    "MMap.is_constant": "Map.is_constant(Current, v)",
-    "MRel.count": "Relation.count(Current)",
-    "MRel.domain": "Relation.domain(Current)",
-    "MRel.has": "Relation.has(Current, x, y)",
-    "MRel.image_of": "Relation.image_of(Current, x)",
-}
 
 # Operations deliberately without a theory counterpart.
 NOT_EXPORTED = {
@@ -251,9 +207,7 @@ def export_theory(sort: str) -> str:
     lines = [f"// {sort} theory."]
     lines.append(type_decl)
     for op, decl in functions:
-        if op not in MAPPED_TO:
-            raise ExportError(f"operation {op} has no mapped-to annotation")
-        lines.append(f"// {op} mapped to {MAPPED_TO[op].split('(')[0]}")
+        lines.append(f"// {op} mapped to {decl.split()[1]}")
         lines.append(decl)
     lines.extend(axioms)
     return "\n".join(lines) + "\n"

@@ -16,8 +16,9 @@ bounded state space of a container from ``state_space``: the produced
 objects grouped by abstract state, each group led by its representative.
 It is enumerated once per configuration object (and interface restriction)
 and kept on that object.  The objects it holds are shared by every checker
-run with the configuration, so they are read-only: a checker that runs a
-body first rebuilds the object from its trace with ``_build``.
+run with the configuration, so they are read-only: queries run on them as
+stored (the runtime's purity check makes queries abstractly pure, and every
+library query body only reads), commands only on a ``_successor``.
 """
 
 from __future__ import annotations
@@ -56,8 +57,12 @@ class EnumerationConfig:
         return [Ref(chr(ord("a") + i)) for i in range(self.universe)]
 
     def estimate(self) -> int:
-        # Rough upper bound: sequences over the universe times cursor slots.
-        seqs = sum(self.universe**k for k in range(self.max_size + 1))
+        # Sequences over the universe times cursor slots, up to STATE_LIMIT.
+        seqs = 0
+        for k in range(self.max_size + 1):
+            seqs += self.universe**k
+            if seqs * (self.max_size + 2) > STATE_LIMIT:
+                break
         return seqs * (self.max_size + 2)
 
 
@@ -104,6 +109,13 @@ def _build(spec, trace):
     return obj
 
 
+def _successor(spec, e, feat, args):
+    """What ``e`` becomes after ``feat(*args)``; ``e.obj`` is left as it is."""
+    obj = _build(spec, e.trace)
+    feat.body(obj, *args)
+    return Enumerated(e.trace + ((feat.name, args),), obj, abstract_state(obj))
+
+
 def enumerate_states(name: str, cfg: EnumerationConfig, features=None):
     """All reachable concrete objects within the size bounds, with traces,
     grouped by abstract state.
@@ -119,8 +131,7 @@ def enumerate_states(name: str, cfg: EnumerationConfig, features=None):
     """
     spec = REGISTRY[name]
     if cfg.estimate() > STATE_LIMIT:
-        raise EnumerationRefused(
-            f"estimated {cfg.estimate()} states exceeds limit {STATE_LIMIT}")
+        raise EnumerationRefused(f"estimated states exceed limit {STATE_LIMIT}")
     containers.reset_ref_counter()
     groups = {}
     frontier = []
@@ -144,13 +155,10 @@ def enumerate_states(name: str, cfg: EnumerationConfig, features=None):
     while frontier:
         cur = frontier.pop()
         for feat, args in calls:
-            if not pre_holds(feat, cur.state, args, cur.obj.ref):
-                continue
-            obj = _build(spec, cur.trace)
-            feat.body(obj, *args)
-            state = abstract_state(obj)
-            if _state_size(state) <= cfg.max_size:
-                keep(Enumerated(cur.trace + ((feat.name, args),), obj, state))
+            if pre_holds(feat, cur.state, args, cur.obj.ref):
+                nxt = _successor(spec, cur, feat, args)
+                if _state_size(nxt.state) <= cfg.max_size:
+                    keep(nxt)
     return sorted(groups.values(), key=lambda g: serialize_state(g[0].state))
 
 
@@ -362,29 +370,24 @@ def _query_result(obj, feat, args):
     return ("value", result)
 
 
-def _distinguishable(spec, queries, commands, trace1, trace2, depth):
+def _distinguishable(spec, queries, commands, e1, e2, depth):
     """Whether some call sequence of at most ``depth`` commands followed by
-    a query tells the objects built by the two traces apart.  One loop over
-    the calls: a precondition that holds on one object only tells them
-    apart, a query compares results, a command recurses.  Each object's
-    state is taken once: a query leaves it unchanged, as the runtime's
-    purity check enforces."""
-    o1 = _build(spec, trace1)
-    o2 = _build(spec, trace2)
-    s1 = abstract_state(o1)
-    s2 = abstract_state(o2)
+    a query tells the two ``Enumerated`` objects apart.  One loop over the
+    calls: a precondition (on ``e.state`` and ``e.obj.ref``) that holds on
+    one object only tells them apart, a query runs on each stored ``e.obj``
+    and compares results, a command recurses on the two ``_successor``s."""
     for feat, args in queries + (commands if depth else []):
-        holds = pre_holds(feat, s1, args, o1.ref)
-        if holds != pre_holds(feat, s2, args, o2.ref):
+        holds = pre_holds(feat, e1.state, args, e1.obj.ref)
+        if holds != pre_holds(feat, e2.state, args, e2.obj.ref):
             return True
         if not holds:
             continue
         if feat.kind == "query":
-            if _query_result(o1, feat, args) != _query_result(o2, feat, args):
+            if _query_result(e1.obj, feat, args) != _query_result(e2.obj, feat, args):
                 return True
         elif _distinguishable(spec, queries, commands,
-                              trace1 + ((feat.name, args),),
-                              trace2 + ((feat.name, args),), depth - 1):
+                              _successor(spec, e1, feat, args),
+                              _successor(spec, e2, feat, args), depth - 1):
             return True
     return False
 
@@ -392,27 +395,24 @@ def _distinguishable(spec, queries, commands, trace1, trace2, depth):
 def check_observational_adequacy(name, cfg, model_fn=None, features=None):
     """Compare model-tuple equality against bounded indistinguishability.
 
-    ``model_fn`` maps a concrete object to its model tuple (default
-    ``abstract_state``); ``features`` optionally restricts the interface.
-    Verdicts are valid up to call depth ``cfg.depth`` only.  Under the
-    default model every pair of representatives is model-distinct, so only
-    minimality is tested; soundness needs a coarser ``model_fn``.
+    ``model_fn`` maps a concrete object to its model tuple (default: its
+    recorded abstract state); ``features`` optionally restricts the
+    interface.  Verdicts are valid up to call depth ``cfg.depth`` only.
+    Under the default model every pair of representatives is model-distinct,
+    so only minimality is tested; soundness needs a coarser ``model_fn``.
     """
     spec = REGISTRY[name]
-    if model_fn is None:
-        model_fn = abstract_state
     queries = _calls(spec.queries(), cfg, features)
     commands = _calls(spec.commands(), cfg, features)
-    # Representatives: one object per *full* concrete-model state, so pairs
-    # cover both equal and distinct variant models.
-    reps = [(g[0], model_fn(g[0].obj))
+    # One representative per full abstract state; a model_fn may merge them.
+    reps = [(g[0], g[0].state if model_fn is None else model_fn(g[0].obj))
             for g in state_space(name, cfg, features)]
     verdict = AdequacyVerdict(name, cfg.depth)
     for (e1, m1), (e2, m2) in itertools.combinations(reps, 2):
         verdict.pairs_checked += 1
         same_model = m1 == m2
-        if same_model == _distinguishable(spec, queries, commands, e1.trace,
-                                          e2.trace, cfg.depth):
+        if same_model == _distinguishable(spec, queries, commands, e1, e2,
+                                          cfg.depth):
             verdict.adequate = False
             kind = ("soundness: model-equal but distinguishable" if same_model
                     else "minimality: model-distinct but indistinguishable")

@@ -184,7 +184,7 @@ class Feature:
     incompleteness_tag: Optional[str] = None  # nondeterministic | inheritance | information-hiding
     arg_domains: Tuple = ()  # one domain per argument, see domain_values
     result_domain: Optional[object] = None
-    # expand_frame's memo: (clauses, signature, expanded clauses).
+    # expand_frame's memo: (clauses, relevant, signature, expanded clauses).
     _frame: Optional[tuple] = field(default=None, init=False, repr=False,
                                     compare=False)
 
@@ -336,19 +336,21 @@ def _serialize_arg(a) -> str:
 def expand_frame(feature: Feature, signature: ModelSignature):
     """Effective clause tuple: explicit clauses, then one frame clause for
     every model query q that no clause targets and that is not relevant,
-    which defines q as ``old.q``.  Built once per clause tuple and
-    signature and kept on the feature, so callers must not mutate it."""
+    which defines q as ``old.q``.  Built once per clause tuple, relevant
+    set and signature and kept on the feature, so callers must not mutate
+    it."""
     if feature.kind != "command":
         raise UsageError("frame expansion applies to commands")
     memo = feature._frame
-    if memo is not None and memo[0] is feature.clauses and memo[1] is signature:
-        return memo[2]
+    if (memo is not None and memo[0] is feature.clauses
+            and memo[1] is feature.relevant and memo[2] is signature):
+        return memo[3]
     targets = {c.target for c in feature.clauses} | feature.relevant
     clauses = tuple(feature.clauses) + tuple(
         Clause.defines(f"{feature.name}/frame:{q}", q,
                        lambda c, _q=q: getattr(c.old, _q))
         for q in signature.names if q not in targets)
-    feature._frame = (feature.clauses, signature, clauses)
+    feature._frame = (feature.clauses, feature.relevant, signature, clauses)
     return clauses
 
 

@@ -42,14 +42,9 @@ def test_every_operation_exported_or_manifested():
             if not n.startswith("_") and n not in ("items", "pairs"):
                 ops.add(f"{cls.__name__}.{n}")
     ops |= {"int_interval", "identity_relation", "total_relation"}
-    covered = set(bx.MAPPED_TO) | set(bx.NOT_EXPORTED)
+    covered = set(bx.exported_operations()) | set(bx.NOT_EXPORTED)
     assert ops <= covered, sorted(ops - covered)
     assert not covered - ops, sorted(covered - ops)
-
-
-def test_every_exported_op_has_annotation():
-    for op in bx.exported_operations():
-        assert op in bx.MAPPED_TO
 
 
 def test_grammar_check_accepts_output():
@@ -66,15 +61,6 @@ def test_grammar_check_rejects_garbage():
 def test_unregistered_sort_rejected():
     with pytest.raises(bx.ExportError):
         bx.export_theory("Tree")
-
-
-def test_missing_annotation_rejected():
-    saved = bx.MAPPED_TO.pop("MSeq.count")
-    try:
-        with pytest.raises(bx.ExportError):
-            bx.export_theory("Sequence")
-    finally:
-        bx.MAPPED_TO["MSeq.count"] = saved
 
 
 def test_export_deterministic(tmp_path):

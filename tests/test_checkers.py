@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import pickle
 import weakref
 
 import pytest
@@ -61,13 +62,21 @@ class TestStateSpace:
         assert sorted(enumerated) == sorted(CONTAINER_NAMES)
 
     def test_shared_objects_are_not_mutated(self):
+        # Neither the abstract state nor the concrete layout of a stored
+        # object changes, though adequacy runs queries on it.
         cfg = EnumerationConfig(max_size=2)
+        layouts = {name: [[pickle.dumps(e.obj) for e in g]
+                          for g in state_space(name, cfg)]
+                   for name in CONTAINER_NAMES}
         classify_library(cfg)
         for name in CONTAINER_NAMES:
             check_observational_adequacy(name, cfg)
         for name in CONTAINER_NAMES:
-            for group in state_space(name, cfg):
+            groups = state_space(name, cfg)
+            for group in groups:
                 assert all(abstract_state(e.obj) == e.state for e in group)
+            assert [[pickle.dumps(e.obj) for e in g]
+                    for g in groups] == layouts[name], name
 
     def test_config_freed_without_cyclic_gc(self):
         # The memo lives on the config, so nothing a check leaves behind
@@ -388,21 +397,39 @@ class TestAdequacy:
         assert any(f.startswith("minimality") for f in v.failures)
         assert not any(f.startswith("soundness") for f in v.failures)
 
-    def test_one_snapshot_per_built_object(self, monkeypatch):
-        # Each _distinguishable call takes the state of its two objects
-        # once, and the default model is taken once per representative.
-        cfg = EnumerationConfig(max_size=2)
-        reps = len(state_space("Stack", cfg))
-        counts = {"abstract_state": 0, "_distinguishable": 0}
-        for fn in counts:
+    def _count_calls(self, monkeypatch, *fns):
+        counts = dict.fromkeys(fns, 0)
+        for fn in fns:
             def counting(*a, _fn=fn, _real=getattr(checkers, fn)):
                 counts[_fn] += 1
                 return _real(*a)
             monkeypatch.setattr(checkers, fn, counting)
-        assert check_observational_adequacy("Stack", cfg).adequate
-        assert counts["abstract_state"] == (
-            2 * counts["_distinguishable"] + reps)
-        assert (reps, counts["_distinguishable"]) == (7, 51)
+        return counts
+
+    def test_one_snapshot_per_built_object(self, monkeypatch):
+        # A top-level pair reads its stored objects and the recorded
+        # default model; only a command's successor is built, and its
+        # state is taken once.
+        cfg = EnumerationConfig(max_size=2)
+        reps = len(state_space("Stack", cfg))
+        counts = self._count_calls(monkeypatch, "abstract_state", "_build",
+                                   "_successor", "_distinguishable")
+        v = check_observational_adequacy("Stack", cfg)
+        assert v.adequate
+        assert (reps, v.pairs_checked) == (7, 21)
+        assert counts == {"abstract_state": 60, "_build": 60,
+                          "_successor": 60, "_distinguishable": 51}
+        assert counts["_successor"] == 2 * (
+            counts["_distinguishable"] - v.pairs_checked)
+
+    def test_builds_only_successors(self, monkeypatch):
+        cfg = EnumerationConfig()
+        for name in CONTAINER_NAMES:
+            state_space(name, cfg)
+        counts = self._count_calls(monkeypatch, "_build")
+        for name in CONTAINER_NAMES:
+            assert check_observational_adequacy(name, cfg).adequate, name
+        assert counts["_build"] == 1766
 
     def test_witness_pair_concrete(self):
         v = check_observational_adequacy("Queue", CFG,

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -68,6 +69,15 @@ class TestExitCodes:
                            "--universe", "40", "--max-size", "40")
         assert code == 2
         assert "refused" in err
+
+    @pytest.mark.parametrize("max_size", ["20000", "1000000000"])
+    def test_huge_max_size_refused_quickly(self, capsys, max_size):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "complete", "--all",
+                             "--max-size", max_size)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("refused:") and len(err) < 200
 
     @pytest.mark.parametrize("argv", [
         ["complete", "--target", "Stack"],

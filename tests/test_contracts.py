@@ -262,6 +262,16 @@ class TestFrameExpansion:
         assert again[0] is own[0]
         assert [c.cid for c in again] == [c.cid for c in first]
 
+    def test_expanded_again_when_relevant_changes(self, monkeypatch):
+        put = REGISTRY["Dispenser"].features["put"]
+        sig = REGISTRY["Dispenser"].signature
+        assert [c.cid for c in expand_frame(put, sig)] == ["put/bag"]
+        monkeypatch.setattr(put, "relevant", frozenset())
+        assert [c.cid for c in expand_frame(put, sig)] == [
+            "put/bag", "put/frame:sequence"]
+        monkeypatch.undo()
+        assert [c.cid for c in expand_frame(put, sig)] == ["put/bag"]
+
     def test_signature_validation(self):
         sig = ModelSignature([("value", "int")])
         bad = Feature("f", "command", clauses=(
