@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from types import SimpleNamespace
 
 from . import containers
@@ -77,15 +77,7 @@ class CheckVerdict:
     states_checked: int = 0
 
     def to_dict(self):
-        return {
-            "feature": self.feature,
-            "pre_sound": self.pre_sound,
-            "post_sound": self.post_sound,
-            "post_complete": self.post_complete,
-            "tag": self.tag,
-            "witnesses": sorted(self.witnesses),
-            "states_checked": self.states_checked,
-        }
+        return {**asdict(self), "witnesses": sorted(self.witnesses)}
 
 
 def _state_size(state: AbstractState) -> int:
@@ -350,13 +342,7 @@ class AdequacyVerdict:
     pairs_checked: int = 0
 
     def to_dict(self):
-        return {
-            "container": self.container,
-            "depth": self.depth,
-            "adequate": self.adequate,
-            "failures": sorted(self.failures),
-            "pairs_checked": self.pairs_checked,
-        }
+        return {**asdict(self), "failures": sorted(self.failures)}
 
 
 def _query_result(obj, feat, args):

@@ -3,7 +3,12 @@
 Each container type registers a :class:`ContainerSpec` describing its model
 queries, contracted features, invariants (including linking invariants), and
 constructors, so the checkers, the random-testing harness, and the CLI can
-discover targets uniformly.
+discover targets uniformly.  A spec names its concrete class, whose routine
+``do_<name>`` runs the feature ``name``.
+
+Stack and Queue inherit Dispenser's contracts and strengthen them
+(:func:`refine`).  The concrete classes run the other way: ``Dispenser``
+is a subclass of ``Stack``, a stand-in that reaches every abstract state.
 
 Model queries read the *concrete* structure (e.g. ``LinkedList.sequence``
 walks the cell chain), which is what lets model clauses catch faults that
@@ -16,7 +21,8 @@ import itertools
 from dataclasses import dataclass
 
 from .contracts import (
-    Clause, ContainerSpec, Feature, InvariantClause, ModelSignature, register,
+    Clause, ContainerSpec, Feature, InvariantClause, ModelSignature, refine,
+    register,
 )
 from .model_math import MBag, MMap, MRel, MSeq, MSet, Ref, int_interval
 
@@ -39,68 +45,53 @@ class FaultSwitch:
     merge_right_missing_link: bool = False
 
 
-def _count_query(cls, model):
+def _count_query(model):
     """``count``: the size of the model query ``model``."""
     return Feature(
         "count", "query",
-        body=cls.do_count,
         clauses=(Clause.defines("count/result", "result",
                                 lambda c: getattr(c.old, model).count),),
         result_domain=("int",))
 
 
-def _map_item(name, body, key_domain):
+def _map_item(name, key_domain):
     """A query returning the value that the ``map`` model holds at its key
     argument, which must be in the domain."""
     return Feature(
         name, "query",
         pre=lambda s, a, r: s.map.domain.has(a[0]),
-        body=body,
         clauses=(Clause.defines(f"{name}/result", "result",
                                 lambda c: c.old.map.item(c.args[0])),),
         arg_domains=(key_domain,), result_domain=("element",))
 
 
-def _map_put(cls, key_domain):
+def _map_put(key_domain):
     """``put(v, k)``: replace the value at key ``k``, which must be in the
     domain of the ``map`` model."""
     return Feature(
         "put", "command",
         pre=lambda s, a, r: s.map.domain.has(a[1]),
-        body=cls.do_put,
         clauses=(Clause.defines(
             "put/map", "map",
             lambda c: c.old.map.replaced_at(c.args[1], c.args[0])),),
         arg_domains=(("element",), key_domain))
 
 
-def _is_empty_query(cls, model):
+def _is_empty_query(model):
     """``is_empty``: whether the model query ``model`` is empty."""
     return Feature(
         "is_empty", "query",
-        body=cls.do_is_empty,
         clauses=(Clause.defines("is_empty/result", "result",
                                 lambda c: getattr(c.old, model).is_empty),),
         result_domain=("bool",))
 
 
-def _make_empty(cls, models):
-    """``make_empty``: every model query in ``models`` starts empty."""
+def _emptying(name, kind, models):
+    """The constructor or command ``name``: every model query in ``models``
+    is empty after it."""
     return Feature(
-        "make_empty", "constructor",
-        body=lambda faults=None: cls(faults=faults),
-        clauses=tuple(Clause(f"make_empty/{m}", "model",
-                             lambda c, _m=m: getattr(c.new, _m).is_empty,
-                             target=m)
-                      for m in models))
-
-
-def _wipe_out(cls, models):
-    """``wipe_out``: every model query in ``models`` ends empty."""
-    return Feature(
-        "wipe_out", "command",
-        body=cls.do_wipe_out,
-        clauses=tuple(Clause(f"wipe_out/{m}", "model",
+        name, kind,
+        clauses=tuple(Clause(f"{name}/{m}", "model",
                              lambda c, _m=m: getattr(c.new, _m).is_empty,
                              target=m)
                       for m in models))
@@ -212,7 +203,6 @@ def _linked_list_spec():
     sig = ModelSignature([("sequence", "MSeq"), ("index", "int")])
     make_empty = Feature(
         "make_empty", "constructor",
-        body=lambda faults=None: LinkedList(faults=faults),
         clauses=(
             Clause("make_empty/sequence", "model",
                    lambda c: c.new.sequence.is_empty, target="sequence"),
@@ -221,7 +211,6 @@ def _linked_list_spec():
     put_right = Feature(
         "put_right", "command",
         pre=lambda s, a, r: 0 <= s.index <= s.sequence.count,
-        body=LinkedList.do_put_right,
         clauses=(
             Clause.defines("put_right/sequence", "sequence",
                            lambda c: c.old.sequence.front(c.old.index)
@@ -236,7 +225,6 @@ def _linked_list_spec():
     item = Feature(
         "item", "query",
         pre=lambda s, a, r: s.sequence.domain.has(s.index),
-        body=LinkedList.do_item,
         clauses=(
             Clause.defines("item/result", "result",
                            lambda c: c.old.sequence.item(c.old.index)),
@@ -244,18 +232,16 @@ def _linked_list_spec():
         result_domain=("element",))
     has = Feature(
         "has", "query",
-        body=LinkedList.do_has,
         clauses=(
             Clause.defines("has/result", "result",
                            lambda c: c.old.sequence.has(c.args[0])),
         ),
         arg_domains=(("element",),), result_domain=("bool",))
-    count = _count_query(LinkedList, "sequence")
-    is_empty = _is_empty_query(LinkedList, "sequence")
+    count = _count_query("sequence")
+    is_empty = _is_empty_query("sequence")
     duplicate = Feature(
         "duplicate", "query",
         pre=lambda s, a, r: a[0] >= 0,
-        body=LinkedList.do_duplicate,
         clauses=(
             Clause("duplicate/sequence", "model",
                    lambda c: c.result.sequence == c.old.sequence.interval(
@@ -268,22 +254,18 @@ def _linked_list_spec():
         result_domain=("container", "LinkedList"))
     start = Feature(
         "start", "command",
-        body=LinkedList.do_start,
         clauses=(Clause.defines("start/index", "index", lambda c: 1),))
     forth = Feature(
         "forth", "command",
         pre=lambda s, a, r: s.index <= s.sequence.count,
-        body=LinkedList.do_forth,
         clauses=(Clause.defines("forth/index", "index",
                                 lambda c: c.old.index + 1),))
     go_before = Feature(
         "go_before", "command",
-        body=LinkedList.do_go_before,
         clauses=(Clause.defines("go_before/index", "index", lambda c: 0),))
     merge_right = Feature(
         "merge_right", "command",
         pre=lambda s, a, r: a[0].ref != r and 0 <= s.index <= s.sequence.count,
-        body=LinkedList.do_merge_right,
         clauses=(
             Clause.defines("merge_right/sequence", "sequence",
                            lambda c: c.old.sequence.front(c.old.index)
@@ -310,7 +292,7 @@ def _linked_list_spec():
                         lambda o, s: 0 <= o.index <= o.count + 1),
     )
     return ContainerSpec(
-        "LinkedList", sig,
+        "LinkedList", LinkedList, sig,
         features=[put_right, item, has, count, is_empty, duplicate,
                   start, forth, go_before, merge_right],
         invariants=invariants,
@@ -361,7 +343,6 @@ def _array_spec():
     make = Feature(
         "make", "constructor",
         pre=lambda s, a, r: a[1] >= a[0] - 1,
-        body=lambda l, u, v, faults=None: ArrayT(l, u, v, faults=faults),
         clauses=(
             Clause("make/map", "model",
                    lambda c: c.new.map.domain == int_interval(c.args[0], c.args[1])
@@ -373,7 +354,6 @@ def _array_spec():
     fill = Feature(
         "fill", "command",
         pre=lambda s, a, r: s.map.domain.has(a[1]) and s.map.domain.has(a[2]),
-        body=ArrayT.do_fill,
         clauses=(
             Clause("fill/domain", "model",
                    lambda c: c.new.map.domain == c.old.map.domain, target="map"),
@@ -389,7 +369,6 @@ def _array_spec():
     reserve = Feature(
         "reserve", "command",
         pre=lambda s, a, r: a[0] >= 0,
-        body=ArrayT.do_reserve,
         clauses=(
             Clause("reserve/grows", "model",
                    lambda c: c.new.capacity >= c.old.capacity, target="capacity"),
@@ -400,7 +379,6 @@ def _array_spec():
         arg_domains=(("int", 0, 4),))
     capacity = Feature(
         "capacity", "query",
-        body=ArrayT.do_capacity,
         clauses=(Clause.defines("capacity/result", "result",
                                 lambda c: c.old.capacity),),
         result_domain=("int",))
@@ -411,9 +389,8 @@ def _array_spec():
                         lambda o, s: s.capacity >= s.map.count),
     )
     return ContainerSpec(
-        "ArrayT", sig,
-        features=[_map_put(ArrayT, ("int", 0, 4)),
-                  _map_item("item", ArrayT.do_item, ("int", 0, 4)),
+        "ArrayT", ArrayT, sig,
+        features=[_map_put(("int", 0, 4)), _map_item("item", ("int", 0, 4)),
                   fill, reserve, capacity],
         invariants=invariants,
         constructors=[make])
@@ -450,25 +427,23 @@ def _table_spec():
     sig = ModelSignature([("map", "MMap")])
     force = Feature(
         "force", "command",
-        body=Table.do_force,
         clauses=(
             Clause.defines("force/map", "map",
                            lambda c: c.old.map.updated(c.args[1], c.args[0])),
         ),
         arg_domains=(("element",), ("element",)))
     return ContainerSpec(
-        "Table", sig,
-        features=[_map_put(Table, ("element",)), force,
-                  _map_item("item", Table.do_item, ("element",)),
-                  _count_query(Table, "map")],
-        constructors=[_make_empty(Table, ["map"])])
+        "Table", Table, sig,
+        features=[_map_put(("element",)), force,
+                  _map_item("item", ("element",)), _count_query("map")],
+        constructors=[_emptying("make_empty", "constructor", ["map"])])
 
 
 # ---------------------------------------------------------------------------
 # Collection / Dispenser / Stack / Queue hierarchy.
-# Collection's model is a bag; Dispenser refines it with a sequence tied to
-# the bag by a linking invariant; Stack and Queue pin the insertion and
-# removal positions.
+# Collection's model is a bag; Dispenser adds a sequence tied to the bag by
+# a linking invariant; Stack and Queue refine Dispenser's spec and pin the
+# insertion and removal positions.
 
 class _SeqBacked:
     """Shared concrete representation: a Python list of element tokens."""
@@ -542,68 +517,43 @@ def _collection_spec():
     sig = ModelSignature([("bag", "MBag")])
     put = Feature(
         "put", "command",
-        body=Collection.do_put,
         clauses=(_put_bag(),),
         arg_domains=(("element",),))
     occurrences = Feature(
         "occurrences", "query",
-        body=Collection.do_occurrences,
         clauses=(Clause.defines("occurrences/result", "result",
                                 lambda c: c.old.bag[c.args[0]]),),
         arg_domains=(("element",),), result_domain=("int",))
     return ContainerSpec(
-        "Collection", sig,
-        features=[put, _is_empty_query(Collection, "bag"),
-                  _count_query(Collection, "bag"), occurrences,
-                  _wipe_out(Collection, ["bag"])],
-        constructors=[_make_empty(Collection, ["bag"])])
+        "Collection", Collection, sig,
+        features=[put, _is_empty_query("bag"), _count_query("bag"),
+                  occurrences, _emptying("wipe_out", "command", ["bag"])],
+        constructors=[_emptying("make_empty", "constructor", ["bag"])])
 
 
-def _dispenser_family_spec(name, cls, put_sequence, item_clause,
-                           remove_clauses, tag=None):
-    """Dispenser, Stack and Queue: a bag tied to a sequence by the linking
-    invariant.  ``put_sequence`` holds put's sequence clause; Dispenser
-    passes none, which leaves the sequence relevant but unspecified.
-    ``tag`` is the incompleteness tag of put, item and remove."""
+def _dispenser_spec():
+    """A bag tied to a sequence by the linking invariant.  put inherits only
+    the bag clause from Collection and leaves the sequence relevant but
+    unspecified; item and remove say no more than membership and counts."""
     sig = ModelSignature([("bag", "MBag"), ("sequence", "MSeq")])
     put = Feature(
         "put", "command",
-        body=cls.do_put,
-        clauses=(_put_bag(),) + put_sequence,
-        relevant=frozenset() if put_sequence else frozenset({"sequence"}),
-        incompleteness_tag=tag,
+        clauses=(_put_bag(),),
+        relevant=frozenset({"sequence"}),
+        incompleteness_tag="inheritance",
         arg_domains=(("element",),))
     item = Feature(
         "item", "query",
         pre=lambda s, a, r: not s.sequence.is_empty,
-        body=cls.do_item,
-        clauses=(item_clause,),
-        incompleteness_tag=tag,
+        clauses=(Clause("item/member", "model",
+                        lambda c: c.old.sequence.has(c.result),
+                        target="result"),),
+        incompleteness_tag="inheritance",
         result_domain=("element",))
     remove = Feature(
         "remove", "command",
         pre=lambda s, a, r: not s.sequence.is_empty,
-        body=cls.do_remove,
-        clauses=remove_clauses,
-        incompleteness_tag=tag)
-    return ContainerSpec(
-        name, sig,
-        features=[put, item, remove, _is_empty_query(cls, "bag"),
-                  _count_query(cls, "bag"), _wipe_out(cls, ["bag", "sequence"])],
-        invariants=(InvariantClause("linking", "model", _linking_invariant),),
-        constructors=[_make_empty(cls, ["bag", "sequence"])])
-
-
-def _dispenser_spec():
-    # put inherits only the bag clause from Collection; item and remove say
-    # no more than membership and counts.
-    return _dispenser_family_spec(
-        "Dispenser", Dispenser,
-        put_sequence=(),
-        item_clause=Clause("item/member", "model",
-                           lambda c: c.old.sequence.range.has(c.result),
-                           target="result"),
-        remove_clauses=(
+        clauses=(
             Clause("remove/count", "model",
                    lambda c: c.new.sequence.count == c.old.sequence.count - 1,
                    target="sequence"),
@@ -611,41 +561,38 @@ def _dispenser_spec():
                    lambda c: c.new.bag.count == c.old.bag.count - 1,
                    target="bag"),
         ),
-        tag="inheritance")
+        incompleteness_tag="inheritance")
+    return ContainerSpec(
+        "Dispenser", Dispenser, sig,
+        features=[put, item, remove, _is_empty_query("bag"), _count_query("bag"),
+                  _emptying("wipe_out", "command", ["bag", "sequence"])],
+        invariants=(InvariantClause("linking", "model", _linking_invariant),),
+        constructors=[
+            _emptying("make_empty", "constructor", ["bag", "sequence"])])
 
 
-def _stack_queue_spec(name, cls, item_pos, remove_sequence):
-    # Both put at the sequence end; item_pos(state) is the position that
-    # item reads and remove takes away.
-    return _dispenser_family_spec(
-        name, cls,
-        put_sequence=(Clause.defines(
-            "put/sequence", "sequence",
-            lambda c: c.old.sequence.extended(c.args[0])),),
-        item_clause=Clause.defines(
-            "item/result", "result",
-            lambda c: c.old.sequence.item(item_pos(c.old))),
-        remove_clauses=(
-            Clause.defines("remove/sequence", "sequence", remove_sequence),
-            Clause.defines("remove/bag", "bag", lambda c: c.old.bag.removed(
-                c.old.sequence.item(item_pos(c.old)))),
-        ))
+def _stack_queue_specs(dispenser):
+    """Stack and Queue refine Dispenser.  Both put at the sequence end;
+    ``pos(state)`` is the position that item reads and remove takes away
+    (the end for Stack, the front for Queue), and ``rest(sequence)`` is
+    what remove leaves."""
+    def heir(name, cls, pos, rest):
+        return refine(dispenser, name, cls, {
+            "put": (Clause.defines(
+                "put/sequence", "sequence",
+                lambda c: c.old.sequence.extended(c.args[0])),),
+            "item": (Clause.defines("item/result", "result",
+                                    lambda c: c.old.sequence.item(pos(c.old))),),
+            "remove": (
+                Clause.defines("remove/sequence", "sequence",
+                               lambda c: rest(c.old.sequence)),
+                Clause.defines("remove/bag", "bag", lambda c: c.old.bag.removed(
+                    c.old.sequence.item(pos(c.old))))),
+        })
 
-
-def _stack_spec():
-    # Top of the stack is the sequence end.
-    return _stack_queue_spec(
-        "Stack", Stack,
-        item_pos=lambda s: s.sequence.count,
-        remove_sequence=lambda c: c.old.sequence.front(c.old.sequence.count - 1))
-
-
-def _queue_spec():
-    # Front of the queue is position 1; put appends at the end.
-    return _stack_queue_spec(
-        "Queue", Queue,
-        item_pos=lambda s: 1,
-        remove_sequence=lambda c: c.old.sequence.tail(2))
+    return [heir("Stack", Stack, lambda s: s.sequence.count,
+                 lambda q: q.front(q.count - 1)),
+            heir("Queue", Queue, lambda s: 1, lambda q: q.tail(2))]
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +637,6 @@ def _eqset_spec():
     make = Feature(
         "make", "constructor",
         pre=lambda s, a, r: _relation_is_equivalence(a[0]),
-        body=lambda rel, faults=None: EqSet(rel, faults=faults),
         clauses=(
             Clause("make/set", "model", lambda c: c.new.set.is_empty,
                    target="set"),
@@ -700,7 +646,6 @@ def _eqset_spec():
     has = Feature(
         "has", "query",
         pre=lambda s, a, r: s.relation.domain.has(a[0]),
-        body=EqSet.do_has,
         clauses=(
             Clause.defines("has/result", "result",
                            lambda c: not (c.old.set
@@ -710,7 +655,6 @@ def _eqset_spec():
     add = Feature(
         "add", "command",
         pre=lambda s, a, r: s.relation.domain.has(a[0]),
-        body=EqSet.do_add,
         clauses=(
             Clause.defines("add/set", "set", lambda c: (
                 c.old.set
@@ -718,7 +662,7 @@ def _eqset_spec():
                 else c.old.set | MSet([c.args[0]]))),
         ),
         arg_domains=(("element",),))
-    count = _count_query(EqSet, "set")
+    count = _count_query("set")
     invariants = (
         InvariantClause("no_equivalent_pair", "model",
                         lambda o, s: all(
@@ -728,7 +672,7 @@ def _eqset_spec():
                         lambda o, s: _relation_is_equivalence(s.relation)),
     )
     return ContainerSpec(
-        "EqSet", sig,
+        "EqSet", EqSet, sig,
         features=[has, add, count],
         invariants=invariants,
         constructors=[make])
@@ -802,7 +746,6 @@ def _tree_spec():
     add_root = Feature(
         "add_root", "command",
         pre=lambda s, a, r: s.map.is_empty,
-        body=BinaryTree.do_add_root,
         clauses=(
             Clause("add_root/count", "model", lambda c: c.new.map.count == 1,
                    target="map"),
@@ -814,7 +757,6 @@ def _tree_spec():
         "put_child", "command",
         pre=lambda s, a, r: (s.map.domain.has(a[0])
                              and not s.map.domain.has(a[0].extended(a[1]))),
-        body=BinaryTree.do_put_child,
         clauses=(
             Clause.defines("put_child/map", "map", lambda c: c.old.map.updated(
                 c.args[0].extended(c.args[1]), c.args[2])),
@@ -826,18 +768,17 @@ def _tree_spec():
             lambda p: p.is_empty or s.map.domain.has(p.front(p.count - 1)))
 
     return ContainerSpec(
-        "BinaryTree", sig,
-        features=[add_root, put_child,
-                  _map_item("item_at", BinaryTree.do_item_at, ("path", 2)),
-                  _count_query(BinaryTree, "map")],
+        "BinaryTree", BinaryTree, sig,
+        features=[add_root, put_child, _map_item("item_at", ("path", 2)),
+                  _count_query("map")],
         invariants=(InvariantClause("prefix_closed", "model", prefix_closed),),
-        constructors=[_make_empty(BinaryTree, ["map"])])
+        constructors=[_emptying("make_empty", "constructor", ["map"])])
 
 
+_dispenser = _dispenser_spec()
 ALL_SPECS = [
     _linked_list_spec(), _array_spec(), _table_spec(), _collection_spec(),
-    _dispenser_spec(), _stack_spec(), _queue_spec(), _eqset_spec(),
-    _tree_spec(),
+    _dispenser, *_stack_queue_specs(_dispenser), _eqset_spec(), _tree_spec(),
 ]
 for _s in ALL_SPECS:
     register(_s)

@@ -2,8 +2,8 @@
 and runtime checking of pre/postconditions, invariants, and abstract purity.
 
 Container types register a :class:`ContainerSpec` describing their model
-queries and contracted features; the functions here evaluate the contracts
-against live objects.
+queries and contracted features (:func:`refine` derives an heir's); the
+functions here evaluate the contracts against live objects.
 
 An abstract state is a tuple of model values, of one AbstractState type
 per signature.  A checked call takes each object's state (the target's
@@ -19,7 +19,7 @@ anything but ``DomainError``, which makes it false.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -49,13 +49,16 @@ class ContractViolation(Exception):
     was false, or the body or a clause raised (kind ``exception``)."""
 
     def __init__(self, feature, clause, kind, old_state, new_state, args):
-        super().__init__(f"{clause} [{kind}]")
+        super().__init__()
         self.feature = feature
         self.clause = clause
         self.kind = kind  # postcondition | class-invariant | abstract-purity | exception
         self.old_state = old_state
         self.new_state = new_state
-        self.args = args
+        self.args = args  # the argument texts, not BaseException's args
+
+    def __str__(self):
+        return f"{self.clause} [{self.kind}]"
 
     def to_dict(self) -> dict:
         return {
@@ -178,12 +181,15 @@ class Feature:
     name: str
     kind: str  # "command" | "query" | "constructor"
     pre: Optional[Callable] = None  # fn(state, args, target_ref) -> bool
-    body: Optional[Callable] = None  # fn(obj, *args) -> result
     clauses: Tuple[Clause, ...] = ()
     relevant: frozenset = frozenset()
     incompleteness_tag: Optional[str] = None  # nondeterministic | inheritance | information-hiding
     arg_domains: Tuple = ()  # one domain per argument, see domain_values
     result_domain: Optional[object] = None
+    # fn(obj, *args) -> result, or fn(*args, faults=None) -> object for a
+    # constructor; bound by ContainerSpec.
+    body: Optional[Callable] = field(default=None, init=False, repr=False,
+                                     compare=False)
     # expand_frame's memo: (clauses, relevant, signature, expanded clauses).
     _frame: Optional[tuple] = field(default=None, init=False, repr=False,
                                     compare=False)
@@ -230,9 +236,12 @@ def draw_value(domain, rng, elements):
 
 
 class ContainerSpec:
-    """Self-description of a container type for the engine and the tools."""
+    """Self-description of a container type for the engine and the tools.
+    Each feature runs the routine ``do_<name>`` of the concrete class
+    ``cls``, which must have one, and each constructor runs ``cls`` with
+    its arguments and ``faults``."""
 
-    def __init__(self, name, signature, features, invariants=(),
+    def __init__(self, name, cls, signature, features, invariants=(),
                  constructors=(), snapshot=None):
         self.name = name
         self.signature = signature
@@ -248,6 +257,11 @@ class ContainerSpec:
             for c in f.clauses:
                 if c.target is not None:
                     _check_target(name, f, c, signature)
+            f.body = (cls if f.kind == "constructor"
+                      else getattr(cls, "do_" + f.name, None))
+            if f.body is None:
+                raise ConfigurationError(
+                    f"{name}.{f.name}: {cls.__name__} has no do_{f.name}")
 
     def constructor(self, name) -> Feature:
         for c in self.constructors:
@@ -272,6 +286,29 @@ def _check_target(name, feature, clause, signature):
     elif clause.target not in signature.names:
         raise ConfigurationError(
             f"{where} targets unknown model query {clause.target!r}")
+
+
+def refine(parent: ContainerSpec, name, cls, strengthen) -> ContainerSpec:
+    """The spec of ``cls``, an heir of ``parent``: the parent's signature,
+    invariants and snapshot, and copies of its constructors and features
+    bound to ``cls``.  ``strengthen`` maps a feature's name to the heir's
+    own clauses, checked after the parent's (Eiffel's ``ensure then``); a
+    strengthened feature drops the parent's incompleteness tag.  With the
+    parent's preconditions and invariants kept and every postcondition
+    conjoined, the heir is a behavioural subtype by construction."""
+    unknown = set(strengthen) - set(parent.features)
+    if unknown:
+        raise ConfigurationError(f"{name}: {parent.name} has no {sorted(unknown)}")
+
+    def heir(f):
+        own = tuple(strengthen.get(f.name, ()))
+        tag = None if own else f.incompleteness_tag
+        return replace(f, clauses=f.clauses + own, incompleteness_tag=tag)
+
+    return ContainerSpec(name, cls, parent.signature,
+                         [heir(f) for f in parent.features.values()],
+                         parent.invariants, [heir(c) for c in parent.constructors],
+                         parent.snapshot)
 
 
 REGISTRY: dict = {}
@@ -491,7 +528,8 @@ def checked_command(obj, feature_name, args=(), mode="model"):
 def checked_query(obj, feature_name, args=(), mode="model"):
     """Run a query under contract checking, including abstract purity:
     the target's and every container argument's abstract state must be
-    unchanged by the call."""
+    unchanged by the call.  A container it returns must satisfy its class
+    invariant."""
     spec = spec_of(obj)
     feature = spec.features[feature_name]
     views = _views(feature_name, args)
@@ -514,11 +552,14 @@ def checked_query(obj, feature_name, args=(), mode="model"):
                     feature_name, f"{feature_name}/purity:argument",
                     "abstract-purity", old, v.new, views)
 
+    returns_container = _is_container(result)
     result_view = (_state(result, feature_name, old, new, views)
-                   if _is_container(result) else result)
+                   if returns_container else result)
     ctx = Ctx(old=old, new=new, args=views, result=result_view, obj=obj, cold=cold)
     _check_clauses(feature.clauses, (ctx,), "postcondition", feature_name,
                    old, new, views, mode)
+    if returns_container:
+        _check_invariants(result, result_view, feature_name, old, views, mode)
     return result
 
 

@@ -212,24 +212,23 @@ class TestCompleteness:
         class Leaky(Collection):
             spec_name = "LeakyCollection"
 
+            def do_leaky(self):
+                pass
+
         flipping = lambda s, a, r, _it=itertools.count(): next(_it) % 2 == 0
         spec = ContainerSpec(
-            "LeakyCollection", sig,
+            "LeakyCollection", Leaky, sig,
             features=[
                 Feature("put", "command",
-                        body=Leaky.do_put,
                         clauses=(Clause("put/bag", "model",
                                         lambda c: c.new.bag == c.old.bag.extended(c.args[0]),
                                         target="bag"),),
                         arg_domains=(("element",),)),
                 Feature("leaky", "command",
                         pre=flipping,
-                        body=lambda o: None,
                         clauses=()),
             ],
-            constructors=[Feature("make_empty", "constructor",
-                                  body=lambda faults=None: Leaky(faults=faults),
-                                  clauses=())])
+            constructors=[Feature("make_empty", "constructor", clauses=())])
         register(spec)
         try:
             v = classify_feature("LeakyCollection", "leaky", CFG)

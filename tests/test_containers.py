@@ -5,7 +5,7 @@ import gc
 import pytest
 
 from mbc.containers import (
-    ALL_SPECS, CONTAINER_NAMES, FaultSwitch, LinkedList,
+    ALL_SPECS, CONTAINER_NAMES, FaultSwitch, LinkedList, Queue, Stack,
 )
 from mbc.contracts import (
     ContractViolation, PreconditionRejected, REGISTRY, abstract_state,
@@ -176,6 +176,44 @@ class TestCollectionFamily:
                             (MBag([(A, 2)]), False)]:
             s = SimpleNamespace(bag=bag, sequence=seq)
             assert _linking_invariant(None, s) is linked, bag
+
+
+class TestDispenserHeirs:
+    # The clauses each heir adds to Dispenser's, in order.
+    OWN = {"put": ["put/sequence"], "item": ["item/result"],
+           "remove": ["remove/sequence", "remove/bag"]}
+
+    @pytest.mark.parametrize("name, cls", [("Stack", Stack), ("Queue", Queue)])
+    def test_heir_conjoins_dispenser_contracts(self, name, cls):
+        parent, heir = REGISTRY["Dispenser"], REGISTRY[name]
+        assert heir.signature is parent.signature
+        assert heir.invariants == parent.invariants
+        assert list(heir.features) == list(parent.features)
+        for fname, f in heir.features.items():
+            p, own = parent.features[fname], self.OWN.get(fname, [])
+            assert f is not p
+            assert f.clauses[:len(p.clauses)] == p.clauses
+            assert [c.cid for c in f.clauses[len(p.clauses):]] == own
+            assert f.incompleteness_tag == (None if own else p.incompleteness_tag)
+            assert f.body is getattr(cls, "do_" + fname)
+        for fname in self.OWN:
+            assert parent.features[fname].incompleteness_tag == "inheritance"
+        for c, p in zip(heir.constructors, parent.constructors, strict=True):
+            assert c is not p and c.clauses == p.clauses and c.body is cls
+
+    def test_inherited_clause_checked_first(self, monkeypatch):
+        # A wrong item is not in the sequence: Dispenser's item/member
+        # blames it before Stack's own item/result is reached.
+        stack = build("Stack")
+        checked_command(stack, "put", [A])
+        monkeypatch.setattr(REGISTRY["Stack"].features["item"], "body",
+                            lambda o: Ref("z"))
+        with pytest.raises(ContractViolation) as e:
+            checked_query(stack, "item")
+        assert e.value.clause == "item/member"
+        dispenser = build("Dispenser")
+        checked_command(dispenser, "put", [A])
+        assert checked_query(dispenser, "item") == A
 
 
 class TestEqSet:

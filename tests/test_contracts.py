@@ -27,6 +27,14 @@ def make_list(*items):
     return obj
 
 
+class _Thing:
+    """The concrete class of the specs built in these tests: it has a
+    routine for their one feature, ``f``."""
+
+    def do_f(self):
+        pass
+
+
 class TestAbstractState:
     def test_named_access(self):
         obj = make_list("x", "y")
@@ -277,14 +285,36 @@ class TestFrameExpansion:
         bad = Feature("f", "command", clauses=(
             Clause("f/nope", "model", lambda c: True, target="nope"),))
         with pytest.raises(ConfigurationError):
-            ContainerSpec("Bad", sig, features=[bad])
+            ContainerSpec("Bad", _Thing, sig, features=[bad])
         ctor = Feature("make", "constructor", relevant=frozenset({"nope"}))
         with pytest.raises(ConfigurationError, match="unknown model query"):
-            ContainerSpec("Bad", sig, features=[], constructors=[ctor])
+            ContainerSpec("Bad", _Thing, sig, features=[], constructors=[ctor])
 
 
 def _defines(target):
     return (Clause.defines("f/x", target, lambda c: 0),)
+
+
+class TestBinding:
+    SIG = ModelSignature([("value", "int")])
+
+    def test_bodies_are_the_class_routines(self):
+        spec = ContainerSpec(
+            "Good", _Thing, self.SIG, features=[Feature("f", "command")],
+            constructors=[Feature("make", "constructor")])
+        assert spec.features["f"].body is _Thing.do_f
+        assert spec.constructors[0].body is _Thing
+
+    def test_missing_routine_rejected(self):
+        with pytest.raises(ConfigurationError, match="_Thing has no do_g"):
+            ContainerSpec("Bad", _Thing, self.SIG,
+                          features=[Feature("g", "query")])
+
+    def test_refining_an_unknown_feature_rejected(self):
+        from mbc.containers import Stack
+        with pytest.raises(ConfigurationError,
+                           match=r"Dispenser has no \['nope'\]"):
+            contracts.refine(REGISTRY["Dispenser"], "Bad", Stack, {"nope": ()})
 
 
 class TestDefiningClauses:
@@ -305,14 +335,15 @@ class TestDefiningClauses:
     ])
     def test_bad_target_rejected(self, feature, message):
         with pytest.raises(ConfigurationError, match=message):
-            ContainerSpec("Bad", self.SIG, features=[feature])
+            ContainerSpec("Bad", _Thing, self.SIG, features=[feature])
 
     def test_constructor_target_must_be_a_query(self):
         ctor = Feature("make", "constructor", clauses=_defines("result"))
         with pytest.raises(ConfigurationError, match="unknown model query"):
-            ContainerSpec("Bad", self.SIG, features=[], constructors=[ctor])
+            ContainerSpec("Bad", _Thing, self.SIG, features=[],
+                          constructors=[ctor])
         ok = Feature("make", "constructor", clauses=_defines("value"))
-        ContainerSpec("Good", self.SIG, features=[], constructors=[ok])
+        ContainerSpec("Good", _Thing, self.SIG, features=[], constructors=[ok])
 
 
 class TestCheckedCalls:
@@ -357,6 +388,27 @@ class TestCheckedCalls:
         with pytest.raises(ContractViolation) as e:
             checked_command(obj, "start")
         assert e.value.kind == "class-invariant"
+
+    def test_returned_container_invariant_checked(self, monkeypatch):
+        # The copy's count field stays 0.  duplicate's clauses read the
+        # copy's cell chain and hold; only the copy's invariant sees it.
+        feature = SPEC.features["duplicate"]
+        original = feature.body
+
+        def forgetful(o, n):
+            copy = original(o, n)
+            copy.count = 0
+            return copy
+
+        monkeypatch.setattr(feature, "body", forgetful)
+        obj = make_list("x")
+        checked_command(obj, "start")
+        with pytest.raises(ContractViolation) as e:
+            checked_query(obj, "duplicate", [1])
+        v = e.value
+        assert (v.clause, v.kind) == ("LinkedList/invariant:count_consistent",
+                                      "class-invariant")
+        assert (v.old_state, v.new_state) == ("(⟨x⟩, 1)", "(⟨x⟩, 0)")
 
     def test_violation_json_fields(self):
         obj = make_list("x")
@@ -415,6 +467,22 @@ class TestViolationText:
         assert checked_query(a, "has", [Ref("z")]) is True
         assert checked_query(a, "count") == 3
         assert calls == []
+
+    def test_message_is_the_clause_and_kind(self, monkeypatch):
+        # For a call with arguments and one without; ``args`` keeps the
+        # argument texts.
+        obj = make_list("x")
+        monkeypatch.setattr(SPEC.features["put_right"], "body",
+                            lambda o, v: None)
+        with pytest.raises(ContractViolation) as e:
+            checked_command(obj, "put_right", [Ref("b")])
+        assert str(e.value) == "put_right/sequence [postcondition]"
+        assert e.value.args == ("b",)
+        checked_command(obj, "start")
+        monkeypatch.setattr(SPEC.features["item"], "body", lambda o: Ref("z"))
+        with pytest.raises(ContractViolation) as e:
+            checked_query(obj, "item")
+        assert str(e.value) == "item/result [postcondition]"
 
     def test_argument_text_shows_the_state_before_the_call(self):
         faults = FaultSwitch(merge_right_missing_link=True)
