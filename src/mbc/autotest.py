@@ -6,6 +6,8 @@ Generation is contract-blind (uniform over features and argument pools);
 filtering is the precondition's job.  Runs are deterministic for a fixed
 seed.  Constructor, command and query calls take one path, in the
 campaign and in replay; a failing constructor's report has a one-entry trace.
+Pool objects are the checkers' ``Built`` records, and replay runs their
+``_build`` with checked calls; a trace is JSON only in a fault report.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import containers
-from .checkers import _state_size
+from .checkers import Built, _build, _state_size
 from .contracts import (
     ContractViolation, PreconditionRejected, REGISTRY, abstract_state,
     checked_command, checked_constructor, checked_query, domain_values,
@@ -45,8 +48,7 @@ class FaultReport:
     trace: list
 
     def to_json(self) -> str:
-        return json.dumps({"violation": self.violation, "trace": self.trace},
-                          ensure_ascii=False, sort_keys=True)
+        return json.dumps(vars(self), ensure_ascii=False, sort_keys=True)
 
 
 @dataclass
@@ -71,10 +73,12 @@ _TAGS = {"element": "elem", "int": "int", "bool": "bool", "path": "path",
 
 
 def _encode_arg(domain, a):
-    """The ``[tag, value]`` encoding of a value ``a`` of a non-container
-    domain; container arguments are encoded by the caller."""
+    """The ``[tag, value]`` encoding of a value ``a`` of ``domain``; a
+    container argument's value is the encoding of its trace."""
     kind = domain[0]
-    if kind == "element":
+    if kind == "container":
+        value = _encode_trace(REGISTRY[domain[1]], a)
+    elif kind == "element":
         value = a.token
     elif kind == "path":
         value = list(a.items)
@@ -85,25 +89,43 @@ def _encode_arg(domain, a):
     return [_TAGS[kind], value]
 
 
-def _decode_arg(domain, e, faults, mode):
-    """The value of ``domain`` that encodes as ``e``: a container argument
-    is replayed from its trace; any other is looked up among the domain's
-    values, so a value outside the declared domain is rejected.  Encodings
-    are compared by ``repr``, which tells JSON ``true`` from ``1``."""
+def _encode_trace(spec, trace):
+    """The JSON form of a trace of a ``spec`` object: ``["new", type,
+    constructor, arguments]``, then ``["call", feature, arguments]``."""
+    return [(["new", spec.name] if f.kind == "constructor" else ["call"])
+            + [f.name, [_encode_arg(d, a) for d, a in zip(f.arg_domains, args)]]
+            for f, args in trace]
+
+
+def _decode_arg(feature, domain, e):
+    """The value of ``domain`` that ``e``, an argument of ``feature``,
+    encodes: a container's is its decoded trace; any other is looked up
+    among the domain's values over the pool, then over each shorter prefix
+    of it (a checkers' universe), so a value outside the domain is rejected.
+    Encodings are compared by ``repr``, which tells JSON ``true`` from ``1``."""
+    if not (isinstance(e, list) and len(e) == 2):
+        raise ReplayError(
+            f"{feature.name}: argument encoding {e!r} is not a "
+            f"[tag, value] pair")
+    if e[0] != _TAGS[domain[0]]:
+        raise ReplayError(
+            f"{feature.name}: argument {e!r} is not tagged "
+            f"{_TAGS[domain[0]]!r}, as its domain {domain[0]} requires")
     if domain[0] == "container":
-        obj = _replay_trace(e[1], faults, mode)
-        if obj.spec_name != domain[1]:
+        spec, trace = _decode_trace(e[1])
+        if spec.name != domain[1]:
             raise ReplayError(
-                f"argument {obj.spec_name} object is not a {domain[1]}")
-        return obj
-    for v in domain_values(domain, ELEMENT_POOL):
-        if repr(_encode_arg(domain, v)) == repr(e):
-            return v
+                f"argument {spec.name} object is not a {domain[1]}")
+        return trace
+    for k in range(len(ELEMENT_POOL), 0, -1):
+        for v in domain_values(domain, ELEMENT_POOL[:k]):
+            if repr(_encode_arg(domain, v)) == repr(e):
+                return v
     raise ReplayError(
         f"bad argument value {e!r}: not in the domain {domain!r}")
 
 
-def _decode_args(feature, encoded, faults, mode):
+def _decode_args(feature, encoded):
     if not isinstance(encoded, list):
         raise ReplayError(
             f"{feature.name}: arguments {encoded!r} are not a list")
@@ -111,33 +133,13 @@ def _decode_args(feature, encoded, faults, mode):
         raise ReplayError(
             f"{feature.name} takes {len(feature.arg_domains)} arguments, "
             f"the trace gives {len(encoded)}")
-    for domain, e in zip(feature.arg_domains, encoded):
-        if not (isinstance(e, list) and len(e) == 2):
-            raise ReplayError(
-                f"{feature.name}: argument encoding {e!r} is not a "
-                f"[tag, value] pair")
-        if e[0] != _TAGS[domain[0]]:
-            raise ReplayError(
-                f"{feature.name}: argument {e!r} is not tagged "
-                f"{_TAGS[domain[0]]!r}, as its domain {domain[0]} requires")
-    return [_decode_arg(d, a, faults, mode)
-            for d, a in zip(feature.arg_domains, encoded)]
+    return [_decode_arg(feature, d, e)
+            for d, e in zip(feature.arg_domains, encoded)]
 
 
-def _call(spec, obj, feature, args, faults, mode):
-    """Make one checked call of ``feature`` and return what it returns:
-    a constructor's new object, a command's poststate, a query's result."""
-    if feature.kind == "constructor":
-        return checked_constructor(spec, feature.name, args, mode=mode,
-                                   faults=faults)
-    if feature.kind == "command":
-        return checked_command(obj, feature.name, args, mode=mode)
-    return checked_query(obj, feature.name, args, mode=mode)
-
-
-def _replay_trace(trace, faults, mode):
-    """Rebuild an object by re-running its recorded calls under checking.
-    Raises the ContractViolation of whichever call fails."""
+def _decode_trace(trace):
+    """The spec and the trace that a JSON trace encodes, each step and
+    each container argument's trace checked before anything runs."""
     if not (isinstance(trace, list) and trace):
         raise ReplayError(f"trace {trace!r} is not a nonempty list")
     head, *calls = trace
@@ -151,8 +153,7 @@ def _replay_trace(trace, faults, mode):
         ctor = spec.constructor(ctor_name)
     except KeyError:
         raise ReplayError(f"unknown constructor {spec_name}.{ctor_name}") from None
-    obj = _call(spec, None, ctor, _decode_args(ctor, ctor_args, faults, mode),
-                faults, mode)
+    steps = [(ctor, _decode_args(ctor, ctor_args))]
     for entry in calls:
         if not (isinstance(entry, list) and len(entry) == 3
                 and entry[0] == "call"):
@@ -162,17 +163,28 @@ def _replay_trace(trace, faults, mode):
                 and feature_name in spec.features):
             raise ReplayError(f"unknown feature {spec_name}.{feature_name}")
         feature = spec.features[feature_name]
-        _call(spec, obj, feature,
-              _decode_args(feature, enc_args, faults, mode), faults, mode)
-    return obj
+        steps.append((feature, _decode_args(feature, enc_args)))
+    return spec, steps
+
+
+def _call(spec, obj, feature, args, faults, mode):
+    """Make one checked call of ``feature`` and return what it returns:
+    a constructor's new object, a command's poststate, a query's result."""
+    if feature.kind == "constructor":
+        return checked_constructor(spec, feature.name, args, mode=mode,
+                                   faults=faults)
+    if feature.kind == "command":
+        return checked_command(obj, feature.name, args, mode=mode)
+    return checked_query(obj, feature.name, args, mode=mode)
 
 
 def replay(report: FaultReport, faults=None, mode="model"):
-    """Re-run a fault report's trace; returns the reproduced violation, or
-    None when the trace runs clean (e.g. with the fault switch off)."""
+    """Decode and check a fault report's whole trace, then re-run it by checked
+    calls: the reproduced violation, or None (e.g. with the fault off)."""
     faults = faults or containers.FaultSwitch()
+    spec, trace = _decode_trace(report.trace)
     try:
-        _replay_trace(report.trace, faults, mode)
+        _build(spec, trace, partial(_call, faults=faults, mode=mode))
     except ContractViolation as v:
         return v
     except PreconditionRejected as p:
@@ -180,36 +192,21 @@ def replay(report: FaultReport, faults=None, mode="model"):
     return None
 
 
-@dataclass(eq=False)
-class _LiveObject:
-    """A pool object, its trace, and its abstract state after its last
-    passed call.  Compared by identity."""
-    spec: object
-    obj: object
-    trace: list
-    state: object = None
-
-
 def generate_arguments(feature, rng, pools, target=None):
-    """Draw an argument tuple for a feature from its argument domains over
-    the element pool, and from the live objects of ``pools`` (type name to
-    live objects); preconditions filter afterwards."""
+    """Draw an argument list for a feature from its argument domains over
+    the element pool, and from the ``Built`` records of ``pools`` (type name
+    to pool objects), or None; preconditions filter afterwards."""
     args = []
-    encoded = []
     for d in feature.arg_domains:
         if d[0] == "container":
             candidates = [o for o in pools.get(d[1], ())
                           if o.obj is not target]
             if not candidates:
                 return None
-            live = rng.choice(candidates)
-            args.append(live)
-            encoded.append(["obj", [list(e) for e in live.trace]])
+            args.append(rng.choice(candidates))
         else:
-            a = draw_value(d, rng, ELEMENT_POOL)
-            args.append(a)
-            encoded.append(_encode_arg(d, a))
-    return args, encoded
+            args.append(draw_value(d, rng, ELEMENT_POOL))
+    return args
 
 
 def run_campaign(targets, budget: TestBudget, faults=None,
@@ -235,36 +232,32 @@ def run_campaign(targets, budget: TestBudget, faults=None,
     rng = random.Random(budget.seed)
     pools = {t: [] for t in targets}
     features = {t: list(REGISTRY[t].features.values()) for t in targets}
-    live_count = 0
     stats = {"calls": 0, "rejected": 0, "passed": 0, "violations": 0}
     reports = []
 
     def retire(a):
-        nonlocal live_count
-        of_type = pools[a.spec.name]
-        if a in of_type:
-            of_type.remove(a)
-            live_count -= 1
+        for of_type in pools.values():
+            if a in of_type:
+                of_type.remove(a)
 
     while stats["calls"] < budget.max_calls:
         target_name = rng.choice(targets)
         spec = REGISTRY[target_name]
         live_of_type = pools[target_name]
-        if not live_of_type or (live_count < MAX_OBJECTS
+        if not live_of_type or (sum(map(len, pools.values())) < MAX_OBJECTS
                                 and rng.random() < 0.15):
-            live = _LiveObject(spec, None, [])
+            live = Built([], None, None)
             feature = rng.choice(spec.constructors)
         else:
             live = rng.choice(live_of_type)
             feature = rng.choice(features[target_name])
-        drawn = generate_arguments(feature, rng, pools, target=live.obj)
-        if drawn is None:
+        args = generate_arguments(feature, rng, pools, target=live.obj)
+        if args is None:
             continue
-        args, encoded = drawn
-        entry = (["new", spec.name, feature.name, encoded]
-                 if feature.kind == "constructor"
-                 else ["call", feature.name, encoded])
-        raw_args = [a.obj if isinstance(a, _LiveObject) else a for a in args]
+        raw_args = [a.obj if isinstance(a, Built) else a for a in args]
+        # A pool object among the arguments is recorded as its trace so far.
+        step = (feature, [tuple(a.trace) if isinstance(a, Built) else a
+                          for a in args])
         stats["calls"] += 1
         try:
             out = _call(spec, live.obj, feature, raw_args, faults, mode)
@@ -273,10 +266,8 @@ def run_campaign(targets, budget: TestBudget, faults=None,
             continue
         except ContractViolation as v:
             stats["violations"] += 1
-            trace = [list(e) for e in live.trace]
-            trace.append(entry)
             report = FaultReport(violation={**v.to_dict(), "seed": budget.seed},
-                                 trace=trace)
+                                 trace=_encode_trace(spec, [*live.trace, step]))
             confirmed = replay(report, faults=faults, mode=mode)
             if confirmed is None or confirmed.clause != v.clause:
                 raise RuntimeError(
@@ -285,22 +276,21 @@ def run_campaign(targets, budget: TestBudget, faults=None,
             # The call may have mutated its container arguments before the
             # violation surfaced; their traces are stale too.
             for a in [live, *args]:
-                if isinstance(a, _LiveObject):
+                if isinstance(a, Built):
                     retire(a)
             continue
         stats["passed"] += 1
-        live.trace.append(entry)
+        live.trace.append(step)
         if feature.kind == "constructor":
             live.obj = out
             live.state = abstract_state(out)
             live_of_type.append(live)
-            live_count += 1
             continue
         if feature.kind == "command":
             live.state = out
             # Container arguments were mutated outside their own trace.
             for a in args:
-                if isinstance(a, _LiveObject):
+                if isinstance(a, Built):
                     retire(a)
         if _state_size(live.state) > MAX_OBJECT_SIZE:
             retire(live)

@@ -18,7 +18,9 @@ It is enumerated once per configuration object (and interface restriction)
 and kept on that object.  The objects it holds are shared by every checker
 run with the configuration, so they are read-only: queries run on them as
 stored (the runtime's purity check makes queries abstractly pure, and every
-library query body only reads), commands only on a ``_successor``.
+library query body only reads), commands only on a ``_successor``.  Every
+object is a ``Built`` record, made from its trace by the one builder
+``_build``; the tester keeps its pool objects so and replays through it.
 """
 
 from __future__ import annotations
@@ -85,27 +87,42 @@ def _state_size(state: AbstractState) -> int:
     return max(sizes, default=0)
 
 
-@dataclass
-class Enumerated:
-    """One reachable concrete object with its build trace."""
-    trace: tuple  # ((ctor_name, args), (feature_name, args), ...)
+@dataclass(eq=False)
+class Built:
+    """An object, its trace and its abstract state (in a campaign, after its
+    last passed call); compared by identity.  A trace is the steps
+    ``(feature, raw arguments)`` from a constructor, each container
+    argument recorded as its own trace."""
+    trace: tuple  # a list in a campaign, which appends its passed calls
     obj: object
     state: AbstractState
 
 
-def _build(spec, trace):
-    (ctor_name, ctor_args), *calls = trace
-    obj = spec.constructor(ctor_name).body(*ctor_args)
-    for fname, args in calls:
-        spec.features[fname].body(obj, *args)
+def _build(spec, trace, call=None):
+    """The ``spec`` object that ``trace`` builds: each step's container
+    arguments first, in order, from their own traces, then the step, by its
+    raw body or by ``call(spec, obj, feature, args)`` (replay's checked one)."""
+    obj = None
+    for feature, args in trace:
+        if any(d[0] == "container" for d in feature.arg_domains):
+            args = [_build(REGISTRY[d[1]], a, call) if d[0] == "container"
+                    else a for d, a in zip(feature.arg_domains, args)]
+        if call is not None:
+            out = call(spec, obj, feature, args)
+        elif feature.kind == "constructor":
+            out = feature.body(*args)
+        else:
+            out = feature.body(obj, *args)
+        if feature.kind == "constructor":
+            obj = out
     return obj
 
 
 def _successor(spec, e, feat, args):
     """What ``e`` becomes after ``feat(*args)``; ``e.obj`` is left as it is."""
-    obj = _build(spec, e.trace)
-    feat.body(obj, *args)
-    return Enumerated(e.trace + ((feat.name, args),), obj, abstract_state(obj))
+    trace = e.trace + ((feat, args),)
+    obj = _build(spec, trace)
+    return Built(trace, obj, abstract_state(obj))
 
 
 def enumerate_states(name: str, cfg: EnumerationConfig, features=None):
@@ -137,11 +154,9 @@ def enumerate_states(name: str, cfg: EnumerationConfig, features=None):
             frontier.append(e)
         group.append(e)
 
-    for ctor in spec.constructors:
-        for args in _arg_combos(ctor, cfg):
-            if pre_holds(ctor, None, args, None):
-                obj = ctor.body(*args)
-                keep(Enumerated(((ctor.name, args),), obj, abstract_state(obj)))
+    for ctor, args in _calls(spec.constructors, cfg):
+        if pre_holds(ctor, None, args, None):
+            keep(_successor(spec, Built((), None, None), ctor, args))
 
     calls = _calls(spec.commands(), cfg, features)
     while frontier:
@@ -358,7 +373,7 @@ def _query_result(obj, feat, args):
 
 def _distinguishable(spec, queries, commands, e1, e2, depth):
     """Whether some call sequence of at most ``depth`` commands followed by
-    a query tells the two ``Enumerated`` objects apart.  One loop over the
+    a query tells the two ``Built`` objects apart.  One loop over the
     calls: a precondition (on ``e.state`` and ``e.obj.ref``) that holds on
     one object only tells them apart, a query runs on each stored ``e.obj``
     and compares results, a command recurses on the two ``_successor``s."""

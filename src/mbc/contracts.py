@@ -19,7 +19,7 @@ anything but ``DomainError``, which makes it false.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from operator import itemgetter
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -44,31 +44,26 @@ class PreconditionRejected(Exception):
         self.feature = feature
 
 
+@dataclass(eq=False)
 class ContractViolation(Exception):
     """A checked call failed: a postcondition, invariant or purity clause
     was false, or the body or a clause raised (kind ``exception``)."""
-
-    def __init__(self, feature, clause, kind, old_state, new_state, args):
-        super().__init__()
-        self.feature = feature
-        self.clause = clause
-        self.kind = kind  # postcondition | class-invariant | abstract-purity | exception
-        self.old_state = old_state
-        self.new_state = new_state
-        self.args = args  # the argument texts, not BaseException's args
+    feature: str
+    clause: str
+    kind: str  # postcondition | class-invariant | abstract-purity | exception
+    old_state: str
+    new_state: str
+    args: tuple = field()  # argument texts; field(): no inherited default
 
     def __str__(self):
         return f"{self.clause} [{self.kind}]"
 
+    def __reduce__(self):
+        # For copy and pickle: BaseException's passes ``self.args`` alone.
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
     def to_dict(self) -> dict:
-        return {
-            "feature": self.feature,
-            "clause": self.clause,
-            "kind": self.kind,
-            "old_state": self.old_state,
-            "new_state": self.new_state,
-            "args": list(self.args),
-        }
+        return {**asdict(self), "args": list(self.args)}
 
 
 class ModelSignature:

@@ -7,11 +7,13 @@ import pytest
 
 from mbc.autotest import (
     CampaignResult, FaultReport, ReplayError, TestBudget, _decode_args,
-    generate_arguments, replay, run_campaign,
+    _decode_trace, _encode_arg, _encode_trace, generate_arguments, replay,
+    run_campaign,
 )
 from mbc import autotest
+from mbc.checkers import Built, EnumerationConfig, _build, state_space
 from mbc.containers import CONTAINER_NAMES, EqSet, FaultSwitch, Stack
-from mbc.contracts import Clause, InvariantClause, REGISTRY
+from mbc.contracts import Clause, InvariantClause, REGISTRY, abstract_state
 from mbc.model_math import MSeq, Ref
 
 
@@ -203,6 +205,15 @@ class TestCampaigns:
         if not clauses:
             assert r.stats["rejected"] > 0
 
+    def test_clean_campaign_encodes_no_argument(self, monkeypatch):
+        # JSON exists only in fault reports.
+        def encode(*args):
+            raise AssertionError("an argument was encoded")
+
+        monkeypatch.setattr(autotest, "_encode_arg", encode)
+        r = run_campaign(CONTAINER_NAMES, TestBudget(max_calls=3000, seed=1))
+        assert r.violations == 0 and r.stats["passed"] > 0
+
     def test_state_taken_once_per_passed_constructor(self, monkeypatch):
         # A command returns its poststate and a query leaves the state as
         # it was, so the size cap takes no state of its own.
@@ -334,18 +345,53 @@ class TestReplay:
             replay(FaultReport(violation={}, trace=trace))
 
     def test_drawn_encodings_decode_to_the_drawn_arguments(self):
+        # One pool object per type, built by a drawn constructor call, so
+        # container arguments are drawn too; one is recorded as its trace.
         rng = random.Random(0)
+        pools = {}
+        for name in CONTAINER_NAMES:
+            ctor = REGISTRY[name].constructors[0]
+            step = (ctor, generate_arguments(ctor, rng, {}))
+            pools[name] = [Built([step], object(), None)]
+        tags = {"element": "elem", "relation": "rel", "container": "obj"}
         for name in CONTAINER_NAMES:
             spec = REGISTRY[name]
             for f in list(spec.features.values()) + list(spec.constructors):
-                if any(d[0] == "container" for d in f.arg_domains):
-                    continue
                 for _ in range(5):
-                    args, encoded = generate_arguments(f, rng, {})
-                    assert _decode_args(f, encoded, None, "model") == args
+                    args = generate_arguments(f, rng, pools)
+                    recorded = [list(a.trace) if isinstance(a, Built) else a
+                                for a in args]
+                    encoded = [_encode_arg(d, a)
+                               for d, a in zip(f.arg_domains, recorded)]
+                    assert _decode_args(f, encoded) == recorded
                     assert [e[0] for e in encoded] == [
-                        {"element": "elem", "relation": "rel"}.get(d[0], d[0])
-                        for d in f.arg_domains]
+                        tags.get(d[0], d[0]) for d in f.arg_domains]
+
+    def test_whole_trace_checked_before_anything_runs(self):
+        # The merge_right step violates with the fault on; the step after
+        # it names no feature, so the trace is rejected, not run.
+        other = [LL, ["call", "put_right", [["elem", "b"]]]]
+        trace = [LL, ["call", "put_right", [["elem", "a"]]],
+                 ["call", "merge_right", [["obj", other]]]]
+        v = replay(FaultReport(violation={}, trace=trace), faults=faulty())
+        assert v.clause == "merge_right/sequence"
+        with pytest.raises(ReplayError, match="unknown feature"):
+            replay(FaultReport(violation={}, trace=trace + [
+                ["call", "no_such_feature", []]]), faults=faulty())
+
+    def test_enumerated_traces_encode_and_replay(self):
+        # The checkers' traces are the campaign's: each representative's,
+        # encoded for a report, replays clean and builds its state again.
+        cfg = EnumerationConfig(max_size=2)
+        for name in CONTAINER_NAMES:
+            spec = REGISTRY[name]
+            for g in state_space(name, cfg):
+                encoded = _encode_trace(spec, g[0].trace)
+                report = FaultReport(violation={}, trace=encoded)
+                assert replay(report) is None, (name, encoded)
+                decoded_spec, trace = _decode_trace(encoded)
+                assert decoded_spec is spec
+                assert abstract_state(_build(spec, trace)) == g[0].state
 
 
 def test_result_json_lines_shape():

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import pickle
 import random
 
 import pytest
@@ -483,6 +484,27 @@ class TestViolationText:
         with pytest.raises(ContractViolation) as e:
             checked_query(obj, "item")
         assert str(e.value) == "item/result [postcondition]"
+
+    def test_copies_and_pickles_keep_every_field(self, monkeypatch):
+        obj = make_list("x")
+        monkeypatch.setattr(SPEC.features["put_right"], "body",
+                            lambda o, v: None)
+        with pytest.raises(ContractViolation) as e:
+            checked_command(obj, "put_right", [Ref("b")])
+        v = e.value
+        assert repr(v).startswith(
+            "ContractViolation(feature='put_right', "
+            "clause='put_right/sequence', kind='postcondition', ")
+        assert str(v) == "put_right/sequence [postcondition]"
+        assert v.to_dict() == {
+            "feature": "put_right", "clause": "put_right/sequence",
+            "kind": "postcondition", "old_state": "(⟨x⟩, 0)",
+            "new_state": "(⟨x⟩, 0)", "args": ["b"]}
+        for w in (copy.copy(v), copy.deepcopy(v),
+                  pickle.loads(pickle.dumps(v))):
+            assert type(w) is ContractViolation and w is not v
+            assert (str(w), repr(w), w.to_dict(), w.args) == (
+                str(v), repr(v), v.to_dict(), ("b",))
 
     def test_argument_text_shows_the_state_before_the_call(self):
         faults = FaultSwitch(merge_right_missing_link=True)

@@ -8,8 +8,9 @@ import json
 
 import pytest
 
+from mbc.autotest import FaultReport, replay
 from mbc.cli import main
-from mbc.containers import CONTAINER_NAMES
+from mbc.containers import CONTAINER_NAMES, FaultSwitch
 from mbc.contracts import REGISTRY, expand_frame
 
 GOLDEN = {
@@ -58,6 +59,19 @@ def test_output_digest(name, tmp_path):
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == exit_code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_fault_reports_replay_from_the_written_file(tmp_path):
+    # The bytes on disk, not the objects in memory, reproduce each clause.
+    argv, exit_code, _ = GOLDEN["fault-campaign"]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == exit_code
+    stats, *lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines and len(lines) == json.loads(stats)["stats"]["violations"]
+    for line in lines:
+        report = FaultReport(**json.loads(line))
+        v = replay(report, faults=FaultSwitch(merge_right_missing_link=True))
+        assert v.clause == report.violation["clause"]
 
 
 # Each feature's effective model and classic clauses, as (id, tag, target
