@@ -39,10 +39,12 @@ from .model_math import DomainError, Ref
 
 
 class EnumerationRefused(Exception):
-    """Requested bounds would enumerate too many states."""
+    """Requested bounds would enumerate too many states, or replay too
+    many trace steps building them."""
 
 
-# Most states an enumeration may estimate or produce.
+# Most states an enumeration may produce, and most trace steps its bounds
+# may estimate.
 STATE_LIMIT = 10**7
 
 
@@ -59,13 +61,16 @@ class EnumerationConfig:
         return [Ref(chr(ord("a") + i)) for i in range(self.universe)]
 
     def estimate(self) -> int:
-        # Sequences over the universe times cursor slots, up to STATE_LIMIT.
-        seqs = 0
+        """The trace steps an enumeration replays, from its bounds alone:
+        each sequence of k <= max_size elements, times max_size + 2 cursor
+        slots, rebuilt from a trace of k + 1 steps (a constructor and k
+        commands).  The sum stops once it is over STATE_LIMIT."""
+        steps = 0
         for k in range(self.max_size + 1):
-            seqs += self.universe**k
-            if seqs * (self.max_size + 2) > STATE_LIMIT:
+            steps += self.universe**k * (k + 1) * (self.max_size + 2)
+            if steps > STATE_LIMIT:
                 break
-        return seqs * (self.max_size + 2)
+        return steps
 
 
 @dataclass
@@ -140,7 +145,8 @@ def enumerate_states(name: str, cfg: EnumerationConfig, features=None):
     """
     spec = REGISTRY[name]
     if cfg.estimate() > STATE_LIMIT:
-        raise EnumerationRefused(f"estimated states exceed limit {STATE_LIMIT}")
+        raise EnumerationRefused(
+            f"estimated trace steps exceed limit {STATE_LIMIT}")
     containers.reset_ref_counter()
     groups = {}
     frontier = []

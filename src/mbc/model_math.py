@@ -5,16 +5,22 @@ so iteration and serialization are deterministic.  Booleans and integers are
 represented by the native ``bool`` and ``int`` types; elements of generic
 containers are opaque :class:`Ref` tokens compared by identity token.
 
-Canonical identity is :func:`order_key`: the constructors of ``MSet``,
-``MBag`` and ``MRel`` compute it once per entry, sort once, and merge
-neighbours with equal keys, keeping an element's first occurrence.  So
-``True`` and ``1`` stay distinct elements, whatever the insertion order.
-``MMap`` sorts its keys the same way and rejects neighbours with equal
-keys, so ``1`` and ``True`` are two keys of one map.  ``MRel.has`` looks
-the pair's keys up in the set of keys its constructor computed.
-(``__eq__`` still compares stored tuples with ``==``, which does not tell
-``True`` from ``1``; so do the other membership tests, ``MSeq.has``,
-``MSet.has``, ``MBag.multiplicity``, ``MMap.has_key``, ``MMap.item`` and
+Canonical identity is :func:`order_key`: the constructors of ``MSet``
+and ``MRel`` compute it once per entry, sort once, and merge neighbours
+with equal keys, keeping an element's first occurrence.  So ``True`` and
+``1`` stay distinct elements, whatever the insertion order.  ``MMap``
+sorts its keys the same way and rejects neighbours with equal keys, so
+``1`` and ``True`` are two keys of one map.  ``MRel.has`` looks the pair's
+keys up in the set of keys its constructor computed.
+An ``MBag`` is a map from ``order_key`` to multiplicity, with the first
+element seen for each key, and no sort: equality, hashing,
+``multiplicity``, ``extended`` and ``removed`` work on that map, one key
+at a time.  Its canonical ``pairs`` tuple is sorted only when something
+reads it (``to_text``, ``domain``, ``repr``), and kept; ``order_key`` sorts
+the map's (key, multiplicity) items.
+(``__eq__`` of the other values still compares stored tuples with ``==``,
+which does not tell ``True`` from ``1``; so do the other membership tests,
+``MSeq.has``, ``MSet.has``, ``MMap.has_key``, ``MMap.item`` and
 ``MRel.image_of``, and so ``MRel.has`` can disagree with ``image_of`` and
 ``domain`` on bool/int pairs.)
 Stored tuples are built from lists, never from generators:
@@ -54,12 +60,14 @@ def check_int(n: int) -> int:
 
 
 class Ref:
-    """Opaque identity token; equality is token equality."""
+    """Opaque identity token; equality is token equality.  ``_key`` is its
+    ``order_key``, computed once."""
 
-    __slots__ = ("token",)
+    __slots__ = ("token", "_key")
 
     def __init__(self, token: str):
         self.token = token
+        self._key = (2, token)
 
     def __eq__(self, other):
         return isinstance(other, Ref) and self.token == other.token
@@ -77,19 +85,19 @@ ModelValue = object
 
 def order_key(v: ModelValue):
     """Canonical total-order key over all model values."""
+    if isinstance(v, Ref):
+        return v._key
     # bool must be tested before int: bool is a subtype of int in Python.
     if isinstance(v, bool):
         return (0, v)
     if isinstance(v, int):
         return (1, v)
-    if isinstance(v, Ref):
-        return (2, v.token)
     if isinstance(v, MSeq):
         return (3, tuple(order_key(x) for x in v.items))
     if isinstance(v, MSet):
         return (4, tuple(order_key(x) for x in v.elements))
     if isinstance(v, MBag):
-        return (5, tuple((order_key(x), n) for x, n in v.pairs))
+        return (5, tuple(sorted(v._counts.items())))
     if isinstance(v, MMap):
         return (6, tuple((order_key(k), order_key(w)) for k, w in v.pairs))
     if isinstance(v, MRel):
@@ -295,38 +303,45 @@ def int_interval(l: int, u: int) -> MSet:
 
 
 class MBag:
-    """Finite multiset: canonical pairs of (element, multiplicity >= 1)."""
+    """Finite multiset.  ``_counts`` maps the ``order_key`` of each element
+    to its multiplicity (>= 1), and ``_firsts`` maps it to the first element
+    seen with that key.  ``pairs``, the (element, multiplicity) tuple in
+    ascending key order, is built on first read and kept."""
 
-    __slots__ = ("pairs",)
+    __slots__ = ("_counts", "_firsts", "_pairs")
 
     def __init__(self, pairs: Iterable[Tuple[ModelValue, int]] = ()):
-        acc = []
+        counts, firsts = {}, {}
         for x, n in pairs:
             if n < 0:
                 raise DomainError("negative multiplicity")
             if n:
-                acc.append((x, n))
-        if len(acc) > 1:
-            keys = [order_key(x) for x, _ in acc]
-            merged, last = [], None
-            for i in _key_order(keys):
-                if keys[i] != last:
-                    merged.append(acc[i])
-                    last = keys[i]
+                k = order_key(x)
+                if k in counts:
+                    counts[k] += n
                 else:
-                    x, n = merged[-1]
-                    merged[-1] = (x, n + acc[i][1])
-            acc = merged
-        self.pairs = tuple(acc)
+                    counts[k] = n
+                    firsts[k] = x
+        self._counts = counts
+        self._firsts = firsts
+        self._pairs = None
 
     def __eq__(self, other):
-        return isinstance(other, MBag) and self.pairs == other.pairs
+        return isinstance(other, MBag) and self._counts == other._counts
 
     def __hash__(self):
-        return hash(("MBag", tuple((order_key(x), n) for x, n in self.pairs)))
+        return hash(("MBag", frozenset(self._counts.items())))
 
     def __repr__(self):
         return f"MBag({list(self.pairs)!r})"
+
+    @property
+    def pairs(self) -> tuple:
+        if self._pairs is None:
+            firsts = self._firsts
+            self._pairs = tuple([(firsts[k], n)
+                                 for k, n in sorted(self._counts.items())])
+        return self._pairs
 
     @property
     def domain(self) -> MSet:
@@ -334,28 +349,51 @@ class MBag:
 
     @property
     def count(self) -> int:
-        return sum(n for _, n in self.pairs)
+        return sum(self._counts.values())
 
     @property
     def is_empty(self) -> bool:
-        return not self.pairs
+        return not self._counts
 
     def multiplicity(self, v: ModelValue) -> int:
-        for x, n in self.pairs:
-            if x == v:
-                return n
-        return 0
+        return self._counts.get(order_key(v), 0)
 
     def __getitem__(self, v: ModelValue) -> int:
         return self.multiplicity(v)
 
     def extended(self, v: ModelValue) -> "MBag":
-        return MBag(self.pairs + ((v, 1),))
+        k = order_key(v)
+        counts, firsts = dict(self._counts), self._firsts
+        if k in counts:
+            counts[k] += 1
+        else:
+            counts[k] = 1
+            firsts = {**firsts, k: v}
+        return _keyed_bag(counts, firsts)
 
     def removed(self, v: ModelValue) -> "MBag":
-        if self.multiplicity(v) == 0:
+        k = order_key(v)
+        n = self._counts.get(k, 0)
+        if n == 0:
             raise DomainError("removing absent element")
-        return MBag((x, n - 1 if x == v else n) for x, n in self.pairs)
+        counts, firsts = dict(self._counts), self._firsts
+        if n > 1:
+            counts[k] = n - 1
+        else:
+            del counts[k]
+            firsts = dict(firsts)
+            del firsts[k]
+        return _keyed_bag(counts, firsts)
+
+
+def _keyed_bag(counts: dict, firsts: dict) -> MBag:
+    """The bag of ``counts`` and ``firsts``, which are keyed alike and are
+    not changed afterwards."""
+    b = MBag.__new__(MBag)
+    b._counts = counts
+    b._firsts = firsts
+    b._pairs = None
+    return b
 
 
 class MMap:

@@ -48,6 +48,26 @@ class TestEnumeration:
             enumerate_states("Collection", big)
 
 
+    def test_estimate_weighs_each_state_by_its_trace(self):
+        # k elements are rebuilt from a trace of k + 1 steps, and each
+        # sequence is counted once per cursor slot (max_size + 2).
+        assert EnumerationConfig(universe=1, max_size=2).estimate() == (
+            (1 + 2 + 3) * 4)
+        assert CFG.estimate() == (1 + 2 * 2 + 4 * 3 + 8 * 4) * 5
+
+    def test_long_traces_refused(self):
+        # 3001 states only, but rebuilding them replays billions of steps.
+        cfg = EnumerationConfig(universe=1, max_size=3000)
+        with pytest.raises(EnumerationRefused, match="trace steps"):
+            enumerate_states("Stack", cfg)
+
+    @pytest.mark.parametrize("bounds", [
+        {}, dict(max_size=2), dict(universe=3, max_size=2), dict(universe=1),
+        dict(max_size=0)])
+    def test_bounds_in_use_accepted(self, bounds):
+        assert EnumerationConfig(**bounds).estimate() <= checkers.STATE_LIMIT
+
+
 class TestStateSpace:
     def test_one_enumeration_per_container(self, monkeypatch):
         enumerated = []

@@ -79,6 +79,15 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("refused:") and len(err) < 200
 
+    def test_long_traces_refused_quickly(self, capsys):
+        # Few states, but each rebuilt from a trace of up to 3001 steps.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "complete", "--target", "Stack",
+                             "--universe", "1", "--max-size", "3000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("refused: estimated trace steps")
+
     @pytest.mark.parametrize("argv", [
         ["complete", "--target", "Stack"],
         ["test", "--target", "Stack", "--calls", "10"],

@@ -380,6 +380,96 @@ class TestCanonicalConstructors:
         assert calls["order_key"] <= 64
 
 
+def reference_removed(pairs, v):
+    """``reference_bag(pairs)`` with one occurrence of ``v`` taken out."""
+    acc = reference_bag(pairs)
+    for i, (y, m) in enumerate(acc):
+        if same_key(v, y):
+            return acc[:i] + ([(y, m - 1)] if m > 1 else []) + acc[i + 1:]
+    raise DomainError("removing absent element")
+
+
+def keyed(pairs):
+    return [(order_key(x), n) for x, n in pairs]
+
+
+ANY_VALUE = st.one_of(MODEL_VALUES[False], MODEL_VALUES[True])
+
+
+class TestBagAlgebra:
+    """Every bag operation against the quadratic reference.  Bags and
+    probes may mix booleans and integers: a bag keys its elements by
+    ``order_key``, so ``True`` and ``1`` are distinct elements."""
+
+    @PROPERTY
+    @given(pair_lists(MULTIPLICITIES, max_size=12), ANY_VALUE)
+    def test_extended(self, pairs, v):
+        got = MBag(pairs).extended(v)
+        want = reference_bag(pairs + [(v, 1)])
+        assert identical_pairs(got.pairs, want)
+        assert got == MBag(pairs + [(v, 1)])
+
+    @PROPERTY
+    @given(pair_lists(MULTIPLICITIES, max_size=12), st.data())
+    def test_removed(self, pairs, data):
+        present = [x for x, n in pairs if n]
+        v = data.draw(st.sampled_from(present) if present and data.draw(
+            st.booleans()) else ANY_VALUE)
+        try:
+            want = reference_removed(pairs, v)
+        except DomainError:
+            with pytest.raises(DomainError, match="removing absent element"):
+                MBag(pairs).removed(v)
+            return
+        got = MBag(pairs).removed(v)
+        assert identical_pairs(got.pairs, want)
+        assert got == MBag(want)
+
+    @PROPERTY
+    @given(pair_lists(MULTIPLICITIES, max_size=12), ANY_VALUE)
+    def test_multiplicity_count_domain(self, pairs, v):
+        bag, want = MBag(pairs), reference_bag(pairs)
+        assert bag.multiplicity(v) == bag[v] == sum(
+            n for x, n in want if same_key(x, v))
+        assert bag.count == sum(n for _, n in want)
+        assert bag.is_empty == (not want)
+        assert identical(bag.domain.elements, [x for x, _ in want])
+
+    @PROPERTY
+    @given(pair_lists(MULTIPLICITIES, max_size=8),
+           pair_lists(MULTIPLICITIES, max_size=8), st.randoms())
+    def test_eq_and_hash(self, pairs, others, rnd):
+        shuffled = list(pairs)
+        rnd.shuffle(shuffled)
+        bag = MBag(pairs)
+        assert bag == MBag(shuffled) and hash(bag) == hash(MBag(shuffled))
+        other = MBag(others)
+        same = keyed(reference_bag(pairs)) == keyed(reference_bag(others))
+        assert (bag == other) == same and (bag != other) == (not same)
+        if same:
+            assert hash(bag) == hash(other)
+
+    def test_bool_and_int_are_distinct_elements(self):
+        # ROADMAP 1(a) for bags: equality and membership agree with
+        # order_key, so equal bags hash alike.
+        one, true = MBag([(1, 1)]), MBag([(True, 1)])
+        assert one != true
+        assert true.multiplicity(1) == 0 and true[True] == 1
+        with pytest.raises(DomainError):
+            true.removed(1)
+        both = MBag([(1, 1), (True, 2)])
+        assert both.removed(1) == MBag([(True, 2)])
+        bags = [one, true, both, MBag([(True, 2), (1, 1)]), MBag()]
+        for b, c in itertools.product(bags, repeat=2):
+            assert (b == c) == (keyed(b.pairs) == keyed(c.pairs))
+            if b == c:
+                assert hash(b) == hash(c)
+
+    def test_pairs_built_once(self):
+        bag = MBag([(B, 1), (A, 2)])
+        assert bag.pairs is bag.pairs == ((A, 2), (B, 1))
+
+
 def same_ints(got, want):
     return (list(got) == list(want)
             and [type(x) for x in got] == [type(x) for x in want])
@@ -470,8 +560,8 @@ def count_ref_eq(monkeypatch):
 
 
 class TestKeyedMembership:
-    """``MMap``'s duplicate-key check and ``MRel.has`` key by
-    ``order_key``, without a scan over ``==``."""
+    """``MMap``'s duplicate-key check, ``MRel.has`` and the bag operations
+    key by ``order_key``, without a scan over ``==``."""
 
     def test_map_keeps_one_and_true_apart(self):
         m = MMap([(1, "a"), (True, "b")])
@@ -496,6 +586,23 @@ class TestKeyedMembership:
         assert all(total.has(x, y) for x in universe for y in universe)
         assert not total.has(A, Ref("e"))
         assert not calls
+
+    @pytest.mark.parametrize("op", ["extended", "multiplicity"])
+    def test_bag_lookup_makes_one_order_key_and_no_ref_eq(self, monkeypatch, op):
+        # Counts, not times: a bag looks its argument up by key, without
+        # re-keying its 16 elements or scanning them with ==.
+        refs = [Ref(f"r{i:02d}") for i in range(16)]
+        random.Random(1).shuffle(refs)
+        bag = MSeq(refs).to_bag()
+        keys = []
+        real_key = model_math.order_key
+        monkeypatch.setattr(model_math, "order_key",
+                            lambda v: keys.append(1) or real_key(v))
+        calls = count_ref_eq(monkeypatch)
+        for probe in (Ref("r07"), Ref("zz")):
+            keys.clear()
+            getattr(bag, op)(probe)
+            assert len(keys) == 1 and not calls
 
     def test_rel_has_disagrees_with_image_and_domain_on_bool_int(self):
         # Known gap (ROADMAP 1(a)): only ``has`` keys by ``order_key``;
