@@ -1,26 +1,26 @@
 """Brute-force checkers over enumerated small state spaces:
 
-- precondition soundness (agreement across concrete objects with equal
-  abstract state) and postcondition completeness for commands and queries
-  (all satisfying poststates/results equivalent), both from one pass over
-  (abstract state, arguments) pairs: a defining clause's value is computed
-  once per pair and only the candidates that hold it are kept, and the
-  relational clauses run on those only,
+- precondition soundness (the same answer under a second identity token)
+  and postcondition completeness for commands and queries (all satisfying
+  poststates/results equivalent), both from one pass over (abstract state,
+  arguments) pairs: a defining clause's value is computed once per pair and
+  only the candidates that hold it are kept, and the relational clauses run
+  on those only,
 - bounded observational adequacy of the chosen model (model-tuple equality
   versus indistinguishability under call sequences of depth <= k), one
   loop over calls per pair; by default it tests minimality only.
 
 Each exploration (an enumeration, a verdict, an adequacy check) builds its
 calls, ``(feature, arguments)`` pairs, once.  Every verdict reads the
-bounded state space of a container from ``state_space``: the produced
-objects grouped by abstract state, each group led by its representative.
-It is enumerated once per configuration object (and interface restriction)
-and kept on that object.  The objects it holds are shared by every checker
-run with the configuration, so they are read-only: queries run on them as
-stored (the runtime's purity check makes queries abstractly pure, and every
-library query body only reads), commands only on a ``_successor``.  Every
-object is a ``Built`` record, made from its trace by the one builder
-``_build``; the tester keeps its pool objects so and replays through it.
+bounded state space of a container from ``state_space``: one representative
+object per abstract state, enumerated once per configuration object (and
+interface restriction) and kept on it.  The representatives are shared by
+every checker run with the configuration, so they are read-only: queries
+run on them as stored (the runtime's purity check makes queries abstractly
+pure, and every library query body only reads), commands only on a
+``_successor``.  Every object is a ``Built`` record, made from its trace by
+the one builder ``_build``; the tester keeps its pool objects so and replays
+through it.
 """
 
 from __future__ import annotations
@@ -39,13 +39,17 @@ from .model_math import DomainError, Ref
 
 
 class EnumerationRefused(Exception):
-    """Requested bounds would enumerate too many states, or replay too
-    many trace steps building them."""
+    """Requested bounds would replay too many trace steps."""
 
 
-# Most states an enumeration may produce, and most trace steps its bounds
-# may estimate.
+# Most trace steps an enumeration may replay, and its bounds may estimate.
 STATE_LIMIT = 10**7
+OTHER_REF = Ref("#other")  # a token ``fresh_ref`` (``#<n>``) never draws
+
+
+def element_tokens(n):
+    """The element tokens ``a``, ``b``, ... of a universe of ``n``."""
+    return [Ref(chr(ord("a") + i)) for i in range(n)]
 
 
 @dataclass
@@ -57,14 +61,11 @@ class EnumerationConfig:
     _spaces: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
 
-    def elements(self):
-        return [Ref(chr(ord("a") + i)) for i in range(self.universe)]
-
     def estimate(self) -> int:
-        """The trace steps an enumeration replays, from its bounds alone:
+        """An up-front guess at the trace steps an enumeration replays:
         each sequence of k <= max_size elements, times max_size + 2 cursor
-        slots, rebuilt from a trace of k + 1 steps (a constructor and k
-        commands).  The sum stops once it is over STATE_LIMIT."""
+        slots, rebuilt from a trace of k + 1 steps; the search may replay
+        several times more.  The sum stops once it is over STATE_LIMIT."""
         steps = 0
         for k in range(self.max_size + 1):
             steps += self.universe**k * (k + 1) * (self.max_size + 2)
@@ -131,56 +132,43 @@ def _successor(spec, e, feat, args):
 
 
 def enumerate_states(name: str, cfg: EnumerationConfig, features=None):
-    """All reachable concrete objects within the size bounds, with traces,
-    grouped by abstract state.
-
-    Objects are produced by a search over constructor and command calls
-    that pops its frontier last in, first out; exploration continues only
-    from the first object of each abstract state, but every produced object
-    is kept, so a group may hold several concrete layouts.  Each group
-    starts with its first produced object, its representative, and the
-    groups are sorted by ``serialize_state``.  Commands taking container
-    arguments are not used for reachability (the remaining commands already
-    cover the state space of every registered type).
-    """
+    """One reachable object per abstract state within the size bounds, with
+    its trace, in ``serialize_state`` order: the first that a breadth-first
+    search over constructor and command calls finds, so its trace is a
+    shortest one.  The search is refused past STATE_LIMIT replayed trace
+    steps.  Commands taking container arguments are not used (the others
+    already reach every registered type's state space)."""
     spec = REGISTRY[name]
     if cfg.estimate() > STATE_LIMIT:
         raise EnumerationRefused(
             f"estimated trace steps exceed limit {STATE_LIMIT}")
     containers.reset_ref_counter()
-    groups = {}
-    frontier = []
-    produced = itertools.count(1)
-
-    def keep(e):
-        if next(produced) > STATE_LIMIT:
-            raise EnumerationRefused(f"more than {STATE_LIMIT} states produced")
-        group = groups.setdefault(e.state, [])
-        if not group:
-            frontier.append(e)
-        group.append(e)
-
+    found = {}  # each abstract state's representative
+    # A constructor's object is kept whatever its size.
     for ctor, args in _calls(spec.constructors, cfg):
         if pre_holds(ctor, None, args, None):
-            keep(_successor(spec, Built((), None, None), ctor, args))
-
+            e = _successor(spec, Built((), None, None), ctor, args)
+            found.setdefault(e.state, e)
+    reps = list(found.values())
     calls = _calls(spec.commands(), cfg, features)
-    while frontier:
-        cur = frontier.pop()
+    replayed = 0
+    for cur in reps:
         for feat, args in calls:
             if pre_holds(feat, cur.state, args, cur.obj.ref):
+                replayed += len(cur.trace) + 1
+                if replayed > STATE_LIMIT:
+                    raise EnumerationRefused(
+                        f"more than {STATE_LIMIT} trace steps replayed")
                 nxt = _successor(spec, cur, feat, args)
-                if _state_size(nxt.state) <= cfg.max_size:
-                    keep(nxt)
-    return sorted(groups.values(), key=lambda g: serialize_state(g[0].state))
+                if (_state_size(nxt.state) <= cfg.max_size
+                        and found.setdefault(nxt.state, nxt) is nxt):
+                    reps.append(nxt)
+    return sorted(reps, key=lambda e: serialize_state(e.state))
 
 
 def state_space(name, cfg, features=None):
-    """What ``enumerate_states`` gives for ``name`` under ``cfg`` (with the
-    interface restricted to ``features``): one list of objects per abstract
-    state, led by its representative, in state-text order.  Enumerated once
-    per configuration object; the objects are shared, so callers must not
-    mutate them."""
+    """``enumerate_states(name, cfg, features)``, enumerated once per
+    configuration object and shared, so callers must not mutate it."""
     key = (name, None if features is None else frozenset(features))
     if key not in cfg._spaces:
         cfg._spaces[key] = enumerate_states(name, cfg, features=features)
@@ -194,11 +182,11 @@ def _arg_combos(feature, cfg):
     pools = []
     for d in feature.arg_domains:
         if d[0] == "container":
-            pools.append([SimpleNamespace(ref=Ref(f"arg{j}"), old=g[0].state,
-                                          new=None, rep=g[0])
-                          for j, g in enumerate(state_space(d[1], cfg))])
+            pools.append([SimpleNamespace(ref=Ref(f"arg{j}"), old=e.state,
+                                          new=None, rep=e)
+                          for j, e in enumerate(state_space(d[1], cfg))])
         else:
-            pools.append(domain_values(d, cfg.elements()))
+            pools.append(domain_values(d, element_tokens(cfg.universe)))
     return itertools.product(*pools)
 
 
@@ -246,16 +234,17 @@ def _satisfying(defining, relational, candidates, keys, old, args,
                             c if on_result else None)]
 
 
-def _completeness(name, feature, cfg, groups, candidates, on_result):
-    """Both verdicts from one pass over the (state group, arguments) pairs
-    of ``groups`` (``[[None]]`` for a constructor).  The precondition must
-    agree on every object of a group: one that disagrees with the
-    representative makes it unsound, with one witness per pair.  Where it
-    holds on the representative, count the candidates that satisfy the
-    model postcondition; more than one makes the feature incomplete.  A
-    candidate is the poststate, or the result when ``on_result``.  The
-    defining clauses are evaluated once per pair, the relational ones only
-    on the candidates that match them (see ``_satisfying``).
+def _completeness(name, feature, cfg, reps, candidates, on_result):
+    """Both verdicts from one pass over the (representative, arguments)
+    pairs of ``reps`` (``[None]`` for a constructor).  Objects in one
+    abstract state differ by identity token only, so the precondition runs
+    under the representative's token and ``OTHER_REF``; a disagreement
+    makes it unsound, with one witness per pair.  Where it holds, count the
+    candidates that satisfy the model postcondition; more than one makes
+    the feature incomplete.  A candidate is the poststate, or the result
+    when ``on_result``.  The defining clauses are evaluated once per pair,
+    the relational ones only on the candidates that match them (see
+    ``_satisfying``).
 
     Container arguments have their poststates pinned to the ones the
     implementation actually produces; only the target poststate or the
@@ -274,18 +263,14 @@ def _completeness(name, feature, cfg, groups, candidates, on_result):
     show = repr if on_result else serialize_state
     pinned = any(d[0] == "container" for d in feature.arg_domains)
     combos = list(_arg_combos(feature, cfg))
-    for group in groups:
-        pre_e = group[0]
+    for pre_e in reps:
         old, ref = (pre_e.state, pre_e.obj.ref) if pre_e else (None, None)
-        others = group[1:] if feature.pre is not None else ()
         for args in combos:
             holds = pre_holds(feature, old, args, ref)
-            for e in others:
-                if pre_holds(feature, e.state, args, e.obj.ref) != holds:
-                    verdict.pre_sound = False
-                    verdict.witnesses.append(
-                        f"pre disagreement at {serialize_state(old)}")
-                    break
+            if pre_e and pre_holds(feature, old, args, OTHER_REF) != holds:
+                verdict.pre_sound = False
+                verdict.witnesses.append(
+                    f"pre disagreement at {serialize_state(old)}")
             if not holds:
                 continue
             if pinned:
@@ -320,9 +305,9 @@ def check_command_completeness(name, feature_name, cfg) -> CheckVerdict:
     poststates satisfying the effective (frame-expanded) postcondition must
     be abstractly equal.  Candidates are drawn from the enumerated state
     space."""
-    groups = state_space(name, cfg)
+    reps = state_space(name, cfg)
     return _completeness(name, REGISTRY[name].features[feature_name], cfg,
-                         groups, [g[0].state for g in groups], False)
+                         reps, [e.state for e in reps], False)
 
 
 def _result_candidates(feature, cfg):
@@ -330,11 +315,11 @@ def _result_candidates(feature, cfg):
     if d is None:
         return []
     if d[0] == "container":
-        return [g[0].state for g in state_space(d[1], cfg)]
+        return [e.state for e in state_space(d[1], cfg)]
     if d == ("int",):
         # Sizes up to one past the bound, and a margin of negatives.
         d = ("int", -4, max(4, cfg.max_size) + 1)
-    return domain_values(d, cfg.elements())
+    return domain_values(d, element_tokens(cfg.universe))
 
 
 def check_query_completeness(name, feature_name, cfg) -> CheckVerdict:
@@ -349,9 +334,9 @@ def check_query_completeness(name, feature_name, cfg) -> CheckVerdict:
 def check_constructor_completeness(name, ctor_name, cfg) -> CheckVerdict:
     """Constructors are queries returning fresh objects: all poststates
     satisfying the postcondition must be abstractly equal."""
-    candidates = [g[0].state for g in state_space(name, cfg)]
+    candidates = [e.state for e in state_space(name, cfg)]
     return _completeness(name, REGISTRY[name].constructor(ctor_name), cfg,
-                         [[None]], candidates, False)
+                         [None], candidates, False)
 
 
 @dataclass
@@ -412,8 +397,8 @@ def check_observational_adequacy(name, cfg, model_fn=None, features=None):
     queries = _calls(spec.queries(), cfg, features)
     commands = _calls(spec.commands(), cfg, features)
     # One representative per full abstract state; a model_fn may merge them.
-    reps = [(g[0], g[0].state if model_fn is None else model_fn(g[0].obj))
-            for g in state_space(name, cfg, features)]
+    reps = [(e, e.state if model_fn is None else model_fn(e.obj))
+            for e in state_space(name, cfg, features)]
     verdict = AdequacyVerdict(name, cfg.depth)
     for (e1, m1), (e2, m2) in itertools.combinations(reps, 2):
         verdict.pairs_checked += 1

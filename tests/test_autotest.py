@@ -323,6 +323,8 @@ class TestReplay:
         [["new", "BinaryTree", "make_empty", []],
          ["call", "add_root", [["elem", "a"]]],
          ["call", "put_child", [["path", []], ["bool", 1], ["elem", "b"]]]],
+        # A relation is the identity or total one over a whole universe.
+        [["new", "EqSet", "make", [["rel", [["a", "a"], ["c", "c"]]]]]],
     ])
     def test_argument_outside_domain_rejected(self, trace):
         with pytest.raises(ReplayError, match="not in the domain"):
@@ -379,19 +381,23 @@ class TestReplay:
             replay(FaultReport(violation={}, trace=trace + [
                 ["call", "no_such_feature", []]]), faults=faulty())
 
-    def test_enumerated_traces_encode_and_replay(self):
+    @pytest.mark.parametrize("cfg", [
+        EnumerationConfig(max_size=2),
+        # Element tokens past the campaign's pool.
+        EnumerationConfig(universe=5, max_size=1)],
+        ids=["max-size-2", "universe-5"])
+    def test_enumerated_traces_encode_and_replay(self, cfg):
         # The checkers' traces are the campaign's: each representative's,
         # encoded for a report, replays clean and builds its state again.
-        cfg = EnumerationConfig(max_size=2)
         for name in CONTAINER_NAMES:
             spec = REGISTRY[name]
-            for g in state_space(name, cfg):
-                encoded = _encode_trace(spec, g[0].trace)
+            for e in state_space(name, cfg):
+                encoded = _encode_trace(spec, e.trace)
                 report = FaultReport(violation={}, trace=encoded)
                 assert replay(report) is None, (name, encoded)
                 decoded_spec, trace = _decode_trace(encoded)
                 assert decoded_spec is spec
-                assert abstract_state(_build(spec, trace)) == g[0].state
+                assert abstract_state(_build(spec, trace)) == e.state
 
 
 def test_result_json_lines_shape():

@@ -30,17 +30,15 @@ class TestEnumeration:
 
     def test_traces_replay(self):
         from mbc.checkers import _build
-        for e in (g[0] for g in enumerate_states("Stack", CFG)):
+        for e in enumerate_states("Stack", CFG):
             rebuilt = _build(REGISTRY["Stack"], e.trace)
             assert abstract_state(rebuilt) == e.state
 
-    def test_groups_are_distinct_states_in_text_order(self):
+    def test_representatives_are_distinct_and_in_text_order(self):
         for name in CONTAINER_NAMES:
-            groups = state_space(name, CFG)
-            texts = [serialize_state(g[0].state) for g in groups]
+            reps = state_space(name, CFG)
+            texts = [serialize_state(e.state) for e in reps]
             assert texts == sorted(set(texts)), name
-            for g in groups:
-                assert all(e.state == g[0].state for e in g), name
 
     def test_refusal_over_budget(self):
         big = EnumerationConfig(universe=30, max_size=30)
@@ -67,6 +65,22 @@ class TestEnumeration:
     def test_bounds_in_use_accepted(self, bounds):
         assert EnumerationConfig(**bounds).estimate() <= checkers.STATE_LIMIT
 
+    def test_replayed_steps_refused_past_the_limit(self, monkeypatch):
+        # The estimate is a guess (2,754 steps here), so the search counts
+        # the steps it replays (11,663) and stops at the limit.
+        monkeypatch.setattr(checkers, "STATE_LIMIT", 5000)
+        cfg = EnumerationConfig(universe=1, max_size=16)
+        assert cfg.estimate() <= checkers.STATE_LIMIT
+        with pytest.raises(EnumerationRefused, match="trace steps replayed"):
+            enumerate_states("LinkedList", cfg)
+
+    def test_traces_are_shortest(self):
+        # Breadth first, k elements take a constructor, k insertions and
+        # at most k + 2 cursor moves.
+        for e in enumerate_states("LinkedList",
+                                  EnumerationConfig(universe=1, max_size=8)):
+            assert len(e.trace) <= 2 * e.state.sequence.count + 3, e.trace
+
 
 class TestStateSpace:
     def test_one_enumeration_per_container(self, monkeypatch):
@@ -85,18 +99,15 @@ class TestStateSpace:
         # Neither the abstract state nor the concrete layout of a stored
         # object changes, though adequacy runs queries on it.
         cfg = EnumerationConfig(max_size=2)
-        layouts = {name: [[pickle.dumps(e.obj) for e in g]
-                          for g in state_space(name, cfg)]
+        layouts = {name: [pickle.dumps(e.obj) for e in state_space(name, cfg)]
                    for name in CONTAINER_NAMES}
         classify_library(cfg)
         for name in CONTAINER_NAMES:
             check_observational_adequacy(name, cfg)
         for name in CONTAINER_NAMES:
-            groups = state_space(name, cfg)
-            for group in groups:
-                assert all(abstract_state(e.obj) == e.state for e in group)
-            assert [[pickle.dumps(e.obj) for e in g]
-                    for g in groups] == layouts[name], name
+            reps = state_space(name, cfg)
+            assert all(abstract_state(e.obj) == e.state for e in reps)
+            assert [pickle.dumps(e.obj) for e in reps] == layouts[name], name
 
     def test_config_freed_without_cyclic_gc(self):
         # The memo lives on the config, so nothing a check leaves behind
@@ -131,6 +142,19 @@ class TestPreconditionSoundness:
         assert len(groups) == 15
         assert len(calls) == 1
 
+    @staticmethod
+    def token_witnesses(cfg):
+        """The pre disagreement witnesses, and how many there must be: the
+        nonempty representatives whose own token ends in "0", for the
+        second token does not."""
+        v = classify_feature("Stack", "item", cfg)
+        assert not v.pre_sound
+        witnesses = [w for w in v.witnesses if w.startswith("pre disagreement")]
+        want = sum(not e.state.sequence.is_empty and e.obj.ref.token.endswith("0")
+                   for e in state_space("Stack", cfg))
+        assert want >= 1
+        return witnesses, want
+
     def test_identity_dependent_precondition_unsound(self, monkeypatch):
         # Objects with equal model tuples have different identity tokens,
         # so a precondition that reads the target's token is unsound.
@@ -138,10 +162,8 @@ class TestPreconditionSoundness:
             REGISTRY["Stack"].features["item"], "pre",
             lambda s, a, r: not s.sequence.is_empty and r.token.endswith("0"))
         reset_ref_counter()
-        v = classify_feature("Stack", "item", EnumerationConfig())
-        assert not v.pre_sound
-        witnesses = [w for w in v.witnesses if w.startswith("pre disagreement")]
-        assert len(witnesses) == 3
+        witnesses, want = self.token_witnesses(EnumerationConfig())
+        assert len(witnesses) == want
 
     @pytest.mark.parametrize("prior", [3, 7])
     def test_verdict_independent_of_earlier_tokens(self, monkeypatch, prior):
@@ -153,9 +175,20 @@ class TestPreconditionSoundness:
         reset_ref_counter()
         for _ in range(prior):
             fresh_ref()
-        v = classify_feature("Stack", "item", EnumerationConfig())
-        witnesses = [w for w in v.witnesses if w.startswith("pre disagreement")]
-        assert len(witnesses) == 3
+        witnesses, want = self.token_witnesses(EnumerationConfig())
+        assert len(witnesses) == want
+
+    def test_two_evaluations_per_pair(self, monkeypatch):
+        # Under the representative's token and under a second one: ArrayT
+        # has 41 states and fill 50 argument combinations.
+        cfg = EnumerationConfig()
+        state_space("ArrayT", cfg)
+        calls = []
+        real = checkers.pre_holds
+        monkeypatch.setattr(checkers, "pre_holds",
+                            lambda *a: calls.append(1) or real(*a))
+        classify_feature("ArrayT", "fill", cfg)
+        assert len(calls) == 2 * 41 * 50
 
     def test_domain_error_in_precondition_is_false(self, monkeypatch):
         # As at run time: a precondition outside its domain rejects the
@@ -257,16 +290,28 @@ class TestCompleteness:
             del REGISTRY["LeakyCollection"]
 
 
-def reference_completeness(name, feature, cfg, groups, candidates,
+def state_groups(spec, cfg, reps):
+    """Each representative with every one-command successor of a
+    representative that lands in its state: concrete objects that a
+    precondition sees only by their distinct identity tokens."""
+    groups = {e.state: [e] for e in reps}
+    for e in reps:
+        for feat, args in checkers._calls(spec.commands(), cfg):
+            if contracts.pre_holds(feat, e.state, args, e.obj.ref):
+                nxt = checkers._successor(spec, e, feat, args)
+                groups.get(nxt.state, []).append(nxt)
+    return list(groups.values())
+
+
+def reference_completeness(name, feature, cfg, reps, candidates,
                            on_result):
     """Generate and test: every model clause on every candidate; and
-    precondition soundness as a set of values over each whole group."""
+    precondition soundness as a set of values over each whole group of
+    ``state_groups``."""
     spec = REGISTRY[name]
     verdict = CheckVerdict(f"{name}.{feature.name}", tag=feature.incompleteness_tag)
-    if feature.pre is not None:
-        for group in groups:
-            if len(group) < 2:
-                continue
+    if feature.pre is not None and reps != [None]:
+        for group in state_groups(spec, cfg, reps):
             for args in checkers._arg_combos(feature, cfg):
                 vals = {feature.pre(m.state, args, m.obj.ref) for m in group}
                 if len(vals) > 1:
@@ -276,7 +321,7 @@ def reference_completeness(name, feature, cfg, groups, candidates,
     clauses = checkers._model_clauses(feature, spec.signature)
     show = repr if on_result else serialize_state
     pinned = any(d[0] == "container" for d in feature.arg_domains)
-    for pre_e in (g[0] for g in groups):
+    for pre_e in reps:
         old, ref = (pre_e.state, pre_e.obj.ref) if pre_e else (None, None)
         for args in checkers._arg_combos(feature, cfg):
             if not contracts.pre_holds(feature, old, args, ref):
