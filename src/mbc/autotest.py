@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from . import containers
-from .checkers import Built, _build, _state_size, element_tokens
+from .checkers import MAX_UNIVERSE, Built, _build, _state_size, element_tokens
 from .contracts import (
     ContractViolation, PreconditionRejected, REGISTRY, abstract_state,
     checked_command, checked_constructor, checked_query, domain_values,
@@ -27,6 +27,7 @@ from .contracts import (
 from .model_math import Ref
 
 ELEMENT_POOL = element_tokens(4)
+_UNIVERSE_OF = {r.token: i + 1 for i, r in enumerate(element_tokens(MAX_UNIVERSE))}
 MAX_OBJECTS = 32      # live objects in a campaign's pool
 MAX_OBJECT_SIZE = 8
 
@@ -98,21 +99,20 @@ def _encode_trace(spec, trace):
 
 
 def _universe(value):
-    """The least universe of ``element_tokens`` (one letter each, from
-    ``a``) holding every string in the encoded ``value``, or else 0."""
+    """The least universe of ``element_tokens`` holding every one of its
+    tokens (``a`` to ``z``) in the encoded ``value``, or else 0."""
     if isinstance(value, list):
         return max(map(_universe, value), default=0)
-    token = isinstance(value, str) and len(value) == 1
-    return max(ord(value) - ord("a") + 1, 0) if token else 0
+    return _UNIVERSE_OF.get(value, 0) if isinstance(value, str) else 0
 
 
 def _decode_arg(feature, domain, e):
     """The value of ``domain`` that ``e``, an argument of ``feature``,
-    encodes: a container's is its decoded trace, an element any token of a
-    universe, any other is looked up among the domain's values over the
-    least universe holding its tokens (a relation spells each), so a value
-    outside the domain is rejected.  Encodings are compared by ``repr``,
-    which tells JSON ``true`` from ``1``."""
+    encodes: a container's is its decoded trace, an element any token of
+    ``element_tokens(MAX_UNIVERSE)``, any other is looked up among the
+    domain's values over the least universe holding its tokens (a relation
+    spells each), so a value outside the domain is rejected.  Encodings
+    are compared by ``repr``, which tells JSON ``true`` from ``1``."""
     if not (isinstance(e, list) and len(e) == 2):
         raise ReplayError(
             f"{feature.name}: argument encoding {e!r} is not a "
@@ -131,7 +131,7 @@ def _decode_arg(feature, domain, e):
     if domain[0] == "element":
         values = [Ref(e[1])] if n and isinstance(e[1], str) else []
     else:
-        values = domain_values(domain, element_tokens(min(n, len(repr(e)))))
+        values = domain_values(domain, element_tokens(n))
     for v in values:
         if repr(_encode_arg(domain, v)) == repr(e):
             return v

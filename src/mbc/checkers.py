@@ -45,6 +45,7 @@ class EnumerationRefused(Exception):
 # Most trace steps an enumeration may replay, and its bounds may estimate.
 STATE_LIMIT = 10**7
 OTHER_REF = Ref("#other")  # a token ``fresh_ref`` (``#<n>``) never draws
+MAX_UNIVERSE = 26  # the element tokens ``a`` to ``z``
 
 
 def element_tokens(n):
@@ -216,22 +217,19 @@ def _post_holds(clauses, old, new, args, result):
         return False
 
 
-def _satisfying(defining, relational, candidates, keys, old, args,
-                on_result):
+def _satisfying(defining, relational, index, old, args, on_result):
     """The candidates, in order, that satisfy the postcondition.  Each
     defining clause's ``expr`` is evaluated once (a DomainError leaves no
-    candidate); a candidate is kept when its ``keys`` entry, the values of
-    the defined targets, equals the expected tuple, and then the relational
-    clauses hold.  Tuples are compared with ``==``, not hashed: equal model
-    values may hash differently (``MSeq([1])`` and ``MSeq([True])``)."""
+    candidate), the candidates whose defined targets hold those values
+    are looked up in ``index``, and kept when the relational clauses hold."""
     ctx = Ctx(old=old, new=None, args=args, result=None, obj=None, cold=None)
     try:
-        expected = tuple([d.expr(ctx) for d in defining])
+        expected = [d.expr(ctx) for d in defining]
     except DomainError:
         return []
-    return [c for c, k in zip(candidates, keys) if k == expected
-            and _post_holds(relational, old, old if on_result else c, args,
-                            c if on_result else None)]
+    return [c for c in index.get((*expected, *map(type, expected)), ())
+            if _post_holds(relational, old, old if on_result else c, args,
+                           c if on_result else None)]
 
 
 def _completeness(name, feature, cfg, reps, candidates, on_result):
@@ -242,9 +240,9 @@ def _completeness(name, feature, cfg, reps, candidates, on_result):
     makes it unsound, with one witness per pair.  Where it holds, count the
     candidates that satisfy the model postcondition; more than one makes
     the feature incomplete.  A candidate is the poststate, or the result
-    when ``on_result``.  The defining clauses are evaluated once per pair,
-    the relational ones only on the candidates that match them (see
-    ``_satisfying``).
+    when ``on_result``.  The defining clauses are evaluated once per pair
+    and their values looked up in an index of the candidates, built once
+    per verdict; the relational ones run on the candidates found only.
 
     Container arguments have their poststates pinned to the ones the
     implementation actually produces; only the target poststate or the
@@ -256,10 +254,13 @@ def _completeness(name, feature, cfg, reps, candidates, on_result):
     clauses = _model_clauses(feature, spec.signature)
     defining = [c for c in clauses if c.expr is not None]
     relational = [c for c in clauses if c.expr is None]
-    # A query's defining clauses all target its result (ContainerSpec
-    # checks this).
-    keys = [tuple([c if on_result else getattr(c, d.target) for d in defining])
-            for c in candidates]
+    # Candidates in order, by the values of their defined targets and the
+    # types of those, so a bool and an int differ as by order_key.  A query's
+    # defining clauses all target its result (ContainerSpec checks this).
+    index = {}
+    for c in candidates:
+        values = [c if on_result else getattr(c, d.target) for d in defining]
+        index.setdefault((*values, *map(type, values)), []).append(c)
     show = repr if on_result else serialize_state
     pinned = any(d[0] == "container" for d in feature.arg_domains)
     combos = list(_arg_combos(feature, cfg))
@@ -275,8 +276,8 @@ def _completeness(name, feature, cfg, reps, candidates, on_result):
                 continue
             if pinned:
                 args = _pin_container_args(spec, feature, pre_e, args)
-            satisfying = _satisfying(defining, relational, candidates, keys,
-                                     old, args, on_result)
+            satisfying = _satisfying(defining, relational, index, old, args,
+                                     on_result)
             verdict.states_checked += len(candidates)
             if len(satisfying) > 1:
                 verdict.post_complete = False

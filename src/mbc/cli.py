@@ -20,7 +20,7 @@ from dataclasses import fields
 from . import boogie_export, containers
 from .autotest import TestBudget, run_campaign
 from .checkers import (
-    AdequacyVerdict, EnumerationConfig, EnumerationRefused,
+    MAX_UNIVERSE, AdequacyVerdict, EnumerationConfig, EnumerationRefused,
     check_observational_adequacy, classify_library, report_to_json,
 )
 from .contracts import REGISTRY
@@ -39,7 +39,7 @@ def _resolve_targets(args) -> list:
     return list(dict.fromkeys(args.target))
 
 
-# The least value of each bound flag.
+# The least value of each bound flag; --universe is at most MAX_UNIVERSE.
 _LEAST = {"calls": 0, "depth": 0, "max_size": 0, "universe": 1}
 
 
@@ -191,6 +191,8 @@ def main(argv=None) -> int:
             if getattr(args, name, lo) < lo:
                 parser.error(f"argument --{name.replace('_', '-')}: "
                              f"must be at least {lo}")
+        if getattr(args, "universe", 1) > MAX_UNIVERSE:
+            parser.error(f"argument --universe: must be at most {MAX_UNIVERSE}")
     except SystemExit as e:
         # argparse exits 2 on usage errors already; normalize others.
         return 2 if e.code not in (0, None) else 0

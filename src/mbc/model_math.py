@@ -5,24 +5,22 @@ so iteration and serialization are deterministic.  Booleans and integers are
 represented by the native ``bool`` and ``int`` types; elements of generic
 containers are opaque :class:`Ref` tokens compared by identity token.
 
-Canonical identity is :func:`order_key`: the constructors of ``MSet``
-and ``MRel`` compute it once per entry, sort once, and merge neighbours
-with equal keys, keeping an element's first occurrence.  So ``True`` and
-``1`` stay distinct elements, whatever the insertion order.  ``MMap``
-sorts its keys the same way and rejects neighbours with equal keys, so
-``1`` and ``True`` are two keys of one map.  ``MRel.has`` looks the pair's
-keys up in the set of keys its constructor computed.
+Identity is :func:`order_key`: two model values are equal exactly when their
+keys are, ``hash`` follows the key, and every membership test (``has``,
+``occurrences``, ``has_key``, ``item``, ``image_of``, ``multiplicity``)
+matches by it, so ``True`` and ``1`` are distinct everywhere.  ``__eq__`` and
+the scans test ``==``, then the type: nested values follow this rule, and
+only a ``bool`` and an ``int`` are ``==`` under different keys.  The
+constructors of ``MSet`` and ``MRel`` compute the key once per entry, sort
+once, and merge neighbours with equal keys, keeping an element's first
+occurrence (``MRel`` keeps the keys, for ``==``, ``hash`` and ``has``);
+``MMap`` sorts its keys so and rejects equal neighbours.
 An ``MBag`` is a map from ``order_key`` to multiplicity, with the first
 element seen for each key, and no sort: equality, hashing,
 ``multiplicity``, ``extended`` and ``removed`` work on that map, one key
 at a time.  Its canonical ``pairs`` tuple is sorted only when something
 reads it (``to_text``, ``domain``, ``repr``), and kept; ``order_key`` sorts
 the map's (key, multiplicity) items.
-(``__eq__`` of the other values still compares stored tuples with ``==``,
-which does not tell ``True`` from ``1``; so do the other membership tests,
-``MSeq.has``, ``MSet.has``, ``MMap.has_key``, ``MMap.item`` and
-``MRel.image_of``, and so ``MRel.has`` can disagree with ``image_of`` and
-``domain`` on bool/int pairs.)
 Stored tuples are built from lists, never from generators:
 ``tuple(<generator>)`` over-allocates and then shrinks, which on CPython
 fills the per-length tuple free lists and raises peak memory.
@@ -135,7 +133,8 @@ class MSeq:
         self.items = tuple(items)
 
     def __eq__(self, other):
-        return isinstance(other, MSeq) and self.items == other.items
+        return (isinstance(other, MSeq) and self.items == other.items
+                and list(map(type, self.items)) == list(map(type, other.items)))
 
     def __hash__(self):
         return hash(("MSeq", tuple(order_key(x) for x in self.items)))
@@ -198,10 +197,10 @@ class MSeq:
         return MSet(self.items)
 
     def has(self, v: ModelValue) -> bool:
-        return any(x == v for x in self.items)
+        return any(x == v and type(x) is type(v) for x in self.items)
 
     def occurrences(self, v: ModelValue) -> int:
-        return sum(1 for x in self.items if x == v)
+        return sum(1 for x in self.items if x == v and type(x) is type(v))
 
     def to_bag(self) -> "MBag":
         return MBag([(x, 1) for x in self.items])
@@ -236,7 +235,8 @@ class MSet:
         self.elements = tuple(xs)
 
     def __eq__(self, other):
-        return isinstance(other, MSet) and self.elements == other.elements
+        return (isinstance(other, MSet) and self.elements == other.elements
+                and list(map(type, self.elements)) == list(map(type, other.elements)))
 
     def __hash__(self):
         return hash(("MSet", tuple(order_key(x) for x in self.elements)))
@@ -256,7 +256,7 @@ class MSet:
         return not self.elements
 
     def has(self, v: ModelValue) -> bool:
-        return any(x == v for x in self.elements)
+        return any(x == v and type(x) is type(v) for x in self.elements)
 
     def union(self, other: "MSet") -> "MSet":
         return MSet(self.elements + other.elements)
@@ -414,7 +414,9 @@ class MMap:
         self._domain = None
 
     def __eq__(self, other):
-        return isinstance(other, MMap) and self.pairs == other.pairs
+        return (isinstance(other, MMap) and self.pairs == other.pairs
+                and [(type(k), type(v)) for k, v in self.pairs]
+                == [(type(k), type(v)) for k, v in other.pairs])
 
     def __hash__(self):
         return hash(("MMap", tuple((order_key(k), order_key(v)) for k, v in self.pairs)))
@@ -441,11 +443,11 @@ class MMap:
         return not self.pairs
 
     def has_key(self, k: ModelValue) -> bool:
-        return any(k == y for y, _ in self.pairs)
+        return any(y == k and type(y) is type(k) for y, _ in self.pairs)
 
     def item(self, k: ModelValue) -> ModelValue:
         for y, v in self.pairs:
-            if k == y:
+            if y == k and type(y) is type(k):
                 return v
         raise DomainError(f"absent key {k!r}")
 
@@ -455,10 +457,12 @@ class MMap:
     def replaced_at(self, k: ModelValue, v: ModelValue) -> "MMap":
         if not self.has_key(k):
             raise DomainError(f"replaced_at on absent key {k!r}")
-        return _canonical_map([(y, v if y == k else w) for y, w in self.pairs])
+        return _canonical_map([(y, v if y == k and type(y) is type(k) else w)
+                               for y, w in self.pairs])
 
     def updated(self, k: ModelValue, v: ModelValue) -> "MMap":
-        return MMap(tuple((y, w) for y, w in self.pairs if y != k) + ((k, v),))
+        return MMap([(y, w) for y, w in self.pairs
+                     if not (y == k and type(y) is type(k))] + [(k, v)])
 
     def restricted(self, keys: MSet) -> "MMap":
         return _canonical_map([(y, w) for y, w in self.pairs if keys.has(y)])
@@ -467,17 +471,16 @@ class MMap:
         return self.restricted(keys)
 
     def is_constant(self, v: ModelValue) -> bool:
-        return all(w == v for _, w in self.pairs)
+        return all(w == v and type(w) is type(v) for _, w in self.pairs)
 
     def union(self, other: "MMap") -> "MMap":
         # Disjoint-domain union; overlapping keys must agree.
         m = self
         for k, v in other.pairs:
-            if m.has_key(k):
-                if m[k] != v:
-                    raise DomainError(f"conflicting value for key {k!r}")
-            else:
+            if not m.has_key(k):
                 m = m.updated(k, v)
+            elif not (m[k] == v and type(m[k]) is type(v)):
+                raise DomainError(f"conflicting value for key {k!r}")
         return m
 
 
@@ -492,14 +495,8 @@ def _canonical_map(pairs: list) -> MMap:
 
 class MRel:
     """Finite set of ordered pairs; ``_keys`` holds the ``order_key`` pair
-    of each, for ``has``.
-
-    ``has`` keys by ``order_key``, but ``image_of`` matches ``x`` with
-    ``==`` and ``domain`` is an ``MSet``, whose ``has`` uses ``==``.  So on
-    mixed bool/int pairs they disagree: for ``MRel([(True, True)])``,
-    ``has(1, 1)`` is false while ``image_of(1).has(1)`` and
-    ``domain.has(1)`` are true.  ``has`` raises ``TypeError`` on an
-    argument that is not a model value, as ``order_key`` does."""
+    of each, for ``==``, ``hash`` and ``has``.  ``has`` raises ``TypeError``
+    on an argument that is not a model value, as ``order_key`` does."""
 
     __slots__ = ("pairs", "_keys")
 
@@ -512,10 +509,10 @@ class MRel:
         self._keys = frozenset(keys)
 
     def __eq__(self, other):
-        return isinstance(other, MRel) and self.pairs == other.pairs
+        return isinstance(other, MRel) and self._keys == other._keys
 
     def __hash__(self):
-        return hash(("MRel", tuple((order_key(x), order_key(y)) for x, y in self.pairs)))
+        return hash(("MRel", self._keys))
 
     def __repr__(self):
         return f"MRel({list(self.pairs)!r})"
@@ -532,7 +529,7 @@ class MRel:
         return (order_key(x), order_key(y)) in self._keys
 
     def image_of(self, x: ModelValue) -> MSet:
-        return MSet(b for a, b in self.pairs if a == x)
+        return MSet(b for a, b in self.pairs if a == x and type(a) is type(x))
 
 
 def identity_relation(universe: Iterable[ModelValue]) -> MRel:

@@ -325,6 +325,8 @@ class TestReplay:
          ["call", "put_child", [["path", []], ["bool", 1], ["elem", "b"]]]],
         # A relation is the identity or total one over a whole universe.
         [["new", "EqSet", "make", [["rel", [["a", "a"], ["c", "c"]]]]]],
+        # Element tokens run from a to z; "{" would be the 27th.
+        [["new", "Stack", "make_empty", []], ["call", "put", [["elem", "{"]]]],
     ])
     def test_argument_outside_domain_rejected(self, trace):
         with pytest.raises(ReplayError, match="not in the domain"):

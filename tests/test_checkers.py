@@ -18,6 +18,7 @@ from mbc.contracts import (
     Clause, ContainerSpec, Feature, ModelSignature, REGISTRY, abstract_state,
     register, serialize_state,
 )
+from mbc.model_math import MSeq
 
 CFG = EnumerationConfig()
 
@@ -397,6 +398,21 @@ class TestDefiningClauses:
         assert v.post_complete
         assert v.states_checked == pairs * len(state_space("LinkedList", cfg))
         assert evals == {"merge_right/sequence": pairs, "merge_right/index": pairs}
+        assert len(calls) <= pairs
+
+    def test_candidates_looked_up_not_scanned(self, monkeypatch):
+        # Counts, not times: each (state, argument) pair looks its expected
+        # sequence up in the verdict's index of candidates, so it compares
+        # at most one sequence with ==, where a scan compared all 64.
+        cfg = EnumerationConfig()
+        reps = state_space("LinkedList", cfg)
+        calls = []
+        real = MSeq.__eq__
+        monkeypatch.setattr(MSeq, "__eq__",
+                            lambda a, b: calls.append(1) or real(a, b))
+        v = check_command_completeness("LinkedList", "put_right", cfg)
+        pairs = v.states_checked // len(reps)  # those whose pre holds
+        assert pairs <= len(reps) * cfg.universe == 128
         assert len(calls) <= pairs
 
     def test_container_views_shared_but_unchanged(self, monkeypatch):

@@ -47,6 +47,19 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert f"argument {flag}: must be at least" in err
 
+    @pytest.mark.parametrize("universe", ["27", "1114100"])
+    def test_universe_past_z_is_2(self, capsys, universe):
+        # Token 27 would be "{", which state texts use as a brace.
+        code, out, err = run(capsys, "complete", "--target", "Collection",
+                             "--universe", universe, "--max-size", "0")
+        assert code == 2 and out == ""
+        assert "argument --universe: must be at most 26" in err
+
+    def test_greatest_universe_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "complete", "--target", "Collection",
+                           "--universe", "26", "--max-size", "0")
+        assert code == 0 and json.loads(out)
+
     @pytest.mark.parametrize("argv", [
         ["adequacy", "--target", "Queue", "--depth", "0"],
         ["complete", "--target", "Stack", "--max-size", "0"],
@@ -66,7 +79,7 @@ class TestExitCodes:
 
     def test_refused_enumeration_is_2(self, capsys):
         code, _, err = run(capsys, "complete", "--target", "Collection",
-                           "--universe", "40", "--max-size", "40")
+                           "--universe", "26", "--max-size", "40")
         assert code == 2
         assert "refused" in err
 

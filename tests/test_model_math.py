@@ -1,6 +1,7 @@
 """Model-value algebra: operation examples, exhaustive small-space laws,
-and property tests of the canonical constructors against a quadratic
-reference."""
+property tests of the canonical constructors against a quadratic
+reference, and of the one identity rule (``order_key``) for ``==``,
+``hash`` and membership."""
 
 import itertools
 import random
@@ -274,28 +275,22 @@ def identical_pairs(got, want):
             and all(a[0] is b[0] and a[1] == b[1] for a, b in zip(got, want)))
 
 
-def _model_values(bools):
-    scalars = st.booleans() if bools else st.integers(-3, 3)
-    atoms = st.one_of(scalars, st.builds(Ref, st.sampled_from("abcd")))
-    return st.recursive(
-        atoms, lambda inner: st.builds(MSeq, st.lists(inner, max_size=3)),
-        max_leaves=4)
-
-
-# One value holds booleans or integers, never both: that mix is the open
-# bool/int equality question, kept to its own regression test.
-MODEL_VALUES = {bools: _model_values(bools) for bools in (False, True)}
-MULTIPLICITIES = {bools: st.integers(0, 3) for bools in (False, True)}
+# Booleans, integers and Refs, mixed at every depth: True and 1 (False
+# and 0) are distinct values, so a constructor must keep both.
+ATOMS = st.one_of(st.booleans(), st.integers(-3, 3),
+                  st.builds(Ref, st.sampled_from("abcd")))
+MODEL_VALUES = st.recursive(
+    ATOMS, lambda inner: st.builds(MSeq, st.lists(inner, max_size=3)),
+    max_leaves=4)
+MULTIPLICITIES = st.integers(0, 3)
 
 
 def value_lists(**kw):
-    return st.booleans().flatmap(
-        lambda bools: st.lists(MODEL_VALUES[bools], **kw))
+    return st.lists(MODEL_VALUES, **kw)
 
 
 def pair_lists(seconds, **kw):
-    return st.booleans().flatmap(lambda bools: st.lists(
-        st.tuples(MODEL_VALUES[bools], seconds[bools]), **kw))
+    return st.lists(st.tuples(MODEL_VALUES, seconds), **kw)
 
 
 class TestCanonicalConstructors:
@@ -393,16 +388,13 @@ def keyed(pairs):
     return [(order_key(x), n) for x, n in pairs]
 
 
-ANY_VALUE = st.one_of(MODEL_VALUES[False], MODEL_VALUES[True])
-
-
 class TestBagAlgebra:
     """Every bag operation against the quadratic reference.  Bags and
     probes may mix booleans and integers: a bag keys its elements by
     ``order_key``, so ``True`` and ``1`` are distinct elements."""
 
     @PROPERTY
-    @given(pair_lists(MULTIPLICITIES, max_size=12), ANY_VALUE)
+    @given(pair_lists(MULTIPLICITIES, max_size=12), MODEL_VALUES)
     def test_extended(self, pairs, v):
         got = MBag(pairs).extended(v)
         want = reference_bag(pairs + [(v, 1)])
@@ -414,7 +406,7 @@ class TestBagAlgebra:
     def test_removed(self, pairs, data):
         present = [x for x, n in pairs if n]
         v = data.draw(st.sampled_from(present) if present and data.draw(
-            st.booleans()) else ANY_VALUE)
+            st.booleans()) else MODEL_VALUES)
         try:
             want = reference_removed(pairs, v)
         except DomainError:
@@ -426,7 +418,7 @@ class TestBagAlgebra:
         assert got == MBag(want)
 
     @PROPERTY
-    @given(pair_lists(MULTIPLICITIES, max_size=12), ANY_VALUE)
+    @given(pair_lists(MULTIPLICITIES, max_size=12), MODEL_VALUES)
     def test_multiplicity_count_domain(self, pairs, v):
         bag, want = MBag(pairs), reference_bag(pairs)
         assert bag.multiplicity(v) == bag[v] == sum(
@@ -475,12 +467,14 @@ def same_ints(got, want):
             and [type(x) for x in got] == [type(x) for x in want])
 
 
+def map_of(pairs):
+    """A map of ``pairs``, keeping the values of the first keys that are
+    distinct by ``order_key``."""
+    return MMap(zip(MSet([k for k, _ in pairs]).elements, [v for _, v in pairs]))
+
+
 def maps(**kw):
-    # Keys distinct by order_key, so never equal: a valid MMap.
-    return st.booleans().flatmap(lambda bools: st.lists(
-        st.tuples(MODEL_VALUES[bools], MODEL_VALUES[bools]), **kw)).map(
-            lambda pairs: MMap(zip(MSet([k for k, _ in pairs]).elements,
-                                   [v for _, v in pairs])))
+    return st.lists(st.tuples(MODEL_VALUES, MODEL_VALUES), **kw).map(map_of)
 
 
 class TestDerivedValues:
@@ -535,7 +529,7 @@ class TestDerivedValues:
     def test_replaced_at(self, m, data):
         k = data.draw(st.sampled_from(m.domain.elements))
         got = m.replaced_at(k, A)
-        want = MMap([(y, A if y == k else w) for y, w in m.pairs])
+        want = MMap([(y, A if same_key(y, k) else w) for y, w in m.pairs])
         assert len(got.pairs) == len(want.pairs)
         assert all(a[0] is b[0] and a[1] is b[1] for a, b in zip(got.pairs, want.pairs))
         assert identical(got.domain.elements, want.domain.elements)
@@ -604,12 +598,13 @@ class TestKeyedMembership:
             getattr(bag, op)(probe)
             assert len(keys) == 1 and not calls
 
-    def test_rel_has_disagrees_with_image_and_domain_on_bool_int(self):
-        # Known gap (ROADMAP 1(a)): only ``has`` keys by ``order_key``;
-        # ``image_of`` and ``MSet.has`` still use ``==``.
+    def test_rel_has_agrees_with_image_and_domain_on_bool_int(self):
+        # ROADMAP 1(a): ``has``, ``image_of`` and ``domain`` all key by
+        # ``order_key``, so 1 is neither related nor in the domain.
         r = MRel([(True, True)])
         assert r.has(True, True) and not r.has(1, 1)
-        assert r.image_of(1).has(1) and r.domain.has(1)
+        assert r.image_of(True).has(True) and r.domain.has(True)
+        assert not r.image_of(1).has(1) and not r.domain.has(1)
         with pytest.raises(TypeError):
             r.has(object(), True)
 
@@ -620,3 +615,121 @@ class TestKeyedMembership:
         assert rel.has(x, y) == scan_has(rel, x, y)
         for a, b in pairs:
             assert rel.has(a, b)
+
+
+# -- one identity: ==, hash and membership follow order_key -----------------
+
+
+def _values_of(inner):
+    """Each model-value class, with entries drawn from ``inner``."""
+    items = st.lists(inner, max_size=3)
+    pairs = st.lists(st.tuples(inner, inner), max_size=3)
+    return st.one_of(
+        st.builds(MSeq, items), st.builds(MSet, items),
+        st.builds(MBag, st.lists(st.tuples(inner, st.integers(0, 2)),
+                                 max_size=3)),
+        pairs.map(map_of), st.builds(MRel, pairs))
+
+
+VALUES = _values_of(st.recursive(ATOMS, _values_of, max_leaves=6))
+
+
+def twin(v, flip):
+    """``v`` rebuilt from fresh objects, each boolean, 0 and 1 turned into
+    its counterpart (``True`` and 1, ``False`` and 0) where ``flip()``."""
+    if type(v) is bool:
+        return int(v) if flip() else v
+    if type(v) is int:
+        return bool(v) if v in (0, 1) and flip() else v
+    if isinstance(v, Ref):
+        return Ref(v.token)
+    if isinstance(v, (MSeq, MSet)):
+        return type(v)([twin(x, flip) for x in v])
+    if isinstance(v, MBag):
+        return MBag([(twin(x, flip), n) for x, n in v.pairs])
+    pairs = [(twin(x, flip), twin(y, flip)) for x, y in v.pairs]
+    return map_of(pairs) if isinstance(v, MMap) else MRel(pairs)
+
+
+def entries(v):
+    """What ``v`` holds: its elements, or its keys and values."""
+    if isinstance(v, (MSeq, MSet)):
+        return list(v)
+    if isinstance(v, MBag):
+        return [x for x, _ in v.pairs]
+    return [x for pair in v.pairs for x in pair]
+
+
+def probes(v, other):
+    """Values to look up in ``v``: its entries, each also as a fresh twin
+    with every boolean, 0 and 1 turned, and ``other``."""
+    held = entries(v)
+    return held + [twin(x, lambda: True) for x in held] + [other]
+
+
+class TestOneIdentity:
+    """For nested mixes of booleans, integers and Refs in every model-value
+    class, ``==`` holds exactly when the ``order_key``s are equal, equal
+    values hash alike, and each membership test agrees with a scan that
+    compares ``order_key``s."""
+
+    @PROPERTY
+    @given(VALUES, VALUES, st.randoms())
+    def test_eq_and_hash_follow_order_key(self, a, b, rnd):
+        def flip():
+            return rnd.random() < 0.5
+
+        for x, y in [(a, b), (a, twin(a, flip)), (a, twin(a, lambda: False)),
+                     (b, twin(b, lambda: True))]:
+            same = order_key(x) == order_key(y)
+            assert (x == y) == same and (x != y) == (not same)
+            if same:
+                assert hash(x) == hash(y)
+
+    def test_bool_and_int_values_differ(self):
+        for one, true in [(MSeq([1]), MSeq([True])), (MSet([0]), MSet([False])),
+                          (MMap([(1, A)]), MMap([(True, A)])),
+                          (MMap([(A, 1)]), MMap([(A, True)])),
+                          (MRel([(1, A)]), MRel([(True, A)])),
+                          (MSeq([MSet([1])]), MSeq([MSet([True])]))]:
+            assert one != true and not one == true
+
+    @PROPERTY
+    @given(st.lists(MODEL_VALUES, max_size=6), MODEL_VALUES)
+    def test_sequence_and_set_membership(self, xs, other):
+        s, t = MSeq(xs), MSet(xs)
+        for v in probes(s, other):
+            n = sum(same_key(x, v) for x in xs)
+            assert s.has(v) == t.has(v) == (n > 0)
+            assert s.occurrences(v) == s.to_bag().multiplicity(v) == n
+
+    @PROPERTY
+    @given(maps(max_size=6), MODEL_VALUES)
+    def test_map_membership(self, m, other):
+        for k in probes(m, other):
+            hits = [w for y, w in m.pairs if same_key(y, k)]
+            assert m.has_key(k) == bool(hits)
+            if hits:
+                assert m.item(k) is hits[0]
+                got = m.replaced_at(k, A)
+                assert [order_key(w) for _, w in got.pairs] == [
+                    order_key(A if same_key(y, k) else w) for y, w in m.pairs]
+            else:
+                with pytest.raises(DomainError):
+                    m.item(k)
+            assert m.is_constant(k) == all(same_key(w, k) for _, w in m.pairs)
+            got = m.updated(k, B)
+            want = [(y, w) for y, w in m.pairs if not same_key(y, k)] + [(k, B)]
+            assert order_key(got) == order_key(MMap(want))
+
+    @PROPERTY
+    @given(st.lists(st.tuples(MODEL_VALUES, MODEL_VALUES), max_size=6),
+           MODEL_VALUES)
+    def test_relation_membership(self, pairs, other):
+        r = MRel(pairs)
+        for x in probes(r, other):
+            image = [b for a, b in pairs if same_key(a, x)]
+            assert order_key(r.image_of(x)) == order_key(MSet(image))
+            assert r.domain.has(x) == bool(image)
+            for y in probes(r, other):
+                assert r.has(x, y) == any(same_key(b, y) for b in image)
