@@ -5,7 +5,8 @@
   poststates/results equivalent), both from one pass over (abstract state,
   arguments) pairs: a defining clause's value is computed once per pair and
   only the candidates that hold it are kept, and the relational clauses run
-  on those only,
+  on those only.  Both read the contract alone: no implementation code
+  runs once the state spaces are built,
 - bounded observational adequacy of the chosen model (model-tuple equality
   versus indistinguishability under call sequences of depth <= k), one
   loop over calls per pair; by default it tests minimality only.
@@ -49,7 +50,10 @@ MAX_UNIVERSE = 26  # the element tokens ``a`` to ``z``
 
 
 def element_tokens(n):
-    """The element tokens ``a``, ``b``, ... of a universe of ``n``."""
+    """The element tokens ``a``, ``b``, ... of a universe of ``n``, which
+    is 0 to MAX_UNIVERSE."""
+    if not 0 <= n <= MAX_UNIVERSE:
+        raise ValueError(f"universe {n} not in 0..{MAX_UNIVERSE}")
     return [Ref(chr(ord("a") + i)) for i in range(n)]
 
 
@@ -178,13 +182,12 @@ def state_space(name, cfg, features=None):
 
 def _arg_combos(feature, cfg):
     """Cartesian product of argument pools; container arguments are drawn
-    from the enumerated states of their type (as symbolic views carrying a
-    replayable representative)."""
+    from the enumerated states of their type, as views holding only an
+    identity token ``ref`` and the prestate ``old``."""
     pools = []
     for d in feature.arg_domains:
         if d[0] == "container":
-            pools.append([SimpleNamespace(ref=Ref(f"arg{j}"), old=e.state,
-                                          new=None, rep=e)
+            pools.append([SimpleNamespace(ref=Ref(f"arg{j}"), old=e.state)
                           for j, e in enumerate(state_space(d[1], cfg))])
         else:
             pools.append(domain_values(d, element_tokens(cfg.universe)))
@@ -202,9 +205,12 @@ def _calls(features, cfg, allowed=None):
 
 
 def _model_clauses(feature, signature):
+    """The model clauses that constrain a candidate, the target's poststate
+    or the result: those naming a target.  A clause on a container
+    argument's poststate (no target) constrains no candidate."""
     clauses = (expand_frame(feature, signature) if feature.kind == "command"
                else feature.clauses)
-    return [c for c in clauses if c.tag == "model"]
+    return [c for c in clauses if c.tag == "model" and c.target is not None]
 
 
 def _post_holds(clauses, old, new, args, result):
@@ -244,14 +250,12 @@ def _completeness(name, feature, cfg, reps, candidates, on_result):
     and their values looked up in an index of the candidates, built once
     per verdict; the relational ones run on the candidates found only.
 
-    Container arguments have their poststates pinned to the ones the
-    implementation actually produces; only the target poststate or the
-    result is varied (all registered contracts constrain target and
-    argument poststates independently).
+    Only the contract is read: no feature body runs.  A container argument
+    is a view of its prestate, and a clause on an argument's poststate
+    constrains no candidate, so ``_model_clauses`` leaves it out.
     """
-    spec = REGISTRY[name]
     verdict = CheckVerdict(f"{name}.{feature.name}", tag=feature.incompleteness_tag)
-    clauses = _model_clauses(feature, spec.signature)
+    clauses = _model_clauses(feature, REGISTRY[name].signature)
     defining = [c for c in clauses if c.expr is not None]
     relational = [c for c in clauses if c.expr is None]
     # Candidates in order, by the values of their defined targets and the
@@ -262,7 +266,6 @@ def _completeness(name, feature, cfg, reps, candidates, on_result):
         values = [c if on_result else getattr(c, d.target) for d in defining]
         index.setdefault((*values, *map(type, values)), []).append(c)
     show = repr if on_result else serialize_state
-    pinned = any(d[0] == "container" for d in feature.arg_domains)
     combos = list(_arg_combos(feature, cfg))
     for pre_e in reps:
         old, ref = (pre_e.state, pre_e.obj.ref) if pre_e else (None, None)
@@ -274,8 +277,6 @@ def _completeness(name, feature, cfg, reps, candidates, on_result):
                     f"pre disagreement at {serialize_state(old)}")
             if not holds:
                 continue
-            if pinned:
-                args = _pin_container_args(spec, feature, pre_e, args)
             satisfying = _satisfying(defining, relational, index, old, args,
                                      on_result)
             verdict.states_checked += len(candidates)
@@ -285,20 +286,6 @@ def _completeness(name, feature, cfg, reps, candidates, on_result):
                 verdict.witnesses.append(
                     f"{where}: {show(satisfying[0])} vs {show(satisfying[1])}")
     return verdict
-
-
-def _pin_container_args(spec, feature, pre_e, args):
-    """Run the feature once on replayed objects and return ``args`` with
-    each container argument's view replaced by one that also carries the
-    argument's poststate.  The views in ``args`` are shared by every pair
-    of the verdict and are left as they are."""
-    obj = _build(spec, pre_e.trace)
-    raw_args = [_build(REGISTRY[d[1]], a.rep.trace) if d[0] == "container"
-                else a for d, a in zip(feature.arg_domains, args)]
-    feature.body(obj, *raw_args)
-    return tuple(SimpleNamespace(ref=a.ref, old=a.old, new=abstract_state(r),
-                                 rep=a.rep) if d[0] == "container" else a
-                 for d, a, r in zip(feature.arg_domains, args, raw_args))
 
 
 def check_command_completeness(name, feature_name, cfg) -> CheckVerdict:

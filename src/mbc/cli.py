@@ -12,7 +12,6 @@ or refused enumerations.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import fields
@@ -20,7 +19,7 @@ from dataclasses import fields
 from . import boogie_export, containers
 from .autotest import TestBudget, run_campaign
 from .checkers import (
-    MAX_UNIVERSE, AdequacyVerdict, EnumerationConfig, EnumerationRefused,
+    MAX_UNIVERSE, EnumerationConfig, EnumerationRefused,
     check_observational_adequacy, classify_library, report_to_json,
 )
 from .contracts import REGISTRY
@@ -87,8 +86,7 @@ def cmd_adequacy(args) -> int:
     cfg = _enum_config(args)
     verdicts = [check_observational_adequacy(name, cfg).to_dict()
                 for name in targets]
-    _emit(args, json.dumps(verdicts, ensure_ascii=False, sort_keys=True,
-                           indent=2) + "\n")
+    _emit(args, report_to_json(verdicts) + "\n")
     return 0 if all(v["adequate"] for v in verdicts) else 1
 
 
@@ -114,8 +112,7 @@ def cmd_report(args) -> int:
                     "reports": [{"violation": r.violation, "trace": r.trace}
                                 for r in campaign.reports]},
     }
-    _emit(args, json.dumps(combined, ensure_ascii=False, sort_keys=True,
-                           indent=2) + "\n")
+    _emit(args, report_to_json(combined) + "\n")
     bad = (campaign.violations or completeness["summary"]["errors"]
            or not all(v["adequate"] for v in adequacy))
     return 1 if bad else 0

@@ -139,7 +139,10 @@ class Clause:
 
     A model clause names the ``target`` it constrains: a model query of the
     poststate for a command or constructor, ``"result"`` for a query, and
-    None for a clause on a container argument's poststate.  A command's
+    None for a clause on a container argument's poststate, which only a
+    feature with a container argument may have.  The completeness checkers
+    vary the target's poststate or the result only, so a clause on an
+    argument's poststate constrains no candidate there.  A command's
     frame covers every query no clause targets.  A defining clause (built
     by :meth:`defines`) also gives the ``expr(ctx)`` its target must equal;
     ``expr`` reads no poststate and no result.  The checkers evaluate
@@ -252,6 +255,10 @@ class ContainerSpec:
             for c in f.clauses:
                 if c.target is not None:
                     _check_target(name, f, c, signature)
+                elif c.tag == "model" and not any(
+                        d[0] == "container" for d in f.arg_domains):
+                    raise ConfigurationError(
+                        f"{name}.{f.name}: clause {c.cid} names no target")
             f.body = (cls if f.kind == "constructor"
                       else getattr(cls, "do_" + f.name, None))
             if f.body is None:

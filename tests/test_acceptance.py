@@ -18,7 +18,7 @@ from mbc.checkers import (
 )
 from mbc.containers import CONTAINER_NAMES, FaultSwitch
 from mbc.contracts import abstract_state
-from mbc.model_math import MBag, MMap, MSeq, MSet, Ref
+from mbc.model_math import MMap, MSeq, MSet, Ref
 
 CFG = EnumerationConfig()
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "theories.bpl"

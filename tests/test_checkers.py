@@ -75,6 +75,16 @@ class TestEnumeration:
         with pytest.raises(EnumerationRefused, match="trace steps replayed"):
             enumerate_states("LinkedList", cfg)
 
+    def test_universe_past_z_refused(self):
+        # Token 27 would be "{", which reads as a brace in a state text.
+        assert checkers.element_tokens(0) == []
+        assert checkers.element_tokens(checkers.MAX_UNIVERSE)[-1].token == "z"
+        for n in (-1, checkers.MAX_UNIVERSE + 1):
+            with pytest.raises(ValueError, match="not in 0..26"):
+                checkers.element_tokens(n)
+        with pytest.raises(ValueError):
+            state_space("Collection", EnumerationConfig(universe=27, max_size=1))
+
     def test_traces_are_shortest(self):
         # Breadth first, k elements take a constructor, k insertions and
         # at most k + 2 cursor moves.
@@ -238,7 +248,7 @@ class TestCompleteness:
         feature = REGISTRY["Collection"].features["wipe_out"]
         saved = feature.clauses
         feature.clauses = (Clause("wipe_out/bag", "model",
-                                  lambda c: c.new.bgg.is_empty),)
+                                  lambda c: c.new.bgg.is_empty, target="bag"),)
         try:
             with pytest.raises(AttributeError):
                 check_command_completeness("Collection", "wipe_out", CFG)
@@ -252,9 +262,44 @@ class TestCompleteness:
         with pytest.raises(AttributeError):
             check_command_completeness("Collection", "put", CFG)
 
-    def test_merge_right_complete_with_pinned_arguments(self):
+    def test_merge_right_complete(self):
         v = check_command_completeness("LinkedList", "merge_right", CFG)
         assert v.post_complete
+
+    @pytest.mark.parametrize("body", [
+        None, lambda self, other: setattr(other, "index", 1),
+        lambda self, other: 1 // 0], ids=["real", "moves-cursor", "raises"])
+    def test_verdict_read_from_the_contract(self, monkeypatch, body):
+        # The sequence clause weakened to a count: many poststates satisfy
+        # it, whatever the body does to its argument, and no body runs.
+        feature = REGISTRY["LinkedList"].features["merge_right"]
+        monkeypatch.setattr(feature, "clauses", (Clause(
+            "merge_right/sequence", "model",
+            lambda c: c.new.sequence.count
+            == c.old.sequence.count + c.args[0].old.sequence.count,
+            target="sequence"),) + feature.clauses[1:])
+        if body is not None:
+            monkeypatch.setattr(feature, "body", body)
+        v = check_command_completeness("LinkedList", "merge_right",
+                                       EnumerationConfig(max_size=2))
+        assert not v.post_complete
+        assert len(v.witnesses) == 78
+
+    def test_no_body_runs(self, monkeypatch):
+        cfg = EnumerationConfig(max_size=2)
+        for name in CONTAINER_NAMES:
+            state_space(name, cfg)
+        calls = []
+        for name in CONTAINER_NAMES:
+            spec = REGISTRY[name]
+            for f in [*spec.features.values(), *spec.constructors]:
+                monkeypatch.setattr(f, "body", lambda *a, _real=f.body, **k:
+                                    calls.append("body") or _real(*a, **k))
+        real = checkers._build
+        monkeypatch.setattr(checkers, "_build", lambda *a:
+                            calls.append("_build") or real(*a))
+        assert classify_library(cfg)["summary"]["features"] == 58
+        assert calls == []
 
     def test_unsound_precondition_detected(self):
         # A precondition that is not a function of the abstract state: two
@@ -321,14 +366,11 @@ def reference_completeness(name, feature, cfg, reps, candidates,
                         f"pre disagreement at {serialize_state(group[0].state)}")
     clauses = checkers._model_clauses(feature, spec.signature)
     show = repr if on_result else serialize_state
-    pinned = any(d[0] == "container" for d in feature.arg_domains)
     for pre_e in reps:
         old, ref = (pre_e.state, pre_e.obj.ref) if pre_e else (None, None)
         for args in checkers._arg_combos(feature, cfg):
             if not contracts.pre_holds(feature, old, args, ref):
                 continue
-            if pinned:
-                args = checkers._pin_container_args(spec, feature, pre_e, args)
             satisfying = [c for c in candidates
                           if checkers._post_holds(
                               clauses, old, old if on_result else c, args,
@@ -350,7 +392,7 @@ def all_features():
 
 
 # The model clauses that pin no query by definition, with the query each
-# constrains (None: a container argument's).
+# constrains.
 RELATIONAL = {
     "make_empty/sequence": "sequence", "make_empty/map": "map",
     "make_empty/bag": "bag", "wipe_out/bag": "bag",
@@ -358,8 +400,7 @@ RELATIONAL = {
     "fill/domain": "map", "fill/inside": "map", "fill/outside": "map",
     "reserve/grows": "capacity", "reserve/enough": "capacity",
     "item/member": "result", "remove/count": "sequence",
-    "remove/bag_count": "bag", "merge_right/other_sequence": None,
-    "merge_right/other_index": None, "duplicate/sequence": "result",
+    "remove/bag_count": "bag", "duplicate/sequence": "result",
     "duplicate/index": "result", "add_root/count": "map",
     "add_root/root": "map", "make/map": "map", "make/set": "set",
 }
@@ -416,15 +457,16 @@ class TestDefiningClauses:
         assert len(calls) <= pairs
 
     def test_container_views_shared_but_unchanged(self, monkeypatch):
-        # The verdict builds its argument views once for every group;
-        # pinning a container argument's poststate makes a new view.
+        # The verdict builds its argument views once for every group; a
+        # view holds the argument's token and prestate only, so a clause
+        # that reads an argument's poststate fails loudly.
         views = []
         real = checkers._arg_combos
 
         def capturing(feature, cfg):
             combos = list(real(feature, cfg))
             views.extend(a for args in combos for a in args
-                         if hasattr(a, "rep"))
+                         if hasattr(a, "old"))
             return iter(combos)
 
         monkeypatch.setattr(checkers, "_arg_combos", capturing)
@@ -432,13 +474,16 @@ class TestDefiningClauses:
         first = classify_feature("LinkedList", "merge_right", cfg).to_dict()
         second = classify_feature("LinkedList", "merge_right", cfg).to_dict()
         assert first == second
-        assert views and all(a.new is None for a in views)
+        assert views and all(vars(a).keys() == {"ref", "old"} for a in views)
 
     def test_every_model_clause_defines_or_is_listed(self):
         seen = set()
+        loose = []  # the clauses on a container argument's poststate
         for name, fname in all_features():
             spec = REGISTRY[name]
             feature = spec.features.get(fname) or spec.constructor(fname)
+            loose += [c.cid for c in feature.clauses
+                      if c.tag == "model" and c.target is None]
             pinned = set(feature.relevant)
             for c in checkers._model_clauses(feature, spec.signature):
                 if c.expr is None:
@@ -451,6 +496,7 @@ class TestDefiningClauses:
             if feature.kind != "query":
                 assert pinned >= set(spec.signature.names), f"{name}.{fname}"
         assert seen == set(RELATIONAL)
+        assert loose == ["merge_right/other_sequence", "merge_right/other_index"]
 
 
 class TestAdequacy:

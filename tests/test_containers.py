@@ -11,7 +11,7 @@ from mbc.contracts import (
     ContractViolation, PreconditionRejected, REGISTRY, abstract_state,
     checked_command, checked_constructor, checked_query,
 )
-from mbc.model_math import MBag, MMap, MSeq, MSet, Ref, total_relation
+from mbc.model_math import MBag, MMap, MSeq, Ref, total_relation
 
 A, B, C = Ref("a"), Ref("b"), Ref("c")
 

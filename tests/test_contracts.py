@@ -346,6 +346,25 @@ class TestDefiningClauses:
         ok = Feature("make", "constructor", clauses=_defines("value"))
         ContainerSpec("Good", _Thing, self.SIG, features=[], constructors=[ok])
 
+    @pytest.mark.parametrize("kind", ["command", "query", "constructor"])
+    def test_target_less_model_clause_needs_a_container_argument(self, kind):
+        # Such a clause constrains an argument's poststate; without a
+        # container argument it is a forgotten target, which completeness
+        # would silently leave out.
+        def spec(clause, *arg_domains):
+            feature = Feature("f", kind, clauses=(clause,),
+                              arg_domains=arg_domains)
+            if kind == "constructor":
+                return ContainerSpec("S", _Thing, self.SIG, features=[],
+                                     constructors=[feature])
+            return ContainerSpec("S", _Thing, self.SIG, features=[feature])
+
+        loose = Clause("f/x", "model", lambda c: True)
+        with pytest.raises(ConfigurationError, match="f/x names no target"):
+            spec(loose)
+        spec(loose, ("container", "S"))
+        spec(Clause("f/c", "classic", lambda c: True))
+
 
 class TestCheckedCalls:
     def test_precondition_filters(self):

@@ -686,6 +686,20 @@ class TestOneIdentity:
             if same:
                 assert hash(x) == hash(y)
 
+    @PROPERTY
+    @given(VALUES, VALUES, st.randoms())
+    def test_order_key_is_total(self, a, b, rnd):
+        for x, y in [(a, b), (a, twin(a, lambda: rnd.random() < 0.5))]:
+            kx, ky = order_key(x), order_key(y)
+            assert [kx < ky, kx == ky, kx > ky].count(True) == 1
+
+    @PROPERTY
+    @given(st.lists(VALUES, max_size=4))
+    def test_front_and_tail_recompose(self, xs):
+        s = MSeq(xs)
+        for n in range(s.count + 1):
+            assert s.front(n) + s.tail(n + 1) == s
+
     def test_bool_and_int_values_differ(self):
         for one, true in [(MSeq([1]), MSeq([True])), (MSet([0]), MSet([False])),
                           (MMap([(1, A)]), MMap([(True, A)])),
