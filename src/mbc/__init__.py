@@ -5,9 +5,9 @@ harness, and a Boogie theory exporter."""
 
 from .contracts import (
     AbstractState, Clause, ContainerSpec, ContractViolation, Ctx, Feature,
-    InvariantClause, ModelSignature, PreconditionRejected, REGISTRY,
-    abstract_state, checked_command, checked_constructor, checked_query,
-    expand_frame, serialize_state,
+    ModelSignature, PreconditionRejected, REGISTRY, abstract_state,
+    checked_command, checked_constructor, checked_query, expand_frame,
+    serialize_state,
 )
 from .model_math import (
     DomainError, MBag, MMap, MRel, MSeq, MSet, Ref, int_interval, order_key,
@@ -16,9 +16,9 @@ from .model_math import (
 
 __all__ = [
     "AbstractState", "Clause", "ContainerSpec", "ContractViolation", "Ctx",
-    "DomainError", "Feature", "InvariantClause", "MBag", "MMap", "MRel",
-    "MSeq", "MSet", "ModelSignature", "PreconditionRejected", "REGISTRY",
-    "Ref", "abstract_state", "checked_command", "checked_constructor",
+    "DomainError", "Feature", "MBag", "MMap", "MRel", "MSeq", "MSet",
+    "ModelSignature", "PreconditionRejected", "REGISTRY", "Ref",
+    "abstract_state", "checked_command", "checked_constructor",
     "checked_query", "expand_frame", "int_interval", "order_key",
     "serialize_state", "to_text",
 ]

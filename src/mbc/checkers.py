@@ -9,7 +9,8 @@
   runs once the state spaces are built,
 - bounded observational adequacy of the chosen model (model-tuple equality
   versus indistinguishability under call sequences of depth <= k), one
-  loop over calls per pair; by default it tests minimality only.
+  loop over calls per pair and depth, shortest sequences first; by default
+  it tests minimality only.
 
 Each exploration (an enumeration, a verdict, an adequacy check) builds its
 calls, ``(feature, arguments)`` pairs, once.  Every verdict reads the
@@ -214,7 +215,7 @@ def _model_clauses(feature, signature):
 
 
 def _post_holds(clauses, old, new, args, result):
-    ctx = Ctx(old=old, new=new, args=args, result=result, obj=None, cold=None)
+    ctx = Ctx(old=old, new=new, args=args, result=result)
     try:
         return all(c.fn(ctx) for c in clauses)
     except DomainError:
@@ -228,7 +229,7 @@ def _satisfying(defining, relational, index, old, args, on_result):
     defining clause's ``expr`` is evaluated once (a DomainError leaves no
     candidate), the candidates whose defined targets hold those values
     are looked up in ``index``, and kept when the relational clauses hold."""
-    ctx = Ctx(old=old, new=None, args=args, result=None, obj=None, cold=None)
+    ctx = Ctx(old=old, args=args)
     try:
         expected = [d.expr(ctx) for d in defining]
     except DomainError:
@@ -355,7 +356,10 @@ def _distinguishable(spec, queries, commands, e1, e2, depth):
     a query tells the two ``Built`` objects apart.  One loop over the
     calls: a precondition (on ``e.state`` and ``e.obj.ref``) that holds on
     one object only tells them apart, a query runs on each stored ``e.obj``
-    and compares results, a command recurses on the two ``_successor``s."""
+    and compares results, a command recurses on the two ``_successor``s.
+    The search is depth first, so its cost grows with ``depth`` even where
+    a short sequence would do; callers deepen ``depth`` one level at a
+    time."""
     for feat, args in queries + (commands if depth else []):
         holds = pre_holds(feat, e1.state, args, e1.obj.ref)
         if holds != pre_holds(feat, e2.state, args, e2.obj.ref):
@@ -378,8 +382,11 @@ def check_observational_adequacy(name, cfg, model_fn=None, features=None):
     ``model_fn`` maps a concrete object to its model tuple (default: its
     recorded abstract state); ``features`` optionally restricts the
     interface.  Verdicts are valid up to call depth ``cfg.depth`` only.
-    Under the default model every pair of representatives is model-distinct,
-    so only minimality is tested; soundness needs a coarser ``model_fn``.
+    Shortest call sequences are tried first: each pair is searched at
+    depth 0, 1, ... in turn, so a pair told apart by a short sequence
+    costs the same at any ``cfg.depth``.  Under the default model every
+    pair of representatives is model-distinct, so only minimality is
+    tested; soundness needs a coarser ``model_fn``.
     """
     spec = REGISTRY[name]
     queries = _calls(spec.queries(), cfg, features)
@@ -391,8 +398,9 @@ def check_observational_adequacy(name, cfg, model_fn=None, features=None):
     for (e1, m1), (e2, m2) in itertools.combinations(reps, 2):
         verdict.pairs_checked += 1
         same_model = m1 == m2
-        if same_model == _distinguishable(spec, queries, commands, e1, e2,
-                                          cfg.depth):
+        told_apart = any(_distinguishable(spec, queries, commands, e1, e2, k)
+                         for k in range(cfg.depth + 1))
+        if same_model == told_apart:
             verdict.adequate = False
             kind = ("soundness: model-equal but distinguishable" if same_model
                     else "minimality: model-distinct but indistinguishable")

@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 
 from .contracts import (
-    Clause, ContainerSpec, Feature, InvariantClause, ModelSignature, refine,
+    AbstractState, Clause, ContainerSpec, Feature, ModelSignature, refine,
     register,
 )
 from .model_math import MBag, MMap, MRel, MSeq, MSet, Ref, int_interval
@@ -243,12 +243,9 @@ def _linked_list_spec():
         "duplicate", "query",
         pre=lambda s, a, r: a[0] >= 0,
         clauses=(
-            Clause("duplicate/sequence", "model",
-                   lambda c: c.result.sequence == c.old.sequence.interval(
-                       c.old.index, c.old.index + c.args[0] - 1),
-                   target="result"),
-            Clause("duplicate/index", "model", lambda c: c.result.index == 0,
-                   target="result"),
+            Clause.defines("duplicate/result", "result",
+                           lambda c: AbstractState(sig, [c.old.sequence.interval(
+                               c.old.index, c.old.index + c.args[0] - 1), 0])),
         ),
         arg_domains=(("int", 0, 4),),
         result_domain=("container", "LinkedList"))
@@ -284,12 +281,12 @@ def _linked_list_spec():
         ),
         arg_domains=(("container", "LinkedList"),))
     invariants = (
-        InvariantClause("index_bounds", "model",
-                        lambda o, s: 0 <= s.index <= s.sequence.count + 1),
-        InvariantClause("count_consistent", "model",
-                        lambda o, s: o.count == s.sequence.count),
-        InvariantClause("index_bounds_classic", "classic",
-                        lambda o, s: 0 <= o.index <= o.count + 1),
+        Clause("index_bounds", "model",
+               lambda c: 0 <= c.new.index <= c.new.sequence.count + 1),
+        Clause("count_consistent", "model",
+               lambda c: c.obj.count == c.new.sequence.count),
+        Clause("index_bounds_classic", "classic",
+               lambda c: 0 <= c.obj.index <= c.obj.count + 1),
     )
     return ContainerSpec(
         "LinkedList", LinkedList, sig,
@@ -383,10 +380,10 @@ def _array_spec():
                                 lambda c: c.old.capacity),),
         result_domain=("int",))
     invariants = (
-        InvariantClause("domain_contiguous", "model",
-                        lambda o, s: s.map.domain == int_interval(o.lower, o.upper)),
-        InvariantClause("capacity_fits", "model",
-                        lambda o, s: s.capacity >= s.map.count),
+        Clause("domain_contiguous", "model",
+               lambda c: c.new.map.domain == int_interval(c.obj.lower, c.obj.upper)),
+        Clause("capacity_fits", "model",
+               lambda c: c.new.capacity >= c.new.map.count),
     )
     return ContainerSpec(
         "ArrayT", ArrayT, sig,
@@ -504,8 +501,8 @@ class Queue(_SeqBacked):
         self.items.pop(0)
 
 
-def _linking_invariant(o, s):
-    return s.bag == s.sequence.to_bag()
+def _linking_invariant(c):
+    return c.new.bag == c.new.sequence.to_bag()
 
 
 def _put_bag():
@@ -566,7 +563,7 @@ def _dispenser_spec():
         "Dispenser", Dispenser, sig,
         features=[put, item, remove, _is_empty_query("bag"), _count_query("bag"),
                   _emptying("wipe_out", "command", ["bag", "sequence"])],
-        invariants=(InvariantClause("linking", "model", _linking_invariant),),
+        invariants=(Clause("linking", "model", _linking_invariant),),
         constructors=[
             _emptying("make_empty", "constructor", ["bag", "sequence"])])
 
@@ -664,12 +661,11 @@ def _eqset_spec():
         arg_domains=(("element",),))
     count = _count_query("set")
     invariants = (
-        InvariantClause("no_equivalent_pair", "model",
-                        lambda o, s: all(
-                            not s.relation.has(x, y)
-                            for x in s.set for y in s.set if x != y)),
-        InvariantClause("relation_equivalence", "model",
-                        lambda o, s: _relation_is_equivalence(s.relation)),
+        Clause("no_equivalent_pair", "model",
+               lambda c: all(not c.new.relation.has(x, y)
+                             for x in c.new.set for y in c.new.set if x != y)),
+        Clause("relation_equivalence", "model",
+               lambda c: _relation_is_equivalence(c.new.relation)),
     )
     return ContainerSpec(
         "EqSet", EqSet, sig,
@@ -763,15 +759,16 @@ def _tree_spec():
         ),
         arg_domains=(("path", 2), ("bool",), ("element",)))
 
-    def prefix_closed(o, s):
-        return s.map.domain.for_all(
-            lambda p: p.is_empty or s.map.domain.has(p.front(p.count - 1)))
+    def prefix_closed(c):
+        domain = c.new.map.domain
+        return domain.for_all(
+            lambda p: p.is_empty or domain.has(p.front(p.count - 1)))
 
     return ContainerSpec(
         "BinaryTree", BinaryTree, sig,
         features=[add_root, put_child, _map_item("item_at", ("path", 2)),
                   _count_query("map")],
-        invariants=(InvariantClause("prefix_closed", "model", prefix_closed),),
+        invariants=(Clause("prefix_closed", "model", prefix_closed),),
         constructors=[_emptying("make_empty", "constructor", ["map"])])
 
 

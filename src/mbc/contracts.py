@@ -6,14 +6,17 @@ queries and contracted features (:func:`refine` derives an heir's); the
 functions here evaluate the contracts against live objects.
 
 An abstract state is a tuple of model values, of one AbstractState type
-per signature.  A checked call takes each object's state (the target's
-and every container argument's) once before the body and once after it,
-and checks postconditions, purity and invariants against those
-snapshots (a constructor has no state before); a checked command
-returns its poststate.  Constructors, commands and queries follow one
-rule: a body or a model query that raises is an ``exception`` violation;
-so is a precondition, postcondition or invariant clause that raises
-anything but ``DomainError``, which makes it false.
+per signature.  Every postcondition and invariant clause is a
+:class:`Clause`, ``fn(ctx)``, read on one record, :class:`Ctx`: the
+call's target, each container argument and each checked object is seen
+through one.  A checked call takes each object's state (the target's and
+every container argument's) once before the body and once after it, and
+checks postconditions, purity and invariants against those snapshots (a
+constructor has no state before); a checked command returns its
+poststate.  Constructors, commands and queries follow one rule: a body or
+a model query that raises is an ``exception`` violation; so is a
+precondition, postcondition or invariant clause that raises anything but
+``DomainError``, which makes it false.
 """
 
 from __future__ import annotations
@@ -118,36 +121,44 @@ def serialize_state(state: AbstractState) -> str:
 
 @dataclass
 class Ctx:
-    """Evaluation context handed to postcondition clauses.
+    """One object in a checked call, as clauses see it.
 
-    Model clauses read only ``old``/``new`` abstract states, ``args``, and
-    ``result``.  Classic clauses may additionally read concrete fields via
-    ``obj`` and the pre-call snapshot ``cold``; both are None when a clause
-    is evaluated symbolically (e.g. by the completeness checkers).
+    The call's target has the full context: its prestate ``old`` and
+    poststate ``new``, the arguments ``args`` and the ``result``.  Each
+    container argument is a ``Ctx`` too, with its ``old`` and ``new`` and
+    no arguments or result; so is the object an invariant is checked on.
+    Model clauses read only ``old``, ``new``, ``args`` and ``result``.
+    Classic clauses may also read the object ``obj``, its identity token
+    ``ref`` and the pre-call snapshot ``cold``; all three are None when a
+    clause is evaluated symbolically (e.g. by the completeness checkers).
     """
-    old: Optional[AbstractState]
-    new: Optional[AbstractState]
+    old: Optional[AbstractState] = None
+    new: Optional[AbstractState] = None
     args: Tuple = ()
     result: object = None
     obj: object = None
     cold: Optional[dict] = None
+    ref: object = None
 
 
 @dataclass(frozen=True)
 class Clause:
-    """One postcondition clause; ``fn(ctx) -> bool``.
+    """One assertion clause, ``fn(ctx) -> bool`` on a :class:`Ctx`: a
+    postcondition reads the call's target's, a class invariant the view of
+    the object it constrains (its ``new`` and ``obj``) and has no target.
 
-    A model clause names the ``target`` it constrains: a model query of the
-    poststate for a command or constructor, ``"result"`` for a query, and
-    None for a clause on a container argument's poststate, which only a
-    feature with a container argument may have.  The completeness checkers
-    vary the target's poststate or the result only, so a clause on an
-    argument's poststate constrains no candidate there.  A command's
-    frame covers every query no clause targets.  A defining clause (built
-    by :meth:`defines`) also gives the ``expr(ctx)`` its target must equal;
-    ``expr`` reads no poststate and no result.  The checkers evaluate
-    ``expr`` once instead of testing ``fn`` on every candidate.  Frame
-    clauses are defining; the rest, with no ``expr``, are relational.
+    A postcondition's model clause names the ``target`` it constrains: a
+    model query of the poststate for a command or constructor,
+    ``"result"`` for a query, and None for a clause on a container
+    argument's poststate, which only a feature with a container argument
+    may have.  The completeness checkers vary the target's poststate or
+    the result only, so a clause on an argument's poststate constrains no
+    candidate there.  A command's frame covers every query no clause
+    targets.  A defining clause (built by :meth:`defines`) also gives the
+    ``expr(ctx)`` its target must equal; ``expr`` reads no poststate and
+    no result.  The checkers evaluate ``expr`` once instead of testing
+    ``fn`` on every candidate.  Frame clauses are defining; the rest, with
+    no ``expr``, are relational.
     """
     cid: str
     tag: str  # "model" or "classic"
@@ -164,14 +175,6 @@ class Clause:
         else:
             fn = lambda c: getattr(c.new, target) == expr(c)
         return cls(cid, "model", fn, target, expr)
-
-
-@dataclass(frozen=True)
-class InvariantClause:
-    """One class-invariant clause; ``fn(obj, state) -> bool``."""
-    cid: str
-    tag: str
-    fn: Callable
 
 
 @dataclass
@@ -335,21 +338,6 @@ def abstract_state(obj) -> AbstractState:
     return AbstractState(spec.signature, values)
 
 
-class ArgView:
-    """A container argument as seen by contract clauses: identity token
-    plus its abstract states before and after the call (None until
-    taken)."""
-
-    __slots__ = ("ref", "old", "new", "obj", "cold")
-
-    def __init__(self, obj):
-        self.obj = obj
-        self.ref = obj.ref
-        self.old = None
-        self.new = None
-        self.cold = spec_of(obj).snapshot(obj)
-
-
 def _is_container(x) -> bool:
     return hasattr(x, "spec_name") and x.spec_name in REGISTRY
 
@@ -357,15 +345,16 @@ def _is_container(x) -> bool:
 def _views(feature_name, args):
     """The arguments as clauses see them, each container argument with its
     prestate taken."""
-    views = tuple(ArgView(a) if _is_container(a) else a for a in args)
+    views = tuple(Ctx(obj=a, ref=a.ref, cold=spec_of(a).snapshot(a))
+                  if _is_container(a) else a for a in args)
     for v in views:
-        if isinstance(v, ArgView):
+        if isinstance(v, Ctx):
             v.old = _state(v.obj, feature_name, None, None, views)
     return views
 
 
 def _serialize_arg(a) -> str:
-    if isinstance(a, ArgView):
+    if isinstance(a, Ctx):
         return f"{a.ref.token}:{_state_text(a.old)}"
     if isinstance(a, (bool, int)):
         return str(a)
@@ -456,17 +445,18 @@ def _check_pre(spec, feature, state, views, ref):
         raise PreconditionRejected(f"{spec.name}.{feature.name}")
 
 
-def _check_clauses(clauses, args, kind, feature_name, old, new, views, mode,
+def _check_clauses(clauses, ctx, kind, feature_name, old, new, views, mode,
                    prefix=""):
-    """Evaluate, in order, the clauses ``mode`` keeps as ``fn(*args)``; raise
-    a ``kind`` violation, named ``prefix`` + id, at the first false one.  A
-    clause raising DomainError is false; one raising anything else is an
-    ``exception`` violation, raised from the original."""
+    """Evaluate, in order, the clauses ``mode`` keeps as ``fn(ctx)``; raise
+    a ``kind`` violation, named ``prefix`` + id and written with the states
+    ``old`` and ``new``, at the first false one.  A clause raising
+    DomainError is false; one raising anything else is an ``exception``
+    violation, raised from the original."""
     for clause in clauses:
         if not _mode_keeps(clause.tag, mode):
             continue
         try:
-            holds = clause.fn(*args)
+            holds = clause.fn(ctx)
         except DomainError:
             holds = False
         except Exception as e:
@@ -477,19 +467,20 @@ def _check_clauses(clauses, args, kind, feature_name, old, new, views, mode,
                              views)
 
 
-def _check_invariants(obj, state, feature_name, old, views, mode):
-    """Check ``obj``'s class invariant against ``state``, its poststate."""
-    spec = spec_of(obj)
-    _check_clauses(spec.invariants, (obj, state), "class-invariant",
-                   feature_name, old, state, views, mode,
-                   f"{spec.name}/invariant:")
+def _check_invariants(view, feature_name, old, views, mode):
+    """Check the class invariant of ``view.obj`` on ``view``, whose ``new``
+    is its poststate; a violation is written with the target's prestate
+    ``old`` and that poststate."""
+    spec = spec_of(view.obj)
+    _check_clauses(spec.invariants, view, "class-invariant", feature_name,
+                   old, view.new, views, mode, f"{spec.name}/invariant:")
 
 
 def _run_body(name, views, old, body, *head):
     """Return ``body(*head, *raw arguments)``.  An exception it raises is
     an ``exception`` violation, raised from the original; ``old`` (None
     for a constructor) is written as both states."""
-    raw = tuple(v.obj if isinstance(v, ArgView) else v for v in views)
+    raw = tuple(v.obj if isinstance(v, Ctx) else v for v in views)
     try:
         return body(*head, *raw)
     except Exception as e:
@@ -515,15 +506,14 @@ def checked_command(obj, feature_name, args=(), mode="model"):
 
     new = _state(obj, feature_name, old, None, views)
     for v in views:
-        if isinstance(v, ArgView):
+        if isinstance(v, Ctx):
             v.new = _state(v.obj, feature_name, old, new, views)
-    ctx = Ctx(old=old, new=new, args=views, result=None, obj=obj, cold=cold)
-    _check_clauses(expand_frame(feature, spec.signature), (ctx,),
+    ctx = Ctx(old=old, new=new, args=views, obj=obj, cold=cold, ref=obj.ref)
+    _check_clauses(expand_frame(feature, spec.signature), ctx,
                    "postcondition", feature_name, old, new, views, mode)
-    _check_invariants(obj, new, feature_name, old, views, mode)
-    for v in views:
-        if isinstance(v, ArgView):
-            _check_invariants(v.obj, v.new, feature_name, old, views, mode)
+    for v in (ctx, *views):
+        if isinstance(v, Ctx):
+            _check_invariants(v, feature_name, old, views, mode)
     return new
 
 
@@ -547,7 +537,7 @@ def checked_query(obj, feature_name, args=(), mode="model"):
             feature_name, f"{feature_name}/purity:target", "abstract-purity",
             old, new, views)
     for v in views:
-        if isinstance(v, ArgView):
+        if isinstance(v, Ctx):
             v.new = _state(v.obj, feature_name, old, new, views)
             if v.old != v.new:
                 raise _violation(
@@ -557,11 +547,13 @@ def checked_query(obj, feature_name, args=(), mode="model"):
     returns_container = _is_container(result)
     result_view = (_state(result, feature_name, old, new, views)
                    if returns_container else result)
-    ctx = Ctx(old=old, new=new, args=views, result=result_view, obj=obj, cold=cold)
-    _check_clauses(feature.clauses, (ctx,), "postcondition", feature_name,
+    ctx = Ctx(old=old, new=new, args=views, result=result_view, obj=obj,
+              cold=cold, ref=obj.ref)
+    _check_clauses(feature.clauses, ctx, "postcondition", feature_name,
                    old, new, views, mode)
     if returns_container:
-        _check_invariants(result, result_view, feature_name, old, views, mode)
+        _check_invariants(Ctx(new=result_view, obj=result), feature_name, old,
+                          views, mode)
     return result
 
 
@@ -575,8 +567,8 @@ def checked_constructor(spec: ContainerSpec, ctor_name: str, args=(),
     obj = _run_body(ctor_name, views, None,
                     lambda *raw: ctor.body(*raw, faults=faults))
     state = _state(obj, ctor_name, None, None, views)
-    ctx = Ctx(old=None, new=state, args=views, obj=obj)
-    _check_clauses(ctor.clauses, (ctx,), "postcondition", ctor_name, None,
+    ctx = Ctx(new=state, args=views, obj=obj, ref=obj.ref)
+    _check_clauses(ctor.clauses, ctx, "postcondition", ctor_name, None,
                    state, views, mode)
-    _check_invariants(obj, state, ctor_name, None, views, mode)
+    _check_invariants(ctx, ctor_name, None, views, mode)
     return obj

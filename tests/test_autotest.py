@@ -13,7 +13,7 @@ from mbc.autotest import (
 from mbc import autotest
 from mbc.checkers import Built, EnumerationConfig, _build, state_space
 from mbc.containers import CONTAINER_NAMES, EqSet, FaultSwitch, Stack
-from mbc.contracts import Clause, InvariantClause, REGISTRY, abstract_state
+from mbc.contracts import Clause, REGISTRY, abstract_state
 from mbc.model_math import MSeq, Ref
 
 
@@ -36,7 +36,7 @@ def _stack_put_bag(fn):
 def _stack_invariant(fn):
     def patch(monkeypatch):
         monkeypatch.setattr(REGISTRY["Stack"], "invariants",
-                            (InvariantClause("pair", "model", fn),))
+                            (Clause("pair", "model", fn),))
     return patch
 
 
@@ -49,8 +49,8 @@ RAISING_CLAUSES = {
                        or c.old.bag.removed(Ref("zz")) is None),
         "put/bag", "postcondition"),
     "invariant-domain-error": (
-        _stack_invariant(lambda o, s: s.sequence.count != 2
-                         or s.sequence.item(3) is not None),
+        _stack_invariant(lambda c: c.new.sequence.count != 2
+                         or c.new.sequence.item(3) is not None),
         "Stack/invariant:pair", "class-invariant"),
     "post-zero-division": (
         _stack_put_bag(lambda c: 1 // (c.old.bag.count - 1) is not None),

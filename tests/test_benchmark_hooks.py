@@ -1,10 +1,14 @@
 """The benchmark's hooks name functions that exist.
 
 ``perfbench/workloads.py`` patches ``mbc`` functions by name
-(``timed_calls`` and ``checkpoints``), and ``perfbench/spans.py`` assigns
-span names to phases (``PHASES``).  A renamed function makes the
-benchmark skip its hook silently, so each name is resolved here.  The
-benchmark is read, not imported."""
+(``timed_calls`` and ``checkpoints``), ``perfbench/spans.py`` assigns span
+names to phases (``PHASES``) and wraps private functions by name
+(``EXTRA``), ``perfbench/run.py`` reads per-layer metrics from span names
+(``calls[...]``, ``self_ns[...]``, ``incl_ns[...]``), and every benchmark
+file imports names from ``mbc`` and reads their attributes.  A renamed
+function makes the benchmark skip its hook or zero a metric silently, or
+fail its run, so each name is resolved here.  The benchmark is read, not
+imported."""
 
 import ast
 import importlib
@@ -17,6 +21,8 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # Names the benchmark still uses that no longer exist in mbc; repointing
 # them is a change to the benchmark.
 STALE = {"mbc.checkers._raw_pre", "mbc.checkers.check_precondition_soundness"}
+# Dicts of run.py keyed by span name.
+SPAN_COUNTERS = ("calls", "self_ns", "incl_ns")
 
 
 def _dotted(node):
@@ -25,29 +31,84 @@ def _dotted(node):
     return f"{_dotted(node.value)}.{node.attr}"
 
 
-def _hook_names():
-    """Every ``module.name`` that workloads.py patches, and every PHASES
-    key of spans.py, as a dotted name from ``mbc``."""
-    names = set()
-    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+def _is_chain(node):
+    """Whether ``node`` is a chain of attributes on a name."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return isinstance(node, ast.Name)
+
+
+def _literal(tree, name):
+    """The value of the module-level assignment to ``name`` in ``tree``."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and [_dotted(t) for t in node.targets] == [name]):
+            return ast.literal_eval(node.value)
+    raise LookupError(name)
+
+
+def _mbc_uses(tree):
+    """Every name imported from ``mbc`` in ``tree``, and every attribute
+    chain read on one: ``from mbc import contracts`` and
+    ``contracts.checked_query(...)`` give ``mbc.contracts`` and
+    ``mbc.contracts.checked_query``."""
+    names, aliases = set(), {}
     for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "mbc":
+                    names.add(a.name)
+                    if a.asname:
+                        aliases[a.asname] = a.name
+                    else:
+                        aliases["mbc"] = "mbc"
+        elif (isinstance(node, ast.ImportFrom)
+              and (node.module or "").split(".")[0] == "mbc"):
+            for a in node.names:
+                names.add(f"{node.module}.{a.name}")
+                aliases[a.asname or a.name] = f"{node.module}.{a.name}"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _is_chain(node):
+            head, _, rest = _dotted(node).partition(".")
+            if head in aliases:
+                names.add(f"{aliases[head]}.{rest}")
+    return names
+
+
+def _hook_names():
+    """Every ``module.name`` that workloads.py patches, every PHASES key and
+    EXTRA name of spans.py, every span name run.py reads a counter of, and
+    every ``mbc`` name a benchmark file uses, as a dotted name from
+    ``mbc``."""
+    names = set()
+    trees = {p.name: ast.parse(p.read_text())
+             for p in sorted(PERFBENCH.glob("*.py"))}
+    for node in ast.walk(trees["workloads.py"]):
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id in ("timed_calls", "checkpoints")):
             module, attrs = node.args[0], ast.literal_eval(node.args[1])
             attrs = (attrs,) if isinstance(attrs, str) else attrs
             names |= {f"{_dotted(module)}.{a}" for a in attrs}
-    tree = ast.parse((PERFBENCH / "spans.py").read_text())
-    for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and [_dotted(t) for t in node.targets] == ["PHASES"]):
-            names |= {f"mbc.{k}" for k in ast.literal_eval(node.value)}
+    spans = trees["spans.py"]
+    names |= {f"mbc.{k}" for k in _literal(spans, "PHASES")}
+    names |= {f"mbc.{k}" for k in _literal(spans, "EXTRA")}
+    run = trees["run.py"]
+    for node in ast.walk(run):
+        if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                and node.value.id in SPAN_COUNTERS
+                and isinstance(node.slice, ast.Constant)):
+            names.add(f"mbc.{node.slice.value}")
+    # run.py times the imports of a child process it runs from source text.
+    trees["SETUP_CODE"] = ast.parse(_literal(run, "SETUP_CODE"))
+    for tree in trees.values():
+        names |= _mbc_uses(tree)
     return names
 
 
 def _exists(dotted):
     """Whether ``dotted`` names an attribute of an importable module."""
     parts = dotted.split(".")
-    for i in range(len(parts) - 1, 0, -1):
+    for i in range(len(parts), 0, -1):
         try:
             obj = importlib.import_module(".".join(parts[:i]))
         except ImportError:
@@ -67,6 +128,10 @@ def test_hooks_found():
     assert "mbc.checkers._post_holds" in NAMES
     assert "mbc.checkers.enumerate_states" in NAMES
     assert "mbc.model_math.MSet.__init__" in NAMES
+    assert "mbc.autotest.run_campaign" in NAMES  # a counter of run.py
+    assert "mbc.cli._emit" in NAMES  # spans.EXTRA
+    assert "mbc.contracts.checked_query" in NAMES  # read by client.py
+    assert "mbc.model_math.to_text" in NAMES  # imported by client.py
 
 
 @pytest.mark.parametrize("name", NAMES)

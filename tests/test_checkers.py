@@ -400,8 +400,7 @@ RELATIONAL = {
     "fill/domain": "map", "fill/inside": "map", "fill/outside": "map",
     "reserve/grows": "capacity", "reserve/enough": "capacity",
     "item/member": "result", "remove/count": "sequence",
-    "remove/bag_count": "bag", "duplicate/sequence": "result",
-    "duplicate/index": "result", "add_root/count": "map",
+    "remove/bag_count": "bag", "add_root/count": "map",
     "add_root/root": "map", "make/map": "map", "make/set": "set",
 }
 
@@ -439,6 +438,21 @@ class TestDefiningClauses:
         assert v.post_complete
         assert v.states_checked == pairs * len(state_space("LinkedList", cfg))
         assert evals == {"merge_right/sequence": pairs, "merge_right/index": pairs}
+        assert len(calls) <= pairs
+
+    def test_duplicate_result_defined(self, monkeypatch):
+        # duplicate defines its result, so each (state, argument) pair looks
+        # its one expected result state up instead of testing every
+        # LinkedList state as a candidate.
+        cfg = EnumerationConfig(max_size=2)
+        reps = state_space("LinkedList", cfg)
+        calls = []
+        real = checkers._post_holds
+        monkeypatch.setattr(checkers, "_post_holds",
+                            lambda *a: calls.append(1) or real(*a))
+        v = check_query_completeness("LinkedList", "duplicate", cfg)
+        pairs = v.states_checked // len(reps)
+        assert v.post_complete and pairs == 120
         assert len(calls) <= pairs
 
     def test_candidates_looked_up_not_scanned(self, monkeypatch):
@@ -535,7 +549,8 @@ class TestAdequacy:
     def test_one_snapshot_per_built_object(self, monkeypatch):
         # A top-level pair reads its stored objects and the recorded
         # default model; only a command's successor is built, and its
-        # state is taken once.
+        # state is taken once.  Each pair is searched at depth 0, then 1:
+        # 19 of the 21 are told apart at depth 0.
         cfg = EnumerationConfig(max_size=2)
         reps = len(state_space("Stack", cfg))
         counts = self._count_calls(monkeypatch, "abstract_state", "_build",
@@ -543,10 +558,8 @@ class TestAdequacy:
         v = check_observational_adequacy("Stack", cfg)
         assert v.adequate
         assert (reps, v.pairs_checked) == (7, 21)
-        assert counts == {"abstract_state": 60, "_build": 60,
-                          "_successor": 60, "_distinguishable": 51}
-        assert counts["_successor"] == 2 * (
-            counts["_distinguishable"] - v.pairs_checked)
+        assert counts == {"abstract_state": 12, "_build": 12,
+                          "_successor": 12, "_distinguishable": 29}
 
     def test_builds_only_successors(self, monkeypatch):
         cfg = EnumerationConfig()
@@ -555,7 +568,23 @@ class TestAdequacy:
         counts = self._count_calls(monkeypatch, "_build")
         for name in CONTAINER_NAMES:
             assert check_observational_adequacy(name, cfg).adequate, name
-        assert counts["_build"] == 1766
+        assert counts["_build"] == 694
+
+    def test_successors_do_not_grow_with_depth(self, monkeypatch):
+        # Every pair at the default bounds is told apart within two calls,
+        # and each pair's search deepens one level at a time, so a deeper
+        # bound builds no more successors.
+        counts = self._count_calls(monkeypatch, "_successor")
+        built = []
+        for depth in (2, 3, 8):
+            cfg = EnumerationConfig(depth=depth)
+            for name in CONTAINER_NAMES:
+                state_space(name, cfg)
+            counts["_successor"] = 0
+            for name in CONTAINER_NAMES:
+                assert check_observational_adequacy(name, cfg).adequate, name
+            built.append(counts["_successor"])
+        assert built == [694, 694, 694]
 
     def test_witness_pair_concrete(self):
         v = check_observational_adequacy("Queue", CFG,

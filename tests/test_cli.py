@@ -158,6 +158,15 @@ class TestSubcommands:
         assert code == 0
         assert json.loads(out)[0]["adequate"] is True
 
+    def test_adequacy_depth_costs_only_what_it_uses(self, capsys):
+        # Shortest sequences are tried first, so a depth far past the
+        # recursion limit reaches the verdict of depth 2 as quickly.
+        code, out, err = run(capsys, "adequacy", "--all", "--depth", "2000")
+        assert code == 0, err
+        verdicts = json.loads(out)
+        assert len(verdicts) == 9
+        assert all(v["adequate"] and v["depth"] == 2000 for v in verdicts)
+
     def test_export_boogie_stdout_and_file(self, capsys, tmp_path):
         code, out, _ = run(capsys, "export-boogie")
         assert code == 0 and "type Sequence T = [int] T ;" in out

@@ -169,13 +169,14 @@ class TestCollectionFamily:
     def test_linking_invariant_compares_multiplicities(self):
         from types import SimpleNamespace
         from mbc.containers import _linking_invariant
+        from mbc.contracts import Ctx
         seq = MSeq([A, B, A])
         for bag, linked in [(MBag([(A, 2), (B, 1)]), True),
                             (MBag([(A, 1), (B, 1)]), False),
                             (MBag([(A, 2), (B, 1), (C, 1)]), False),
                             (MBag([(A, 2)]), False)]:
             s = SimpleNamespace(bag=bag, sequence=seq)
-            assert _linking_invariant(None, s) is linked, bag
+            assert _linking_invariant(Ctx(new=s)) is linked, bag
 
 
 class TestDispenserHeirs:

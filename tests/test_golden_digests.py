@@ -79,7 +79,7 @@ def test_fault_reports_replay_from_the_written_file(tmp_path):
 # constructor's as written.  Only a violation shows a clause id in the
 # outputs above, so this pins the frame clauses no run happens to break.
 CLAUSE_LISTS = (
-    "6bbc57401d7415734cecf584a86de895cfb7e9c64ef3733b9cd0f3c53ba3598d")
+    "08051cee83a45bc234036e7cbb4a10380fb3edfcd76c915be0c49bd67236218e")
 
 
 def test_effective_clause_lists_digest():
