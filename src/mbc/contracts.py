@@ -78,13 +78,12 @@ class ModelSignature:
             raise ConfigurationError("signature names must be unique and nonempty")
         self.entries = tuple(entries)
         self.names = tuple(names)
+        # The method that reads each query, in the same order.
+        self.methods = tuple(["model_" + q for q in names])
         # This signature's states: ``state.q`` reads the entry of query q.
         namespace = {q: property(itemgetter(i)) for i, q in enumerate(names)}
         namespace["__slots__"] = ()
         self.state_type = type("AbstractState", (AbstractState,), namespace)
-
-    def __len__(self):
-        return len(self.entries)
 
     def __repr__(self):
         return f"ModelSignature({list(self.entries)!r})"
@@ -103,7 +102,7 @@ class AbstractState(tuple):
     __slots__ = ()
 
     def __new__(cls, signature: ModelSignature, values: Sequence[ModelValue]):
-        if len(values) != len(signature):
+        if len(values) != len(signature.names):
             raise UsageError("state arity does not match signature")
         return tuple.__new__(signature.state_type, values)
 
@@ -332,10 +331,14 @@ def spec_of(obj) -> ContainerSpec:
 
 
 def abstract_state(obj) -> AbstractState:
-    """The tuple of current model-query values of a registered object."""
-    spec = spec_of(obj)
-    values = [getattr(obj, "model_" + name)() for name in spec.signature.names]
-    return AbstractState(spec.signature, values)
+    """The tuple of current model-query values of a registered object.
+
+    It calls each query by its signature's prebuilt method name and builds
+    the signature's ``state_type`` directly: one value per query, so the
+    arity check of ``AbstractState`` cannot fail here.
+    """
+    sig = spec_of(obj).signature
+    return tuple.__new__(sig.state_type, [getattr(obj, m)() for m in sig.methods])
 
 
 def _is_container(x) -> bool:

@@ -20,7 +20,9 @@ element seen for each key, and no sort: equality, hashing,
 ``multiplicity``, ``extended`` and ``removed`` work on that map, one key
 at a time.  Its canonical ``pairs`` tuple is sorted only when something
 reads it (``to_text``, ``domain``, ``repr``), and kept; ``order_key`` sorts
-the map's (key, multiplicity) items.
+the map's (key, multiplicity) items.  ``MSeq.to_bag`` counts its items
+straight into that map, one ``order_key`` call per item, and skips the
+checks of the general constructor.
 Stored tuples are built from lists, never from generators:
 ``tuple(<generator>)`` over-allocates and then shrinks, which on CPython
 fills the per-length tuple free lists and raises peak memory.
@@ -203,7 +205,15 @@ class MSeq:
         return sum(1 for x in self.items if x == v and type(x) is type(v))
 
     def to_bag(self) -> "MBag":
-        return MBag([(x, 1) for x in self.items])
+        counts, firsts = {}, {}
+        for x in self.items:
+            k = order_key(x)
+            if k in counts:
+                counts[k] += 1
+            else:
+                counts[k] = 1
+                firsts[k] = x
+        return _keyed_bag(counts, firsts)
 
 
 def _key_order(keys):

@@ -9,7 +9,8 @@ import pytest
 
 from mbc import contracts
 from mbc.autotest import ELEMENT_POOL
-from mbc.containers import ALL_SPECS, Ref, FaultSwitch
+from mbc.checkers import EnumerationConfig, state_space
+from mbc.containers import ALL_SPECS, CONTAINER_NAMES, Ref, FaultSwitch
 from mbc.contracts import (
     Clause, ConfigurationError, ContainerSpec, ContractViolation, Ctx, Feature,
     ModelSignature, PreconditionRejected, REGISTRY, UsageError, AbstractState,
@@ -72,6 +73,16 @@ class TestAbstractState:
         sig = ModelSignature([("value", "int")])
         a, b = AbstractState(sig, [True]), AbstractState(sig, [1])
         assert a == b and hash(a) == hash(b)
+
+    def test_every_query_read_by_name_in_signature_order(self):
+        for name in CONTAINER_NAMES:
+            sig = REGISTRY[name].signature
+            for e in state_space(name, EnumerationConfig()):
+                s = abstract_state(e.obj)
+                assert type(s) is sig.state_type
+                want = [getattr(e.obj, "model_" + q)() for q in sig.names]
+                assert list(s) == want
+                assert list(map(type, s)) == list(map(type, want))
 
 
 class TestSnapshots:

@@ -308,7 +308,10 @@ class TestCanonicalConstructors:
     @given(value_lists(max_size=12))
     def test_to_bag_matches_reference(self, xs):
         want = reference_bag([(x, 1) for x in xs])
-        assert identical_pairs(MSeq(xs).to_bag().pairs, want)
+        bag = MSeq(xs).to_bag()
+        assert identical_pairs(bag.pairs, want)
+        built = MBag([(x, 1) for x in xs])
+        assert bag == built and hash(bag) == hash(built)
 
     @PROPERTY
     @given(pair_lists(MODEL_VALUES, max_size=10))
@@ -350,9 +353,11 @@ class TestCanonicalConstructors:
 
     def test_constructors_are_linear(self, monkeypatch):
         # Counts, not times: one bag for a whole sequence, and one order_key
-        # call per element.
+        # call per element.  A bag is built either by ``MBag.__init__`` or
+        # from counted dicts by ``_keyed_bag``; both are counted.
         calls = {"order_key": 0, "bags": 0}
         real_key, real_init = model_math.order_key, MBag.__init__
+        real_keyed = model_math._keyed_bag
 
         def counting_key(v):
             calls["order_key"] += 1
@@ -362,8 +367,13 @@ class TestCanonicalConstructors:
             calls["bags"] += 1
             real_init(self, *args, **kwargs)
 
+        def counting_keyed(*args):
+            calls["bags"] += 1
+            return real_keyed(*args)
+
         monkeypatch.setattr(model_math, "order_key", counting_key)
         monkeypatch.setattr(MBag, "__init__", counting_init)
+        monkeypatch.setattr(model_math, "_keyed_bag", counting_keyed)
         refs = [Ref(f"r{i:02d}") for i in range(64)]
         random.Random(0).shuffle(refs)
         bag = MSeq(refs).to_bag()
