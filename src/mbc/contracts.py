@@ -9,13 +9,15 @@ An abstract state is a tuple of model values, of one AbstractState type
 per signature.  Every postcondition and invariant clause is a
 :class:`Clause`, ``fn(ctx)``, read on one record, :class:`Ctx`: the
 call's target, each container argument and each checked object is seen
-through one.  A checked call takes each object's state (the target's and
-every container argument's) once before the body and once after it, and
-checks postconditions, purity and invariants against those snapshots (a
-constructor has no state before); a checked command returns its
-poststate.  Constructors, commands and queries follow one rule: a body or
-a model query that raises is an ``exception`` violation; so is a
-precondition, postcondition or invariant clause that raises anything but
+through one.  One routine, :func:`checked_call`, checks a call of any
+kind; ``checked_command``, ``checked_query`` and ``checked_constructor``
+name the feature and its kind.  It takes each object's state (the
+target's and every container argument's) once before the body and once
+after it, and checks postconditions, purity and invariants against those
+snapshots; the kinds differ only in data.  The clauses a mode keeps are
+decided once per clause tuple, not once per call.  A body or a model
+query that raises is an ``exception`` violation; so is a precondition,
+postcondition or invariant clause that raises anything but
 ``DomainError``, which makes it false.
 """
 
@@ -193,6 +195,9 @@ class Feature:
     # expand_frame's memo: (clauses, relevant, signature, expanded clauses).
     _frame: Optional[tuple] = field(default=None, init=False, repr=False,
                                     compare=False)
+    # _kept's memo: (clauses, the classic ones).
+    _classic: Optional[tuple] = field(default=None, init=False, repr=False,
+                                      compare=False)
 
 
 # Argument domains.  A feature declares one per argument: a tuple whose
@@ -249,18 +254,25 @@ class ContainerSpec:
         self.invariants = tuple(invariants)
         self.constructors = tuple(constructors)
         self.snapshot = snapshot or (lambda obj: {})
+        self._classic = None  # _kept's memo for the invariants
         for f in list(features) + list(constructors):
             for s in f.relevant:
                 if s not in signature.names:
                     raise ConfigurationError(
                         f"{name}.{f.name}: unknown model query {s!r}")
             for c in f.clauses:
-                if c.target is not None:
-                    _check_target(name, f, c, signature)
-                elif c.tag == "model" and not any(
-                        d[0] == "container" for d in f.arg_domains):
-                    raise ConfigurationError(
-                        f"{name}.{f.name}: clause {c.cid} names no target")
+                # A query's clause constrains its result; a command's or
+                # constructor's, a model query.
+                where = f"{name}.{f.name}: clause {c.cid}"
+                if c.target is None:
+                    if c.tag == "model" and not any(
+                            d[0] == "container" for d in f.arg_domains):
+                        raise ConfigurationError(f"{where} names no target")
+                elif f.kind == "query" and c.target != "result":
+                    raise ConfigurationError(f"{where} must target 'result'")
+                elif f.kind != "query" and c.target not in signature.names:
+                    raise ConfigurationError(f"{where} targets unknown model "
+                                             f"query {c.target!r}")
             f.body = (cls if f.kind == "constructor"
                       else getattr(cls, "do_" + f.name, None))
             if f.body is None:
@@ -278,18 +290,6 @@ class ContainerSpec:
 
     def queries(self):
         return [f for f in self.features.values() if f.kind == "query"]
-
-
-def _check_target(name, feature, clause, signature):
-    """A query's clause constrains its result; a command's or
-    constructor's, a model query."""
-    where = f"{name}.{feature.name}: clause {clause.cid}"
-    if feature.kind == "query":
-        if clause.target != "result":
-            raise ConfigurationError(f"{where} must target 'result'")
-    elif clause.target not in signature.names:
-        raise ConfigurationError(
-            f"{where} targets unknown model query {clause.target!r}")
 
 
 def refine(parent: ContainerSpec, name, cls, strengthen) -> ContainerSpec:
@@ -343,17 +343,6 @@ def abstract_state(obj) -> AbstractState:
 
 def _is_container(x) -> bool:
     return hasattr(x, "spec_name") and x.spec_name in REGISTRY
-
-
-def _views(feature_name, args):
-    """The arguments as clauses see them, each container argument with its
-    prestate taken."""
-    views = tuple(Ctx(obj=a, ref=a.ref, cold=spec_of(a).snapshot(a))
-                  if _is_container(a) else a for a in args)
-    for v in views:
-        if isinstance(v, Ctx):
-            v.old = _state(v.obj, feature_name, None, None, views)
-    return views
 
 
 def _serialize_arg(a) -> str:
@@ -434,144 +423,151 @@ def pre_holds(feature, state, args, ref):
         return False
 
 
-def _check_pre(spec, feature, state, views, ref):
-    """Raise PreconditionRejected unless ``feature``'s precondition holds
-    (``pre_holds``).  One raising anything but DomainError is an
-    ``exception`` violation named ``<feature>/precondition/exception:<Type>``,
-    raised from the original."""
-    try:
-        holds = pre_holds(feature, state, views, ref)
-    except Exception as e:
-        raise _exception(feature.name, f"{feature.name}/precondition", e,
-                         state, state, views) from e
-    if not holds:
-        raise PreconditionRejected(f"{spec.name}.{feature.name}")
+def _kept(owner, clauses, mode):
+    """``clauses`` in model mode; otherwise their classic ones, kept on
+    ``owner`` (their feature or spec) until it holds another tuple."""
+    if mode == "model":
+        return clauses
+    memo = owner._classic
+    if memo is None or memo[0] is not clauses:
+        memo = owner._classic = (clauses, tuple(
+            c for c in clauses if _mode_keeps(c.tag, mode)))
+    return memo[1]
 
 
-def _check_clauses(clauses, ctx, kind, feature_name, old, new, views, mode,
-                   prefix=""):
-    """Evaluate, in order, the clauses ``mode`` keeps as ``fn(ctx)``; raise
-    a ``kind`` violation, named ``prefix`` + id and written with the states
-    ``old`` and ``new``, at the first false one.  A clause raising
-    DomainError is false; one raising anything else is an ``exception``
-    violation, raised from the original."""
+def _check_clauses(clauses, ctx, kind, feature_name, old, new, views,
+                   owner=None):
+    """Raise a ``kind`` violation, written with ``old`` and ``new``, at the
+    first of ``clauses`` false on ``ctx``, named by its id (prefixed by
+    ``<owner>/invariant:`` for an invariant of the spec named ``owner``).
+    A clause raising DomainError is false; one raising anything else is an
+    ``exception`` violation, raised from the original."""
     for clause in clauses:
-        if not _mode_keeps(clause.tag, mode):
-            continue
         try:
             holds = clause.fn(ctx)
         except DomainError:
             holds = False
         except Exception as e:
-            raise _exception(feature_name, prefix + clause.cid, e, old, new,
+            raise _exception(feature_name, _clause_name(clause, owner), e,
+                             old, new, views) from e
+        if not holds:
+            raise _violation(feature_name, _clause_name(clause, owner), kind,
+                             old, new, views)
+
+
+def _clause_name(clause, owner):
+    return clause.cid if owner is None else f"{owner}/invariant:{clause.cid}"
+
+
+def _check_invariants(spec, view, feature_name, old, views, mode):
+    """Check ``spec``'s invariant on ``view``, written with the target's
+    prestate ``old`` and the poststate ``view.new``."""
+    _check_clauses(_kept(spec, spec.invariants, mode), view, "class-invariant",
+                   feature_name, old, view.new, views, spec.name)
+
+
+def checked_call(spec, obj, feature, args=(), mode="model", faults=None):
+    """Check one call of ``feature`` on ``obj``; return a command's checked
+    poststate, a query's result, or a constructor's new object, built with
+    ``faults`` (``obj`` is ignored).  The kinds differ only in data: a
+    constructor has no prestate; a query checks abstract purity of its
+    target and container arguments, and the invariant of a container it
+    returns; a command's clauses are frame-expanded.  A command's or
+    constructor's target and container arguments must satisfy their
+    invariants.  Raises PreconditionRejected when the precondition filters
+    the call, and ContractViolation on a false clause or when the body, a
+    clause, the precondition or a model query raises."""
+    name, kind = feature.name, feature.kind
+    query = kind == "query"
+    views = raw = tuple(args)
+    has_containers = any(map(_is_container, raw))
+    if has_containers:  # each container argument seen with its prestate
+        views = tuple(Ctx(obj=a, ref=a.ref, cold=spec_of(a).snapshot(a))
+                      if _is_container(a) else a for a in raw)
+        for v in views:
+            if isinstance(v, Ctx):
+                v.old = _state(v.obj, name, None, None, views)
+    if kind == "constructor":
+        old = cold = ref = None
+    else:
+        old = _state(obj, name, None, None, views)
+        cold = spec.snapshot(obj)
+        ref = obj.ref
+    if feature.pre is not None:
+        try:
+            holds = pre_holds(feature, old, views, ref)
+        except Exception as e:
+            raise _exception(name, f"{name}/precondition", e, old, old,
                              views) from e
         if not holds:
-            raise _violation(feature_name, prefix + clause.cid, kind, old, new,
-                             views)
+            raise PreconditionRejected(f"{spec.name}.{name}")
 
-
-def _check_invariants(view, feature_name, old, views, mode):
-    """Check the class invariant of ``view.obj`` on ``view``, whose ``new``
-    is its poststate; a violation is written with the target's prestate
-    ``old`` and that poststate."""
-    spec = spec_of(view.obj)
-    _check_clauses(spec.invariants, view, "class-invariant", feature_name,
-                   old, view.new, views, mode, f"{spec.name}/invariant:")
-
-
-def _run_body(name, views, old, body, *head):
-    """Return ``body(*head, *raw arguments)``.  An exception it raises is
-    an ``exception`` violation, raised from the original; ``old`` (None
-    for a constructor) is written as both states."""
-    raw = tuple(v.obj if isinstance(v, Ctx) else v for v in views)
     try:
-        return body(*head, *raw)
+        if kind == "constructor":
+            out = obj = feature.body(*raw, faults=faults)
+        else:
+            out = feature.body(obj, *raw)
     except Exception as e:
         raise _exception(name, name, e, old, old, views) from e
 
+    new = _state(obj, name, old, None, views)
+    if query and old != new:
+        raise _violation(name, f"{name}/purity:target", "abstract-purity",
+                         old, new, views)
+    if has_containers:
+        for v in views:
+            if isinstance(v, Ctx):
+                v.new = _state(v.obj, name, old, new, views)
+                if query and v.old != v.new:
+                    raise _violation(name, f"{name}/purity:argument",
+                                     "abstract-purity", old, v.new, views)
+    result = out if query else None
+    returned = query and _is_container(out)
+    if returned:  # clauses read a returned container's state
+        result = _state(out, name, old, new, views)
+    ctx = Ctx(old, new, views, result, obj, cold, obj.ref)
+    clauses = (expand_frame(feature, spec.signature) if kind == "command"
+               else feature.clauses)
+    _check_clauses(_kept(feature, clauses, mode), ctx, "postcondition", name,
+                   old, new, views)
+    if query:
+        if returned:
+            _check_invariants(spec_of(out), Ctx(new=result, obj=out), name,
+                              old, views, mode)
+        return out
+    _check_invariants(spec, ctx, name, old, views, mode)
+    for v in views if has_containers else ():
+        if isinstance(v, Ctx):
+            _check_invariants(spec_of(v.obj), v, name, old, views, mode)
+    return new if kind == "command" else obj
+
+
+def _checked(spec, obj, name, kind, args, mode, faults=None):
+    """``checked_call`` of ``spec``'s feature or constructor ``name``; one
+    not of ``kind`` is a UsageError, raised before anything runs."""
+    feature = spec.features.get(name)
+    if feature is None or feature.kind != kind:
+        feature = next((c for c in spec.constructors if c.name == name),
+                       feature)
+        if feature is None:
+            raise KeyError(f"{spec.name} has no feature {name!r}")
+        if feature.kind != kind:
+            raise UsageError(f"{spec.name}.{name} is a {feature.kind}, "
+                             f"not a {kind}")
+    return checked_call(spec, obj, feature, args, mode, faults)
+
 
 def checked_command(obj, feature_name, args=(), mode="model"):
-    """Run a command under contract checking and return the poststate it
-    checked, ``abstract_state(obj)`` after the call.
-
-    Raises PreconditionRejected when the precondition filters the call,
-    ContractViolation on any false postcondition or invariant clause, or
-    when the body, a clause, the precondition or a model query raises.
-    """
-    spec = spec_of(obj)
-    feature = spec.features[feature_name]
-    views = _views(feature_name, args)
-    old = _state(obj, feature_name, None, None, views)
-    cold = spec.snapshot(obj)
-    _check_pre(spec, feature, old, views, obj.ref)
-
-    _run_body(feature_name, views, old, feature.body, obj)
-
-    new = _state(obj, feature_name, old, None, views)
-    for v in views:
-        if isinstance(v, Ctx):
-            v.new = _state(v.obj, feature_name, old, new, views)
-    ctx = Ctx(old=old, new=new, args=views, obj=obj, cold=cold, ref=obj.ref)
-    _check_clauses(expand_frame(feature, spec.signature), ctx,
-                   "postcondition", feature_name, old, new, views, mode)
-    for v in (ctx, *views):
-        if isinstance(v, Ctx):
-            _check_invariants(v, feature_name, old, views, mode)
-    return new
+    """Check a call of a command; return the poststate it checked."""
+    return _checked(spec_of(obj), obj, feature_name, "command", args, mode)
 
 
 def checked_query(obj, feature_name, args=(), mode="model"):
-    """Run a query under contract checking, including abstract purity:
-    the target's and every container argument's abstract state must be
-    unchanged by the call.  A container it returns must satisfy its class
-    invariant."""
-    spec = spec_of(obj)
-    feature = spec.features[feature_name]
-    views = _views(feature_name, args)
-    old = _state(obj, feature_name, None, None, views)
-    cold = spec.snapshot(obj)
-    _check_pre(spec, feature, old, views, obj.ref)
-
-    result = _run_body(feature_name, views, old, feature.body, obj)
-
-    new = _state(obj, feature_name, old, None, views)
-    if old != new:
-        raise _violation(
-            feature_name, f"{feature_name}/purity:target", "abstract-purity",
-            old, new, views)
-    for v in views:
-        if isinstance(v, Ctx):
-            v.new = _state(v.obj, feature_name, old, new, views)
-            if v.old != v.new:
-                raise _violation(
-                    feature_name, f"{feature_name}/purity:argument",
-                    "abstract-purity", old, v.new, views)
-
-    returns_container = _is_container(result)
-    result_view = (_state(result, feature_name, old, new, views)
-                   if returns_container else result)
-    ctx = Ctx(old=old, new=new, args=views, result=result_view, obj=obj,
-              cold=cold, ref=obj.ref)
-    _check_clauses(feature.clauses, ctx, "postcondition", feature_name,
-                   old, new, views, mode)
-    if returns_container:
-        _check_invariants(Ctx(new=result_view, obj=result), feature_name, old,
-                          views, mode)
-    return result
+    """Check a call of a query; return its result."""
+    return _checked(spec_of(obj), obj, feature_name, "query", args, mode)
 
 
 def checked_constructor(spec: ContainerSpec, ctor_name: str, args=(),
                         mode="model", faults=None):
-    """Build an object through a registered constructor and check its
-    postcondition and the class invariant, as a command's are checked."""
-    ctor = spec.constructor(ctor_name)
-    views = _views(ctor_name, args)
-    _check_pre(spec, ctor, None, views, None)
-    obj = _run_body(ctor_name, views, None,
-                    lambda *raw: ctor.body(*raw, faults=faults))
-    state = _state(obj, ctor_name, None, None, views)
-    ctx = Ctx(new=state, args=views, obj=obj, ref=obj.ref)
-    _check_clauses(ctor.clauses, ctx, "postcondition", ctor_name, None,
-                   state, views, mode)
-    _check_invariants(ctx, ctor_name, None, views, mode)
-    return obj
+    """Check a call of a constructor; return the new object."""
+    return _checked(spec, None, ctor_name, "constructor", args, mode, faults)

@@ -482,6 +482,97 @@ class TestCheckedCalls:
         assert abstract_state(a).sequence == MSeq([Ref("y"), Ref("x")])
         assert abstract_state(b).sequence.is_empty
 
+    def test_feature_of_another_kind_is_a_usage_error(self, monkeypatch):
+        # Nothing runs: no body, no snapshot, no precondition.
+        obj = make_list("x", "y")
+        checked_command(obj, "start")
+        before = abstract_state(obj)
+        ran = []
+        for f in (SPEC.features["forth"], SPEC.features["count"],
+                  SPEC.constructor("make_empty")):
+            monkeypatch.setattr(f, "body",
+                                lambda *a, _f=f, **k: ran.append(_f.name))
+            monkeypatch.setattr(f, "pre",
+                                lambda *a, _f=f: ran.append(_f.name))
+        monkeypatch.setattr(contracts, "abstract_state",
+                            lambda o: ran.append("abstract_state"))
+        with pytest.raises(UsageError, match="forth is a command"):
+            checked_query(obj, "forth")
+        with pytest.raises(UsageError, match="count is a query"):
+            checked_command(obj, "count")
+        with pytest.raises(UsageError, match="forth is a command"):
+            checked_constructor(SPEC, "forth")
+        with pytest.raises(UsageError, match="make_empty is a constructor"):
+            checked_command(obj, "make_empty")
+        assert ran == []
+        monkeypatch.undo()
+        assert abstract_state(obj) == before
+
+
+class TestClauseFilterMemo:
+    """The clauses a mode keeps are decided once per clause tuple, and
+    again when a feature's clauses or a spec's invariants are replaced."""
+
+    FAILING = Clause("late_classic", "classic", lambda c: False)
+
+    def test_filter_decided_once_per_clause_tuple(self, monkeypatch):
+        obj = make_list("x")
+        calls = []
+        real = contracts._mode_keeps
+        monkeypatch.setattr(contracts, "_mode_keeps",
+                            lambda t, m: calls.append(t) or real(t, m))
+        for mode in ("model", "classic"):
+            checked_command(obj, "start", mode=mode)
+            checked_query(obj, "count", mode=mode)
+        assert calls
+        calls.clear()
+        for mode in ("model", "classic"):
+            checked_command(obj, "start", mode=mode)
+            checked_query(obj, "count", mode=mode)
+        assert calls == []
+
+    @pytest.mark.parametrize("feature, check", [
+        ("start", checked_command), ("count", checked_query),
+    ], ids=["command", "query"])
+    def test_replaced_clauses_are_checked(self, monkeypatch, feature, check):
+        obj = make_list("x")
+        check(obj, feature, mode="classic")
+        f = SPEC.features[feature]
+        monkeypatch.setattr(f, "clauses", f.clauses + (self.FAILING,))
+        with pytest.raises(ContractViolation) as e:
+            check(obj, feature, mode="classic")
+        assert (e.value.clause, e.value.kind) == ("late_classic",
+                                                  "postcondition")
+
+    def test_replaced_invariants_are_checked(self, monkeypatch):
+        obj = make_list("x")
+        checked_command(obj, "start", mode="classic")
+        monkeypatch.setattr(SPEC, "invariants",
+                            SPEC.invariants + (self.FAILING,))
+        with pytest.raises(ContractViolation) as e:
+            checked_command(obj, "start", mode="classic")
+        assert (e.value.clause, e.value.kind) == (
+            "LinkedList/invariant:late_classic", "class-invariant")
+
+
+def test_model_invariants_that_read_the_object():
+    # Two invariants tagged "model" read the concrete object, so they
+    # cannot be evaluated on an abstract state alone; no other may join
+    # them until they are re-tagged.
+    cfg = EnumerationConfig()
+    unreadable = set()
+    for name in CONTAINER_NAMES:
+        for e in state_space(name, cfg):
+            for c in REGISTRY[name].invariants:
+                if c.tag != "model":
+                    continue
+                try:
+                    c.fn(Ctx(new=e.state))
+                except AttributeError:
+                    unreadable.add(f"{name}/{c.cid}")
+    assert unreadable == {"LinkedList/count_consistent",
+                          "ArrayT/domain_contiguous"}
+
 
 class TestViolationText:
     def test_clean_calls_write_no_text(self, monkeypatch):
