@@ -9,16 +9,16 @@ An abstract state is a tuple of model values, of one AbstractState type
 per signature.  Every postcondition and invariant clause is a
 :class:`Clause`, ``fn(ctx)``, read on one record, :class:`Ctx`: the
 call's target, each container argument and each checked object is seen
-through one.  One routine, :func:`checked_call`, checks a call of any
-kind; ``checked_command``, ``checked_query`` and ``checked_constructor``
-name the feature and its kind.  It takes each object's state (the
-target's and every container argument's) once before the body and once
-after it, and checks postconditions, purity and invariants against those
-snapshots; the kinds differ only in data.  The clauses a mode keeps are
-decided once per clause tuple, not once per call.  A body or a model
-query that raises is an ``exception`` violation; so is a precondition,
-postcondition or invariant clause that raises anything but
-``DomainError``, which makes it false.
+through one.  ``checked_command``, ``checked_query`` and
+``checked_constructor`` name a feature and its kind, and one routine
+checks a call of any kind: it takes each object's state (the target's
+and every container argument's) once before the body and once after it,
+and checks postconditions, purity and invariants against those
+snapshots; the kinds differ only in data.  Model mode checks every
+clause; classic mode filters them.  A body or a model query that raises
+is an ``exception`` violation; so is a precondition, postcondition or
+invariant clause that raises anything but ``DomainError``, which makes
+it false.
 """
 
 from __future__ import annotations
@@ -195,9 +195,6 @@ class Feature:
     # expand_frame's memo: (clauses, relevant, signature, expanded clauses).
     _frame: Optional[tuple] = field(default=None, init=False, repr=False,
                                     compare=False)
-    # _kept's memo: (clauses, the classic ones).
-    _classic: Optional[tuple] = field(default=None, init=False, repr=False,
-                                      compare=False)
 
 
 # Argument domains.  A feature declares one per argument: a tuple whose
@@ -254,25 +251,18 @@ class ContainerSpec:
         self.invariants = tuple(invariants)
         self.constructors = tuple(constructors)
         self.snapshot = snapshot or (lambda obj: {})
-        self._classic = None  # _kept's memo for the invariants
         for f in list(features) + list(constructors):
             for s in f.relevant:
                 if s not in signature.names:
                     raise ConfigurationError(
                         f"{name}.{f.name}: unknown model query {s!r}")
             for c in f.clauses:
-                # A query's clause constrains its result; a command's or
-                # constructor's, a model query.
-                where = f"{name}.{f.name}: clause {c.cid}"
-                if c.target is None:
-                    if c.tag == "model" and not any(
-                            d[0] == "container" for d in f.arg_domains):
-                        raise ConfigurationError(f"{where} names no target")
-                elif f.kind == "query" and c.target != "result":
-                    raise ConfigurationError(f"{where} must target 'result'")
-                elif f.kind != "query" and c.target not in signature.names:
-                    raise ConfigurationError(f"{where} targets unknown model "
-                                             f"query {c.target!r}")
+                if c.target is not None:
+                    _check_target(name, f, c, signature)
+                elif c.tag == "model" and not any(
+                        d[0] == "container" for d in f.arg_domains):
+                    raise ConfigurationError(
+                        f"{name}.{f.name}: clause {c.cid} names no target")
             f.body = (cls if f.kind == "constructor"
                       else getattr(cls, "do_" + f.name, None))
             if f.body is None:
@@ -290,6 +280,18 @@ class ContainerSpec:
 
     def queries(self):
         return [f for f in self.features.values() if f.kind == "query"]
+
+
+def _check_target(name, feature, clause, signature):
+    """A query's clause constrains its result; a command's or
+    constructor's, a model query."""
+    where = f"{name}.{feature.name}: clause {clause.cid}"
+    if feature.kind == "query":
+        if clause.target != "result":
+            raise ConfigurationError(f"{where} must target 'result'")
+    elif clause.target not in signature.names:
+        raise ConfigurationError(
+            f"{where} targets unknown model query {clause.target!r}")
 
 
 def refine(parent: ContainerSpec, name, cls, strengthen) -> ContainerSpec:
@@ -423,25 +425,16 @@ def pre_holds(feature, state, args, ref):
         return False
 
 
-def _kept(owner, clauses, mode):
-    """``clauses`` in model mode; otherwise their classic ones, kept on
-    ``owner`` (their feature or spec) until it holds another tuple."""
-    if mode == "model":
-        return clauses
-    memo = owner._classic
-    if memo is None or memo[0] is not clauses:
-        memo = owner._classic = (clauses, tuple(
-            c for c in clauses if _mode_keeps(c.tag, mode)))
-    return memo[1]
-
-
-def _check_clauses(clauses, ctx, kind, feature_name, old, new, views,
+def _check_clauses(clauses, ctx, kind, feature_name, old, new, views, mode,
                    owner=None):
     """Raise a ``kind`` violation, written with ``old`` and ``new``, at the
-    first of ``clauses`` false on ``ctx``, named by its id (prefixed by
-    ``<owner>/invariant:`` for an invariant of the spec named ``owner``).
-    A clause raising DomainError is false; one raising anything else is an
-    ``exception`` violation, raised from the original."""
+    first clause ``mode`` keeps that is false on ``ctx``, named by its id
+    (prefixed by ``<owner>/invariant:`` for an invariant of the spec named
+    ``owner``).  Model mode keeps every clause.  A clause raising
+    DomainError is false; one raising anything else is an ``exception``
+    violation, raised from the original."""
+    if mode != "model":
+        clauses = [c for c in clauses if _mode_keeps(c.tag, mode)]
     for clause in clauses:
         try:
             holds = clause.fn(ctx)
@@ -462,22 +455,32 @@ def _clause_name(clause, owner):
 def _check_invariants(spec, view, feature_name, old, views, mode):
     """Check ``spec``'s invariant on ``view``, written with the target's
     prestate ``old`` and the poststate ``view.new``."""
-    _check_clauses(_kept(spec, spec.invariants, mode), view, "class-invariant",
-                   feature_name, old, view.new, views, spec.name)
+    _check_clauses(spec.invariants, view, "class-invariant", feature_name,
+                   old, view.new, views, mode, spec.name)
 
 
-def checked_call(spec, obj, feature, args=(), mode="model", faults=None):
-    """Check one call of ``feature`` on ``obj``; return a command's checked
-    poststate, a query's result, or a constructor's new object, built with
-    ``faults`` (``obj`` is ignored).  The kinds differ only in data: a
-    constructor has no prestate; a query checks abstract purity of its
-    target and container arguments, and the invariant of a container it
-    returns; a command's clauses are frame-expanded.  A command's or
-    constructor's target and container arguments must satisfy their
-    invariants.  Raises PreconditionRejected when the precondition filters
-    the call, and ContractViolation on a false clause or when the body, a
-    clause, the precondition or a model query raises."""
-    name, kind = feature.name, feature.kind
+def _checked_call(spec, obj, name, kind, args, mode, faults=None):
+    """Check one call of ``spec``'s feature or constructor ``name`` on
+    ``obj``; return a command's checked poststate, a query's result, or a
+    constructor's new object, built with ``faults`` (``obj`` is None).
+    One not of ``kind`` is a UsageError, raised before anything runs.
+    The kinds differ only in data: a constructor has no prestate; a query
+    checks abstract purity of its target and container arguments, and the
+    invariant of a container it returns; a command's clauses are
+    frame-expanded.  A command's or constructor's target and container
+    arguments must satisfy their invariants.  Raises PreconditionRejected
+    when the precondition filters the call, and ContractViolation on a
+    false clause or when the body, a clause, the precondition or a model
+    query raises."""
+    feature = spec.features.get(name)
+    if feature is None or feature.kind != kind:
+        feature = next((c for c in spec.constructors if c.name == name),
+                       feature)
+        if feature is None:
+            raise KeyError(f"{spec.name} has no feature {name!r}")
+        if feature.kind != kind:
+            raise UsageError(f"{spec.name}.{name} is a {feature.kind}, "
+                             f"not a {kind}")
     query = kind == "query"
     views = raw = tuple(args)
     has_containers = any(map(_is_container, raw))
@@ -528,8 +531,8 @@ def checked_call(spec, obj, feature, args=(), mode="model", faults=None):
     ctx = Ctx(old, new, views, result, obj, cold, obj.ref)
     clauses = (expand_frame(feature, spec.signature) if kind == "command"
                else feature.clauses)
-    _check_clauses(_kept(feature, clauses, mode), ctx, "postcondition", name,
-                   old, new, views)
+    _check_clauses(clauses, ctx, "postcondition", name, old, new, views,
+                   mode)
     if query:
         if returned:
             _check_invariants(spec_of(out), Ctx(new=result, obj=out), name,
@@ -542,32 +545,19 @@ def checked_call(spec, obj, feature, args=(), mode="model", faults=None):
     return new if kind == "command" else obj
 
 
-def _checked(spec, obj, name, kind, args, mode, faults=None):
-    """``checked_call`` of ``spec``'s feature or constructor ``name``; one
-    not of ``kind`` is a UsageError, raised before anything runs."""
-    feature = spec.features.get(name)
-    if feature is None or feature.kind != kind:
-        feature = next((c for c in spec.constructors if c.name == name),
-                       feature)
-        if feature is None:
-            raise KeyError(f"{spec.name} has no feature {name!r}")
-        if feature.kind != kind:
-            raise UsageError(f"{spec.name}.{name} is a {feature.kind}, "
-                             f"not a {kind}")
-    return checked_call(spec, obj, feature, args, mode, faults)
-
-
 def checked_command(obj, feature_name, args=(), mode="model"):
     """Check a call of a command; return the poststate it checked."""
-    return _checked(spec_of(obj), obj, feature_name, "command", args, mode)
+    return _checked_call(spec_of(obj), obj, feature_name, "command", args,
+                         mode)
 
 
 def checked_query(obj, feature_name, args=(), mode="model"):
     """Check a call of a query; return its result."""
-    return _checked(spec_of(obj), obj, feature_name, "query", args, mode)
+    return _checked_call(spec_of(obj), obj, feature_name, "query", args, mode)
 
 
 def checked_constructor(spec: ContainerSpec, ctor_name: str, args=(),
                         mode="model", faults=None):
     """Check a call of a constructor; return the new object."""
-    return _checked(spec, None, ctor_name, "constructor", args, mode, faults)
+    return _checked_call(spec, None, ctor_name, "constructor", args, mode,
+                         faults)

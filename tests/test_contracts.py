@@ -509,52 +509,6 @@ class TestCheckedCalls:
         assert abstract_state(obj) == before
 
 
-class TestClauseFilterMemo:
-    """The clauses a mode keeps are decided once per clause tuple, and
-    again when a feature's clauses or a spec's invariants are replaced."""
-
-    FAILING = Clause("late_classic", "classic", lambda c: False)
-
-    def test_filter_decided_once_per_clause_tuple(self, monkeypatch):
-        obj = make_list("x")
-        calls = []
-        real = contracts._mode_keeps
-        monkeypatch.setattr(contracts, "_mode_keeps",
-                            lambda t, m: calls.append(t) or real(t, m))
-        for mode in ("model", "classic"):
-            checked_command(obj, "start", mode=mode)
-            checked_query(obj, "count", mode=mode)
-        assert calls
-        calls.clear()
-        for mode in ("model", "classic"):
-            checked_command(obj, "start", mode=mode)
-            checked_query(obj, "count", mode=mode)
-        assert calls == []
-
-    @pytest.mark.parametrize("feature, check", [
-        ("start", checked_command), ("count", checked_query),
-    ], ids=["command", "query"])
-    def test_replaced_clauses_are_checked(self, monkeypatch, feature, check):
-        obj = make_list("x")
-        check(obj, feature, mode="classic")
-        f = SPEC.features[feature]
-        monkeypatch.setattr(f, "clauses", f.clauses + (self.FAILING,))
-        with pytest.raises(ContractViolation) as e:
-            check(obj, feature, mode="classic")
-        assert (e.value.clause, e.value.kind) == ("late_classic",
-                                                  "postcondition")
-
-    def test_replaced_invariants_are_checked(self, monkeypatch):
-        obj = make_list("x")
-        checked_command(obj, "start", mode="classic")
-        monkeypatch.setattr(SPEC, "invariants",
-                            SPEC.invariants + (self.FAILING,))
-        with pytest.raises(ContractViolation) as e:
-            checked_command(obj, "start", mode="classic")
-        assert (e.value.clause, e.value.kind) == (
-            "LinkedList/invariant:late_classic", "class-invariant")
-
-
 def test_model_invariants_that_read_the_object():
     # Two invariants tagged "model" read the concrete object, so they
     # cannot be evaluated on an abstract state alone; no other may join
