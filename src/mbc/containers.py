@@ -17,6 +17,7 @@ cached fields hide.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -621,7 +622,11 @@ class EqSet:
         return len(self.items)
 
 
+@functools.lru_cache(maxsize=64)
 def _relation_is_equivalence(rel: MRel) -> bool:
+    """Whether ``rel`` is reflexive on its domain, symmetric and
+    transitive.  Kept per relation value: an EqSet's relation never
+    changes, yet its invariant asks after every call."""
     dom = rel.domain
     return (dom.for_all(lambda x: rel.has(x, x))
             and all(rel.has(y, x) for x, y in rel.pairs)

@@ -20,9 +20,15 @@ element seen for each key, and no sort: equality, hashing,
 ``multiplicity``, ``extended`` and ``removed`` work on that map, one key
 at a time.  Its canonical ``pairs`` tuple is sorted only when something
 reads it (``to_text``, ``domain``, ``repr``), and kept; ``order_key`` sorts
-the map's (key, multiplicity) items.  ``MSeq.to_bag`` counts its items
-straight into that map, one ``order_key`` call per item, and skips the
-checks of the general constructor.
+the map's (key, multiplicity) items.  ``MSeq.to_bag`` builds that map only
+on first need: the bag keeps the sequence's items and counts them, one
+``order_key`` call per item, when something reads the map, because most
+bags a contract builds are only compared with a bag of the same items or
+asked for ``count`` or ``is_empty``.  Until then ``count`` and
+``is_empty`` read the items, ``extended`` appends to them, ``removed``
+drops the last occurrence (so each key keeps the element counting keeps),
+and ``==`` with another bag of items holds without counting when the
+items are equal one by one, with the same types.
 Stored tuples are built from lists, never from generators:
 ``tuple(<generator>)`` over-allocates and then shrinks, which on CPython
 fills the per-length tuple free lists and raises peak memory.
@@ -34,7 +40,7 @@ and ``difference``, and ``MMap.restricted`` and ``replaced_at`` go through
 ``range``, or the stored entries in order, or a subsequence of them: keys
 already distinct and ascending by ``order_key``, which is the tuple the
 sorting constructor would build.
-An ``MMap`` computes its domain once, on first read.
+An ``MMap`` and an ``MRel`` compute their domain once, on first read.
 """
 
 from __future__ import annotations
@@ -97,7 +103,7 @@ def order_key(v: ModelValue):
     if isinstance(v, MSet):
         return (4, tuple(order_key(x) for x in v.elements))
     if isinstance(v, MBag):
-        return (5, tuple(sorted(v._counts.items())))
+        return (5, tuple(sorted(v._counted().items())))
     if isinstance(v, MMap):
         return (6, tuple((order_key(k), order_key(w)) for k, w in v.pairs))
     if isinstance(v, MRel):
@@ -205,15 +211,7 @@ class MSeq:
         return sum(1 for x in self.items if x == v and type(x) is type(v))
 
     def to_bag(self) -> "MBag":
-        counts, firsts = {}, {}
-        for x in self.items:
-            k = order_key(x)
-            if k in counts:
-                counts[k] += 1
-            else:
-                counts[k] = 1
-                firsts[k] = x
-        return _keyed_bag(counts, firsts)
+        return _item_bag(self.items)
 
 
 def _key_order(keys):
@@ -315,10 +313,12 @@ def int_interval(l: int, u: int) -> MSet:
 class MBag:
     """Finite multiset.  ``_counts`` maps the ``order_key`` of each element
     to its multiplicity (>= 1), and ``_firsts`` maps it to the first element
-    seen with that key.  ``pairs``, the (element, multiplicity) tuple in
-    ascending key order, is built on first read and kept."""
+    seen with that key.  A bag made by ``MSeq.to_bag`` keeps the sequence's
+    ``_items`` and fills both maps from them on first need (``_counted``);
+    other bags have no items.  ``pairs``, the (element, multiplicity) tuple
+    in ascending key order, is built on first read and kept."""
 
-    __slots__ = ("_counts", "_firsts", "_pairs")
+    __slots__ = ("_items", "_counts", "_firsts", "_pairs")
 
     def __init__(self, pairs: Iterable[Tuple[ModelValue, int]] = ()):
         counts, firsts = {}, {}
@@ -332,15 +332,37 @@ class MBag:
                 else:
                     counts[k] = n
                     firsts[k] = x
+        self._items = None
         self._counts = counts
         self._firsts = firsts
         self._pairs = None
 
+    def _counted(self) -> dict:
+        """``_counts``, counted from ``_items`` if not yet."""
+        if self._counts is None:
+            counts, firsts = {}, {}
+            for x in self._items:
+                k = order_key(x)
+                if k in counts:
+                    counts[k] += 1
+                else:
+                    counts[k] = 1
+                    firsts[k] = x
+            self._firsts = firsts
+            self._counts = counts
+        return self._counts
+
     def __eq__(self, other):
-        return isinstance(other, MBag) and self._counts == other._counts
+        if not isinstance(other, MBag):
+            return False
+        mine, theirs = self._items, other._items
+        if (mine is not None and theirs is not None and mine == theirs
+                and list(map(type, mine)) == list(map(type, theirs))):
+            return True
+        return self._counted() == other._counted()
 
     def __hash__(self):
-        return hash(("MBag", frozenset(self._counts.items())))
+        return hash(("MBag", frozenset(self._counted().items())))
 
     def __repr__(self):
         return f"MBag({list(self.pairs)!r})"
@@ -348,9 +370,10 @@ class MBag:
     @property
     def pairs(self) -> tuple:
         if self._pairs is None:
+            counts = self._counted()
             firsts = self._firsts
             self._pairs = tuple([(firsts[k], n)
-                                 for k, n in sorted(self._counts.items())])
+                                 for k, n in sorted(counts.items())])
         return self._pairs
 
     @property
@@ -359,19 +382,25 @@ class MBag:
 
     @property
     def count(self) -> int:
+        if self._items is not None:
+            return len(self._items)
         return sum(self._counts.values())
 
     @property
     def is_empty(self) -> bool:
+        if self._items is not None:
+            return not self._items
         return not self._counts
 
     def multiplicity(self, v: ModelValue) -> int:
-        return self._counts.get(order_key(v), 0)
+        return self._counted().get(order_key(v), 0)
 
     def __getitem__(self, v: ModelValue) -> int:
         return self.multiplicity(v)
 
     def extended(self, v: ModelValue) -> "MBag":
+        if self._counts is None:
+            return _item_bag(self._items + (v,))
         k = order_key(v)
         counts, firsts = dict(self._counts), self._firsts
         if k in counts:
@@ -382,6 +411,13 @@ class MBag:
         return _keyed_bag(counts, firsts)
 
     def removed(self, v: ModelValue) -> "MBag":
+        if self._counts is None:
+            items = self._items
+            for i in range(len(items) - 1, -1, -1):
+                x = items[i]
+                if x == v and type(x) is type(v):
+                    return _item_bag(items[:i] + items[i + 1:])
+            raise DomainError("removing absent element")
         k = order_key(v)
         n = self._counts.get(k, 0)
         if n == 0:
@@ -400,8 +436,19 @@ def _keyed_bag(counts: dict, firsts: dict) -> MBag:
     """The bag of ``counts`` and ``firsts``, which are keyed alike and are
     not changed afterwards."""
     b = MBag.__new__(MBag)
+    b._items = None
     b._counts = counts
     b._firsts = firsts
+    b._pairs = None
+    return b
+
+
+def _item_bag(items: tuple) -> MBag:
+    """The bag of ``items``, not yet counted."""
+    b = MBag.__new__(MBag)
+    b._items = items
+    b._counts = None
+    b._firsts = None
     b._pairs = None
     return b
 
@@ -506,9 +553,10 @@ def _canonical_map(pairs: list) -> MMap:
 class MRel:
     """Finite set of ordered pairs; ``_keys`` holds the ``order_key`` pair
     of each, for ``==``, ``hash`` and ``has``.  ``has`` raises ``TypeError``
-    on an argument that is not a model value, as ``order_key`` does."""
+    on an argument that is not a model value, as ``order_key`` does.  The
+    domain is computed once, on first read."""
 
-    __slots__ = ("pairs", "_keys")
+    __slots__ = ("pairs", "_keys", "_domain")
 
     def __init__(self, pairs: Iterable[Tuple[ModelValue, ModelValue]] = ()):
         acc = [(x, y) for x, y in pairs]
@@ -517,6 +565,7 @@ class MRel:
             acc = _first_per_key(acc, keys)
         self.pairs = tuple(acc)
         self._keys = frozenset(keys)
+        self._domain = None
 
     def __eq__(self, other):
         return isinstance(other, MRel) and self._keys == other._keys
@@ -529,7 +578,9 @@ class MRel:
 
     @property
     def domain(self) -> MSet:
-        return MSet(x for x, _ in self.pairs)
+        if self._domain is None:
+            self._domain = MSet([x for x, _ in self.pairs])
+        return self._domain
 
     @property
     def count(self) -> int:

@@ -8,7 +8,8 @@ names to phases (``PHASES``) and wraps private functions by name
 file imports names from ``mbc`` and reads their attributes.  A renamed
 function makes the benchmark skip its hook or zero a metric silently, or
 fail its run, so each name is resolved here.  The benchmark is read, not
-imported."""
+imported.  How often a fixed script calls the functions at which
+``monitored-client`` cuts its timings is pinned too."""
 
 import ast
 import importlib
@@ -142,3 +143,75 @@ def test_hook_exists(name):
 @pytest.mark.parametrize("name", sorted(STALE))
 def test_stale_name_still_used(name):
     assert name in NAMES
+
+
+# -- the cut points of monitored-client -----------------------------------
+#
+# ``monitored-client`` times each checked call as the sum of its best
+# segments, cut at every call of these functions.  A change that calls
+# them more or less often moves the cuts, and can then read faster without
+# doing less work, so their counts over one fixed script are pinned.
+
+# Per container: (feature, argument) after make_empty; an argument is an
+# element token, ``LIST`` or None.  The last LinkedList call merges in a
+# list of one with the seeded merge_right fault on, a violation, so the
+# state texts are written.
+LIST = "<list>"
+SCRIPT = {
+    "Stack": [("put", t) for t in "abcab"] + [
+        ("count", None), ("is_empty", None), ("item", None),
+        ("remove", None), ("item", None), ("wipe_out", None)],
+    "Queue": [("put", t) for t in "abcab"] + [
+        ("count", None), ("item", None), ("remove", None), ("remove", None),
+        ("is_empty", None)],
+    "Collection": [("put", t) for t in "abcab"] + [
+        ("occurrences", "a"), ("occurrences", "z"), ("count", None),
+        ("wipe_out", None), ("is_empty", None)],
+    "LinkedList": [("put_right", t) for t in "abcab"] + [
+        ("forth", None), ("item", None), ("has", "c"), ("count", None),
+        ("start", None), ("forth", None), ("go_before", None),
+        ("merge_right", LIST)],
+}
+CUT_COUNTS = {"contracts.abstract_state": 97,
+              "contracts.serialize_state": 3,
+              "model_math.MBag.extended": 15,
+              "model_math.MSet.__init__": 0,
+              "model_math.MSeq.occurrences": 0}
+
+
+def test_cut_points_called_as_pinned(monkeypatch):
+    from mbc import contracts
+    from mbc.containers import FaultSwitch
+    from mbc.model_math import Ref
+
+    counts = dict.fromkeys(CUT_COUNTS, 0)
+    for dotted in CUT_COUNTS:
+        owner, _, name = dotted.rpartition(".")
+        module, *attrs = owner.split(".")
+        target = importlib.import_module(f"mbc.{module}")
+        for attr in attrs:
+            target = getattr(target, attr)
+
+        def counting(*args, _key=dotted, _real=getattr(target, name),
+                     **kwargs):
+            counts[_key] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(target, name, counting)
+
+    faults = FaultSwitch(merge_right_missing_link=True)
+    other = contracts.checked_constructor(contracts.REGISTRY["LinkedList"],
+                                          "make_empty")
+    contracts.checked_command(other, "put_right", [Ref("z")])
+    for spec_name, calls in SCRIPT.items():
+        spec = contracts.REGISTRY[spec_name]
+        obj = contracts.checked_constructor(spec, "make_empty", faults=faults)
+        for feature, arg in calls:
+            args = [] if arg is None else [other] if arg == LIST else [Ref(arg)]
+            if spec.features[feature].kind == "query":
+                contracts.checked_query(obj, feature, args)
+            else:
+                try:
+                    contracts.checked_command(obj, feature, args)
+                except contracts.ContractViolation:
+                    assert feature == "merge_right"
+    assert counts == CUT_COUNTS

@@ -179,6 +179,30 @@ class TestCollectionFamily:
             assert _linking_invariant(Ctx(new=s)) is linked, bag
 
 
+@pytest.mark.parametrize("name", ["Stack", "Queue"])
+def test_checked_dispenser_calls_count_no_bag(monkeypatch, name):
+    # Counts, not times: a dispenser's bags are compared with bags of the
+    # same items and asked for their counts, so no checked call keys the
+    # 16 elements of its bags one by one.
+    counted = []
+    real = MBag._counted
+
+    def counting(bag):
+        if bag._counts is None:
+            counted.append(bag)
+        return real(bag)
+
+    monkeypatch.setattr(MBag, "_counted", counting)
+    d = build(name)
+    for i in range(16):
+        checked_command(d, "put", [Ref(f"e{i:02d}")])
+    assert checked_query(d, "count") == 16
+    assert checked_query(d, "is_empty") is False
+    assert checked_query(d, "item") == Ref("e15" if name == "Stack" else "e00")
+    checked_command(d, "remove")
+    assert not counted
+
+
 class TestDispenserHeirs:
     # The clauses each heir adds to Dispenser's, in order.
     OWN = {"put": ["put/sequence"], "item": ["item/result"],
@@ -224,6 +248,19 @@ class TestEqSet:
         checked_command(e, "add", [B])  # equivalent to a: not added
         assert checked_query(e, "count") == 1
         assert checked_query(e, "has", [B]) is True
+
+    def test_equivalence_decided_once_per_relation(self):
+        # make's precondition and the relation_equivalence invariant after
+        # every call ask about one relation value.
+        from mbc.containers import _relation_is_equivalence
+        _relation_is_equivalence.cache_clear()
+        e = build("EqSet", "make", [total_relation([A, B])])
+        checked_command(e, "add", [A])
+        checked_command(e, "add", [B])
+        assert checked_query(e, "has", [B]) is True
+        build("EqSet", "make", [total_relation([Ref("a"), Ref("b")])])
+        info = _relation_is_equivalence.cache_info()
+        assert (info.misses, info.hits) == (1, 5)
 
     def test_non_equivalence_rejected(self):
         from mbc.model_math import MRel

@@ -186,6 +186,7 @@ class TestRelation:
         assert r.image_of(B) == MSet()
         assert r.has(A, B) and not r.has(B, A)
         assert r.domain == MSet([A])
+        assert r.domain is r.domain
 
     def test_builders(self):
         ident = identity_relation(UNIVERSE)
@@ -353,11 +354,12 @@ class TestCanonicalConstructors:
 
     def test_constructors_are_linear(self, monkeypatch):
         # Counts, not times: one bag for a whole sequence, and one order_key
-        # call per element.  A bag is built either by ``MBag.__init__`` or
-        # from counted dicts by ``_keyed_bag``; both are counted.
+        # call per element once it is counted.  A bag is built by
+        # ``MBag.__init__``, from counted dicts by ``_keyed_bag`` or from a
+        # sequence's items by ``_item_bag``; all three are counted.
         calls = {"order_key": 0, "bags": 0}
         real_key, real_init = model_math.order_key, MBag.__init__
-        real_keyed = model_math._keyed_bag
+        real_keyed, real_items = model_math._keyed_bag, model_math._item_bag
 
         def counting_key(v):
             calls["order_key"] += 1
@@ -367,19 +369,23 @@ class TestCanonicalConstructors:
             calls["bags"] += 1
             real_init(self, *args, **kwargs)
 
-        def counting_keyed(*args):
-            calls["bags"] += 1
-            return real_keyed(*args)
+        def counting(build):
+            def counted(*args):
+                calls["bags"] += 1
+                return build(*args)
+            return counted
 
         monkeypatch.setattr(model_math, "order_key", counting_key)
         monkeypatch.setattr(MBag, "__init__", counting_init)
-        monkeypatch.setattr(model_math, "_keyed_bag", counting_keyed)
+        monkeypatch.setattr(model_math, "_keyed_bag", counting(real_keyed))
+        monkeypatch.setattr(model_math, "_item_bag", counting(real_items))
         refs = [Ref(f"r{i:02d}") for i in range(64)]
         random.Random(0).shuffle(refs)
         bag = MSeq(refs).to_bag()
+        assert bag.count == 64
+        assert len(bag.pairs) == 64
         assert calls["bags"] == 1
         assert calls["order_key"] <= 64
-        assert bag.count == 64
         calls["order_key"] = 0
         assert MSet(refs).count == 64
         assert calls["order_key"] <= 64
@@ -398,6 +404,16 @@ def keyed(pairs):
     return [(order_key(x), n) for x, n in pairs]
 
 
+def item_bag(pairs):
+    """The bag of ``pairs`` as ``MSeq.to_bag`` builds it, not yet counted:
+    each element repeated in place, so the first of each key comes first."""
+    return MSeq([x for x, n in pairs for _ in range(n)]).to_bag()
+
+
+# Each bag test runs on a counted bag and on one counted only on need.
+BAG_MAKERS = (MBag, item_bag)
+
+
 class TestBagAlgebra:
     """Every bag operation against the quadratic reference.  Bags and
     probes may mix booleans and integers: a bag keys its elements by
@@ -406,10 +422,11 @@ class TestBagAlgebra:
     @PROPERTY
     @given(pair_lists(MULTIPLICITIES, max_size=12), MODEL_VALUES)
     def test_extended(self, pairs, v):
-        got = MBag(pairs).extended(v)
         want = reference_bag(pairs + [(v, 1)])
-        assert identical_pairs(got.pairs, want)
-        assert got == MBag(pairs + [(v, 1)])
+        for make in BAG_MAKERS:
+            got = make(pairs).extended(v)
+            assert identical_pairs(got.pairs, want)
+            assert got == MBag(pairs + [(v, 1)])
 
     @PROPERTY
     @given(pair_lists(MULTIPLICITIES, max_size=12), st.data())
@@ -420,56 +437,101 @@ class TestBagAlgebra:
         try:
             want = reference_removed(pairs, v)
         except DomainError:
-            with pytest.raises(DomainError, match="removing absent element"):
-                MBag(pairs).removed(v)
+            for make in BAG_MAKERS:
+                with pytest.raises(DomainError,
+                                   match="removing absent element"):
+                    make(pairs).removed(v)
             return
-        got = MBag(pairs).removed(v)
-        assert identical_pairs(got.pairs, want)
-        assert got == MBag(want)
+        for make in BAG_MAKERS:
+            got = make(pairs).removed(v)
+            assert identical_pairs(got.pairs, want)
+            assert got == MBag(want)
+
+    @PROPERTY
+    @given(pair_lists(MULTIPLICITIES, max_size=6), st.data())
+    def test_chains(self, pairs, data):
+        # extended and removed in turn, read before and after counting.
+        for make in BAG_MAKERS:
+            bag, want = make(pairs), reference_bag(pairs)
+            for _ in range(data.draw(st.integers(0, 8))):
+                held = [x for x, _ in want]
+                v = data.draw(st.sampled_from(held) if held and data.draw(
+                    st.booleans()) else MODEL_VALUES)
+                if data.draw(st.booleans()):
+                    bag, want = bag.extended(v), reference_bag(want + [(v, 1)])
+                else:
+                    try:
+                        want = reference_removed(want, v)
+                    except DomainError:
+                        with pytest.raises(DomainError,
+                                           match="removing absent element"):
+                            bag.removed(v)
+                        continue
+                    bag = bag.removed(v)
+                assert bag.count == sum(n for _, n in want)
+                assert bag.is_empty == (not want)
+                if data.draw(st.booleans()):
+                    assert identical_pairs(bag.pairs, want)
+            assert identical_pairs(bag.pairs, want)
+            assert bag == MBag(want) and hash(bag) == hash(MBag(want))
 
     @PROPERTY
     @given(pair_lists(MULTIPLICITIES, max_size=12), MODEL_VALUES)
     def test_multiplicity_count_domain(self, pairs, v):
-        bag, want = MBag(pairs), reference_bag(pairs)
-        assert bag.multiplicity(v) == bag[v] == sum(
-            n for x, n in want if same_key(x, v))
-        assert bag.count == sum(n for _, n in want)
-        assert bag.is_empty == (not want)
-        assert identical(bag.domain.elements, [x for x, _ in want])
+        want = reference_bag(pairs)
+        for make in BAG_MAKERS:
+            bag = make(pairs)
+            for _ in range(2):  # before the first multiplicity counts the bag
+                assert bag.count == sum(n for _, n in want)
+                assert bag.is_empty == (not want)
+                assert bag.multiplicity(v) == bag[v] == sum(
+                    n for x, n in want if same_key(x, v))
+            assert identical(bag.domain.elements, [x for x, _ in want])
 
     @PROPERTY
     @given(pair_lists(MULTIPLICITIES, max_size=8),
            pair_lists(MULTIPLICITIES, max_size=8), st.randoms())
     def test_eq_and_hash(self, pairs, others, rnd):
+        # Counted and uncounted bags in both orders: compared fresh, after
+        # hashing, and after counting.
         shuffled = list(pairs)
         rnd.shuffle(shuffled)
-        bag = MBag(pairs)
-        assert bag == MBag(shuffled) and hash(bag) == hash(MBag(shuffled))
-        other = MBag(others)
         same = keyed(reference_bag(pairs)) == keyed(reference_bag(others))
-        assert (bag == other) == same and (bag != other) == (not same)
-        if same:
-            assert hash(bag) == hash(other)
+        for make, make_other in itertools.product(BAG_MAKERS, repeat=2):
+            for first in (lambda b: None, hash, lambda b: b.pairs):
+                bags = make(pairs), make_other(shuffled), make_other(others)
+                for b in bags:
+                    first(b)
+                bag, again, other = bags
+                assert bag == again and again == bag
+                assert (bag == other) == (other == bag) == same
+                assert (bag != other) == (not same)
+                assert hash(bag) == hash(again)
+                if same:
+                    assert hash(bag) == hash(other)
 
     def test_bool_and_int_are_distinct_elements(self):
         # ROADMAP 1(a) for bags: equality and membership agree with
         # order_key, so equal bags hash alike.
-        one, true = MBag([(1, 1)]), MBag([(True, 1)])
-        assert one != true
-        assert true.multiplicity(1) == 0 and true[True] == 1
-        with pytest.raises(DomainError):
-            true.removed(1)
-        both = MBag([(1, 1), (True, 2)])
-        assert both.removed(1) == MBag([(True, 2)])
-        bags = [one, true, both, MBag([(True, 2), (1, 1)]), MBag()]
-        for b, c in itertools.product(bags, repeat=2):
-            assert (b == c) == (keyed(b.pairs) == keyed(c.pairs))
-            if b == c:
-                assert hash(b) == hash(c)
+        assert MSeq([1]).to_bag() != MSeq([True]).to_bag()
+        for make in BAG_MAKERS:
+            one, true = make([(1, 1)]), make([(True, 1)])
+            assert one != true
+            assert true.multiplicity(1) == 0 and true[True] == 1
+            with pytest.raises(DomainError):
+                true.removed(1)
+            both = make([(1, 1), (True, 2)])
+            assert both.removed(1) == MBag([(True, 2)])
+            bags = [one, true, both, make([(True, 2), (1, 1)]), make([])]
+            for b, c in itertools.product(bags, repeat=2):
+                assert (b == c) == (keyed(b.pairs) == keyed(c.pairs))
+                if b == c:
+                    assert hash(b) == hash(c)
 
     def test_pairs_built_once(self):
-        bag = MBag([(B, 1), (A, 2)])
-        assert bag.pairs is bag.pairs == ((A, 2), (B, 1))
+        for make in BAG_MAKERS:
+            bag = make([(B, 1), (A, 2)])
+            assert bag.pairs is bag.pairs == ((A, 2), (B, 1))
 
 
 def same_ints(got, want):
@@ -593,11 +655,12 @@ class TestKeyedMembership:
 
     @pytest.mark.parametrize("op", ["extended", "multiplicity"])
     def test_bag_lookup_makes_one_order_key_and_no_ref_eq(self, monkeypatch, op):
-        # Counts, not times: a bag looks its argument up by key, without
-        # re-keying its 16 elements or scanning them with ==.
+        # Counts, not times: a counted bag looks its argument up by key,
+        # without re-keying its 16 elements or scanning them with ==.
         refs = [Ref(f"r{i:02d}") for i in range(16)]
         random.Random(1).shuffle(refs)
         bag = MSeq(refs).to_bag()
+        assert len(bag.pairs) == 16
         keys = []
         real_key = model_math.order_key
         monkeypatch.setattr(model_math, "order_key",
@@ -607,6 +670,18 @@ class TestKeyedMembership:
             keys.clear()
             getattr(bag, op)(probe)
             assert len(keys) == 1 and not calls
+
+    def test_uncounted_extended_makes_no_order_key_and_no_ref_eq(
+            self, monkeypatch):
+        bag = MSeq([Ref(f"r{i:02d}") for i in range(16)]).to_bag()
+        keys = []
+        real_key = model_math.order_key
+        monkeypatch.setattr(model_math, "order_key",
+                            lambda v: keys.append(1) or real_key(v))
+        calls = count_ref_eq(monkeypatch)
+        for probe in (Ref("r07"), Ref("zz")):
+            assert bag.extended(probe).count == 17
+        assert not keys and not calls
 
     def test_rel_has_agrees_with_image_and_domain_on_bool_int(self):
         # ROADMAP 1(a): ``has``, ``image_of`` and ``domain`` all key by
@@ -638,6 +713,7 @@ def _values_of(inner):
         st.builds(MSeq, items), st.builds(MSet, items),
         st.builds(MBag, st.lists(st.tuples(inner, st.integers(0, 2)),
                                  max_size=3)),
+        items.map(lambda xs: MSeq(xs).to_bag()),
         pairs.map(map_of), st.builds(MRel, pairs))
 
 
