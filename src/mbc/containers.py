@@ -13,6 +13,18 @@ is a subclass of ``Stack``, a stand-in that reaches every abstract state.
 Model queries read the *concrete* structure (e.g. ``LinkedList.sequence``
 walks the cell chain), which is what lets model clauses catch faults that
 cached fields hide.
+
+Two model queries build their map without a sort, through
+``model_math._canonical_map``, because their walk yields the keys distinct
+and ascending by ``order_key`` already.  ``ArrayT.model_map``'s keys are
+``lower + i`` for ascending ``i``.  ``BinaryTree.model_map`` walks the tree
+in preorder, left before right, and each path is a sequence of booleans
+(``False`` < ``True``): a node's path comes before its subtrees' longer
+paths, and the left subtree's paths before the right's, which is ascending
+order.  Each key is one position or one node, so no key repeats, and the
+duplicate-key check of ``MMap`` could never fire on them.  A walk of any
+other order would build a map that is not canonical, so the tests compare
+both maps with the sorted ``MMap`` of the same pairs.
 """
 
 from __future__ import annotations
@@ -25,7 +37,9 @@ from .contracts import (
     AbstractState, Clause, ContainerSpec, Feature, ModelSignature, refine,
     register,
 )
-from .model_math import MBag, MMap, MRel, MSeq, MSet, Ref, int_interval
+from .model_math import (
+    MBag, MMap, MRel, MSeq, MSet, Ref, _canonical_map, int_interval,
+)
 
 _ref_counter = itertools.count()
 
@@ -314,7 +328,8 @@ class ArrayT:
         self.capacity = upper - lower + 1
 
     def model_map(self) -> MMap:
-        return MMap((self.lower + i, v) for i, v in enumerate(self.store))
+        return _canonical_map([(self.lower + i, v)
+                               for i, v in enumerate(self.store)])
 
     def model_capacity(self) -> int:
         return self.capacity
@@ -710,7 +725,7 @@ class BinaryTree:
                 pairs.append((MSeq(path), node.item))
                 todo += [(node.right, path + [True]),
                          (node.left, path + [False])]
-        return MMap(pairs)
+        return _canonical_map(pairs)
 
     def _node_at(self, path: MSeq):
         node = self.root

@@ -9,12 +9,34 @@ Identity is :func:`order_key`: two model values are equal exactly when their
 keys are, ``hash`` follows the key, and every membership test (``has``,
 ``occurrences``, ``has_key``, ``item``, ``image_of``, ``multiplicity``)
 matches by it, so ``True`` and ``1`` are distinct everywhere.  ``__eq__`` and
-the scans test ``==``, then the type: nested values follow this rule, and
-only a ``bool`` and an ``int`` are ``==`` under different keys.  The
-constructors of ``MSet`` and ``MRel`` compute the key once per entry, sort
-once, and merge neighbours with equal keys, keeping an element's first
-occurrence (``MRel`` keeps the keys, for ``==``, ``hash`` and ``has``);
-``MMap`` sorts its keys so and rejects equal neighbours.
+the scans (``MSeq.has`` and ``occurrences``, ``MMap.is_constant``) test
+``==``, then the type: nested values follow this rule, and only a ``bool``
+and an ``int`` are ``==`` under different keys.  The constructors of
+``MSet`` and ``MRel`` compute the key once per entry, sort once, and merge
+neighbours with equal keys, keeping an element's first occurrence (``MRel``
+keeps the keys, for ``==``, ``hash`` and ``has``); ``MMap`` sorts its keys
+so and rejects equal neighbours.
+
+Lookups are keyed, not scanned: one ``order_key`` call for the probe, then
+a dict lookup.  ``MSet.has`` reads the set's index, from each element's key
+to its position, built on the first lookup; an ``int_interval`` and a
+sequence's domain get an index that computes the position from the key.
+``MMap.has_key``, ``item``, ``replaced_at`` and ``updated`` read the index
+of the map's domain, whose elements are the keys in the same order;
+``updated`` bisects the index's ascending keys for a new key's place, so
+no map is sorted again.  ``MRel.image_of`` reads a map from each first
+component's key to its image, built on the first call from the stored
+pairs, which ascend by key already.  ``MRel.has`` reads the stored keys.
+A probe that is not a model value has no key and is found nowhere: ``has``
+and ``has_key`` give False, ``item`` raises ``DomainError`` and
+``image_of`` gives the empty set (``MRel.has`` raises ``TypeError``).
+
+Memos are not state.  An index, a domain (``MMap``, ``MRel``), the images
+(``MRel``), and a bag's sorted ``pairs`` and, for a bag of items, its
+counts are computed on first need and kept, so a value shared between
+states pays for them once.  ``copy``, ``deepcopy`` and ``pickle`` carry the
+value alone (``_Value``, ``MBag.__getstate__``) and leave every memo
+unset: a value pickles to the same bytes before and after it is read.
 An ``MBag`` is a map from ``order_key`` to multiplicity, with the first
 element seen for each key, and no sort: equality, hashing,
 ``multiplicity``, ``extended`` and ``removed`` work on that map, one key
@@ -35,16 +57,19 @@ fills the per-length tuple free lists and raises peak memory.
 
 Values derived from an already canonical value skip the sort: the domains
 of ``MSeq``, ``MBag`` and ``MMap``, ``int_interval``, ``MSet.intersection``
-and ``difference``, and ``MMap.restricted`` and ``replaced_at`` go through
+and ``difference``, the images of ``MRel.image_of``, and
+``MMap.restricted``, ``replaced_at`` and ``updated`` go through
 ``_canonical_set`` or ``_canonical_map``.  Their input is an ascending
-``range``, or the stored entries in order, or a subsequence of them: keys
-already distinct and ascending by ``order_key``, which is the tuple the
-sorting constructor would build.
-An ``MMap`` and an ``MRel`` compute their domain once, on first read.
+``range``, or the stored entries in order, or a subsequence of them, or
+(``updated``) the stored entries with one key put in its bisected place:
+keys already distinct and ascending by ``order_key``, which is the tuple
+the sorting constructor would build.  The model queries of ``containers``
+that walk their keys in ascending order call ``_canonical_map`` too.
 """
 
 from __future__ import annotations
 
+import bisect
 from typing import Callable, Iterable, Iterator, Tuple
 
 INT_MIN = -(2**63)
@@ -99,9 +124,9 @@ def order_key(v: ModelValue):
     if isinstance(v, int):
         return (1, v)
     if isinstance(v, MSeq):
-        return (3, tuple(order_key(x) for x in v.items))
+        return (3, tuple([order_key(x) for x in v.items]))
     if isinstance(v, MSet):
-        return (4, tuple(order_key(x) for x in v.elements))
+        return (4, tuple([order_key(x) for x in v.elements]))
     if isinstance(v, MBag):
         return (5, tuple(sorted(v._counted().items())))
     if isinstance(v, MMap):
@@ -109,6 +134,35 @@ def order_key(v: ModelValue):
     if isinstance(v, MRel):
         return (7, tuple((order_key(x), order_key(y)) for x, y in v.pairs))
     raise TypeError(f"not a model value: {v!r}")
+
+
+def _probe_key(v):
+    """``order_key(v)``, or None when ``v`` is not a model value.  No index
+    holds None, so such a probe is found nowhere, as the scan with ``==``
+    and the type found it nowhere."""
+    try:
+        return order_key(v)
+    except TypeError:
+        return None
+
+
+class _Value:
+    """Base of ``MSet``, ``MMap`` and ``MRel``.  ``_STATE`` names the slots
+    that hold the value; every other slot is a memo, derived from them on
+    first need.  Copies and pickles carry the ``_STATE`` slots alone and
+    leave every memo unset, so filling a memo changes neither."""
+
+    __slots__ = ()
+    _STATE: Tuple[str, ...] = ()
+
+    def __getstate__(self):
+        return tuple([getattr(self, name) for name in self._STATE])
+
+    def __setstate__(self, state):
+        for name in self.__slots__:
+            setattr(self, name, None)
+        for name, value in zip(self._STATE, state):
+            setattr(self, name, value)
 
 
 def to_text(v: ModelValue) -> str:
@@ -198,7 +252,7 @@ class MSeq:
 
     @property
     def domain(self) -> "MSet":
-        return _canonical_set(list(range(1, self.count + 1)))
+        return _int_range(1, self.count)
 
     @property
     def range(self) -> "MSet":
@@ -231,16 +285,20 @@ def _first_per_key(items, keys):
     return kept
 
 
-class MSet:
-    """Finite set of distinct model values, stored in canonical order."""
+class MSet(_Value):
+    """Finite set of distinct model values, stored in canonical order.
+    ``_index`` gives the position of each element's ``order_key``: a dict
+    built on the first lookup and kept, or an ``_IntRange``."""
 
-    __slots__ = ("elements",)
+    __slots__ = ("elements", "_index")
+    _STATE = ("elements",)
 
     def __init__(self, elements: Iterable[ModelValue] = ()):
         xs = list(elements)
         if len(xs) > 1:
             xs = _first_per_key(xs, [order_key(x) for x in xs])
         self.elements = tuple(xs)
+        self._index = None
 
     def __eq__(self, other):
         return (isinstance(other, MSet) and self.elements == other.elements
@@ -263,8 +321,13 @@ class MSet:
     def is_empty(self) -> bool:
         return not self.elements
 
+    def _positions(self) -> dict:
+        if self._index is None:
+            self._index = {order_key(x): i for i, x in enumerate(self.elements)}
+        return self._index
+
     def has(self, v: ModelValue) -> bool:
-        return any(x == v and type(x) is type(v) for x in self.elements)
+        return _probe_key(v) in self._positions()
 
     def union(self, other: "MSet") -> "MSet":
         return MSet(self.elements + other.elements)
@@ -296,6 +359,34 @@ def _canonical_set(xs: list) -> MSet:
     ``order_key`` order already."""
     s = MSet.__new__(MSet)
     s.elements = tuple(xs)
+    s._index = None
+    return s
+
+
+class _IntRange:
+    """The index of the set {lo, ..., hi} of integers, without a dict: the
+    key ``(1, i)`` is at position ``i - lo``.  It answers ``in`` and
+    ``get``, which are all that lookups in a set ask of its index."""
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: int, hi: int):
+        self.lo = lo
+        self.hi = hi
+
+    def get(self, key):
+        if key is not None and key[0] == 1 and self.lo <= key[1] <= self.hi:
+            return key[1] - self.lo
+        return None
+
+    def __contains__(self, key) -> bool:
+        return self.get(key) is not None
+
+
+def _int_range(lo: int, hi: int) -> MSet:
+    """The set {lo, ..., hi}, with its index."""
+    s = _canonical_set(list(range(lo, hi + 1)))
+    s._index = _IntRange(lo, hi)
     return s
 
 
@@ -307,7 +398,7 @@ def int_interval(l: int, u: int) -> MSet:
         return MSet()
     if u - l >= 10**6:
         raise OverflowReported(f"interval [{l},{u}] too large to expand")
-    return _canonical_set(list(range(l, u + 1)))
+    return _int_range(l, u)
 
 
 class MBag:
@@ -316,9 +407,20 @@ class MBag:
     seen with that key.  A bag made by ``MSeq.to_bag`` keeps the sequence's
     ``_items`` and fills both maps from them on first need (``_counted``);
     other bags have no items.  ``pairs``, the (element, multiplicity) tuple
-    in ascending key order, is built on first read and kept."""
+    in ascending key order, is built on first read and kept.  Copies and
+    pickles carry the items of a bag of items, the two maps of any other
+    bag, and no ``pairs``."""
 
     __slots__ = ("_items", "_counts", "_firsts", "_pairs")
+
+    def __getstate__(self):
+        if self._items is not None:
+            return (self._items, None, None)
+        return (None, self._counts, self._firsts)
+
+    def __setstate__(self, state):
+        self._items, self._counts, self._firsts = state
+        self._pairs = None
 
     def __init__(self, pairs: Iterable[Tuple[ModelValue, int]] = ()):
         counts, firsts = {}, {}
@@ -453,10 +555,14 @@ def _item_bag(items: tuple) -> MBag:
     return b
 
 
-class MMap:
-    """Finite partial function from model values to model values."""
+class MMap(_Value):
+    """Finite partial function from model values to model values.  Its
+    domain is computed once, on first read, and the domain's index serves
+    the key lookups: the domain's elements are the keys, in the same
+    order."""
 
     __slots__ = ("pairs", "_domain")
+    _STATE = ("pairs",)
 
     def __init__(self, pairs: Iterable[Tuple[ModelValue, ModelValue]] = ()):
         acc = [(k, v) for k, v in pairs]
@@ -500,26 +606,41 @@ class MMap:
         return not self.pairs
 
     def has_key(self, k: ModelValue) -> bool:
-        return any(y == k and type(y) is type(k) for y, _ in self.pairs)
+        return self.domain.has(k)
+
+    def _position(self, k: ModelValue):
+        """The position of key ``k`` in ``pairs``, or None."""
+        return self.domain._positions().get(_probe_key(k))
 
     def item(self, k: ModelValue) -> ModelValue:
-        for y, v in self.pairs:
-            if y == k and type(y) is type(k):
-                return v
-        raise DomainError(f"absent key {k!r}")
+        i = self._position(k)
+        if i is None:
+            raise DomainError(f"absent key {k!r}")
+        return self.pairs[i][1]
 
     def __getitem__(self, k: ModelValue) -> ModelValue:
         return self.item(k)
 
     def replaced_at(self, k: ModelValue, v: ModelValue) -> "MMap":
-        if not self.has_key(k):
+        i = self._position(k)
+        if i is None:
             raise DomainError(f"replaced_at on absent key {k!r}")
-        return _canonical_map([(y, v if y == k and type(y) is type(k) else w)
-                               for y, w in self.pairs])
+        pairs = list(self.pairs)
+        pairs[i] = (pairs[i][0], v)
+        return _canonical_map(pairs)
 
     def updated(self, k: ModelValue, v: ModelValue) -> "MMap":
-        return MMap([(y, w) for y, w in self.pairs
-                     if not (y == k and type(y) is type(k))] + [(k, v)])
+        # A map's domain index is a dict whose keys ascend, so the
+        # bisection finds where a new ``k`` goes.
+        positions = self.domain._positions()
+        key = order_key(k)
+        pairs = list(self.pairs)
+        i = positions.get(key)
+        if i is None:
+            pairs.insert(bisect.bisect_left(list(positions), key), (k, v))
+        else:
+            pairs[i] = (k, v)
+        return _canonical_map(pairs)
 
     def restricted(self, keys: MSet) -> "MMap":
         return _canonical_map([(y, w) for y, w in self.pairs if keys.has(y)])
@@ -550,13 +671,15 @@ def _canonical_map(pairs: list) -> MMap:
     return m
 
 
-class MRel:
+class MRel(_Value):
     """Finite set of ordered pairs; ``_keys`` holds the ``order_key`` pair
     of each, for ``==``, ``hash`` and ``has``.  ``has`` raises ``TypeError``
     on an argument that is not a model value, as ``order_key`` does.  The
-    domain is computed once, on first read."""
+    domain is computed once, on first read, and so is ``_images``, which
+    maps the ``order_key`` of each first component to its image."""
 
-    __slots__ = ("pairs", "_keys", "_domain")
+    __slots__ = ("pairs", "_keys", "_domain", "_images")
+    _STATE = ("pairs", "_keys")
 
     def __init__(self, pairs: Iterable[Tuple[ModelValue, ModelValue]] = ()):
         acc = [(x, y) for x, y in pairs]
@@ -566,6 +689,7 @@ class MRel:
         self.pairs = tuple(acc)
         self._keys = frozenset(keys)
         self._domain = None
+        self._images = None
 
     def __eq__(self, other):
         return isinstance(other, MRel) and self._keys == other._keys
@@ -590,7 +714,15 @@ class MRel:
         return (order_key(x), order_key(y)) in self._keys
 
     def image_of(self, x: ModelValue) -> MSet:
-        return MSet(b for a, b in self.pairs if a == x and type(a) is type(x))
+        if self._images is None:
+            # The pairs ascend by the first component's key, then by the
+            # second's, so each image is distinct and ascending already.
+            images = {}
+            for a, b in self.pairs:
+                images.setdefault(order_key(a), []).append(b)
+            self._images = {k: _canonical_set(bs) for k, bs in images.items()}
+        image = self._images.get(_probe_key(x))
+        return _canonical_set([]) if image is None else image
 
 
 def identity_relation(universe: Iterable[ModelValue]) -> MRel:

@@ -4,8 +4,11 @@ import gc
 
 import pytest
 
+from mbc.autotest import TestBudget, run_campaign
+from mbc.checkers import EnumerationConfig, state_space
 from mbc.containers import (
-    ALL_SPECS, CONTAINER_NAMES, FaultSwitch, LinkedList, Queue, Stack,
+    ALL_SPECS, CONTAINER_NAMES, ArrayT, BinaryTree, FaultSwitch, LinkedList,
+    Queue, Stack,
 )
 from mbc.contracts import (
     ContractViolation, PreconditionRejected, REGISTRY, abstract_state,
@@ -301,6 +304,42 @@ class TestBinaryTree:
         checked_command(t, "add_root", [A])
         with pytest.raises(PreconditionRejected):
             checked_command(t, "put_child", [MSeq([True]), False, B])
+
+
+def canonical(m):
+    """Whether ``m`` holds the very pairs, in the very order, that the
+    sorting constructor builds from them."""
+    want = MMap(m.pairs).pairs
+    return len(m.pairs) == len(want) and all(
+        k is y and v is w for (k, v), (y, w) in zip(m.pairs, want))
+
+
+class TestCanonicalWalks:
+    """``ArrayT.model_map`` and ``BinaryTree.model_map`` skip the sort, so
+    their walks must yield the keys in ascending ``order_key`` order."""
+
+    @pytest.mark.parametrize("cfg", [EnumerationConfig(),
+                                     EnumerationConfig(universe=3, max_size=4)],
+                             ids=["default", "universe3-size4"])
+    @pytest.mark.parametrize("name", ["ArrayT", "BinaryTree"])
+    def test_every_representative(self, name, cfg):
+        reps = state_space(name, cfg)
+        maps = [e.obj.model_map() for e in reps]
+        assert all(canonical(m) for m in maps)
+        assert max(m.count for m in maps) >= 3
+
+    def test_every_campaign_object(self, monkeypatch):
+        maps = []
+        for cls in (ArrayT, BinaryTree):
+            def recorded(self, real=cls.model_map):
+                maps.append(real(self))
+                return maps[-1]
+            monkeypatch.setattr(cls, "model_map", recorded)
+        r = run_campaign(["ArrayT", "BinaryTree"],
+                         TestBudget(max_calls=2000, seed=23))
+        assert r.violations == 0
+        assert all(canonical(m) for m in maps)
+        assert max(m.count for m in maps) >= 6
 
 
 def test_every_spec_registered():

@@ -3,7 +3,9 @@ property tests of the canonical constructors against a quadratic
 reference, and of the one identity rule (``order_key``) for ``==``,
 ``hash`` and membership."""
 
+import copy
 import itertools
+import pickle
 import random
 import re
 
@@ -626,8 +628,9 @@ def count_ref_eq(monkeypatch):
 
 
 class TestKeyedMembership:
-    """``MMap``'s duplicate-key check, ``MRel.has`` and the bag operations
-    key by ``order_key``, without a scan over ``==``."""
+    """``MMap``'s duplicate-key check, the lookups of sets, maps and
+    relations, and the bag operations key by ``order_key``, without a scan
+    over ``==``."""
 
     def test_map_keeps_one_and_true_apart(self):
         m = MMap([(1, "a"), (True, "b")])
@@ -682,6 +685,56 @@ class TestKeyedMembership:
         for probe in (Ref("r07"), Ref("zz")):
             assert bag.extended(probe).count == 17
         assert not keys and not calls
+
+    @pytest.mark.parametrize("lookup", [
+        "set has", "map has_key", "map item", "map replaced_at",
+        "map updated", "relation image_of"])
+    def test_indexed_lookup_makes_one_order_key_and_no_ref_eq(
+            self, monkeypatch, lookup):
+        # Counts, not times: once its index is built, a value looks a probe
+        # up with the probe's one key, without a scan over ==.
+        refs = [Ref(f"r{i:02d}") for i in range(16)]
+        random.Random(1).shuffle(refs)
+        kind, op = lookup.split()
+        value = {"set": MSet(refs), "map": MMap([(r, A) for r in refs]),
+                 "relation": MRel([(r, s) for r in refs for s in (A, B)])}[kind]
+        args = {"replaced_at": (B,), "updated": (B,)}.get(op, ())
+        getattr(value, op)(refs[0], *args)
+        keys = []
+        real_key = model_math.order_key
+        monkeypatch.setattr(model_math, "order_key",
+                            lambda v: keys.append(1) or real_key(v))
+        calls = count_ref_eq(monkeypatch)
+        for probe in (Ref("r07"), Ref("zz")):
+            keys.clear()
+            try:
+                getattr(value, op)(probe, *args)
+            except DomainError:
+                assert op in ("item", "replaced_at") and probe.token == "zz"
+            assert len(keys) == 1 and not calls
+
+    def test_probe_that_is_not_a_model_value(self):
+        # As the scans gave: found nowhere, and ``item`` raises
+        # DomainError, though ``order_key`` raises TypeError on the probe.
+        s, m, r = MSet([A, 1, MSeq([B])]), MMap([(A, B), (1, B)]), MRel([(A, B)])
+        interval = int_interval(0, 3)
+        for probe in (object(), None, 1.0, "a", (A,), MSeq([object()])):
+            assert not s.has(probe) and not m.has_key(probe)
+            assert not interval.has(probe) and not MSeq([A]).domain.has(probe)
+            with pytest.raises(DomainError):
+                m.item(probe)
+            assert r.image_of(probe) == MSet()
+
+    def test_integer_range_index(self):
+        # int_interval and a sequence's domain index their integers
+        # without a dict: only those integers are in them.
+        for s, lo, hi in [(int_interval(-2, 3), -2, 3),
+                          (MSeq([A, B, A]).domain, 1, 3),
+                          (MSeq().domain, 1, 0), (int_interval(2, 1), 2, 1)]:
+            for v in range(-4, 6):
+                assert s.has(v) == (lo <= v <= hi)
+            assert not s.has(True) and not s.has(False)
+            assert not s.has(MSeq([1])) and not s.has(A)
 
     def test_rel_has_agrees_with_image_and_domain_on_bool_int(self):
         # ROADMAP 1(a): ``has``, ``image_of`` and ``domain`` all key by
@@ -833,3 +886,134 @@ class TestOneIdentity:
             assert r.domain.has(x) == bool(image)
             for y in probes(r, other):
                 assert r.has(x, y) == any(same_key(b, y) for b in image)
+
+
+# -- keyed lookups agree with the scans they replaced ------------------------
+
+NESTED = st.recursive(ATOMS, _values_of, max_leaves=6)
+
+
+def scan_hits(held, v):
+    """The positions at which the scan that the keyed lookups replaced
+    finds ``v`` among ``held``: ``==``, then the type."""
+    return [i for i, x in enumerate(held) if x == v and type(x) is type(v)]
+
+
+class TestKeyedLookups:
+    """``has``, ``has_key``, ``item``, ``image_of``, ``replaced_at`` and
+    ``updated`` give what the scan with ``==`` and the type gave, for
+    nested values of every class that mix ``True`` with 1 and ``False``
+    with 0.  CI runs these under several hash seeds: the indexes hash
+    keys, and no hash order may reach an answer."""
+
+    @PROPERTY
+    @given(st.lists(NESTED, max_size=6), NESTED)
+    def test_set_has(self, xs, other):
+        s = MSet(xs)
+        for v in probes(s, other):
+            assert s.has(v) == bool(scan_hits(s.elements, v))
+
+    @PROPERTY
+    @given(st.lists(st.tuples(NESTED, NESTED), max_size=6), NESTED)
+    def test_map_has_key_and_item(self, pairs, other):
+        m = map_of(pairs)
+        keys = [k for k, _ in m.pairs]
+        for k in probes(m, other):
+            hits = scan_hits(keys, k)
+            assert m.has_key(k) == bool(hits)
+            if hits:
+                assert m.item(k) is m.pairs[hits[0]][1]
+            else:
+                with pytest.raises(DomainError):
+                    m.item(k)
+
+    @PROPERTY
+    @given(st.lists(st.tuples(NESTED, NESTED), max_size=6), NESTED)
+    def test_map_replaced_at_and_updated(self, pairs, other):
+        m = map_of(pairs)
+        for k in probes(m, other):
+            want = MMap([(y, w) for y, w in m.pairs
+                         if not (y == k and type(y) is type(k))] + [(k, B)])
+            assert identical_entries(m.updated(k, B).pairs, want.pairs)
+            if m.has_key(k):
+                want = MMap([(y, B if y == k and type(y) is type(k) else w)
+                             for y, w in m.pairs])
+                assert identical_entries(m.replaced_at(k, B).pairs, want.pairs)
+
+    @PROPERTY
+    @given(st.lists(st.tuples(NESTED, NESTED), max_size=6), NESTED)
+    def test_relation_image_of(self, pairs, other):
+        r = MRel(pairs)
+        for x in probes(r, other):
+            want = MSet([b for a, b in r.pairs if a == x and type(a) is type(x)])
+            assert identical(r.image_of(x).elements, want.elements)
+
+
+def identical_entries(got, want):
+    return len(got) == len(want) and all(
+        a[0] is b[0] and a[1] is b[1] for a, b in zip(got, want))
+
+
+# -- memos are not state -----------------------------------------------------
+
+
+def memos(v):
+    """The memo slots of ``v``: every slot but the value's own."""
+    if isinstance(v, MBag):
+        return [v._pairs] + ([v._counts, v._firsts] if v._items is not None
+                             else [])
+    return [getattr(v, n) for n in type(v).__slots__ if n not in v._STATE]
+
+
+def use(v):
+    """Read ``v`` so that it fills its memos; return what it answered."""
+    if isinstance(v, MSet):
+        return [v.has(A), v.has(2), v.has(True)]
+    if isinstance(v, MMap):
+        return [v.domain, v.has_key(A), v.item(A), v.updated(B, 1),
+                v.replaced_at(A, B)]
+    if isinstance(v, MRel):
+        return [v.domain, v.image_of(A), v.image_of(1), v.has(A, B)]
+    return [v.pairs, v.multiplicity(A)]
+
+
+KEEPING_MEMOS = {
+    "set": lambda: MSet([B, A, True, 1]),
+    "interval": lambda: int_interval(1, 4),
+    "sequence domain": lambda: MSeq([A, B]).domain,
+    "map": lambda: MMap([(B, True), (A, 1)]),
+    "relation": lambda: total_relation([A, B, 1]),
+    "bag": lambda: MBag([(B, 1), (A, 2)]),
+    "bag of items": lambda: MSeq([A, B, A]).to_bag(),
+}
+
+
+class TestMemosAreNotState:
+    """An index, a domain, the images and a bag's pairs and counts are
+    memos: ``copy``, ``deepcopy`` and ``pickle`` carry the value alone, so
+    a value pickles to the same bytes before and after it is read, and a
+    copy starts with every memo unset and answers alike."""
+
+    @pytest.mark.parametrize("kind", list(KEEPING_MEMOS))
+    def test_round_trip_after_memos_filled(self, kind):
+        v = KEEPING_MEMOS[kind]()
+        before = pickle.dumps(v)
+        answers = use(v)
+        assert any(m is not None for m in memos(v))
+        assert pickle.dumps(v) == before
+        for c in (copy.copy(v), copy.deepcopy(v), pickle.loads(before)):
+            assert type(c) is type(v) and c is not v
+            assert all(m is None for m in memos(c))
+            assert c == v and hash(c) == hash(v) and to_text(c) == to_text(v)
+            assert order_key(c) == order_key(v)
+            assert use(c) == answers
+
+    def test_nested_memos_do_not_reach_the_pickle(self):
+        def make():
+            return MSeq([MSet([MMap([(A, B)]), total_relation([A, B])])])
+        used, fresh = make(), make()
+        inner = used.items[0]
+        m, r = inner.elements
+        use(m), use(r), use(inner)
+        assert pickle.dumps(used) == pickle.dumps(fresh)
+        assert copy.deepcopy(used) == used
