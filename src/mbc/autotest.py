@@ -181,20 +181,23 @@ def _decode_trace(trace):
     return spec, steps
 
 
-def _call(spec, obj, feature, args, faults, mode):
+def _call(spec, obj, feature, args, faults, mode, old=None):
     """Make one checked call of ``feature`` and return what it returns:
-    a constructor's new object, a command's poststate, a query's result."""
+    a constructor's new object, a command's poststate, a query's result.
+    A command or query takes ``old``, the target's held state, as its
+    prestate; None takes a fresh one."""
     if feature.kind == "constructor":
         return checked_constructor(spec, feature.name, args, mode=mode,
                                    faults=faults)
     if feature.kind == "command":
-        return checked_command(obj, feature.name, args, mode=mode)
-    return checked_query(obj, feature.name, args, mode=mode)
+        return checked_command(obj, feature.name, args, mode=mode, old=old)
+    return checked_query(obj, feature.name, args, mode=mode, old=old)
 
 
 def replay(report: FaultReport, faults=None, mode="model"):
     """Decode and check a fault report's whole trace, then re-run it by checked
-    calls: the reproduced violation, or None (e.g. with the fault off)."""
+    calls, each with a fresh prestate: the reproduced violation, or None
+    (e.g. with the fault off)."""
     faults = faults or containers.FaultSwitch()
     spec, trace = _decode_trace(report.trace)
     try:
@@ -231,12 +234,17 @@ def run_campaign(targets, budget: TestBudget, faults=None,
     emitted FaultReport carries the campaign seed and is self-validated by
     replaying its trace before it is returned.
 
-    The pool keeps one insertion-ordered list of live objects per type.
-    The size cap reads each object's state as its last passed call left
-    it: a command's returns its poststate, a query proves the state
-    unchanged, a constructor's is taken once here.  That holds because a
-    pool object changes only inside its own checked calls: a command
-    retires its container arguments and a query checks theirs for purity.
+    The pool keeps one insertion-ordered list of live objects per type,
+    each with its state as its last passed call left it: a command's
+    returns its poststate, a query proves the state unchanged, a
+    constructor's is taken once here.  The size cap reads that state, and
+    each call on a pool object takes it as its prestate.  That holds
+    because a pool object changes only inside its own checked calls: a
+    command retires its container arguments and a query checks theirs for
+    purity.  An object changed outside them is caught, not trusted: its
+    next query's purity check or command's postconditions compare the
+    held state with a fresh poststate, and replay, whose prestates are
+    fresh, does not confirm the violation, so self-validation fails.
     """
     faults = faults or containers.FaultSwitch()
     for t in targets:
@@ -274,7 +282,8 @@ def run_campaign(targets, budget: TestBudget, faults=None,
                           for a in args])
         stats["calls"] += 1
         try:
-            out = _call(spec, live.obj, feature, raw_args, faults, mode)
+            out = _call(spec, live.obj, feature, raw_args, faults, mode,
+                        live.state)
         except PreconditionRejected:
             stats["rejected"] += 1
             continue
@@ -284,8 +293,14 @@ def run_campaign(targets, budget: TestBudget, faults=None,
                                  trace=_encode_trace(spec, [*live.trace, step]))
             confirmed = replay(report, faults=faults, mode=mode)
             if confirmed is None or confirmed.clause != v.clause:
+                got = "no violation" if confirmed is None else confirmed.clause
                 raise RuntimeError(
-                    f"fault report failed self-validation: {v.clause}")
+                    f"fault report failed self-validation: {v.clause}: the "
+                    f"{spec.name} target's own trace of {len(report.trace)} "
+                    f"steps does not reproduce the violation (replay gives "
+                    f"{got}); either the object changed outside its own "
+                    f"checked calls, or its implementation is not "
+                    f"deterministic")
             reports.append(report)
             # The call may have mutated its container arguments before the
             # violation surfaced; their traces are stale too.

@@ -102,9 +102,9 @@ def _state_size(state: AbstractState) -> int:
 @dataclass(eq=False)
 class Built:
     """An object, its trace and its abstract state (in a campaign, after its
-    last passed call); compared by identity.  A trace is the steps
-    ``(feature, raw arguments)`` from a constructor, each container
-    argument recorded as its own trace."""
+    last passed call, and the prestate of its next checked call); compared
+    by identity.  A trace is the steps ``(feature, raw arguments)`` from a
+    constructor, each container argument recorded as its own trace."""
     trace: tuple  # a list in a campaign, which appends its passed calls
     obj: object
     state: AbstractState

@@ -681,9 +681,12 @@ def _eqset_spec():
         arg_domains=(("element",),))
     count = _count_query("set")
     invariants = (
+        # Each stored element's image under the relation holds no other
+        # stored element: linear in the pairs the stored elements relate.
         Clause("no_equivalent_pair", "model",
-               lambda c: all(not c.new.relation.has(x, y)
-                             for x in c.new.set for y in c.new.set if x != y)),
+               lambda c: all(y == x or not c.new.set.has(y)
+                             for x in c.new.set
+                             for y in c.new.relation.image_of(x))),
         Clause("relation_equivalence", "model",
                lambda c: _relation_is_equivalence(c.new.relation)),
     )

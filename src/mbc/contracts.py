@@ -12,13 +12,13 @@ call's target, each container argument and each checked object is seen
 through one.  ``checked_command``, ``checked_query`` and
 ``checked_constructor`` name a feature and its kind, and one routine
 checks a call of any kind: it takes each object's state (the target's
-and every container argument's) once before the body and once after it,
-and checks postconditions, purity and invariants against those
-snapshots; the kinds differ only in data.  Model mode checks every
-clause; classic mode filters them.  A body or a model query that raises
-is an ``exception`` violation; so is a precondition, postcondition or
-invariant clause that raises anything but ``DomainError``, which makes
-it false.
+and every container argument's) once before the body, or uses the
+caller's held one as the target's, and once after it, and checks
+postconditions, purity and invariants against those snapshots; the
+kinds differ only in data.  Model mode checks every clause; classic mode
+filters them.  A body or a model query that raises is an ``exception``
+violation; so is a precondition, postcondition or invariant clause that
+raises anything but ``DomainError``, which makes it false.
 """
 
 from __future__ import annotations
@@ -459,11 +459,15 @@ def _check_invariants(spec, view, feature_name, old, views, mode):
                    old, view.new, views, mode, spec.name)
 
 
-def _checked_call(spec, obj, name, kind, args, mode, faults=None):
+def _checked_call(spec, obj, name, kind, args, mode, faults=None, old=None):
     """Check one call of ``spec``'s feature or constructor ``name`` on
     ``obj``; return a command's checked poststate, a query's result, or a
     constructor's new object, built with ``faults`` (``obj`` is None).
     One not of ``kind`` is a UsageError, raised before anything runs.
+    A given ``old`` is the target's prestate, as the caller last saw it
+    checked, and no prestate of the target is taken; a wrong one is not
+    trusted, since purity and the postconditions compare it with the
+    poststate taken after the body.
     The kinds differ only in data: a constructor has no prestate; a query
     checks abstract purity of its target and container arguments, and the
     invariant of a container it returns; a command's clauses are
@@ -493,7 +497,8 @@ def _checked_call(spec, obj, name, kind, args, mode, faults=None):
     if kind == "constructor":
         old = cold = ref = None
     else:
-        old = _state(obj, name, None, None, views)
+        if old is None:
+            old = _state(obj, name, None, None, views)
         cold = spec.snapshot(obj)
         ref = obj.ref
     if feature.pre is not None:
@@ -545,15 +550,20 @@ def _checked_call(spec, obj, name, kind, args, mode, faults=None):
     return new if kind == "command" else obj
 
 
-def checked_command(obj, feature_name, args=(), mode="model"):
-    """Check a call of a command; return the poststate it checked."""
+def checked_command(obj, feature_name, args=(), mode="model", old=None):
+    """Check a call of a command; return the poststate it checked.  A
+    given ``old`` is ``obj``'s state as the caller last saw it checked,
+    used as the prestate instead of a fresh one."""
     return _checked_call(spec_of(obj), obj, feature_name, "command", args,
-                         mode)
+                         mode, old=old)
 
 
-def checked_query(obj, feature_name, args=(), mode="model"):
-    """Check a call of a query; return its result."""
-    return _checked_call(spec_of(obj), obj, feature_name, "query", args, mode)
+def checked_query(obj, feature_name, args=(), mode="model", old=None):
+    """Check a call of a query; return its result.  A given ``old`` is
+    ``obj``'s state as the caller last saw it checked, used as the
+    prestate instead of a fresh one."""
+    return _checked_call(spec_of(obj), obj, feature_name, "query", args,
+                         mode, old=old)
 
 
 def checked_constructor(spec: ContainerSpec, ctor_name: str, args=(),

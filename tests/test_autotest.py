@@ -10,10 +10,10 @@ from mbc.autotest import (
     _decode_trace, _encode_arg, _encode_trace, generate_arguments, replay,
     run_campaign,
 )
-from mbc import autotest
+from mbc import autotest, contracts
 from mbc.checkers import Built, EnumerationConfig, _build, state_space
 from mbc.containers import CONTAINER_NAMES, EqSet, FaultSwitch, Stack
-from mbc.contracts import Clause, REGISTRY, abstract_state
+from mbc.contracts import Clause, REGISTRY, abstract_state, serialize_state
 from mbc.model_math import MSeq, Ref
 
 
@@ -235,6 +235,89 @@ class TestCampaigns:
         r = run_campaign(CONTAINER_NAMES, TestBudget(max_calls=3000, seed=1))
         assert r.stats["passed"] > counts["constructed"] > 0
         assert counts["states"] == counts["constructed"]
+
+    def test_object_changed_outside_its_calls_fails_self_validation(
+            self, monkeypatch):
+        # Every Stack shares one list, so a call on one changes the others.
+        # A query on another sees its held state differ from its poststate,
+        # and replay of its own trace cannot reproduce that.
+        shared = []
+
+        def make_empty(faults=None):
+            s = Stack(faults=faults)
+            s.items = shared
+            return s
+
+        monkeypatch.setattr(REGISTRY["Stack"].constructor("make_empty"),
+                            "body", make_empty)
+        with pytest.raises(RuntimeError) as e:
+            run_campaign(["Stack"], TestBudget(max_calls=2000, seed=0))
+        assert str(e.value) == (
+            "fault report failed self-validation: is_empty/purity:target: "
+            "the Stack target's own trace of 2 steps does not reproduce the "
+            "violation (replay gives make_empty/bag); either the object "
+            "changed outside its own checked calls, or its implementation "
+            "is not deterministic")
+
+
+class TestHeldPrestates:
+    """A campaign passes each pool object's held state as the prestate of
+    its next checked call, and on this library that state is exact.  CI
+    runs these under several hash seeds: held and fresh states must agree
+    whatever the hash order."""
+
+    def _watch(self, monkeypatch):
+        """Compare every given prestate with a fresh one; count the checked
+        calls made with a held and with a fresh prestate."""
+        counts = {"held": 0, "fresh": 0}
+        call = contracts._checked_call
+
+        def checking(spec, obj, name, kind, args, mode, faults=None,
+                     old=None):
+            if old is None:
+                counts["fresh"] += 1
+            else:
+                counts["held"] += 1
+                fresh = abstract_state(obj)
+                assert old == fresh, (spec.name, name)
+                assert serialize_state(old) == serialize_state(fresh)
+            return call(spec, obj, name, kind, args, mode, faults, old)
+
+        monkeypatch.setattr(contracts, "_checked_call", checking)
+        return counts
+
+    @pytest.mark.parametrize("mode", ["model", "classic"])
+    @pytest.mark.parametrize("name", CONTAINER_NAMES)
+    def test_held_state_is_the_fresh_state(self, monkeypatch, name, mode):
+        counts = self._watch(monkeypatch)
+        for seed in (1, 2, 3):
+            r = run_campaign([name], TestBudget(max_calls=2000, seed=seed),
+                             mode=mode)
+            assert r.violations == 0
+        assert counts["held"] > counts["fresh"] > 0
+
+    @pytest.mark.parametrize("mode", ["model", "classic"])
+    def test_held_state_is_the_fresh_state_under_the_fault(self, monkeypatch,
+                                                           mode):
+        counts = self._watch(monkeypatch)
+        reports = 0
+        for seed in (0, 1, 2):
+            r = run_campaign(["LinkedList"],
+                             TestBudget(max_calls=2000, seed=seed),
+                             faults=faulty(), mode=mode)
+            reports += len(r.reports)
+        assert counts["held"] > counts["fresh"] > 0
+        assert (reports > 0) == (mode == "model")
+
+    def test_replay_takes_fresh_prestates(self, monkeypatch):
+        r = run_campaign(["LinkedList"], TestBudget(max_calls=10_000, seed=0),
+                         faults=faulty())
+        assert r.reports
+        counts = self._watch(monkeypatch)
+        for rep in r.reports:
+            assert (replay(rep, faults=faulty()).clause
+                    == rep.violation["clause"])
+        assert counts["held"] == 0 and counts["fresh"] > 0
 
 
 class TestReplay:

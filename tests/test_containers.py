@@ -3,6 +3,7 @@
 import gc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mbc.autotest import TestBudget, run_campaign
 from mbc.checkers import EnumerationConfig, state_space
@@ -11,10 +12,10 @@ from mbc.containers import (
     Queue, Stack,
 )
 from mbc.contracts import (
-    ContractViolation, PreconditionRejected, REGISTRY, abstract_state,
-    checked_command, checked_constructor, checked_query,
+    AbstractState, ContractViolation, Ctx, PreconditionRejected, REGISTRY,
+    abstract_state, checked_command, checked_constructor, checked_query,
 )
-from mbc.model_math import MBag, MMap, MSeq, Ref, total_relation
+from mbc.model_math import MBag, MMap, MRel, MSeq, MSet, Ref, total_relation
 
 A, B, C = Ref("a"), Ref("b"), Ref("c")
 
@@ -266,9 +267,25 @@ class TestEqSet:
         assert (info.misses, info.hits) == (1, 5)
 
     def test_non_equivalence_rejected(self):
-        from mbc.model_math import MRel
         with pytest.raises(PreconditionRejected):
             build("EqSet", "make", [MRel([(A, B)])])
+
+    TOKENS = st.sampled_from([Ref(t) for t in "abcd"])
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(st.lists(TOKENS, max_size=4),
+           st.lists(st.tuples(TOKENS, TOKENS), max_size=16))
+    def test_no_equivalent_pair_is_the_pairwise_definition(self, xs, pairs):
+        # The invariant reads each stored element's image; the definition
+        # asks the relation about every pair of distinct stored elements.
+        spec = REGISTRY["EqSet"]
+        [clause] = [c for c in spec.invariants
+                    if c.cid == "no_equivalent_pair"]
+        s, rel = MSet(xs), MRel(pairs)
+        state = AbstractState(spec.signature, [s, rel])
+        assert clause.fn(Ctx(new=state)) == all(
+            not rel.has(x, y) for x in s for y in s if x != y)
 
 
 class TestBinaryTree:

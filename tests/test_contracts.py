@@ -87,7 +87,8 @@ class TestAbstractState:
 
 class TestSnapshots:
     """A checked call takes each object's abstract state once before the
-    body and once after it; invariants are checked on the snapshot."""
+    body, unless the caller gives the target's, and once after it;
+    invariants are checked on the snapshot."""
 
     def _count_states(self, monkeypatch):
         calls = []
@@ -111,6 +112,45 @@ class TestSnapshots:
         calls.clear()
         assert checked_query(a, "count") == 2
         assert len(calls) == 2
+
+    def test_given_prestate_is_not_taken_again(self, monkeypatch):
+        stack = checked_constructor(REGISTRY["Stack"], "make_empty", [])
+        a, b = make_list("x"), make_list("y")
+        held = {o: abstract_state(o) for o in (stack, a, b)}
+        calls = self._count_states(monkeypatch)
+        held[stack] = checked_command(stack, "put", [Ref("a")],
+                                      old=held[stack])
+        assert calls == [stack]
+        calls.clear()
+        assert checked_query(stack, "count", old=held[stack]) == 1
+        assert calls == [stack]
+        calls.clear()
+        checked_command(a, "merge_right", [b], old=held[a])
+        assert len(calls) == 3 and calls.count(a) == 1
+        assert calls.count(b) == 2  # an argument's prestate is always fresh
+
+    def test_wrong_prestate_is_caught_not_trusted(self):
+        stack = checked_constructor(REGISTRY["Stack"], "make_empty", [])
+        empty = abstract_state(stack)
+        for x in ("a", "b"):
+            checked_command(stack, "put", [Ref(x)])
+        with pytest.raises(ContractViolation) as e:
+            checked_query(stack, "count", old=empty)
+        assert (e.value.clause, e.value.kind) == ("count/purity:target",
+                                                  "abstract-purity")
+        assert e.value.old_state == serialize_state(empty)
+        with pytest.raises(ContractViolation) as e:
+            checked_command(stack, "put", [Ref("c")], old=empty)
+        assert e.value.kind == "postcondition"
+        assert e.value.old_state == serialize_state(empty)
+        # No given prestate: the call checks as it always did.  The body
+        # of the failed put ran, so the twin's put makes the same stack.
+        twin = checked_constructor(REGISTRY["Stack"], "make_empty", [])
+        for x in ("a", "b"):
+            checked_command(twin, "put", [Ref(x)])
+        assert checked_query(twin, "count", old=None) == 2
+        assert (checked_command(twin, "put", [Ref("c")], old=None)
+                == abstract_state(stack))
 
     def test_argument_invariant_checked(self, monkeypatch):
         # The body leaves the argument's count field stale; with the classic
