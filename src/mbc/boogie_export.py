@@ -24,7 +24,6 @@ NOT_EXPORTED = {
     "MSet.elements": "representation accessor, not a model operation",
     "MSet.for_all": "higher-order predicate argument",
     "MSet.exists": "higher-order predicate argument",
-    "MMap.union": "derived operation used only by test oracles",
     "identity_relation": "test-universe helper, not a theory symbol",
     "total_relation": "test-universe helper, not a theory symbol",
 }

@@ -32,25 +32,24 @@ and ``has_key`` give False, ``item`` raises ``DomainError`` and
 ``image_of`` gives the empty set (``MRel.has`` raises ``TypeError``).
 
 Memos are not state.  An index, a domain (``MMap``, ``MRel``), the images
-(``MRel``), and a bag's sorted ``pairs`` and, for a bag of items, its
-counts are computed on first need and kept, so a value shared between
-states pays for them once.  ``copy``, ``deepcopy`` and ``pickle`` carry the
-value alone (``_Value``, ``MBag.__getstate__``) and leave every memo
-unset: a value pickles to the same bytes before and after it is read.
-An ``MBag`` is a map from ``order_key`` to multiplicity, with the first
-element seen for each key, and no sort: equality, hashing,
-``multiplicity``, ``extended`` and ``removed`` work on that map, one key
-at a time.  Its canonical ``pairs`` tuple is sorted only when something
-reads it (``to_text``, ``domain``, ``repr``), and kept; ``order_key`` sorts
-the map's (key, multiplicity) items.  ``MSeq.to_bag`` builds that map only
-on first need: the bag keeps the sequence's items and counts them, one
-``order_key`` call per item, when something reads the map, because most
-bags a contract builds are only compared with a bag of the same items or
-asked for ``count`` or ``is_empty``.  Until then ``count`` and
-``is_empty`` read the items, ``extended`` appends to them, ``removed``
-drops the last occurrence (so each key keeps the element counting keeps),
-and ``==`` with another bag of items holds without counting when the
-items are equal one by one, with the same types.
+(``MRel``), and a bag's counts and sorted ``pairs`` are computed on first
+need and kept, so a value shared between states pays for them once.
+``copy``, ``deepcopy`` and ``pickle`` carry the value alone (``_Value``)
+and leave every memo unset: a value pickles to the same bytes before and
+after it is read.
+An ``MBag`` is the items it holds, each element repeated by its
+multiplicity: ``MSeq.to_bag`` keeps the sequence's items, and ``MBag``
+repeats each given element in place.  It is counted only on first need
+(``multiplicity``, ``hash``, ``order_key``, ``pairs``), one ``order_key``
+call per item, into a map from key to multiplicity with the first element
+of each key, because most bags a contract builds are only compared with a
+bag of the same items or asked for ``count`` or ``is_empty``.  ``count``
+and ``is_empty`` read the items, ``extended`` appends to them, ``removed``
+drops the last equal occurrence (so each key keeps its first element), and
+``==`` holds without counting when the items are equal one by one, with
+the same types.  The canonical ``pairs`` tuple is sorted from the map only
+when something reads it (``to_text``, ``domain``, ``repr``), and kept;
+``order_key`` sorts the map's (key, multiplicity) items.
 Stored tuples are built from lists, never from generators:
 ``tuple(<generator>)`` over-allocates and then shrinks, which on CPython
 fills the per-length tuple free lists and raises peak memory.
@@ -147,10 +146,11 @@ def _probe_key(v):
 
 
 class _Value:
-    """Base of ``MSet``, ``MMap`` and ``MRel``.  ``_STATE`` names the slots
-    that hold the value; every other slot is a memo, derived from them on
-    first need.  Copies and pickles carry the ``_STATE`` slots alone and
-    leave every memo unset, so filling a memo changes neither."""
+    """Base of ``MSet``, ``MBag``, ``MMap`` and ``MRel``.  ``_STATE`` names
+    the slots that hold the value; every other slot is a memo, derived
+    from them on first need.  Copies and pickles carry the ``_STATE``
+    slots alone and leave every memo unset, so filling a memo changes
+    neither."""
 
     __slots__ = ()
     _STATE: Tuple[str, ...] = ()
@@ -401,49 +401,33 @@ def int_interval(l: int, u: int) -> MSet:
     return _int_range(l, u)
 
 
-class MBag:
-    """Finite multiset.  ``_counts`` maps the ``order_key`` of each element
-    to its multiplicity (>= 1), and ``_firsts`` maps it to the first element
-    seen with that key.  A bag made by ``MSeq.to_bag`` keeps the sequence's
-    ``_items`` and fills both maps from them on first need (``_counted``);
-    other bags have no items.  ``pairs``, the (element, multiplicity) tuple
-    in ascending key order, is built on first read and kept.  Copies and
-    pickles carry the items of a bag of items, the two maps of any other
-    bag, and no ``pairs``."""
+class MBag(_Value):
+    """Finite multiset: ``items`` holds each element as often as its
+    multiplicity.  ``_counts`` maps the ``order_key`` of each element to
+    its multiplicity (>= 1), and ``_firsts`` maps it to the first element
+    of ``items`` with that key; ``_counted`` fills both on first need.
+    ``pairs``, the (element, multiplicity) tuple in ascending key order,
+    is built on first read.  All three are memos."""
 
-    __slots__ = ("_items", "_counts", "_firsts", "_pairs")
-
-    def __getstate__(self):
-        if self._items is not None:
-            return (self._items, None, None)
-        return (None, self._counts, self._firsts)
-
-    def __setstate__(self, state):
-        self._items, self._counts, self._firsts = state
-        self._pairs = None
+    __slots__ = ("items", "_counts", "_firsts", "_pairs")
+    _STATE = ("items",)
 
     def __init__(self, pairs: Iterable[Tuple[ModelValue, int]] = ()):
-        counts, firsts = {}, {}
+        items = []
         for x, n in pairs:
             if n < 0:
                 raise DomainError("negative multiplicity")
-            if n:
-                k = order_key(x)
-                if k in counts:
-                    counts[k] += n
-                else:
-                    counts[k] = n
-                    firsts[k] = x
-        self._items = None
-        self._counts = counts
-        self._firsts = firsts
+            items += [x] * n
+        self.items = tuple(items)
+        self._counts = None
+        self._firsts = None
         self._pairs = None
 
     def _counted(self) -> dict:
-        """``_counts``, counted from ``_items`` if not yet."""
+        """``_counts``, counted from ``items`` if not yet."""
         if self._counts is None:
             counts, firsts = {}, {}
-            for x in self._items:
+            for x in self.items:
                 k = order_key(x)
                 if k in counts:
                     counts[k] += 1
@@ -457,9 +441,8 @@ class MBag:
     def __eq__(self, other):
         if not isinstance(other, MBag):
             return False
-        mine, theirs = self._items, other._items
-        if (mine is not None and theirs is not None and mine == theirs
-                and list(map(type, mine)) == list(map(type, theirs))):
+        mine, theirs = self.items, other.items
+        if mine == theirs and list(map(type, mine)) == list(map(type, theirs)):
             return True
         return self._counted() == other._counted()
 
@@ -484,15 +467,11 @@ class MBag:
 
     @property
     def count(self) -> int:
-        if self._items is not None:
-            return len(self._items)
-        return sum(self._counts.values())
+        return len(self.items)
 
     @property
     def is_empty(self) -> bool:
-        if self._items is not None:
-            return not self._items
-        return not self._counts
+        return not self.items
 
     def multiplicity(self, v: ModelValue) -> int:
         return self._counted().get(order_key(v), 0)
@@ -501,54 +480,21 @@ class MBag:
         return self.multiplicity(v)
 
     def extended(self, v: ModelValue) -> "MBag":
-        if self._counts is None:
-            return _item_bag(self._items + (v,))
-        k = order_key(v)
-        counts, firsts = dict(self._counts), self._firsts
-        if k in counts:
-            counts[k] += 1
-        else:
-            counts[k] = 1
-            firsts = {**firsts, k: v}
-        return _keyed_bag(counts, firsts)
+        return _item_bag(self.items + (v,))
 
     def removed(self, v: ModelValue) -> "MBag":
-        if self._counts is None:
-            items = self._items
-            for i in range(len(items) - 1, -1, -1):
-                x = items[i]
-                if x == v and type(x) is type(v):
-                    return _item_bag(items[:i] + items[i + 1:])
-            raise DomainError("removing absent element")
-        k = order_key(v)
-        n = self._counts.get(k, 0)
-        if n == 0:
-            raise DomainError("removing absent element")
-        counts, firsts = dict(self._counts), self._firsts
-        if n > 1:
-            counts[k] = n - 1
-        else:
-            del counts[k]
-            firsts = dict(firsts)
-            del firsts[k]
-        return _keyed_bag(counts, firsts)
-
-
-def _keyed_bag(counts: dict, firsts: dict) -> MBag:
-    """The bag of ``counts`` and ``firsts``, which are keyed alike and are
-    not changed afterwards."""
-    b = MBag.__new__(MBag)
-    b._items = None
-    b._counts = counts
-    b._firsts = firsts
-    b._pairs = None
-    return b
+        items = self.items
+        for i in range(len(items) - 1, -1, -1):
+            x = items[i]
+            if x == v and type(x) is type(v):
+                return _item_bag(items[:i] + items[i + 1:])
+        raise DomainError("removing absent element")
 
 
 def _item_bag(items: tuple) -> MBag:
     """The bag of ``items``, not yet counted."""
     b = MBag.__new__(MBag)
-    b._items = items
+    b.items = items
     b._counts = None
     b._firsts = None
     b._pairs = None
@@ -650,16 +596,6 @@ class MMap(_Value):
 
     def is_constant(self, v: ModelValue) -> bool:
         return all(w == v and type(w) is type(v) for _, w in self.pairs)
-
-    def union(self, other: "MMap") -> "MMap":
-        # Disjoint-domain union; overlapping keys must agree.
-        m = self
-        for k, v in other.pairs:
-            if not m.has_key(k):
-                m = m.updated(k, v)
-            elif not (m[k] == v and type(m[k]) is type(v)):
-                raise DomainError(f"conflicting value for key {k!r}")
-        return m
 
 
 def _canonical_map(pairs: list) -> MMap:
