@@ -36,11 +36,9 @@ class ReplayError(Exception):
     """A recorded trace cannot be replayed against the current registry."""
 
 
-@dataclass
-class TestBudget:
-    __test__ = False  # not a test case, despite the name
-    max_calls: int = 10_000
-    seed: int = 0
+class UnconfirmedViolation(RuntimeError):
+    """A fault report failed self-validation: replaying its trace does not
+    reproduce the violation the campaign saw."""
 
 
 @dataclass
@@ -226,9 +224,10 @@ def generate_arguments(feature, rng, pools, target=None):
     return args
 
 
-def run_campaign(targets, budget: TestBudget, faults=None,
+def run_campaign(targets, calls, seed, faults=None,
                  mode="model") -> CampaignResult:
-    """Random-testing campaign over the given container types.
+    """Random-testing campaign of ``calls`` calls over the given container
+    types, drawn from a generator seeded with ``seed``.
 
     Precondition rejections are filtered calls, never faults.  Every
     emitted FaultReport carries the campaign seed and is self-validated by
@@ -244,14 +243,15 @@ def run_campaign(targets, budget: TestBudget, faults=None,
     purity.  An object changed outside them is caught, not trusted: its
     next query's purity check or command's postconditions compare the
     held state with a fresh poststate, and replay, whose prestates are
-    fresh, does not confirm the violation, so self-validation fails.
+    fresh, does not confirm the violation, so self-validation fails
+    with ``UnconfirmedViolation``.
     """
     faults = faults or containers.FaultSwitch()
     for t in targets:
         if t not in REGISTRY:
             raise KeyError(f"unknown container type {t!r}")
     containers.reset_ref_counter()
-    rng = random.Random(budget.seed)
+    rng = random.Random(seed)
     pools = {t: [] for t in targets}
     features = {t: list(REGISTRY[t].features.values()) for t in targets}
     stats = {"calls": 0, "rejected": 0, "passed": 0, "violations": 0}
@@ -262,7 +262,7 @@ def run_campaign(targets, budget: TestBudget, faults=None,
             if a in of_type:
                 of_type.remove(a)
 
-    while stats["calls"] < budget.max_calls:
+    while stats["calls"] < calls:
         target_name = rng.choice(targets)
         spec = REGISTRY[target_name]
         live_of_type = pools[target_name]
@@ -289,12 +289,12 @@ def run_campaign(targets, budget: TestBudget, faults=None,
             continue
         except ContractViolation as v:
             stats["violations"] += 1
-            report = FaultReport(violation={**v.to_dict(), "seed": budget.seed},
+            report = FaultReport(violation={**v.to_dict(), "seed": seed},
                                  trace=_encode_trace(spec, [*live.trace, step]))
             confirmed = replay(report, faults=faults, mode=mode)
             if confirmed is None or confirmed.clause != v.clause:
                 got = "no violation" if confirmed is None else confirmed.clause
-                raise RuntimeError(
+                raise UnconfirmedViolation(
                     f"fault report failed self-validation: {v.clause}: the "
                     f"{spec.name} target's own trace of {len(report.trace)} "
                     f"steps does not reproduce the violation (replay gives "

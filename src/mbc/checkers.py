@@ -30,7 +30,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import asdict, dataclass, field
-from types import SimpleNamespace
 
 from . import containers
 from .contracts import (
@@ -183,12 +182,12 @@ def state_space(name, cfg, features=None):
 
 def _arg_combos(feature, cfg):
     """Cartesian product of argument pools; container arguments are drawn
-    from the enumerated states of their type, as views holding only an
-    identity token ``ref`` and the prestate ``old``."""
+    from the enumerated states of their type, as ``Ctx`` views holding
+    only an identity token ``ref`` and the prestate ``old``."""
     pools = []
     for d in feature.arg_domains:
         if d[0] == "container":
-            pools.append([SimpleNamespace(ref=Ref(f"arg{j}"), old=e.state)
+            pools.append([Ctx(old=e.state, ref=Ref(f"arg{j}"))
                           for j, e in enumerate(state_space(d[1], cfg))])
         else:
             pools.append(domain_values(d, element_tokens(cfg.universe)))

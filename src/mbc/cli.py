@@ -5,8 +5,9 @@ soundness/completeness), adequacy (bounded observational adequacy),
 export-boogie (theory files), report (combined JSON report).
 
 Exit codes: 0 clean, 1 contract violations or untagged incompleteness
-found, 2 usage errors (an ``--out`` path that cannot be written among them)
-or refused enumerations.
+found (or a violation that its own replay does not confirm), 2 usage
+errors (an ``--out`` path that cannot be written among them) or refused
+enumerations.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 from dataclasses import fields
 
 from . import boogie_export, containers
-from .autotest import TestBudget, run_campaign
+from .autotest import UnconfirmedViolation, run_campaign
 from .checkers import (
     MAX_UNIVERSE, EnumerationConfig, EnumerationRefused,
     check_observational_adequacy, classify_library, report_to_json,
@@ -63,8 +64,8 @@ def _emit(args, text: str):
 def cmd_test(args) -> int:
     targets = _resolve_targets(args)
     faults = containers.FaultSwitch(**dict.fromkeys(args.inject or [], True))
-    budget = TestBudget(max_calls=args.calls, seed=args.seed)
-    result = run_campaign(targets, budget, faults=faults, mode=args.mode)
+    result = run_campaign(targets, args.calls, args.seed, faults=faults,
+                          mode=args.mode)
     _emit(args, result.to_json_lines())
     return 1 if result.violations else 0
 
@@ -100,11 +101,10 @@ def cmd_export_boogie(args) -> int:
 def cmd_report(args) -> int:
     targets = _resolve_targets(args)
     cfg = _enum_config(args)
-    budget = TestBudget(max_calls=args.calls, seed=args.seed)
     completeness = classify_library(cfg, names=targets)
     adequacy = [check_observational_adequacy(n, cfg).to_dict()
                 for n in targets]
-    campaign = run_campaign(targets, budget)
+    campaign = run_campaign(targets, args.calls, args.seed)
     combined = {
         "completeness": completeness,
         "adequacy": adequacy,
@@ -201,6 +201,9 @@ def main(argv=None) -> int:
     except EnumerationRefused as e:
         sys.stderr.write(f"refused: {e}\n")
         return 2
+    except UnconfirmedViolation as e:
+        sys.stderr.write(f"unconfirmed: {e}\n")
+        return 1
 
 
 if __name__ == "__main__":

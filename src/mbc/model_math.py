@@ -27,29 +27,30 @@ of the map's domain, whose elements are the keys in the same order;
 no map is sorted again.  ``MRel.image_of`` reads a map from each first
 component's key to its image, built on the first call from the stored
 pairs, which ascend by key already.  ``MRel.has`` reads the stored keys.
-A probe that is not a model value has no key and is found nowhere: ``has``
-and ``has_key`` give False, ``item`` raises ``DomainError`` and
-``image_of`` gives the empty set (``MRel.has`` raises ``TypeError``).
+Every lookup keys its probe with ``_probe_key``.  A probe that is not a
+model value has no key and is found nowhere: ``has`` and ``has_key`` give
+False, ``multiplicity`` gives 0, ``item`` raises ``DomainError`` and
+``image_of`` gives the empty set.
 
 Memos are not state.  An index, a domain (``MMap``, ``MRel``), the images
-(``MRel``), and a bag's counts and sorted ``pairs`` are computed on first
-need and kept, so a value shared between states pays for them once.
+(``MRel``), and a bag's counts are computed on first need and kept, so a
+value shared between states pays for them once.
 ``copy``, ``deepcopy`` and ``pickle`` carry the value alone (``_Value``)
 and leave every memo unset: a value pickles to the same bytes before and
 after it is read.
 An ``MBag`` is the items it holds, each element repeated by its
-multiplicity: ``MSeq.to_bag`` keeps the sequence's items, and ``MBag``
-repeats each given element in place.  It is counted only on first need
-(``multiplicity``, ``hash``, ``order_key``, ``pairs``), one ``order_key``
-call per item, into a map from key to multiplicity with the first element
-of each key, because most bags a contract builds are only compared with a
-bag of the same items or asked for ``count`` or ``is_empty``.  ``count``
-and ``is_empty`` read the items, ``extended`` appends to them, ``removed``
-drops the last equal occurrence (so each key keeps its first element), and
-``==`` holds without counting when the items are equal one by one, with
-the same types.  The canonical ``pairs`` tuple is sorted from the map only
-when something reads it (``to_text``, ``domain``, ``repr``), and kept;
-``order_key`` sorts the map's (key, multiplicity) items.
+multiplicity, and ``MBag(items)`` is the one way to build one
+(``MSeq.to_bag`` passes the sequence's items).  It is counted only on first
+need (``multiplicity``, ``hash``, ``order_key``, ``pairs``), one
+``order_key`` call per item, into a map from key to multiplicity with the
+first element of each key, because most bags a contract builds are only
+compared with a bag of the same items or asked for ``count`` or
+``is_empty``.  ``count`` and ``is_empty`` read the items, ``extended``
+appends to them, ``removed`` drops the last equal occurrence (so each key
+keeps its first element), and ``==`` holds without counting when the items
+are equal one by one, with the same types.  The canonical ``pairs`` tuple
+is sorted from the map on each read (``to_text``, ``domain``, ``repr``),
+and ``order_key`` sorts the map's (key, multiplicity) items.
 Stored tuples are built from lists, never from generators:
 ``tuple(<generator>)`` over-allocates and then shrinks, which on CPython
 fills the per-length tuple free lists and raises peak memory.
@@ -265,7 +266,7 @@ class MSeq:
         return sum(1 for x in self.items if x == v and type(x) is type(v))
 
     def to_bag(self) -> "MBag":
-        return _item_bag(self.items)
+        return MBag(self.items)
 
 
 def _key_order(keys):
@@ -405,23 +406,17 @@ class MBag(_Value):
     """Finite multiset: ``items`` holds each element as often as its
     multiplicity.  ``_counts`` maps the ``order_key`` of each element to
     its multiplicity (>= 1), and ``_firsts`` maps it to the first element
-    of ``items`` with that key; ``_counted`` fills both on first need.
-    ``pairs``, the (element, multiplicity) tuple in ascending key order,
-    is built on first read.  All three are memos."""
+    of ``items`` with that key; ``_counted`` fills both on first need,
+    and both are memos.  ``pairs``, the (element, multiplicity) tuple in
+    ascending key order, is sorted from them on each read."""
 
-    __slots__ = ("items", "_counts", "_firsts", "_pairs")
+    __slots__ = ("items", "_counts", "_firsts")
     _STATE = ("items",)
 
-    def __init__(self, pairs: Iterable[Tuple[ModelValue, int]] = ()):
-        items = []
-        for x, n in pairs:
-            if n < 0:
-                raise DomainError("negative multiplicity")
-            items += [x] * n
+    def __init__(self, items: Iterable[ModelValue] = ()):
         self.items = tuple(items)
         self._counts = None
         self._firsts = None
-        self._pairs = None
 
     def _counted(self) -> dict:
         """``_counts``, counted from ``items`` if not yet."""
@@ -450,16 +445,13 @@ class MBag(_Value):
         return hash(("MBag", frozenset(self._counted().items())))
 
     def __repr__(self):
-        return f"MBag({list(self.pairs)!r})"
+        return f"MBag({[x for x, n in self.pairs for _ in range(n)]!r})"
 
     @property
     def pairs(self) -> tuple:
-        if self._pairs is None:
-            counts = self._counted()
-            firsts = self._firsts
-            self._pairs = tuple([(firsts[k], n)
-                                 for k, n in sorted(counts.items())])
-        return self._pairs
+        counts = self._counted()
+        firsts = self._firsts
+        return tuple([(firsts[k], n) for k, n in sorted(counts.items())])
 
     @property
     def domain(self) -> MSet:
@@ -474,31 +466,21 @@ class MBag(_Value):
         return not self.items
 
     def multiplicity(self, v: ModelValue) -> int:
-        return self._counted().get(order_key(v), 0)
+        return self._counted().get(_probe_key(v), 0)
 
     def __getitem__(self, v: ModelValue) -> int:
         return self.multiplicity(v)
 
     def extended(self, v: ModelValue) -> "MBag":
-        return _item_bag(self.items + (v,))
+        return MBag(self.items + (v,))
 
     def removed(self, v: ModelValue) -> "MBag":
         items = self.items
         for i in range(len(items) - 1, -1, -1):
             x = items[i]
             if x == v and type(x) is type(v):
-                return _item_bag(items[:i] + items[i + 1:])
+                return MBag(items[:i] + items[i + 1:])
         raise DomainError("removing absent element")
-
-
-def _item_bag(items: tuple) -> MBag:
-    """The bag of ``items``, not yet counted."""
-    b = MBag.__new__(MBag)
-    b.items = items
-    b._counts = None
-    b._firsts = None
-    b._pairs = None
-    return b
 
 
 class MMap(_Value):
@@ -609,10 +591,9 @@ def _canonical_map(pairs: list) -> MMap:
 
 class MRel(_Value):
     """Finite set of ordered pairs; ``_keys`` holds the ``order_key`` pair
-    of each, for ``==``, ``hash`` and ``has``.  ``has`` raises ``TypeError``
-    on an argument that is not a model value, as ``order_key`` does.  The
-    domain is computed once, on first read, and so is ``_images``, which
-    maps the ``order_key`` of each first component to its image."""
+    of each, for ``==``, ``hash`` and ``has``.  The domain is computed
+    once, on first read, and so is ``_images``, which maps the
+    ``order_key`` of each first component to its image."""
 
     __slots__ = ("pairs", "_keys", "_domain", "_images")
     _STATE = ("pairs", "_keys")
@@ -647,7 +628,7 @@ class MRel(_Value):
         return len(self.pairs)
 
     def has(self, x: ModelValue, y: ModelValue) -> bool:
-        return (order_key(x), order_key(y)) in self._keys
+        return (_probe_key(x), _probe_key(y)) in self._keys
 
     def image_of(self, x: ModelValue) -> MSet:
         if self._images is None:

@@ -11,7 +11,7 @@ import sys
 import time
 
 from mbc import boogie_export as bx
-from mbc.autotest import TestBudget, replay, run_campaign
+from mbc.autotest import replay, run_campaign
 from mbc.checkers import (
     EnumerationConfig, check_command_completeness,
     check_observational_adequacy, classify_feature,
@@ -87,8 +87,7 @@ def test_criterion_2_completeness_verdicts():
 def test_criterion_3_fault_experiment():
     t0 = time.time()
     faults = FaultSwitch(merge_right_missing_link=True)
-    r = run_campaign(["LinkedList"], TestBudget(max_calls=10_000, seed=0),
-                     faults=faults)
+    r = run_campaign(["LinkedList"], 10_000, 0, faults=faults)
     _cache["c3"] = r.to_json_lines()
     clauses = {rep.violation["clause"] for rep in r.reports}
     model_hits = r.violations >= 1 and clauses == {"merge_right/sequence"}
@@ -110,7 +109,7 @@ CLEAN_LIBRARY_SHA256 = (
 
 def test_criterion_4_clean_library():
     t0 = time.time()
-    r = run_campaign(CONTAINER_NAMES, TestBudget(max_calls=100_000, seed=7))
+    r = run_campaign(CONTAINER_NAMES, 100_000, 7)
     digest = hashlib.sha256(r.to_json_lines().encode("utf-8")).hexdigest()
     elapsed = time.time() - t0
     _report(4, r.violations == 0 and digest == CLEAN_LIBRARY_SHA256
@@ -184,8 +183,7 @@ def test_criterion_7_library_report(tmp_path):
 def test_criterion_8_determinism():
     t0 = time.time()
     faults = FaultSwitch(merge_right_missing_link=True)
-    again3 = run_campaign(["LinkedList"],
-                          TestBudget(max_calls=10_000, seed=0),
+    again3 = run_campaign(["LinkedList"], 10_000, 0,
                           faults=faults).to_json_lines()
     v1, v2, v3 = _adequacy_triple()
     again5 = json.dumps([v1.to_dict(), v2.to_dict(), v3.to_dict()],

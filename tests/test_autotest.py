@@ -6,7 +6,7 @@ import random
 import pytest
 
 from mbc.autotest import (
-    CampaignResult, FaultReport, ReplayError, TestBudget, _decode_args,
+    CampaignResult, FaultReport, ReplayError, _decode_args,
     _decode_trace, _encode_arg, _encode_trace, generate_arguments, replay,
     run_campaign,
 )
@@ -121,31 +121,29 @@ RAISING_HOOKS = {
 
 class TestCampaigns:
     def test_clean_library_small_run(self):
-        r = run_campaign(CONTAINER_NAMES, TestBudget(max_calls=3000, seed=1))
+        r = run_campaign(CONTAINER_NAMES, 3000, 1)
         assert r.violations == 0
         assert r.stats["calls"] == 3000
         assert r.stats["passed"] + r.stats["rejected"] <= r.stats["calls"]
 
     def test_fault_found_and_localized(self):
-        r = run_campaign(["LinkedList"], TestBudget(max_calls=10_000, seed=0),
-                         faults=faulty())
+        r = run_campaign(["LinkedList"], 10_000, 0, faults=faulty())
         assert r.violations >= 1
         assert {rep.violation["clause"] for rep in r.reports} == {"merge_right/sequence"}
 
     def test_deterministic_for_fixed_seed(self):
-        budgets = TestBudget(max_calls=5000, seed=9)
-        a = run_campaign(["LinkedList"], budgets, faults=faulty())
-        b = run_campaign(["LinkedList"], budgets, faults=faulty())
+        a = run_campaign(["LinkedList"], 5000, 9, faults=faulty())
+        b = run_campaign(["LinkedList"], 5000, 9, faults=faulty())
         assert a.to_json_lines() == b.to_json_lines()
 
     def test_different_seeds_differ(self):
-        a = run_campaign(CONTAINER_NAMES, TestBudget(max_calls=2000, seed=1))
-        b = run_campaign(CONTAINER_NAMES, TestBudget(max_calls=2000, seed=2))
+        a = run_campaign(CONTAINER_NAMES, 2000, 1)
+        b = run_campaign(CONTAINER_NAMES, 2000, 2)
         assert a.stats != b.stats
 
     def test_unknown_target_rejected(self):
         with pytest.raises(KeyError):
-            run_campaign(["Nope"], TestBudget(max_calls=10))
+            run_campaign(["Nope"], 10, 0)
 
     def test_raising_body_is_a_replayable_report(self, monkeypatch):
         def remove(stack):
@@ -155,7 +153,7 @@ class TestCampaigns:
 
         monkeypatch.setattr(REGISTRY["Stack"].features["remove"], "body",
                             remove)
-        r = run_campaign(["Stack"], TestBudget(max_calls=500, seed=1))
+        r = run_campaign(["Stack"], 500, 1)
         assert r.reports
         assert {rep.violation["clause"] for rep in r.reports} == {
             "remove/exception:IndexError"}
@@ -168,7 +166,7 @@ class TestCampaigns:
     def test_raising_clause_is_a_replayable_report(self, monkeypatch, case):
         patch, clause, kind = RAISING_CLAUSES[case]
         patch(monkeypatch)
-        r = run_campaign(["Stack"], TestBudget(max_calls=300, seed=1))
+        r = run_campaign(["Stack"], 300, 1)
         assert r.reports
         for rep in r.reports:
             assert (rep.violation["clause"], rep.violation["kind"]) == (clause, kind)
@@ -179,7 +177,7 @@ class TestCampaigns:
                                                         case):
         patch, targets, clause, kind = FAILING_CONSTRUCTORS[case]
         patch(monkeypatch)
-        r = run_campaign(targets, TestBudget(max_calls=300, seed=4))
+        r = run_campaign(targets, 300, 4)
         assert r.stats["calls"] == 300
         assert r.reports and r.stats["passed"] > 0
         assert r.violations == len(r.reports)
@@ -196,7 +194,7 @@ class TestCampaigns:
     def test_raising_hook_is_a_replayable_report(self, monkeypatch, case):
         patch, clauses = RAISING_HOOKS[case]
         patch(monkeypatch)
-        r = run_campaign(["Stack"], TestBudget(max_calls=300, seed=1))
+        r = run_campaign(["Stack"], 300, 1)
         assert r.stats["calls"] == 300
         assert {rep.violation["clause"] for rep in r.reports} == clauses
         for rep in r.reports:
@@ -211,7 +209,7 @@ class TestCampaigns:
             raise AssertionError("an argument was encoded")
 
         monkeypatch.setattr(autotest, "_encode_arg", encode)
-        r = run_campaign(CONTAINER_NAMES, TestBudget(max_calls=3000, seed=1))
+        r = run_campaign(CONTAINER_NAMES, 3000, 1)
         assert r.violations == 0 and r.stats["passed"] > 0
 
     def test_state_taken_once_per_passed_constructor(self, monkeypatch):
@@ -232,7 +230,7 @@ class TestCampaigns:
         monkeypatch.setattr(autotest, "abstract_state", counting_state)
         monkeypatch.setattr(autotest, "checked_constructor",
                             counting_constructor)
-        r = run_campaign(CONTAINER_NAMES, TestBudget(max_calls=3000, seed=1))
+        r = run_campaign(CONTAINER_NAMES, 3000, 1)
         assert r.stats["passed"] > counts["constructed"] > 0
         assert counts["states"] == counts["constructed"]
 
@@ -251,7 +249,7 @@ class TestCampaigns:
         monkeypatch.setattr(REGISTRY["Stack"].constructor("make_empty"),
                             "body", make_empty)
         with pytest.raises(RuntimeError) as e:
-            run_campaign(["Stack"], TestBudget(max_calls=2000, seed=0))
+            run_campaign(["Stack"], 2000, 0)
         assert str(e.value) == (
             "fault report failed self-validation: is_empty/purity:target: "
             "the Stack target's own trace of 2 steps does not reproduce the "
@@ -291,8 +289,7 @@ class TestHeldPrestates:
     def test_held_state_is_the_fresh_state(self, monkeypatch, name, mode):
         counts = self._watch(monkeypatch)
         for seed in (1, 2, 3):
-            r = run_campaign([name], TestBudget(max_calls=2000, seed=seed),
-                             mode=mode)
+            r = run_campaign([name], 2000, seed, mode=mode)
             assert r.violations == 0
         assert counts["held"] > counts["fresh"] > 0
 
@@ -302,16 +299,14 @@ class TestHeldPrestates:
         counts = self._watch(monkeypatch)
         reports = 0
         for seed in (0, 1, 2):
-            r = run_campaign(["LinkedList"],
-                             TestBudget(max_calls=2000, seed=seed),
-                             faults=faulty(), mode=mode)
+            r = run_campaign(["LinkedList"], 2000, seed, faults=faulty(),
+                             mode=mode)
             reports += len(r.reports)
         assert counts["held"] > counts["fresh"] > 0
         assert (reports > 0) == (mode == "model")
 
     def test_replay_takes_fresh_prestates(self, monkeypatch):
-        r = run_campaign(["LinkedList"], TestBudget(max_calls=10_000, seed=0),
-                         faults=faulty())
+        r = run_campaign(["LinkedList"], 10_000, 0, faults=faulty())
         assert r.reports
         counts = self._watch(monkeypatch)
         for rep in r.reports:
@@ -322,8 +317,7 @@ class TestHeldPrestates:
 
 class TestReplay:
     def _one_report(self):
-        r = run_campaign(["LinkedList"], TestBudget(max_calls=10_000, seed=0),
-                         faults=faulty())
+        r = run_campaign(["LinkedList"], 10_000, 0, faults=faulty())
         assert r.reports
         return r.reports[0]
 
@@ -486,7 +480,7 @@ class TestReplay:
 
 
 def test_result_json_lines_shape():
-    r = run_campaign(["Stack"], TestBudget(max_calls=500, seed=4))
+    r = run_campaign(["Stack"], 500, 4)
     lines = r.to_json_lines().strip().splitlines()
     head = json.loads(lines[0])
     assert set(head["stats"]) == {"calls", "rejected", "passed", "violations"}

@@ -472,8 +472,8 @@ class TestDefiningClauses:
 
     def test_container_views_shared_but_unchanged(self, monkeypatch):
         # The verdict builds its argument views once for every group; a
-        # view holds the argument's token and prestate only, so a clause
-        # that reads an argument's poststate fails loudly.
+        # view is a Ctx that holds the argument's token and prestate only,
+        # so a clause that reads an argument's poststate fails loudly.
         views = []
         real = checkers._arg_combos
 
@@ -488,7 +488,8 @@ class TestDefiningClauses:
         first = classify_feature("LinkedList", "merge_right", cfg).to_dict()
         second = classify_feature("LinkedList", "merge_right", cfg).to_dict()
         assert first == second
-        assert views and all(vars(a).keys() == {"ref", "old"} for a in views)
+        assert views and all(a == contracts.Ctx(old=a.old, ref=a.ref)
+                             for a in views)
 
     def test_every_model_clause_defines_or_is_listed(self):
         seen = set()

@@ -11,6 +11,8 @@ import pytest
 
 import mbc
 from mbc.cli import main
+from mbc.containers import Stack
+from mbc.contracts import REGISTRY
 
 
 def run(capsys, *argv):
@@ -143,6 +145,29 @@ class TestExitCodes:
         assert code == 1
         lines = out.strip().splitlines()
         assert json.loads(lines[0])["stats"]["violations"] == len(lines) - 1
+
+    def test_unconfirmed_violation_is_1(self, capsys, monkeypatch):
+        # Every Stack shares one list, so a violation the campaign sees is
+        # one that replay of its trace cannot reproduce.
+        shared = []
+
+        def make_empty(faults=None):
+            s = Stack(faults=faults)
+            s.items = shared
+            return s
+
+        monkeypatch.setattr(REGISTRY["Stack"].constructor("make_empty"),
+                            "body", make_empty)
+        code, out, err = run(capsys, "test", "--target", "Stack",
+                             "--calls", "2000", "--seed", "0")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "unconfirmed: fault report failed self-validation: "
+            "is_empty/purity:target: the Stack target's own trace of 2 steps "
+            "does not reproduce the violation (replay gives make_empty/bag); "
+            "either the object changed outside its own checked calls, or its "
+            "implementation is not deterministic\n")
 
 
 class TestSubcommands:

@@ -63,7 +63,7 @@ class Container(Checked):
         self.items = []
 
     def model(self):
-        return {"bag": MBag([(x, 1) for x in self.items]),
+        return {"bag": MBag(self.items),
                 "sequence": MSeq(self.items)}
 
     @rule()
