@@ -30,6 +30,8 @@ ELEMENT_POOL = element_tokens(4)
 _UNIVERSE_OF = {r.token: i + 1 for i, r in enumerate(element_tokens(MAX_UNIVERSE))}
 MAX_OBJECTS = 32      # live objects in a campaign's pool
 MAX_OBJECT_SIZE = 8
+# Each drawn non-path domain's ``domain_values`` over ELEMENT_POOL, kept.
+_TABLES = {}
 
 
 class ReplayError(Exception):
@@ -210,7 +212,8 @@ def replay(report: FaultReport, faults=None, mode="model"):
 def generate_arguments(feature, rng, pools, target=None):
     """Draw an argument list for a feature from its argument domains over
     the element pool, and from the ``Built`` records of ``pools`` (type name
-    to pool objects), or None; preconditions filter afterwards."""
+    to pool objects), or None; preconditions filter afterwards.  A path is
+    drawn by ``draw_value``, any other value from its table in ``_TABLES``."""
     args = []
     for d in feature.arg_domains:
         if d[0] == "container":
@@ -219,8 +222,12 @@ def generate_arguments(feature, rng, pools, target=None):
             if not candidates:
                 return None
             args.append(rng.choice(candidates))
-        else:
+        elif d[0] == "path":
             args.append(draw_value(d, rng, ELEMENT_POOL))
+        else:
+            values = _TABLES.get(d) or _TABLES.setdefault(
+                d, domain_values(d, ELEMENT_POOL))
+            args.append(rng.choice(values))
     return args
 
 
@@ -233,18 +240,18 @@ def run_campaign(targets, calls, seed, faults=None,
     emitted FaultReport carries the campaign seed and is self-validated by
     replaying its trace before it is returned.
 
-    The pool keeps one insertion-ordered list of live objects per type,
-    each with its state as its last passed call left it: a command's
-    returns its poststate, a query proves the state unchanged, a
-    constructor's is taken once here.  The size cap reads that state, and
-    each call on a pool object takes it as its prestate.  That holds
-    because a pool object changes only inside its own checked calls: a
-    command retires its container arguments and a query checks theirs for
-    purity.  An object changed outside them is caught, not trusted: its
-    next query's purity check or command's postconditions compare the
-    held state with a fresh poststate, and replay, whose prestates are
-    fresh, does not confirm the violation, so self-validation fails
-    with ``UnconfirmedViolation``.
+    The pool keeps one insertion-ordered list of live objects per type, each
+    with its state as its last passed call left it and the state's
+    ``_state_size``, both taken when a constructor or command sets the state (a
+    query proves it unchanged).  Each call on a pool object takes the held
+    state as its prestate; the size cap reads the held size after each passed
+    query or command, never at a constructor's birth.  That holds because a
+    pool object changes only inside its own checked calls: a command retires
+    its container arguments and a query checks theirs for purity.  An object
+    changed outside them is caught, not trusted: its next query's purity check
+    or command's postconditions compare the held state with a fresh poststate,
+    and replay, whose prestates are fresh, does not confirm the violation, so
+    self-validation fails with ``UnconfirmedViolation``.
     """
     faults = faults or containers.FaultSwitch()
     for t in targets:
@@ -256,17 +263,22 @@ def run_campaign(targets, calls, seed, faults=None,
     features = {t: list(REGISTRY[t].features.values()) for t in targets}
     stats = {"calls": 0, "rejected": 0, "passed": 0, "violations": 0}
     reports = []
+    live_count = 0  # the objects in all pools
 
-    def retire(a):
-        for of_type in pools.values():
-            if a in of_type:
-                of_type.remove(a)
+    def retire(*objs):
+        nonlocal live_count
+        for a in objs:
+            if isinstance(a, Built):
+                for of_type in pools.values():
+                    if a in of_type:
+                        of_type.remove(a)
+                        live_count -= 1
 
     while stats["calls"] < calls:
         target_name = rng.choice(targets)
         spec = REGISTRY[target_name]
         live_of_type = pools[target_name]
-        if not live_of_type or (sum(map(len, pools.values())) < MAX_OBJECTS
+        if not live_of_type or (live_count < MAX_OBJECTS
                                 and rng.random() < 0.15):
             live = Built([], None, None)
             feature = rng.choice(spec.constructors)
@@ -276,10 +288,12 @@ def run_campaign(targets, calls, seed, faults=None,
         args = generate_arguments(feature, rng, pools, target=live.obj)
         if args is None:
             continue
-        raw_args = [a.obj if isinstance(a, Built) else a for a in args]
+        raw_args, step = args, (feature, args)
         # A pool object among the arguments is recorded as its trace so far.
-        step = (feature, [tuple(a.trace) if isinstance(a, Built) else a
-                          for a in args])
+        if feature.nests:
+            raw_args = [a.obj if isinstance(a, Built) else a for a in args]
+            step = (feature, [tuple(a.trace) if isinstance(a, Built) else a
+                              for a in args])
         stats["calls"] += 1
         try:
             out = _call(spec, live.obj, feature, raw_args, faults, mode,
@@ -304,23 +318,20 @@ def run_campaign(targets, calls, seed, faults=None,
             reports.append(report)
             # The call may have mutated its container arguments before the
             # violation surfaced; their traces are stale too.
-            for a in [live, *args]:
-                if isinstance(a, Built):
-                    retire(a)
+            retire(live, *args)
             continue
         stats["passed"] += 1
         live.trace.append(step)
         if feature.kind == "constructor":
             live.obj = out
-            live.state = abstract_state(out)
+            out = abstract_state(out)
             live_of_type.append(live)
-            continue
-        if feature.kind == "command":
+            live_count += 1
+        if feature.kind != "query":
             live.state = out
+            live.size = _state_size(out)
             # Container arguments were mutated outside their own trace.
-            for a in args:
-                if isinstance(a, Built):
-                    retire(a)
-        if _state_size(live.state) > MAX_OBJECT_SIZE:
+            retire(*args)
+        if live.size > MAX_OBJECT_SIZE and feature.kind != "constructor":
             retire(live)
     return CampaignResult(stats=stats, reports=reports)

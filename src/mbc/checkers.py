@@ -107,6 +107,7 @@ class Built:
     trace: tuple  # a list in a campaign, which appends its passed calls
     obj: object
     state: AbstractState
+    size: int = 0  # in a campaign, _state_size(state), taken with the state
 
 
 def _build(spec, trace, call=None):
@@ -115,7 +116,7 @@ def _build(spec, trace, call=None):
     raw body or by ``call(spec, obj, feature, args)`` (replay's checked one)."""
     obj = None
     for feature, args in trace:
-        if any(d[0] == "container" for d in feature.arg_domains):
+        if feature.nests:
             args = [_build(REGISTRY[d[1]], a, call) if d[0] == "container"
                     else a for d, a in zip(feature.arg_domains, args)]
         if call is not None:
@@ -200,7 +201,7 @@ def _calls(features, cfg, allowed=None):
     features taking a container argument are left out."""
     return [(f, args) for f in features
             if (allowed is None or f.name in allowed)
-            and not any(d[0] == "container" for d in f.arg_domains)
+            and not f.nests
             for args in _arg_combos(f, cfg)]
 
 

@@ -13,6 +13,7 @@ enumerations.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import fields
@@ -109,8 +110,7 @@ def cmd_report(args) -> int:
         "completeness": completeness,
         "adequacy": adequacy,
         "testing": {"stats": campaign.stats,
-                    "reports": [{"violation": r.violation, "trace": r.trace}
-                                for r in campaign.reports]},
+                    "reports": [vars(r) for r in campaign.reports]},
     }
     _emit(args, report_to_json(combined) + "\n")
     bad = (campaign.violations or completeness["summary"]["errors"]
@@ -180,8 +180,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser(seed_env):
+    """``build_parser()``, built again when ``$MBC_SEED`` changes."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run a command; the parser is built once, ``$MBC_SEED`` read per call."""
+    parser = _parser(os.environ.get("MBC_SEED"))
     try:
         args = parser.parse_args(argv)
         for name, lo in _LEAST.items():

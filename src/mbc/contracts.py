@@ -196,6 +196,10 @@ class Feature:
     _frame: Optional[tuple] = field(default=None, init=False, repr=False,
                                     compare=False)
 
+    def __post_init__(self):
+        # Whether an argument is a container object, which callers supply.
+        self.nests = any(d[0] == "container" for d in self.arg_domains)
+
 
 # Argument domains.  A feature declares one per argument: a tuple whose
 # first entry names the kind.
@@ -259,8 +263,7 @@ class ContainerSpec:
             for c in f.clauses:
                 if c.target is not None:
                     _check_target(name, f, c, signature)
-                elif c.tag == "model" and not any(
-                        d[0] == "container" for d in f.arg_domains):
+                elif c.tag == "model" and not f.nests:
                     raise ConfigurationError(
                         f"{name}.{f.name}: clause {c.cid} names no target")
             f.body = (cls if f.kind == "constructor"

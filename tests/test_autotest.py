@@ -10,10 +10,15 @@ from mbc.autotest import (
     _decode_trace, _encode_arg, _encode_trace, generate_arguments, replay,
     run_campaign,
 )
-from mbc import autotest, contracts
-from mbc.checkers import Built, EnumerationConfig, _build, state_space
+from mbc import autotest, containers, contracts
+from mbc.checkers import (
+    Built, EnumerationConfig, _build, _state_size, state_space,
+)
 from mbc.containers import CONTAINER_NAMES, EqSet, FaultSwitch, Stack
-from mbc.contracts import Clause, REGISTRY, abstract_state, serialize_state
+from mbc.contracts import (
+    Clause, ContractViolation, PreconditionRejected, REGISTRY, abstract_state,
+    draw_value, serialize_state,
+)
 from mbc.model_math import MSeq, Ref
 
 
@@ -313,6 +318,157 @@ class TestHeldPrestates:
             assert (replay(rep, faults=faulty()).clause
                     == rep.violation["clause"])
         assert counts["held"] == 0 and counts["fresh"] > 0
+
+
+def reference_arguments(feature, rng, pools, target=None):
+    """The draws of ``generate_arguments`` with no table: every value goes
+    through ``draw_value``, which builds its domain's values each time."""
+    args = []
+    for d in feature.arg_domains:
+        if d[0] == "container":
+            candidates = [o for o in pools.get(d[1], ())
+                          if o.obj is not target]
+            if not candidates:
+                return None
+            args.append(rng.choice(candidates))
+        else:
+            args.append(draw_value(d, rng, autotest.ELEMENT_POOL))
+    return args
+
+
+def reference_campaign(targets, calls, seed, faults=None, mode="model"):
+    """The campaign driver as it was before its per-call work was cut: it
+    counts the pool on every iteration, copies every argument list twice
+    and takes the size of the held state after every passed call.  Kept to
+    pin ``run_campaign``'s bytes to it."""
+    faults = faults or FaultSwitch()
+    containers.reset_ref_counter()
+    rng = random.Random(seed)
+    pools = {t: [] for t in targets}
+    features = {t: list(REGISTRY[t].features.values()) for t in targets}
+    stats = {"calls": 0, "rejected": 0, "passed": 0, "violations": 0}
+    reports = []
+
+    def retire(a):
+        for of_type in pools.values():
+            if a in of_type:
+                of_type.remove(a)
+
+    while stats["calls"] < calls:
+        target_name = rng.choice(targets)
+        spec = REGISTRY[target_name]
+        live_of_type = pools[target_name]
+        if not live_of_type or (sum(map(len, pools.values()))
+                                < autotest.MAX_OBJECTS
+                                and rng.random() < 0.15):
+            live = Built([], None, None)
+            feature = rng.choice(spec.constructors)
+        else:
+            live = rng.choice(live_of_type)
+            feature = rng.choice(features[target_name])
+        args = reference_arguments(feature, rng, pools, target=live.obj)
+        if args is None:
+            continue
+        raw_args = [a.obj if isinstance(a, Built) else a for a in args]
+        step = (feature, [tuple(a.trace) if isinstance(a, Built) else a
+                          for a in args])
+        stats["calls"] += 1
+        try:
+            out = autotest._call(spec, live.obj, feature, raw_args, faults,
+                                 mode, live.state)
+        except PreconditionRejected:
+            stats["rejected"] += 1
+            continue
+        except ContractViolation as v:
+            stats["violations"] += 1
+            report = FaultReport(violation={**v.to_dict(), "seed": seed},
+                                 trace=_encode_trace(spec, [*live.trace, step]))
+            confirmed = replay(report, faults=faults, mode=mode)
+            assert confirmed is not None and confirmed.clause == v.clause
+            reports.append(report)
+            for a in [live, *args]:
+                if isinstance(a, Built):
+                    retire(a)
+            continue
+        stats["passed"] += 1
+        live.trace.append(step)
+        if feature.kind == "constructor":
+            live.obj = out
+            live.state = abstract_state(out)
+            live_of_type.append(live)
+            continue
+        if feature.kind == "command":
+            live.state = out
+            for a in args:
+                if isinstance(a, Built):
+                    retire(a)
+        if _state_size(live.state) > autotest.MAX_OBJECT_SIZE:
+            retire(live)
+    return CampaignResult(stats=stats, reports=reports)
+
+
+class TestDriverEquivalence:
+    """``run_campaign`` draws the same values and writes the same bytes as
+    the reference driver, while doing each piece of per-call work once.
+    CI runs these under several hash seeds: the shared draw tables hold
+    relations whose lookup memos are keyed by ``order_key``."""
+
+    @pytest.mark.parametrize("mode", ["model", "classic"])
+    @pytest.mark.parametrize("targets", [[n] for n in CONTAINER_NAMES]
+                             + [list(CONTAINER_NAMES)],
+                             ids=list(CONTAINER_NAMES) + ["all"])
+    def test_same_bytes_as_the_reference(self, targets, mode):
+        for seed in (0, 1, 2):
+            got = run_campaign(targets, 1500, seed, mode=mode)
+            want = reference_campaign(targets, 1500, seed, mode=mode)
+            assert got.to_json_lines() == want.to_json_lines(), seed
+
+    @pytest.mark.parametrize("mode", ["model", "classic"])
+    def test_same_bytes_as_the_reference_under_the_fault(self, mode):
+        reports = 0
+        for seed in (0, 1, 2):
+            got = run_campaign(["LinkedList"], 3000, seed, faults=faulty(),
+                               mode=mode)
+            want = reference_campaign(["LinkedList"], 3000, seed,
+                                      faults=faulty(), mode=mode)
+            assert got.to_json_lines() == want.to_json_lines(), seed
+            reports += len(got.reports)
+        assert (reports > 0) == (mode == "model")
+
+    def test_state_size_once_per_passed_constructor_or_command(
+            self, monkeypatch):
+        counts = {"sizes": 0, "set": 0}
+        call = autotest._call
+
+        def sizing(state):
+            counts["sizes"] += 1
+            return _state_size(state)
+
+        def calling(spec, obj, feature, *rest):
+            out = call(spec, obj, feature, *rest)
+            counts["set"] += feature.kind != "query"
+            return out
+
+        monkeypatch.setattr(autotest, "_state_size", sizing)
+        monkeypatch.setattr(autotest, "_call", calling)
+        r = run_campaign(CONTAINER_NAMES, 3000, 1)
+        assert r.violations == 0
+        assert 0 < counts["sizes"] <= counts["set"] < r.stats["passed"]
+
+    def test_domain_values_once_per_domain(self, monkeypatch):
+        built = []
+
+        def values(domain, elements):
+            built.append(domain)
+            return contracts.domain_values(domain, elements)
+
+        monkeypatch.setattr(autotest, "_TABLES", {})
+        monkeypatch.setattr(autotest, "domain_values", values)
+        for seed in (0, 1):
+            assert run_campaign(CONTAINER_NAMES, 2000, seed).violations == 0
+        assert built and len(built) == len(set(built))
+        assert {d[0] for d in built} == {"element", "int", "bool",
+                                         "relation"}
 
 
 class TestReplay:

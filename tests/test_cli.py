@@ -10,6 +10,7 @@ import time
 import pytest
 
 import mbc
+from mbc import cli
 from mbc.cli import main
 from mbc.containers import Stack
 from mbc.contracts import REGISTRY
@@ -232,6 +233,38 @@ class TestSubcommands:
         code, _, _ = run(capsys, "test", "--target", "Stack", "--calls", "10",
                          "--seed", "3")
         assert code == 0
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        monkeypatch.delenv("MBC_SEED", raising=False)
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        for seed in ("1", "2", "3"):
+            code, out, _ = run(capsys, "test", "--target", "Stack",
+                               "--calls", "50", "--seed", seed)
+            assert code == 0 and out
+        assert built == [1]
+
+    def test_seed_env_read_on_every_call(self, capsys, monkeypatch):
+        argv = ["test", "--all", "--calls", "300"]
+        outs = {}
+        for seed in ("77", "78"):
+            monkeypatch.setenv("MBC_SEED", seed)
+            outs[seed] = run(capsys, *argv)
+        monkeypatch.delenv("MBC_SEED")
+        for seed, got in outs.items():
+            assert got == run(capsys, *argv, "--seed", seed)
+        assert outs["77"] != outs["78"]
+
+    def test_inject_does_not_carry_over(self, capsys):
+        argv = ["test", "--target", "LinkedList", "--calls", "3000",
+                "--seed", "0"]
+        code, _, _ = run(capsys, *argv, "--inject", "merge_right_missing_link")
+        assert code == 1
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["stats"]["violations"] == 0
 
     def test_out_flag_writes_file(self, capsys, tmp_path):
         p = tmp_path / "r.jsonl"
