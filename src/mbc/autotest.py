@@ -30,8 +30,6 @@ ELEMENT_POOL = element_tokens(4)
 _UNIVERSE_OF = {r.token: i + 1 for i, r in enumerate(element_tokens(MAX_UNIVERSE))}
 MAX_OBJECTS = 32      # live objects in a campaign's pool
 MAX_OBJECT_SIZE = 8
-# Each drawn non-path domain's ``domain_values`` over ELEMENT_POOL, kept.
-_TABLES = {}
 
 
 class ReplayError(Exception):
@@ -212,8 +210,8 @@ def replay(report: FaultReport, faults=None, mode="model"):
 def generate_arguments(feature, rng, pools, target=None):
     """Draw an argument list for a feature from its argument domains over
     the element pool, and from the ``Built`` records of ``pools`` (type name
-    to pool objects), or None; preconditions filter afterwards.  A path is
-    drawn by ``draw_value``, any other value from its table in ``_TABLES``."""
+    to pool objects), or None; preconditions filter afterwards.  Any other
+    value than a path is read from a prebuilt table (see ``draw_value``)."""
     args = []
     for d in feature.arg_domains:
         if d[0] == "container":
@@ -222,12 +220,8 @@ def generate_arguments(feature, rng, pools, target=None):
             if not candidates:
                 return None
             args.append(rng.choice(candidates))
-        elif d[0] == "path":
-            args.append(draw_value(d, rng, ELEMENT_POOL))
         else:
-            values = _TABLES.get(d) or _TABLES.setdefault(
-                d, domain_values(d, ELEMENT_POOL))
-            args.append(rng.choice(values))
+            args.append(draw_value(d, rng, ELEMENT_POOL))
     return args
 
 
@@ -241,17 +235,16 @@ def run_campaign(targets, calls, seed, faults=None,
     replaying its trace before it is returned.
 
     The pool keeps one insertion-ordered list of live objects per type, each
-    with its state as its last passed call left it and the state's
-    ``_state_size``, both taken when a constructor or command sets the state (a
-    query proves it unchanged).  Each call on a pool object takes the held
-    state as its prestate; the size cap reads the held size after each passed
-    query or command, never at a constructor's birth.  That holds because a
-    pool object changes only inside its own checked calls: a command retires
-    its container arguments and a query checks theirs for purity.  An object
-    changed outside them is caught, not trusted: its next query's purity check
-    or command's postconditions compare the held state with a fresh poststate,
-    and replay, whose prestates are fresh, does not confirm the violation, so
-    self-validation fails with ``UnconfirmedViolation``.
+    holding the state its last passed call left it in and that state's
+    ``_state_size``, both taken when a constructor or command sets the state
+    (a query proves it unchanged).  Each call on a pool object takes the held
+    state as its prestate, and the size cap reads the held size after every
+    passed query or command.  This is sound because a pool object changes
+    only in its own checked calls: a command retires its container arguments,
+    a query checks theirs for purity.  An object changed elsewhere is caught:
+    the held state disagrees with a fresh poststate at its next query's purity
+    check or command's postconditions, and replay, with fresh prestates, does
+    not confirm it, so self-validation fails with ``UnconfirmedViolation``.
     """
     faults = faults or containers.FaultSwitch()
     for t in targets:
@@ -268,11 +261,10 @@ def run_campaign(targets, calls, seed, faults=None,
     def retire(*objs):
         nonlocal live_count
         for a in objs:
-            if isinstance(a, Built):
-                for of_type in pools.values():
-                    if a in of_type:
-                        of_type.remove(a)
-                        live_count -= 1
+            for of_type in pools.values():
+                if isinstance(a, Built) and a in of_type:
+                    of_type.remove(a)
+                    live_count -= 1
 
     while stats["calls"] < calls:
         target_name = rng.choice(targets)
@@ -289,8 +281,7 @@ def run_campaign(targets, calls, seed, faults=None,
         if args is None:
             continue
         raw_args, step = args, (feature, args)
-        # A pool object among the arguments is recorded as its trace so far.
-        if feature.nests:
+        if feature.nests:  # a pool object is recorded as its trace so far
             raw_args = [a.obj if isinstance(a, Built) else a for a in args]
             step = (feature, [tuple(a.trace) if isinstance(a, Built) else a
                               for a in args])
@@ -330,6 +321,7 @@ def run_campaign(targets, calls, seed, faults=None,
         if feature.kind != "query":
             live.state = out
             live.size = _state_size(out)
+        if feature.kind == "command":
             # Container arguments were mutated outside their own trace.
             retire(*args)
         if live.size > MAX_OBJECT_SIZE and feature.kind != "constructor":

@@ -110,7 +110,8 @@ def cmd_report(args) -> int:
         "completeness": completeness,
         "adequacy": adequacy,
         "testing": {"stats": campaign.stats,
-                    "reports": [vars(r) for r in campaign.reports]},
+                    "reports": [{"violation": r.violation, "trace": r.trace}
+                                for r in campaign.reports]},
     }
     _emit(args, report_to_json(combined) + "\n")
     bad = (campaign.violations or completeness["summary"]["errors"]
@@ -180,9 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=1)  # built again when $MBC_SEED changes
 def _parser(seed_env):
-    """``build_parser()``, built again when ``$MBC_SEED`` changes."""
     return build_parser()
 
 

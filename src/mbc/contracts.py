@@ -232,13 +232,21 @@ def domain_values(domain, elements):
     raise ValueError(f"unknown argument domain {domain!r}")
 
 
+_TABLES = {}  # a drawn domain -> (elements, its domain_values over them)
+
+
 def draw_value(domain, rng, elements):
     """One random value of a non-container domain: a uniform choice over
-    ``domain_values``, except that a path draws its length, then its bits."""
+    ``domain_values``, except that a path draws its length, then its bits.
+    Any other draw reads a table of them, built on the domain's first draw
+    and kept while the same, unchanged ``elements`` list is passed."""
     if domain[0] == "path":
         n = rng.randint(0, domain[1])
         return MSeq(rng.choice([False, True]) for _ in range(n))
-    return rng.choice(domain_values(domain, elements))
+    table = _TABLES.get(domain)
+    if table is None or table[0] is not elements:
+        table = _TABLES[domain] = (elements, domain_values(domain, elements))
+    return rng.choice(table[1])
 
 
 class ContainerSpec:

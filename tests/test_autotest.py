@@ -17,7 +17,7 @@ from mbc.checkers import (
 from mbc.containers import CONTAINER_NAMES, EqSet, FaultSwitch, Stack
 from mbc.contracts import (
     Clause, ContractViolation, PreconditionRejected, REGISTRY, abstract_state,
-    draw_value, serialize_state,
+    domain_values, draw_value, serialize_state,
 )
 from mbc.model_math import MSeq, Ref
 
@@ -321,8 +321,8 @@ class TestHeldPrestates:
 
 
 def reference_arguments(feature, rng, pools, target=None):
-    """The draws of ``generate_arguments`` with no table: every value goes
-    through ``draw_value``, which builds its domain's values each time."""
+    """The draws of ``generate_arguments`` with no table: a value that is
+    not a path is a choice over its domain's values, built each time."""
     args = []
     for d in feature.arg_domains:
         if d[0] == "container":
@@ -331,8 +331,10 @@ def reference_arguments(feature, rng, pools, target=None):
             if not candidates:
                 return None
             args.append(rng.choice(candidates))
-        else:
+        elif d[0] == "path":
             args.append(draw_value(d, rng, autotest.ELEMENT_POOL))
+        else:
+            args.append(rng.choice(domain_values(d, autotest.ELEMENT_POOL)))
     return args
 
 
@@ -456,14 +458,14 @@ class TestDriverEquivalence:
         assert 0 < counts["sizes"] <= counts["set"] < r.stats["passed"]
 
     def test_domain_values_once_per_domain(self, monkeypatch):
-        built = []
+        built, build = [], contracts.domain_values
 
         def values(domain, elements):
             built.append(domain)
-            return contracts.domain_values(domain, elements)
+            return build(domain, elements)
 
-        monkeypatch.setattr(autotest, "_TABLES", {})
-        monkeypatch.setattr(autotest, "domain_values", values)
+        monkeypatch.setattr(contracts, "_TABLES", {})
+        monkeypatch.setattr(contracts, "domain_values", values)
         for seed in (0, 1):
             assert run_campaign(CONTAINER_NAMES, 2000, seed).violations == 0
         assert built and len(built) == len(set(built))

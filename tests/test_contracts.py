@@ -650,3 +650,12 @@ class TestDomains:
             for _ in range(200):
                 x = draw_value(d, rng, ELEMENT_POOL)
                 assert (type(x), x) in typed, (d, x)
+
+    def test_draw_table_follows_the_element_list(self, monkeypatch):
+        monkeypatch.setattr(contracts, "_TABLES", {})
+        rng, one = random.Random(0), [Ref("x")]
+        assert {draw_value(("element",), rng, one) for _ in range(20)} == {
+            Ref("x")}
+        drawn = {draw_value(("element",), rng, ELEMENT_POOL)
+                 for _ in range(50)}
+        assert drawn == set(ELEMENT_POOL)
