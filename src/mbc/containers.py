@@ -24,7 +24,11 @@ paths, and the left subtree's paths before the right's, which is ascending
 order.  Each key is one position or one node, so no key repeats, and the
 duplicate-key check of ``MMap`` could never fire on them.  A walk of any
 other order would build a map that is not canonical, so the tests compare
-both maps with the sorted ``MMap`` of the same pairs.
+both maps with the sorted ``MMap`` of the same pairs.  ``Table.model_map``
+sorts its dict's items by the key's ``order_key`` and builds the map
+through ``_canonical_map`` too: a dict's keys are distinct by ``==``,
+and model values with equal keys are ``==``, so they are distinct by
+``order_key`` and it skips only ``MMap``'s duplicate-key scan.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .contracts import (
 )
 from .model_math import (
     MBag, MMap, MRel, MSeq, MSet, Ref, _canonical_map, int_interval,
+    order_key,
 )
 
 _ref_counter = itertools.count()
@@ -421,7 +426,8 @@ class Table:
         self.data = {}
 
     def model_map(self) -> MMap:
-        return MMap(self.data.items())
+        return _canonical_map(sorted(self.data.items(),
+                                     key=lambda kv: order_key(kv[0])))
 
     def do_put(self, v, k):
         self.data[k] = v
@@ -466,7 +472,7 @@ class _SeqBacked:
         self.items = []
 
     def model_bag(self) -> MBag:
-        return MSeq(self.items).to_bag()
+        return MBag(self.items)
 
     def model_sequence(self) -> MSeq:
         return MSeq(self.items)

@@ -15,10 +15,14 @@ checks a call of any kind: it takes each object's state (the target's
 and every container argument's) once before the body, or uses the
 caller's held one as the target's, and once after it, and checks
 postconditions, purity and invariants against those snapshots; the
-kinds differ only in data.  Model mode checks every clause; classic mode
-filters them.  A body or a model query that raises is an ``exception``
-violation; so is a precondition, postcondition or invariant clause that
-raises anything but ``DomainError``, which makes it false.
+kinds differ only in data.  Which arguments are container objects is
+worked out once per feature, from its argument domains
+(``Feature.container_args``), and a command's frame-expanded clauses
+once per clause tuple (``expand_frame``).  Model mode checks every
+clause; classic mode filters them.  A body or a model query that raises
+is an ``exception`` violation; so is a precondition, postcondition or
+invariant clause that raises anything but ``DomainError``, which makes
+it false.
 """
 
 from __future__ import annotations
@@ -197,8 +201,11 @@ class Feature:
                                     compare=False)
 
     def __post_init__(self):
-        # Whether an argument is a container object, which callers supply.
-        self.nests = any(d[0] == "container" for d in self.arg_domains)
+        # The positions of the arguments that are container objects, which
+        # callers supply, and whether there are any.
+        self.container_args = tuple(i for i, d in enumerate(self.arg_domains)
+                                    if d[0] == "container")
+        self.nests = bool(self.container_args)
 
 
 # Argument domains.  A feature declares one per argument: a tuple whose
@@ -340,17 +347,25 @@ def spec_of(obj) -> ContainerSpec:
     try:
         return REGISTRY[obj.spec_name]
     except (AttributeError, KeyError):
-        raise UsageError(f"object {obj!r} is not a registered container") from None
+        raise _unregistered(obj) from None
+
+
+def _unregistered(obj) -> UsageError:
+    return UsageError(f"object {obj!r} is not a registered container")
 
 
 def abstract_state(obj) -> AbstractState:
     """The tuple of current model-query values of a registered object.
 
-    It calls each query by its signature's prebuilt method name and builds
-    the signature's ``state_type`` directly: one value per query, so the
-    arity check of ``AbstractState`` cannot fail here.
+    It reads the object's spec from ``REGISTRY``, calls each query by its
+    signature's prebuilt method name and builds the signature's
+    ``state_type`` directly: one value per query, so the arity check of
+    ``AbstractState`` cannot fail here.
     """
-    sig = spec_of(obj).signature
+    try:
+        sig = REGISTRY[obj.spec_name].signature
+    except (AttributeError, KeyError):
+        raise _unregistered(obj) from None
     return tuple.__new__(sig.state_type, [getattr(obj, m)() for m in sig.methods])
 
 
@@ -479,6 +494,11 @@ def _checked_call(spec, obj, name, kind, args, mode, faults=None, old=None):
     checked, and no prestate of the target is taken; a wrong one is not
     trusted, since purity and the postconditions compare it with the
     poststate taken after the body.
+    Only an argument of a container domain (``Feature.container_args``) is
+    an object: it is seen through a ``Ctx`` with its own prestate and
+    poststate, which a query checks for purity and a command or
+    constructor against its invariant.  Any other argument is a value,
+    whatever it is.
     The kinds differ only in data: a constructor has no prestate; a query
     checks abstract purity of its target and container arguments, and the
     invariant of a container it returns; a command's clauses are
@@ -498,13 +518,15 @@ def _checked_call(spec, obj, name, kind, args, mode, faults=None, old=None):
                              f"not a {kind}")
     query = kind == "query"
     views = raw = tuple(args)
-    has_containers = any(map(_is_container, raw))
-    if has_containers:  # each container argument seen with its prestate
-        views = tuple(Ctx(obj=a, ref=a.ref, cold=spec_of(a).snapshot(a))
-                      if _is_container(a) else a for a in raw)
-        for v in views:
-            if isinstance(v, Ctx):
-                v.old = _state(v.obj, name, None, None, views)
+    nested = feature.container_args
+    if nested:  # each container argument seen with its prestate
+        views = list(raw)
+        for i in nested:
+            a = raw[i]
+            views[i] = Ctx(obj=a, ref=a.ref, cold=spec_of(a).snapshot(a))
+        views = tuple(views)
+        for i in nested:
+            views[i].old = _state(raw[i], name, None, None, views)
     if kind == "constructor":
         old = cold = ref = None
     else:
@@ -512,9 +534,11 @@ def _checked_call(spec, obj, name, kind, args, mode, faults=None, old=None):
             old = _state(obj, name, None, None, views)
         cold = spec.snapshot(obj)
         ref = obj.ref
-    if feature.pre is not None:
+    if feature.pre is not None:  # as pre_holds
         try:
-            holds = pre_holds(feature, old, views, ref)
+            holds = feature.pre(old, views, ref)
+        except DomainError:
+            holds = False
         except Exception as e:
             raise _exception(name, f"{name}/precondition", e, old, old,
                              views) from e
@@ -529,17 +553,19 @@ def _checked_call(spec, obj, name, kind, args, mode, faults=None, old=None):
     except Exception as e:
         raise _exception(name, name, e, old, old, views) from e
 
-    new = _state(obj, name, old, None, views)
+    try:  # as _state
+        new = abstract_state(obj)
+    except Exception as e:
+        raise _exception(name, f"{name}/model", e, old, None, views) from e
     if query and old != new:
         raise _violation(name, f"{name}/purity:target", "abstract-purity",
                          old, new, views)
-    if has_containers:
-        for v in views:
-            if isinstance(v, Ctx):
-                v.new = _state(v.obj, name, old, new, views)
-                if query and v.old != v.new:
-                    raise _violation(name, f"{name}/purity:argument",
-                                     "abstract-purity", old, v.new, views)
+    for i in nested:
+        v = views[i]
+        v.new = _state(v.obj, name, old, new, views)
+        if query and v.old != v.new:
+            raise _violation(name, f"{name}/purity:argument",
+                             "abstract-purity", old, v.new, views)
     result = out if query else None
     returned = query and _is_container(out)
     if returned:  # clauses read a returned container's state
@@ -555,9 +581,9 @@ def _checked_call(spec, obj, name, kind, args, mode, faults=None, old=None):
                               old, views, mode)
         return out
     _check_invariants(spec, ctx, name, old, views, mode)
-    for v in views if has_containers else ():
-        if isinstance(v, Ctx):
-            _check_invariants(spec_of(v.obj), v, name, old, views, mode)
+    for i in nested:
+        v = views[i]
+        _check_invariants(spec_of(v.obj), v, name, old, views, mode)
     return new if kind == "command" else obj
 
 

@@ -11,7 +11,9 @@ keys are, ``hash`` follows the key, and every membership test (``has``,
 matches by it, so ``True`` and ``1`` are distinct everywhere.  ``__eq__`` and
 the scans (``MSeq.has`` and ``occurrences``, ``MMap.is_constant``) test
 ``==``, then the type: nested values follow this rule, and only a ``bool``
-and an ``int`` are ``==`` under different keys.  The constructors of
+and an ``int`` are ``==`` under different keys.  ``__eq__`` reads the
+types only where two equal entries are distinct objects (``_same_types``):
+identical objects have identical types.  The constructors of
 ``MSet`` and ``MRel`` compute the key once per entry, sort once, and merge
 neighbours with equal keys, keeping an element's first occurrence (``MRel``
 keeps the keys, for ``==``, ``hash`` and ``has``); ``MMap`` sorts its keys
@@ -64,12 +66,15 @@ and ``difference``, the images of ``MRel.image_of``, and
 (``updated``) the stored entries with one key put in its bisected place:
 keys already distinct and ascending by ``order_key``, which is the tuple
 the sorting constructor would build.  The model queries of ``containers``
-that walk their keys in ascending order call ``_canonical_map`` too.
+that walk their keys in ascending order call ``_canonical_map`` too, and
+so does Table's, which sorts its distinct dict keys by ``order_key``.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
+import operator
 from typing import Callable, Iterable, Iterator, Tuple
 
 INT_MIN = -(2**63)
@@ -187,6 +192,17 @@ def to_text(v: ModelValue) -> str:
     raise TypeError(f"not a model value: {v!r}")
 
 
+def _same_types(xs, ys):
+    """Whether the equal tuples ``xs`` and ``ys`` hold values of the same
+    type at every position, so that equality by ``==`` is equality by
+    ``order_key``.  Identical objects have identical types, so the
+    per-position type lists are built only when some position holds two
+    distinct objects; element tokens are shared ``Ref``s and small
+    integers are cached, so most equal tuples skip them."""
+    return (all(map(operator.is_, xs, ys))
+            or list(map(type, xs)) == list(map(type, ys)))
+
+
 class MSeq:
     """Finite sequence; positions are 1-based."""
 
@@ -197,7 +213,7 @@ class MSeq:
 
     def __eq__(self, other):
         return (isinstance(other, MSeq) and self.items == other.items
-                and list(map(type, self.items)) == list(map(type, other.items)))
+                and _same_types(self.items, other.items))
 
     def __hash__(self):
         return hash(("MSeq", tuple(order_key(x) for x in self.items)))
@@ -303,7 +319,7 @@ class MSet(_Value):
 
     def __eq__(self, other):
         return (isinstance(other, MSet) and self.elements == other.elements
-                and list(map(type, self.elements)) == list(map(type, other.elements)))
+                and _same_types(self.elements, other.elements))
 
     def __hash__(self):
         return hash(("MSet", tuple(order_key(x) for x in self.elements)))
@@ -437,7 +453,7 @@ class MBag(_Value):
         if not isinstance(other, MBag):
             return False
         mine, theirs = self.items, other.items
-        if mine == theirs and list(map(type, mine)) == list(map(type, theirs)):
+        if mine == theirs and _same_types(mine, theirs):
             return True
         return self._counted() == other._counted()
 
@@ -505,8 +521,12 @@ class MMap(_Value):
         self._domain = None
 
     def __eq__(self, other):
-        return (isinstance(other, MMap) and self.pairs == other.pairs
-                and [(type(k), type(v)) for k, v in self.pairs]
+        if not (isinstance(other, MMap) and self.pairs == other.pairs):
+            return False
+        # As ``_same_types``, over each pair's key and value.
+        flat = itertools.chain.from_iterable
+        return (all(map(operator.is_, flat(self.pairs), flat(other.pairs)))
+                or [(type(k), type(v)) for k, v in self.pairs]
                 == [(type(k), type(v)) for k, v in other.pairs])
 
     def __hash__(self):

@@ -1,6 +1,7 @@
 """Container library behaviour against hand-derived transitions."""
 
 import gc
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,7 @@ from mbc.autotest import run_campaign
 from mbc.checkers import EnumerationConfig, state_space
 from mbc.containers import (
     ALL_SPECS, CONTAINER_NAMES, ArrayT, BinaryTree, FaultSwitch, LinkedList,
-    Queue, Stack,
+    Queue, Stack, Table,
 )
 from mbc.contracts import (
     AbstractState, ContractViolation, Ctx, PreconditionRejected, REGISTRY,
@@ -126,6 +127,30 @@ class TestTable:
         checked_command(t, "put", [C, B])
         assert checked_query(t, "item", [B]) == C
         assert checked_query(t, "count") == 1
+
+    # Keys and values mix Refs with True and 1, False and 0: a dict holds
+    # one key of each ``==`` class, the first one put.
+    ATOMS = st.sampled_from([A, B, C, Ref("a"), 0, 1, False, True])
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(st.lists(st.tuples(st.sampled_from(["do_put", "do_force"]),
+                              ATOMS, ATOMS), max_size=12))
+    def test_map_is_the_sorted_map_of_its_items(self, steps):
+        # model_map sorts the dict's items itself and skips MMap's
+        # duplicate-key scan; it must build the very map MMap builds.
+        t = Table()
+        for routine, v, k in steps:
+            getattr(t, routine)(v, k)
+            got, want = t.model_map(), MMap(t.data.items())
+            assert got == want
+            assert [(type(k), type(v)) for k, v in got.pairs] == [
+                (type(k), type(v)) for k, v in want.pairs]
+            assert all(k is y and v is w for (k, v), (y, w)
+                       in zip(got.pairs, want.pairs))
+            got.has_key(A)  # fills the domain memo
+            assert pickle.dumps(got) == pickle.dumps(want)
+            assert pickle.loads(pickle.dumps(got))._domain is None
 
 
 class TestCollectionFamily:

@@ -1,6 +1,7 @@
 """Contract engine: frame expansion, checked calls, purity, violations."""
 
 import copy
+import dataclasses
 import json
 import pickle
 import random
@@ -633,6 +634,63 @@ class TestViolationText:
         assert abstract_state(b).sequence.is_empty  # the body emptied it
         assert e.value.args == (f"{b.ref.token}:(⟨y⟩, 0)",)
         assert e.value.old_state == "(⟨x⟩, 0)"
+
+
+class TestContainerArguments:
+    """Only an argument of a container domain is an object: it is seen
+    with its prestate and poststate, a query checks it for purity and a
+    command checks its invariant (``TestSnapshots``).  An argument of any
+    other domain is a value, even a container."""
+
+    def _count_with_list(self, monkeypatch, body):
+        # LinkedList's count, taking a list it may not change.
+        count = dataclasses.replace(SPEC.features["count"],
+                                    arg_domains=(("container", "LinkedList"),))
+        count.body = body
+        monkeypatch.setitem(SPEC.features, "count", count)
+
+    def test_query_checks_argument_purity(self, monkeypatch):
+        def count_and_grow(o, other):
+            other.do_put_right(Ref("z"))
+            return o.count
+
+        self._count_with_list(monkeypatch, count_and_grow)
+        a, b = make_list("x"), make_list("y")
+        before = serialize_state(abstract_state(b))
+        with pytest.raises(ContractViolation) as e:
+            checked_query(a, "count", [b])
+        v = e.value
+        assert (v.clause, v.kind) == ("count/purity:argument",
+                                      "abstract-purity")
+        assert v.args == (f"{b.ref.token}:{before}",)  # its prestate
+        assert v.new_state == serialize_state(abstract_state(b))
+
+    def test_query_sees_argument_old_and_new(self, monkeypatch):
+        views = []
+
+        def count(o, other):
+            return o.count
+
+        self._count_with_list(monkeypatch, count)
+        feature = SPEC.features["count"]
+        monkeypatch.setattr(feature, "clauses", feature.clauses + (
+            Clause("count/seen", "classic",
+                   lambda c: views.append(c.args[0]) or True),))
+        a, b = make_list("x"), make_list("y", "z")
+        assert checked_query(a, "count", [b]) == 1
+        [view] = views
+        assert view.obj is b and view.ref is b.ref
+        assert view.old == view.new == abstract_state(b)
+        assert view.cold == {"count": 2, "index": 0}
+
+    def test_container_in_a_value_domain_is_a_value(self, monkeypatch):
+        a, b = make_list("x"), make_list("y")
+        states = []
+        real = contracts.abstract_state
+        monkeypatch.setattr(contracts, "abstract_state",
+                            lambda obj: states.append(obj) or real(obj))
+        assert checked_query(a, "has", [b]) is False
+        assert states == [a, a]
 
 
 class TestDomains:

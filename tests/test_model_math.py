@@ -13,6 +13,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mbc import model_math
+from mbc.containers import Collection
+from mbc.contracts import (
+    REGISTRY, AbstractState, ContractViolation, ModelSignature,
+    checked_constructor, checked_query,
+)
 from mbc.model_math import (
     DomainError, MBag, MMap, MRel, MSeq, MSet, OverflowReported, Ref,
     check_int, identity_relation, int_interval, order_key, to_text,
@@ -772,6 +777,35 @@ def probes(v, other):
     return held + [twin(x, lambda: True) for x in held] + [other]
 
 
+# ``==`` reads the entries' types only where two equal tuples hold
+# distinct objects.  Each maker builds one value from a list of entries,
+# with the key that identity must follow; the entries of each variant are
+# the same objects as SHARED's, equal but distinct ones, or turn 1 into
+# True at one position, at the top or nested.
+BIG = int("70000")  # built at run time: int("70000") again is another
+SHARED = [A, B, 1, BIG, MSeq([A, 0])]
+KEYS = [Ref(f"k{i}") for i in range(len(SHARED))]
+PAIR_SIG = ModelSignature([("s", "MSeq"), ("b", "MBag")])
+MAKERS = {
+    "MSeq": (MSeq, order_key),
+    "MSet": (MSet, order_key),
+    "MBag": (MBag, order_key),
+    "MMap by keys": (lambda xs: MMap([(x, A) for x in xs]), order_key),
+    "MMap by values": (lambda xs: MMap(zip(KEYS, xs)), order_key),
+    "MSeq of MSeqs": (lambda xs: MSeq([MSeq(xs), MSeq(xs[:3])]), order_key),
+    "abstract state": (
+        lambda xs: AbstractState(PAIR_SIG, [MSeq(xs), MBag(xs)]),
+        lambda state: [order_key(v) for v in state]),
+}
+VARIANTS = {
+    "same objects": (lambda: list(SHARED), True),
+    "equal objects": (lambda: [Ref("a"), Ref("b"), 1, int("70000"),
+                               MSeq([Ref("a"), 0])], True),
+    "True for 1": (lambda: [A, B, True, BIG, SHARED[4]], False),
+    "nested False for 0": (lambda: [A, B, 1, BIG, MSeq([A, False])], False),
+}
+
+
 class TestOneIdentity:
     """For nested mixes of booleans, integers and Refs in every model-value
     class, ``==`` holds exactly when the ``order_key``s are equal, equal
@@ -812,6 +846,43 @@ class TestOneIdentity:
                           (MRel([(1, A)]), MRel([(True, A)])),
                           (MSeq([MSet([1])]), MSeq([MSet([True])]))]:
             assert one != true and not one == true
+
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    @pytest.mark.parametrize("maker", list(MAKERS))
+    def test_eq_reads_types_where_objects_differ(self, maker, variant):
+        make, key = MAKERS[maker]
+        entries, equal = VARIANTS[variant]
+        x, y = make(SHARED), make(entries())
+        same = key(x) == key(y)
+        assert same == equal
+        assert (x == y) == same and (y == x) == same
+        assert (x != y) == (not same)
+        if same:
+            assert hash(x) == hash(y)
+
+    @pytest.mark.parametrize("swap, pure", [
+        (lambda x: Ref(x.token) if isinstance(x, Ref) else x, True),
+        (lambda x: True if x == 1 and type(x) is int else x, False)])
+    def test_purity_compares_by_order_key(self, monkeypatch, swap, pure):
+        # A query whose body swaps each entry for an equal but distinct
+        # object is pure; one that turns 1 into True is not.
+        spec = REGISTRY[Collection.spec_name]
+        c = checked_constructor(spec, "make_empty")
+        c.items[:] = [A, 1, B]
+        feature = spec.features["count"]
+        body = feature.body
+
+        def swapping(obj):
+            obj.items[:] = [swap(x) for x in obj.items]
+            return body(obj)
+
+        monkeypatch.setattr(feature, "body", swapping)
+        if pure:
+            assert checked_query(c, "count") == 3
+        else:
+            with pytest.raises(ContractViolation) as e:
+                checked_query(c, "count")
+            assert e.value.kind == "abstract-purity"
 
     @PROPERTY
     @given(st.lists(MODEL_VALUES, max_size=6), MODEL_VALUES)
