@@ -281,7 +281,7 @@ def run_campaign(targets, calls, seed, faults=None,
         if args is None:
             continue
         raw_args, step = args, (feature, args)
-        if feature.nests:  # a pool object is recorded as its trace so far
+        if feature.container_args:  # pool objects are recorded as traces
             raw_args = [a.obj if isinstance(a, Built) else a for a in args]
             step = (feature, [tuple(a.trace) if isinstance(a, Built) else a
                               for a in args])

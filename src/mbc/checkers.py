@@ -116,7 +116,7 @@ def _build(spec, trace, call=None):
     raw body or by ``call(spec, obj, feature, args)`` (replay's checked one)."""
     obj = None
     for feature, args in trace:
-        if feature.nests:
+        if feature.container_args:
             args = [_build(REGISTRY[d[1]], a, call) if d[0] == "container"
                     else a for d, a in zip(feature.arg_domains, args)]
         if call is not None:
@@ -201,7 +201,7 @@ def _calls(features, cfg, allowed=None):
     features taking a container argument are left out."""
     return [(f, args) for f in features
             if (allowed is None or f.name in allowed)
-            and not f.nests
+            and not f.container_args
             for args in _arg_combos(f, cfg)]
 
 

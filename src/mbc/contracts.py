@@ -202,10 +202,9 @@ class Feature:
 
     def __post_init__(self):
         # The positions of the arguments that are container objects, which
-        # callers supply, and whether there are any.
+        # callers supply.
         self.container_args = tuple(i for i, d in enumerate(self.arg_domains)
                                     if d[0] == "container")
-        self.nests = bool(self.container_args)
 
 
 # Argument domains.  A feature declares one per argument: a tuple whose
@@ -278,7 +277,7 @@ class ContainerSpec:
             for c in f.clauses:
                 if c.target is not None:
                     _check_target(name, f, c, signature)
-                elif c.tag == "model" and not f.nests:
+                elif c.tag == "model" and not f.container_args:
                     raise ConfigurationError(
                         f"{name}.{f.name}: clause {c.cid} names no target")
             f.body = (cls if f.kind == "constructor"
@@ -347,25 +346,17 @@ def spec_of(obj) -> ContainerSpec:
     try:
         return REGISTRY[obj.spec_name]
     except (AttributeError, KeyError):
-        raise _unregistered(obj) from None
-
-
-def _unregistered(obj) -> UsageError:
-    return UsageError(f"object {obj!r} is not a registered container")
+        raise UsageError(f"object {obj!r} is not a registered container") from None
 
 
 def abstract_state(obj) -> AbstractState:
     """The tuple of current model-query values of a registered object.
 
-    It reads the object's spec from ``REGISTRY``, calls each query by its
-    signature's prebuilt method name and builds the signature's
-    ``state_type`` directly: one value per query, so the arity check of
-    ``AbstractState`` cannot fail here.
+    It calls each query by its signature's prebuilt method name and builds
+    the signature's ``state_type`` directly: one value per query, so the
+    arity check of ``AbstractState`` cannot fail here.
     """
-    try:
-        sig = REGISTRY[obj.spec_name].signature
-    except (AttributeError, KeyError):
-        raise _unregistered(obj) from None
+    sig = spec_of(obj).signature
     return tuple.__new__(sig.state_type, [getattr(obj, m)() for m in sig.methods])
 
 
@@ -534,11 +525,9 @@ def _checked_call(spec, obj, name, kind, args, mode, faults=None, old=None):
             old = _state(obj, name, None, None, views)
         cold = spec.snapshot(obj)
         ref = obj.ref
-    if feature.pre is not None:  # as pre_holds
+    if feature.pre is not None:
         try:
-            holds = feature.pre(old, views, ref)
-        except DomainError:
-            holds = False
+            holds = pre_holds(feature, old, views, ref)
         except Exception as e:
             raise _exception(name, f"{name}/precondition", e, old, old,
                              views) from e
@@ -553,10 +542,7 @@ def _checked_call(spec, obj, name, kind, args, mode, faults=None, old=None):
     except Exception as e:
         raise _exception(name, name, e, old, old, views) from e
 
-    try:  # as _state
-        new = abstract_state(obj)
-    except Exception as e:
-        raise _exception(name, f"{name}/model", e, old, None, views) from e
+    new = _state(obj, name, old, None, views)
     if query and old != new:
         raise _violation(name, f"{name}/purity:target", "abstract-purity",
                          old, new, views)

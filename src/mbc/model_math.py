@@ -11,9 +11,10 @@ keys are, ``hash`` follows the key, and every membership test (``has``,
 matches by it, so ``True`` and ``1`` are distinct everywhere.  ``__eq__`` and
 the scans (``MSeq.has`` and ``occurrences``, ``MMap.is_constant``) test
 ``==``, then the type: nested values follow this rule, and only a ``bool``
-and an ``int`` are ``==`` under different keys.  ``__eq__`` reads the
-types only where two equal entries are distinct objects (``_same_types``):
-identical objects have identical types.  The constructors of
+and an ``int`` are ``==`` under different keys.  The ``__eq__`` of
+``MSeq``, ``MSet`` and ``MBag`` reads the types only where two equal
+entries are distinct objects (``_same_types``): identical objects have
+identical types.  The constructors of
 ``MSet`` and ``MRel`` compute the key once per entry, sort once, and merge
 neighbours with equal keys, keeping an element's first occurrence (``MRel``
 keeps the keys, for ``==``, ``hash`` and ``has``); ``MMap`` sorts its keys
@@ -73,7 +74,6 @@ so does Table's, which sorts its distinct dict keys by ``order_key``.
 from __future__ import annotations
 
 import bisect
-import itertools
 import operator
 from typing import Callable, Iterable, Iterator, Tuple
 
@@ -521,12 +521,8 @@ class MMap(_Value):
         self._domain = None
 
     def __eq__(self, other):
-        if not (isinstance(other, MMap) and self.pairs == other.pairs):
-            return False
-        # As ``_same_types``, over each pair's key and value.
-        flat = itertools.chain.from_iterable
-        return (all(map(operator.is_, flat(self.pairs), flat(other.pairs)))
-                or [(type(k), type(v)) for k, v in self.pairs]
+        return (isinstance(other, MMap) and self.pairs == other.pairs
+                and [(type(k), type(v)) for k, v in self.pairs]
                 == [(type(k), type(v)) for k, v in other.pairs])
 
     def __hash__(self):
