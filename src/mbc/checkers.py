@@ -143,8 +143,12 @@ def enumerate_states(name: str, cfg: EnumerationConfig, features=None):
     search over constructor and command calls finds, so its trace is a
     shortest one.  The search is refused past STATE_LIMIT replayed trace
     steps.  Commands taking container arguments are not used (the others
-    already reach every registered type's state space)."""
+    already reach every registered type's state space), nor those not in
+    ``features``, if given, where a name the spec lacks is a KeyError."""
     spec = REGISTRY[name]
+    unknown = set(features or ()) - set(spec.features)
+    if unknown:
+        raise KeyError(f"{name} has no feature {', '.join(sorted(unknown))}")
     if cfg.estimate() > STATE_LIMIT:
         raise EnumerationRefused(
             f"estimated trace steps exceed limit {STATE_LIMIT}")
@@ -239,22 +243,29 @@ def _satisfying(defining, relational, index, old, args, on_result):
                            c if on_result else None)]
 
 
-def _completeness(name, feature, cfg, reps, candidates, on_result):
-    """Both verdicts from one pass over the (representative, arguments)
-    pairs of ``reps`` (``[None]`` for a constructor).  Objects in one
+def _completeness(name, feature, cfg):
+    """Both verdicts of ``feature`` of container ``name``, from one pass
+    over (prestate, arguments) pairs: each representative of the state
+    space is a prestate, and a constructor has none.  Objects in one
     abstract state differ by identity token only, so the precondition runs
     under the representative's token and ``OTHER_REF``; a disagreement
     makes it unsound, with one witness per pair.  Where it holds, count the
     candidates that satisfy the model postcondition; more than one makes
-    the feature incomplete.  A candidate is the poststate, or the result
-    when ``on_result``.  The defining clauses are evaluated once per pair
-    and their values looked up in an index of the candidates, built once
-    per verdict; the relational ones run on the candidates found only.
+    the feature incomplete.  A candidate is a state of the state space, or
+    a query's result (``_result_candidates``).  The defining clauses are
+    evaluated once per pair and their values looked up in an index of the
+    candidates, built once per verdict; the relational ones run on the
+    candidates found only.
 
     Only the contract is read: no feature body runs.  A container argument
     is a view of its prestate, and a clause on an argument's poststate
     constrains no candidate, so ``_model_clauses`` leaves it out.
     """
+    on_result = feature.kind == "query"
+    space = state_space(name, cfg)
+    reps = [None] if feature.kind == "constructor" else space
+    candidates = (_result_candidates(feature, cfg) if on_result
+                  else [e.state for e in space])
     verdict = CheckVerdict(f"{name}.{feature.name}", tag=feature.incompleteness_tag)
     clauses = _model_clauses(feature, REGISTRY[name].signature)
     defining = [c for c in clauses if c.expr is not None]
@@ -294,16 +305,14 @@ def check_command_completeness(name, feature_name, cfg) -> CheckVerdict:
     poststates satisfying the effective (frame-expanded) postcondition must
     be abstractly equal.  Candidates are drawn from the enumerated state
     space."""
-    reps = state_space(name, cfg)
-    return _completeness(name, REGISTRY[name].features[feature_name], cfg,
-                         reps, [e.state for e in reps], False)
+    return _completeness(name, REGISTRY[name].features[feature_name], cfg)
 
 
 def _result_candidates(feature, cfg):
     d = feature.result_domain
     if d is None:
         return []
-    if d[0] == "container":
+    if feature.returns_container:
         return [e.state for e in state_space(d[1], cfg)]
     if d == ("int",):
         # Sizes up to one past the bound, and a margin of negatives.
@@ -315,17 +324,13 @@ def check_query_completeness(name, feature_name, cfg) -> CheckVerdict:
     """All results satisfying the postcondition must be equal: model
     values by value, element results by token, container results by
     abstract state."""
-    feature = REGISTRY[name].features[feature_name]
-    return _completeness(name, feature, cfg, state_space(name, cfg),
-                         _result_candidates(feature, cfg), True)
+    return _completeness(name, REGISTRY[name].features[feature_name], cfg)
 
 
 def check_constructor_completeness(name, ctor_name, cfg) -> CheckVerdict:
     """Constructors are queries returning fresh objects: all poststates
     satisfying the postcondition must be abstractly equal."""
-    candidates = [e.state for e in state_space(name, cfg)]
-    return _completeness(name, REGISTRY[name].constructor(ctor_name), cfg,
-                         [None], candidates, False)
+    return _completeness(name, REGISTRY[name].constructor(ctor_name), cfg)
 
 
 @dataclass
@@ -342,9 +347,9 @@ class AdequacyVerdict:
 
 def _query_result(obj, feat, args):
     """What a client observes of a query whose precondition holds: a
-    container result by its abstract state, an element by its token."""
+    container-domain result by its abstract state, an element by its token."""
     result = feat.body(obj, *args)
-    if hasattr(result, "spec_name"):
+    if feat.returns_container:
         return ("value", abstract_state(result))
     if isinstance(result, Ref):
         return ("ref", result.token)
@@ -381,19 +386,20 @@ def check_observational_adequacy(name, cfg, model_fn=None, features=None):
 
     ``model_fn`` maps a concrete object to its model tuple (default: its
     recorded abstract state); ``features`` optionally restricts the
-    interface.  Verdicts are valid up to call depth ``cfg.depth`` only.
-    Shortest call sequences are tried first: each pair is searched at
-    depth 0, 1, ... in turn, so a pair told apart by a short sequence
-    costs the same at any ``cfg.depth``.  Under the default model every
-    pair of representatives is model-distinct, so only minimality is
-    tested; soundness needs a coarser ``model_fn``.
+    interface, and a name the spec lacks is a KeyError.  Verdicts are
+    valid up to call depth ``cfg.depth`` only.  Shortest call sequences
+    are tried first: each pair is searched at depth 0, 1, ... in turn, so
+    a pair told apart by a short sequence costs the same at any
+    ``cfg.depth``.  Under the default model every pair of representatives
+    is model-distinct, so only minimality is tested; soundness needs a
+    coarser ``model_fn``.
     """
     spec = REGISTRY[name]
-    queries = _calls(spec.queries(), cfg, features)
-    commands = _calls(spec.commands(), cfg, features)
     # One representative per full abstract state; a model_fn may merge them.
     reps = [(e, e.state if model_fn is None else model_fn(e.obj))
             for e in state_space(name, cfg, features)]
+    queries = _calls(spec.queries(), cfg, features)
+    commands = _calls(spec.commands(), cfg, features)
     verdict = AdequacyVerdict(name, cfg.depth)
     for (e1, m1), (e2, m2) in itertools.combinations(reps, 2):
         verdict.pairs_checked += 1

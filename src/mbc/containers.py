@@ -4,7 +4,9 @@ Each container type registers a :class:`ContainerSpec` describing its model
 queries, contracted features, invariants (including linking invariants), and
 constructors, so the checkers, the random-testing harness, and the CLI can
 discover targets uniformly.  A spec names its concrete class, whose routine
-``do_<name>`` runs the feature ``name``.
+``do_<name>`` runs the feature ``name``.  ``_query`` and ``_command`` write
+a feature whose clauses begin with defining ones, each named
+``<feature>/<target>``: a query's result, a command's model queries.
 
 Stack and Queue inherit Dispenser's contracts and strengthen them
 (:func:`refine`).  The concrete classes run the other way: ``Dispenser``
@@ -65,45 +67,50 @@ class FaultSwitch:
     merge_right_missing_link: bool = False
 
 
+def _query(name, expr, result_domain, pre=None, arg_domains=()):
+    """The query ``name`` whose one clause, ``<name>/result``, defines its
+    result as ``expr(ctx)``."""
+    return Feature(name, "query", pre=pre,
+                   clauses=(Clause.defines(f"{name}/result", "result", expr),),
+                   arg_domains=arg_domains, result_domain=result_domain)
+
+
+def _command(name, defines, pre=None, arg_domains=(), clauses=()):
+    """The command ``name`` whose clauses are one defining clause
+    ``<name>/<q>``, ``new.q == expr(ctx)``, for each entry ``q: expr`` of
+    ``defines``, in order, then ``clauses``."""
+    return Feature(name, "command", pre=pre,
+                   clauses=tuple(Clause.defines(f"{name}/{q}", q, expr)
+                                 for q, expr in defines.items()) + clauses,
+                   arg_domains=arg_domains)
+
+
 def _count_query(model):
     """``count``: the size of the model query ``model``."""
-    return Feature(
-        "count", "query",
-        clauses=(Clause.defines("count/result", "result",
-                                lambda c: getattr(c.old, model).count),),
-        result_domain=("int",))
+    return _query("count", lambda c: getattr(c.old, model).count, ("int",))
 
 
 def _map_item(name, key_domain):
     """A query returning the value that the ``map`` model holds at its key
     argument, which must be in the domain."""
-    return Feature(
-        name, "query",
-        pre=lambda s, a, r: s.map.domain.has(a[0]),
-        clauses=(Clause.defines(f"{name}/result", "result",
-                                lambda c: c.old.map.item(c.args[0])),),
-        arg_domains=(key_domain,), result_domain=("element",))
+    return _query(name, lambda c: c.old.map.item(c.args[0]), ("element",),
+                  pre=lambda s, a, r: s.map.domain.has(a[0]),
+                  arg_domains=(key_domain,))
 
 
 def _map_put(key_domain):
     """``put(v, k)``: replace the value at key ``k``, which must be in the
     domain of the ``map`` model."""
-    return Feature(
-        "put", "command",
+    return _command(
+        "put", {"map": lambda c: c.old.map.replaced_at(c.args[1], c.args[0])},
         pre=lambda s, a, r: s.map.domain.has(a[1]),
-        clauses=(Clause.defines(
-            "put/map", "map",
-            lambda c: c.old.map.replaced_at(c.args[1], c.args[0])),),
         arg_domains=(("element",), key_domain))
 
 
 def _is_empty_query(model):
     """``is_empty``: whether the model query ``model`` is empty."""
-    return Feature(
-        "is_empty", "query",
-        clauses=(Clause.defines("is_empty/result", "result",
-                                lambda c: getattr(c.old, model).is_empty),),
-        result_domain=("bool",))
+    return _query("is_empty", lambda c: getattr(c.old, model).is_empty,
+                  ("bool",))
 
 
 def _emptying(name, kind, models):
@@ -228,66 +235,43 @@ def _linked_list_spec():
                    lambda c: c.new.sequence.is_empty, target="sequence"),
             Clause.defines("make_empty/index", "index", lambda c: 0),
         ))
-    put_right = Feature(
-        "put_right", "command",
+    put_right = _command(
+        "put_right", {
+            "sequence": lambda c: c.old.sequence.front(c.old.index)
+            .extended(c.args[0]) + c.old.sequence.tail(c.old.index + 1),
+            "index": lambda c: c.old.index},
         pre=lambda s, a, r: 0 <= s.index <= s.sequence.count,
+        arg_domains=(("element",),),
         clauses=(
-            Clause.defines("put_right/sequence", "sequence",
-                           lambda c: c.old.sequence.front(c.old.index)
-                           .extended(c.args[0]) + c.old.sequence.tail(c.old.index + 1)),
-            Clause.defines("put_right/index", "index", lambda c: c.old.index),
             Clause("put_right/count_classic", "classic",
                    lambda c: c.obj.count == c.cold["count"] + 1),
             Clause("put_right/index_classic", "classic",
                    lambda c: c.obj.index == c.cold["index"]),
-        ),
-        arg_domains=(("element",),))
-    item = Feature(
-        "item", "query",
-        pre=lambda s, a, r: s.sequence.domain.has(s.index),
-        clauses=(
-            Clause.defines("item/result", "result",
-                           lambda c: c.old.sequence.item(c.old.index)),
-        ),
-        result_domain=("element",))
-    has = Feature(
-        "has", "query",
-        clauses=(
-            Clause.defines("has/result", "result",
-                           lambda c: c.old.sequence.has(c.args[0])),
-        ),
-        arg_domains=(("element",),), result_domain=("bool",))
+        ))
+    item = _query("item", lambda c: c.old.sequence.item(c.old.index),
+                  ("element",),
+                  pre=lambda s, a, r: s.sequence.domain.has(s.index))
+    has = _query("has", lambda c: c.old.sequence.has(c.args[0]), ("bool",),
+                 arg_domains=(("element",),))
     count = _count_query("sequence")
     is_empty = _is_empty_query("sequence")
-    duplicate = Feature(
-        "duplicate", "query",
-        pre=lambda s, a, r: a[0] >= 0,
-        clauses=(
-            Clause.defines("duplicate/result", "result",
-                           lambda c: AbstractState(sig, [c.old.sequence.interval(
-                               c.old.index, c.old.index + c.args[0] - 1), 0])),
-        ),
-        arg_domains=(("int", 0, 4),),
-        result_domain=("container", "LinkedList"))
-    start = Feature(
-        "start", "command",
-        clauses=(Clause.defines("start/index", "index", lambda c: 1),))
-    forth = Feature(
-        "forth", "command",
-        pre=lambda s, a, r: s.index <= s.sequence.count,
-        clauses=(Clause.defines("forth/index", "index",
-                                lambda c: c.old.index + 1),))
-    go_before = Feature(
-        "go_before", "command",
-        clauses=(Clause.defines("go_before/index", "index", lambda c: 0),))
-    merge_right = Feature(
-        "merge_right", "command",
+    duplicate = _query(
+        "duplicate", lambda c: AbstractState(sig, [c.old.sequence.interval(
+            c.old.index, c.old.index + c.args[0] - 1), 0]),
+        ("container", "LinkedList"),
+        pre=lambda s, a, r: a[0] >= 0, arg_domains=(("int", 0, 4),))
+    start = _command("start", {"index": lambda c: 1})
+    forth = _command("forth", {"index": lambda c: c.old.index + 1},
+                     pre=lambda s, a, r: s.index <= s.sequence.count)
+    go_before = _command("go_before", {"index": lambda c: 0})
+    merge_right = _command(
+        "merge_right", {
+            "sequence": lambda c: c.old.sequence.front(c.old.index)
+            + c.args[0].old.sequence + c.old.sequence.tail(c.old.index + 1),
+            "index": lambda c: c.old.index},
         pre=lambda s, a, r: a[0].ref != r and 0 <= s.index <= s.sequence.count,
+        arg_domains=(("container", "LinkedList"),),
         clauses=(
-            Clause.defines("merge_right/sequence", "sequence",
-                           lambda c: c.old.sequence.front(c.old.index)
-                           + c.args[0].old.sequence + c.old.sequence.tail(c.old.index + 1)),
-            Clause.defines("merge_right/index", "index", lambda c: c.old.index),
             Clause("merge_right/other_sequence", "model",
                    lambda c: c.args[0].new.sequence.is_empty),
             Clause("merge_right/other_index", "model",
@@ -298,8 +282,7 @@ def _linked_list_spec():
                    lambda c: c.obj.index == c.cold["index"]),
             Clause("merge_right/other_is_empty_classic", "classic",
                    lambda c: c.args[0].obj.count == 0),
-        ),
-        arg_domains=(("container", "LinkedList"),))
+        ))
     invariants = (
         Clause("index_bounds", "model",
                lambda c: 0 <= c.new.index <= c.new.sequence.count + 1),
@@ -395,11 +378,7 @@ def _array_spec():
         ),
         incompleteness_tag="information-hiding",
         arg_domains=(("int", 0, 4),))
-    capacity = Feature(
-        "capacity", "query",
-        clauses=(Clause.defines("capacity/result", "result",
-                                lambda c: c.old.capacity),),
-        result_domain=("int",))
+    capacity = _query("capacity", lambda c: c.old.capacity, ("int",))
     invariants = (
         Clause("domain_contiguous", "model",
                lambda c: c.new.map.domain == int_interval(c.obj.lower, c.obj.upper)),
@@ -444,12 +423,8 @@ class Table:
 
 def _table_spec():
     sig = ModelSignature([("map", "MMap")])
-    force = Feature(
-        "force", "command",
-        clauses=(
-            Clause.defines("force/map", "map",
-                           lambda c: c.old.map.updated(c.args[1], c.args[0])),
-        ),
+    force = _command(
+        "force", {"map": lambda c: c.old.map.updated(c.args[1], c.args[0])},
         arg_domains=(("element",), ("element",)))
     return ContainerSpec(
         "Table", Table, sig,
@@ -527,22 +502,15 @@ def _linking_invariant(c):
     return c.new.bag == c.new.sequence.to_bag()
 
 
-def _put_bag():
-    return Clause.defines("put/bag", "bag",
-                          lambda c: c.old.bag.extended(c.args[0]))
+def _put_bag(c):
+    return c.old.bag.extended(c.args[0])
 
 
 def _collection_spec():
     sig = ModelSignature([("bag", "MBag")])
-    put = Feature(
-        "put", "command",
-        clauses=(_put_bag(),),
-        arg_domains=(("element",),))
-    occurrences = Feature(
-        "occurrences", "query",
-        clauses=(Clause.defines("occurrences/result", "result",
-                                lambda c: c.old.bag[c.args[0]]),),
-        arg_domains=(("element",),), result_domain=("int",))
+    put = _command("put", {"bag": _put_bag}, arg_domains=(("element",),))
+    occurrences = _query("occurrences", lambda c: c.old.bag[c.args[0]],
+                         ("int",), arg_domains=(("element",),))
     return ContainerSpec(
         "Collection", Collection, sig,
         features=[put, _is_empty_query("bag"), _count_query("bag"),
@@ -557,7 +525,7 @@ def _dispenser_spec():
     sig = ModelSignature([("bag", "MBag"), ("sequence", "MSeq")])
     put = Feature(
         "put", "command",
-        clauses=(_put_bag(),),
+        clauses=(Clause.defines("put/bag", "bag", _put_bag),),
         relevant=frozenset({"sequence"}),
         incompleteness_tag="inheritance",
         arg_domains=(("element",),))
@@ -666,24 +634,14 @@ def _eqset_spec():
             Clause.defines("make/relation", "relation", lambda c: c.args[0]),
         ),
         arg_domains=(("relation",),))
-    has = Feature(
-        "has", "query",
+    def held(c):  # whether the set holds an element equivalent to args[0]
+        return not (c.old.set * c.old.relation.image_of(c.args[0])).is_empty
+
+    has = _query("has", held, ("bool",), arg_domains=(("element",),),
+                 pre=lambda s, a, r: s.relation.domain.has(a[0]))
+    add = _command("add", {"set": lambda c: (
+        c.old.set if held(c) else c.old.set | MSet([c.args[0]]))},
         pre=lambda s, a, r: s.relation.domain.has(a[0]),
-        clauses=(
-            Clause.defines("has/result", "result",
-                           lambda c: not (c.old.set
-                           * c.old.relation.image_of(c.args[0])).is_empty),
-        ),
-        arg_domains=(("element",),), result_domain=("bool",))
-    add = Feature(
-        "add", "command",
-        pre=lambda s, a, r: s.relation.domain.has(a[0]),
-        clauses=(
-            Clause.defines("add/set", "set", lambda c: (
-                c.old.set
-                if not (c.old.set * c.old.relation.image_of(c.args[0])).is_empty
-                else c.old.set | MSet([c.args[0]]))),
-        ),
         arg_domains=(("element",),))
     count = _count_query("set")
     invariants = (
@@ -778,14 +736,11 @@ def _tree_spec():
                    lambda c: c.new.map.item(MSeq()) == c.args[0], target="map"),
         ),
         arg_domains=(("element",),))
-    put_child = Feature(
-        "put_child", "command",
+    put_child = _command(
+        "put_child", {"map": lambda c: c.old.map.updated(
+            c.args[0].extended(c.args[1]), c.args[2])},
         pre=lambda s, a, r: (s.map.domain.has(a[0])
                              and not s.map.domain.has(a[0].extended(a[1]))),
-        clauses=(
-            Clause.defines("put_child/map", "map", lambda c: c.old.map.updated(
-                c.args[0].extended(c.args[1]), c.args[2])),
-        ),
         arg_domains=(("path", 2), ("bool",), ("element",)))
 
     def prefix_closed(c):

@@ -15,12 +15,13 @@ checks a call of any kind: it takes each object's state (the target's
 and every container argument's) once before the body, or uses the
 caller's held one as the target's, and once after it, and checks
 postconditions, purity and invariants against those snapshots; the
-kinds differ only in data.  Which arguments are container objects is
-worked out once per feature, from its argument domains
-(``Feature.container_args``), and a command's frame-expanded clauses
-once per clause tuple (``expand_frame``).  Model mode checks every
-clause; classic mode filters them.  A body or a model query that raises
-is an ``exception`` violation; so is a precondition, postcondition or
+kinds differ only in data.  Which arguments are container objects, and
+whether a query returns one, is read from the feature's domains
+(``Feature.container_args``, ``Feature.returns_container``), never from
+the objects, and a command's frame-expanded clauses are built once per
+clause tuple (``expand_frame``).  Model mode checks every clause;
+classic mode filters them.  A body or a model query that raises is an
+``exception`` violation; so is a precondition, postcondition or
 invariant clause that raises anything but ``DomainError``, which makes
 it false.
 """
@@ -184,6 +185,10 @@ class Clause:
 
 @dataclass
 class Feature:
+    """A command, query or constructor as its spec declares it.  Its
+    domains say, once, which arguments are objects the caller supplies
+    (``container_args``, those of a container domain) and whether a
+    query's result is one (``returns_container``)."""
     name: str
     kind: str  # "command" | "query" | "constructor"
     pre: Optional[Callable] = None  # fn(state, args, target_ref) -> bool
@@ -201,10 +206,10 @@ class Feature:
                                     compare=False)
 
     def __post_init__(self):
-        # The positions of the arguments that are container objects, which
-        # callers supply.
         self.container_args = tuple(i for i, d in enumerate(self.arg_domains)
                                     if d[0] == "container")
+        self.returns_container = (self.result_domain is not None
+                                  and self.result_domain[0] == "container")
 
 
 # Argument domains.  A feature declares one per argument: a tuple whose
@@ -360,15 +365,9 @@ def abstract_state(obj) -> AbstractState:
     return tuple.__new__(sig.state_type, [getattr(obj, m)() for m in sig.methods])
 
 
-def _is_container(x) -> bool:
-    return hasattr(x, "spec_name") and x.spec_name in REGISTRY
-
-
 def _serialize_arg(a) -> str:
     if isinstance(a, Ctx):
         return f"{a.ref.token}:{_state_text(a.old)}"
-    if isinstance(a, (bool, int)):
-        return str(a)
     return to_text(a)
 
 
@@ -488,16 +487,17 @@ def _checked_call(spec, obj, name, kind, args, mode, faults=None, old=None):
     Only an argument of a container domain (``Feature.container_args``) is
     an object: it is seen through a ``Ctx`` with its own prestate and
     poststate, which a query checks for purity and a command or
-    constructor against its invariant.  Any other argument is a value,
-    whatever it is.
+    constructor against its invariant.  Only a query of a container result
+    domain (``Feature.returns_container``) returns an object: its clauses
+    read the object's state, and its invariant is checked.  Any other
+    argument or result is a value, whatever it is.
     The kinds differ only in data: a constructor has no prestate; a query
-    checks abstract purity of its target and container arguments, and the
-    invariant of a container it returns; a command's clauses are
-    frame-expanded.  A command's or constructor's target and container
-    arguments must satisfy their invariants.  Raises PreconditionRejected
-    when the precondition filters the call, and ContractViolation on a
-    false clause or when the body, a clause, the precondition or a model
-    query raises."""
+    checks abstract purity of its target and container arguments; a
+    command's clauses are frame-expanded.  A command's or constructor's
+    target and container arguments must satisfy their invariants.  Raises
+    PreconditionRejected when the precondition filters the call, and
+    ContractViolation on a false clause or when the body, a clause, the
+    precondition or a model query raises."""
     feature = spec.features.get(name)
     if feature is None or feature.kind != kind:
         feature = next((c for c in spec.constructors if c.name == name),
@@ -553,8 +553,7 @@ def _checked_call(spec, obj, name, kind, args, mode, faults=None, old=None):
             raise _violation(name, f"{name}/purity:argument",
                              "abstract-purity", old, v.new, views)
     result = out if query else None
-    returned = query and _is_container(out)
-    if returned:  # clauses read a returned container's state
+    if query and feature.returns_container:  # clauses read its state
         result = _state(out, name, old, new, views)
     ctx = Ctx(old, new, views, result, obj, cold, obj.ref)
     clauses = (expand_frame(feature, spec.signature) if kind == "command"
@@ -562,7 +561,7 @@ def _checked_call(spec, obj, name, kind, args, mode, faults=None, old=None):
     _check_clauses(clauses, ctx, "postcondition", name, old, new, views,
                    mode)
     if query:
-        if returned:
+        if feature.returns_container:
             _check_invariants(spec_of(out), Ctx(new=result, obj=out), name,
                               old, views, mode)
         return out

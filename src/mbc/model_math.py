@@ -276,10 +276,10 @@ class MSeq:
         return MSet(self.items)
 
     def has(self, v: ModelValue) -> bool:
-        return any(x == v and type(x) is type(v) for x in self.items)
+        return any(x is v or (x == v and type(x) is type(v)) for x in self.items)
 
     def occurrences(self, v: ModelValue) -> int:
-        return sum(1 for x in self.items if x == v and type(x) is type(v))
+        return sum(x is v or (x == v and type(x) is type(v)) for x in self.items)
 
     def to_bag(self) -> "MBag":
         return MBag(self.items)
@@ -494,7 +494,7 @@ class MBag(_Value):
         items = self.items
         for i in range(len(items) - 1, -1, -1):
             x = items[i]
-            if x == v and type(x) is type(v):
+            if x is v or (x == v and type(x) is type(v)):
                 return MBag(items[:i] + items[i + 1:])
         raise DomainError("removing absent element")
 
@@ -593,7 +593,7 @@ class MMap(_Value):
         return self.restricted(keys)
 
     def is_constant(self, v: ModelValue) -> bool:
-        return all(w == v and type(w) is type(v) for _, w in self.pairs)
+        return all(w is v or (w == v and type(w) is type(v)) for _, w in self.pairs)
 
 
 def _canonical_map(pairs: list) -> MMap:

@@ -349,12 +349,17 @@ def state_groups(spec, cfg, reps):
     return list(groups.values())
 
 
-def reference_completeness(name, feature, cfg, reps, candidates,
-                           on_result):
+def reference_completeness(name, feature, cfg):
     """Generate and test: every model clause on every candidate; and
     precondition soundness as a set of values over each whole group of
-    ``state_groups``."""
+    ``state_groups``.  The prestates, the candidates and what a candidate
+    stands for follow from the feature's kind."""
     spec = REGISTRY[name]
+    on_result = feature.kind == "query"
+    reps = ([None] if feature.kind == "constructor"
+            else state_space(name, cfg))
+    candidates = (checkers._result_candidates(feature, cfg) if on_result
+                  else [e.state for e in state_space(name, cfg)])
     verdict = CheckVerdict(f"{name}.{feature.name}", tag=feature.incompleteness_tag)
     if feature.pre is not None and reps != [None]:
         for group in state_groups(spec, cfg, reps):
@@ -586,6 +591,14 @@ class TestAdequacy:
                 assert check_observational_adequacy(name, cfg).adequate, name
             built.append(counts["_successor"])
         assert built == [694, 694, 694]
+
+    def test_unknown_feature_name_is_an_error(self):
+        # A misspelt name must not silently narrow the interface.
+        misspelt = ["put", "itme", "is_empty", "count", "wipe_out"]
+        for check in (check_observational_adequacy, state_space,
+                      enumerate_states):
+            with pytest.raises(KeyError, match="itme"):
+                check("Queue", EnumerationConfig(), features=misspelt)
 
     def test_witness_pair_concrete(self):
         v = check_observational_adequacy("Queue", CFG,

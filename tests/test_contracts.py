@@ -482,6 +482,37 @@ class TestCheckedCalls:
                                       "class-invariant")
         assert (v.old_state, v.new_state) == ("(⟨x⟩, 1)", "(⟨x⟩, 0)")
 
+    def test_container_in_a_value_result_domain_is_a_value(self,
+                                                           monkeypatch):
+        # Only a query of a container result domain returns an object.
+        # Declared with a value domain, duplicate's copy is returned as it
+        # is: the clauses see the copy itself, not its state, and its
+        # invariant, broken here, is not checked.
+        seen = []
+        duplicate = SPEC.features["duplicate"]
+
+        def forgetful(o, n):
+            copy = duplicate.body(o, n)
+            copy.count = 0
+            return copy
+
+        plain = dataclasses.replace(
+            duplicate, result_domain=("element",), clauses=(
+                Clause("duplicate/seen", "classic",
+                       lambda c: seen.append(c.result) or True),))
+        plain.body = forgetful
+        monkeypatch.setitem(SPEC.features, "duplicate", plain)
+        obj = make_list("x")
+        checked_command(obj, "start")
+        states = []
+        real = contracts.abstract_state
+        monkeypatch.setattr(contracts, "abstract_state",
+                            lambda o: states.append(o) or real(o))
+        out = checked_query(obj, "duplicate", [1])
+        assert isinstance(out, type(obj)) and out.count == 0
+        assert len(seen) == 1 and seen[0] is out
+        assert states == [obj, obj]
+
     def test_violation_json_fields(self):
         obj = make_list("x")
         obj.count = 7
@@ -600,6 +631,15 @@ class TestViolationText:
         with pytest.raises(ContractViolation) as e:
             checked_query(obj, "item")
         assert str(e.value) == "item/result [postcondition]"
+        # An int and a bool argument read as ``to_text`` writes them.
+        array = REGISTRY["ArrayT"]
+        obj = checked_constructor(array, "make", [1, 3, Ref("a")])
+        monkeypatch.setattr(array.features["put"], "body",
+                            lambda o, v, k: None)
+        with pytest.raises(ContractViolation) as e:
+            checked_command(obj, "put", [True, 3])
+        assert str(e.value) == "put/map [postcondition]"
+        assert e.value.args == ("True", "3")
 
     def test_copies_and_pickles_keep_every_field(self, monkeypatch):
         obj = make_list("x")

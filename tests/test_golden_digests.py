@@ -95,3 +95,25 @@ def test_effective_clause_lists_digest():
     assert len(lists) == 58
     text = json.dumps(lists, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == CLAUSE_LISTS
+
+
+# Each feature's declaration, as (container, name, kind, argument domains,
+# result domain, sorted relevant queries, incompleteness tag, whether it
+# has a precondition), for all 58 features, constructors included.  The
+# clause lists above do not show a domain or a tag, so a spec rewrite
+# must not change one silently.
+DECLARATIONS = (
+    "c14b23713f291572c0a1a9d8b2cdda511e764a4af35eae18d6513539643648d8")
+
+
+def test_feature_declarations_digest():
+    decls = []
+    for name in CONTAINER_NAMES:
+        spec = REGISTRY[name]
+        for f in list(spec.features.values()) + list(spec.constructors):
+            decls.append([name, f.name, f.kind, f.arg_domains,
+                          f.result_domain, sorted(f.relevant),
+                          f.incompleteness_tag, f.pre is not None])
+    assert len(decls) == 58
+    text = json.dumps(decls, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == DECLARATIONS

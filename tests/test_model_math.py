@@ -684,6 +684,18 @@ class TestKeyedMembership:
                 assert op in ("item", "replaced_at") and probe.token == "zz"
             assert len(keys) == 1 and not calls
 
+    def test_scans_find_a_stored_probe_by_identity(self, monkeypatch):
+        # The scans of sequences, a bag's removal and a map's values test
+        # identity first: a probe that is the stored object costs no
+        # Ref.__eq__, and the answers stay.
+        r = Ref("r")
+        seq, bag, m = MSeq([r, r]), MBag([A, r]), MMap([(A, r), (B, r)])
+        calls = count_ref_eq(monkeypatch)
+        got = (seq.has(r), seq.occurrences(r), bag.removed(r).items,
+               m.is_constant(r))
+        assert not calls
+        assert got == (True, 2, (A,), True)
+
     def test_probe_that_is_not_a_model_value(self):
         # As the scans gave: found nowhere, and ``item`` raises
         # DomainError, though ``order_key`` raises TypeError on the probe.
