@@ -6,7 +6,11 @@ constructors, so the checkers, the random-testing harness, and the CLI can
 discover targets uniformly.  A spec names its concrete class, whose routine
 ``do_<name>`` runs the feature ``name``.  ``_query`` and ``_command`` write
 a feature whose clauses begin with defining ones, each named
-``<feature>/<target>``: a query's result, a command's model queries.
+``<feature>/<target>``: a query's result, a command's or a constructor's
+model queries.  Every feature without an incompleteness tag defines its
+result, or every model query of its poststate once the frame is added;
+only the four tagged ones (ArrayT ``reserve``, Dispenser ``put``,
+``item`` and ``remove``) are written out with relational clauses.
 
 Stack and Queue inherit Dispenser's contracts and strengthen them
 (:func:`refine`).  The concrete classes run the other way: ``Dispenser``
@@ -75,11 +79,13 @@ def _query(name, expr, result_domain, pre=None, arg_domains=()):
                    arg_domains=arg_domains, result_domain=result_domain)
 
 
-def _command(name, defines, pre=None, arg_domains=(), clauses=()):
-    """The command ``name`` whose clauses are one defining clause
-    ``<name>/<q>``, ``new.q == expr(ctx)``, for each entry ``q: expr`` of
-    ``defines``, in order, then ``clauses``."""
-    return Feature(name, "command", pre=pre,
+def _command(name, defines, pre=None, arg_domains=(), clauses=(),
+             kind="command"):
+    """The command, or the constructor if ``kind`` says so, ``name`` whose
+    clauses are one defining clause ``<name>/<q>``, ``new.q ==
+    expr(ctx)``, for each entry ``q: expr`` of ``defines``, in order, then
+    ``clauses``."""
+    return Feature(name, kind, pre=pre,
                    clauses=tuple(Clause.defines(f"{name}/{q}", q, expr)
                                  for q, expr in defines.items()) + clauses,
                    arg_domains=arg_domains)
@@ -113,15 +119,12 @@ def _is_empty_query(model):
                   ("bool",))
 
 
-def _emptying(name, kind, models):
-    """The constructor or command ``name``: every model query in ``models``
-    is empty after it."""
-    return Feature(
-        name, kind,
-        clauses=tuple(Clause(f"{name}/{m}", "model",
-                             lambda c, _m=m: getattr(c.new, _m).is_empty,
-                             target=m)
-                      for m in models))
+def _emptying(name, kind, empties):
+    """The constructor or command ``name`` that defines each model query
+    ``q`` of ``empties`` as its empty value ``empties[q]``.  Model values
+    are immutable, so that one value serves every call."""
+    return _command(name, {q: lambda c, _e=e: _e for q, e in empties.items()},
+                    kind=kind)
 
 
 # ---------------------------------------------------------------------------
@@ -228,13 +231,9 @@ class LinkedList:
 
 def _linked_list_spec():
     sig = ModelSignature([("sequence", "MSeq"), ("index", "int")])
-    make_empty = Feature(
-        "make_empty", "constructor",
-        clauses=(
-            Clause("make_empty/sequence", "model",
-                   lambda c: c.new.sequence.is_empty, target="sequence"),
-            Clause.defines("make_empty/index", "index", lambda c: 0),
-        ))
+    make_empty = _command("make_empty", {"sequence": lambda c: MSeq(),
+                                         "index": lambda c: 0},
+                          kind="constructor")
     put_right = _command(
         "put_right", {
             "sequence": lambda c: c.old.sequence.front(c.old.index)
@@ -286,7 +285,7 @@ def _linked_list_spec():
     invariants = (
         Clause("index_bounds", "model",
                lambda c: 0 <= c.new.index <= c.new.sequence.count + 1),
-        Clause("count_consistent", "model",
+        Clause("count_consistent", "representation",
                lambda c: c.obj.count == c.new.sequence.count),
         Clause("index_bounds_classic", "classic",
                lambda c: 0 <= c.obj.index <= c.obj.count + 1),
@@ -341,31 +340,22 @@ class ArrayT:
 
 def _array_spec():
     sig = ModelSignature([("map", "MMap"), ("capacity", "int")])
-    make = Feature(
-        "make", "constructor",
+    # make(l, u, v) puts v at each key l..u of an empty map; fill(v, l, u)
+    # replaces the value at each, and an absent key is a DomainError.
+    make = _command(
+        "make", {
+            "map": lambda c: functools.reduce(
+                lambda m, k: m.updated(k, c.args[2]),
+                int_interval(c.args[0], c.args[1]), MMap()),
+            "capacity": lambda c: c.args[1] - c.args[0] + 1},
         pre=lambda s, a, r: a[1] >= a[0] - 1,
-        clauses=(
-            Clause("make/map", "model",
-                   lambda c: c.new.map.domain == int_interval(c.args[0], c.args[1])
-                   and c.new.map.is_constant(c.args[2]), target="map"),
-            Clause.defines("make/capacity", "capacity",
-                           lambda c: c.args[1] - c.args[0] + 1),
-        ),
-        arg_domains=(("int", 1, 1), ("int", 0, 3), ("element",)))
-    fill = Feature(
-        "fill", "command",
+        arg_domains=(("int", 1, 1), ("int", 0, 3), ("element",)),
+        kind="constructor")
+    fill = _command(
+        "fill", {"map": lambda c: functools.reduce(
+            lambda m, k: m.replaced_at(k, c.args[0]),
+            int_interval(c.args[1], c.args[2]), c.old.map)},
         pre=lambda s, a, r: s.map.domain.has(a[1]) and s.map.domain.has(a[2]),
-        clauses=(
-            Clause("fill/domain", "model",
-                   lambda c: c.new.map.domain == c.old.map.domain, target="map"),
-            Clause("fill/inside", "model",
-                   lambda c: (c.new.map | int_interval(c.args[1], c.args[2]))
-                   .is_constant(c.args[0]), target="map"),
-            Clause("fill/outside", "model",
-                   lambda c: (c.new.map | (c.new.map.domain - int_interval(c.args[1], c.args[2])))
-                   == (c.old.map | (c.old.map.domain - int_interval(c.args[1], c.args[2]))),
-                   target="map"),
-        ),
         arg_domains=(("element",), ("int", 0, 4), ("int", 0, 4)))
     reserve = Feature(
         "reserve", "command",
@@ -380,7 +370,7 @@ def _array_spec():
         arg_domains=(("int", 0, 4),))
     capacity = _query("capacity", lambda c: c.old.capacity, ("int",))
     invariants = (
-        Clause("domain_contiguous", "model",
+        Clause("domain_contiguous", "representation",
                lambda c: c.new.map.domain == int_interval(c.obj.lower, c.obj.upper)),
         Clause("capacity_fits", "model",
                lambda c: c.new.capacity >= c.new.map.count),
@@ -430,7 +420,7 @@ def _table_spec():
         "Table", Table, sig,
         features=[_map_put(("element",)), force,
                   _map_item("item", ("element",)), _count_query("map")],
-        constructors=[_emptying("make_empty", "constructor", ["map"])])
+        constructors=[_emptying("make_empty", "constructor", {"map": MMap()})])
 
 
 # ---------------------------------------------------------------------------
@@ -508,14 +498,15 @@ def _put_bag(c):
 
 def _collection_spec():
     sig = ModelSignature([("bag", "MBag")])
+    empty = {"bag": MBag()}
     put = _command("put", {"bag": _put_bag}, arg_domains=(("element",),))
     occurrences = _query("occurrences", lambda c: c.old.bag[c.args[0]],
                          ("int",), arg_domains=(("element",),))
     return ContainerSpec(
         "Collection", Collection, sig,
         features=[put, _is_empty_query("bag"), _count_query("bag"),
-                  occurrences, _emptying("wipe_out", "command", ["bag"])],
-        constructors=[_emptying("make_empty", "constructor", ["bag"])])
+                  occurrences, _emptying("wipe_out", "command", empty)],
+        constructors=[_emptying("make_empty", "constructor", empty)])
 
 
 def _dispenser_spec():
@@ -523,6 +514,7 @@ def _dispenser_spec():
     the bag clause from Collection and leaves the sequence relevant but
     unspecified; item and remove say no more than membership and counts."""
     sig = ModelSignature([("bag", "MBag"), ("sequence", "MSeq")])
+    empty = {"bag": MBag(), "sequence": MSeq()}
     put = Feature(
         "put", "command",
         clauses=(Clause.defines("put/bag", "bag", _put_bag),),
@@ -552,10 +544,9 @@ def _dispenser_spec():
     return ContainerSpec(
         "Dispenser", Dispenser, sig,
         features=[put, item, remove, _is_empty_query("bag"), _count_query("bag"),
-                  _emptying("wipe_out", "command", ["bag", "sequence"])],
+                  _emptying("wipe_out", "command", empty)],
         invariants=(Clause("linking", "model", _linking_invariant),),
-        constructors=[
-            _emptying("make_empty", "constructor", ["bag", "sequence"])])
+        constructors=[_emptying("make_empty", "constructor", empty)])
 
 
 def _stack_queue_specs(dispenser):
@@ -625,15 +616,10 @@ def _relation_is_equivalence(rel: MRel) -> bool:
 
 def _eqset_spec():
     sig = ModelSignature([("set", "MSet"), ("relation", "MRel")])
-    make = Feature(
-        "make", "constructor",
-        pre=lambda s, a, r: _relation_is_equivalence(a[0]),
-        clauses=(
-            Clause("make/set", "model", lambda c: c.new.set.is_empty,
-                   target="set"),
-            Clause.defines("make/relation", "relation", lambda c: c.args[0]),
-        ),
-        arg_domains=(("relation",),))
+    make = _command("make", {"set": lambda c: MSet(),
+                             "relation": lambda c: c.args[0]},
+                    pre=lambda s, a, r: _relation_is_equivalence(a[0]),
+                    arg_domains=(("relation",),), kind="constructor")
     def held(c):  # whether the set holds an element equivalent to args[0]
         return not (c.old.set * c.old.relation.image_of(c.args[0])).is_empty
 
@@ -726,16 +712,9 @@ class BinaryTree:
 
 def _tree_spec():
     sig = ModelSignature([("map", "MMap")])
-    add_root = Feature(
-        "add_root", "command",
-        pre=lambda s, a, r: s.map.is_empty,
-        clauses=(
-            Clause("add_root/count", "model", lambda c: c.new.map.count == 1,
-                   target="map"),
-            Clause("add_root/root", "model",
-                   lambda c: c.new.map.item(MSeq()) == c.args[0], target="map"),
-        ),
-        arg_domains=(("element",),))
+    add_root = _command(
+        "add_root", {"map": lambda c: MMap([(MSeq(), c.args[0])])},
+        pre=lambda s, a, r: s.map.is_empty, arg_domains=(("element",),))
     put_child = _command(
         "put_child", {"map": lambda c: c.old.map.updated(
             c.args[0].extended(c.args[1]), c.args[2])},
@@ -753,7 +732,7 @@ def _tree_spec():
         features=[add_root, put_child, _map_item("item_at", ("path", 2)),
                   _count_query("map")],
         invariants=(Clause("prefix_closed", "model", prefix_closed),),
-        constructors=[_emptying("make_empty", "constructor", ["map"])])
+        constructors=[_emptying("make_empty", "constructor", {"map": MMap()})])
 
 
 _dispenser = _dispenser_spec()

@@ -134,9 +134,10 @@ class Ctx:
     container argument is a ``Ctx`` too, with its ``old`` and ``new`` and
     no arguments or result; so is the object an invariant is checked on.
     Model clauses read only ``old``, ``new``, ``args`` and ``result``.
-    Classic clauses may also read the object ``obj``, its identity token
-    ``ref`` and the pre-call snapshot ``cold``; all three are None when a
-    clause is evaluated symbolically (e.g. by the completeness checkers).
+    Classic and representation clauses may also read the object ``obj``,
+    its identity token ``ref`` and the pre-call snapshot ``cold``; all
+    three are None when a clause is evaluated symbolically (e.g. by the
+    completeness checkers).
     """
     old: Optional[AbstractState] = None
     new: Optional[AbstractState] = None
@@ -152,6 +153,11 @@ class Clause:
     """One assertion clause, ``fn(ctx) -> bool`` on a :class:`Ctx`: a
     postcondition reads the call's target's, a class invariant the view of
     the object it constrains (its ``new`` and ``obj``) and has no target.
+    Its tag says what it reads: a ``"model"`` clause the abstract states
+    only, a ``"representation"`` invariant also the concrete fields it
+    ties to the model, a ``"classic"`` clause the object and its pre-call
+    snapshot, not the model.  Model
+    mode checks all three; classic mode only the classic ones.
 
     A postcondition's model clause names the ``target`` it constrains: a
     model query of the poststate for a command or constructor,
@@ -167,7 +173,7 @@ class Clause:
     no ``expr``, are relational.
     """
     cid: str
-    tag: str  # "model" or "classic"
+    tag: str  # "model", "representation" or "classic"
     fn: Callable
     target: Optional[str] = None
     expr: Optional[Callable] = None

@@ -18,7 +18,7 @@ from mbc.contracts import (
     Clause, ContainerSpec, Feature, ModelSignature, REGISTRY, abstract_state,
     register, serialize_state,
 )
-from mbc.model_math import MSeq
+from mbc.model_math import MMap, MSeq, int_interval
 
 CFG = EnumerationConfig()
 
@@ -399,15 +399,151 @@ def all_features():
 # The model clauses that pin no query by definition, with the query each
 # constrains.
 RELATIONAL = {
-    "make_empty/sequence": "sequence", "make_empty/map": "map",
-    "make_empty/bag": "bag", "wipe_out/bag": "bag",
-    "wipe_out/sequence": "sequence",
-    "fill/domain": "map", "fill/inside": "map", "fill/outside": "map",
     "reserve/grows": "capacity", "reserve/enough": "capacity",
     "item/member": "result", "remove/count": "sequence",
-    "remove/bag_count": "bag", "add_root/count": "map",
-    "add_root/root": "map", "make/map": "map", "make/set": "set",
+    "remove/bag_count": "bag",
 }
+
+
+def _emptiness(name, models):
+    """The relational clauses that said each query in ``models`` is empty
+    after the feature ``name``."""
+    return tuple(Clause(f"{name}/{m}", "model",
+                        lambda c, _m=m: getattr(c.new, _m).is_empty,
+                        target=m)
+                 for m in models)
+
+
+# The model clauses of 15 features as they were written before defining
+# clauses replaced their relational ones: the reference, whose accepted
+# candidates each feature's clauses must accept exactly.
+REPLACED = {
+    ("Table", "make_empty"): _emptiness("make_empty", ["map"]),
+    ("Collection", "make_empty"): _emptiness("make_empty", ["bag"]),
+    ("Collection", "wipe_out"): _emptiness("wipe_out", ["bag"]),
+    **{(name, fname): _emptiness(fname, ["bag", "sequence"])
+       for name in ("Dispenser", "Stack", "Queue")
+       for fname in ("make_empty", "wipe_out")},
+    ("BinaryTree", "make_empty"): _emptiness("make_empty", ["map"]),
+    ("LinkedList", "make_empty"): (
+        Clause("make_empty/sequence", "model",
+               lambda c: c.new.sequence.is_empty, target="sequence"),
+        Clause.defines("make_empty/index", "index", lambda c: 0),
+    ),
+    ("ArrayT", "make"): (
+        Clause("make/map", "model",
+               lambda c: c.new.map.domain == int_interval(c.args[0], c.args[1])
+               and c.new.map.is_constant(c.args[2]), target="map"),
+        Clause.defines("make/capacity", "capacity",
+                       lambda c: c.args[1] - c.args[0] + 1),
+    ),
+    ("ArrayT", "fill"): (
+        Clause("fill/domain", "model",
+               lambda c: c.new.map.domain == c.old.map.domain, target="map"),
+        Clause("fill/inside", "model",
+               lambda c: (c.new.map | int_interval(c.args[1], c.args[2]))
+               .is_constant(c.args[0]), target="map"),
+        Clause("fill/outside", "model",
+               lambda c: (c.new.map | (c.new.map.domain - int_interval(c.args[1], c.args[2])))
+               == (c.old.map | (c.old.map.domain - int_interval(c.args[1], c.args[2]))),
+               target="map"),
+    ),
+    ("EqSet", "make"): (
+        Clause("make/set", "model", lambda c: c.new.set.is_empty,
+               target="set"),
+        Clause.defines("make/relation", "relation", lambda c: c.args[0]),
+    ),
+    ("BinaryTree", "add_root"): (
+        Clause("add_root/count", "model", lambda c: c.new.map.count == 1,
+               target="map"),
+        Clause("add_root/root", "model",
+               lambda c: c.new.map.item(MSeq()) == c.args[0], target="map"),
+    ),
+}
+
+
+def disagreements(name, fname, cfg):
+    """Compare the model clauses of feature ``fname`` of container ``name``
+    with its reference in REPLACED, both frame-expanded, on every
+    (prestate, arguments, candidate state) triple where the precondition
+    holds.  Return the triples they judge differently, the number
+    compared and the number the feature's clauses accept."""
+    spec = REGISTRY[name]
+    feature = spec.features.get(fname) or spec.constructor(fname)
+    reference = dataclasses.replace(feature, clauses=REPLACED[name, fname])
+    clauses = checkers._model_clauses(feature, spec.signature)
+    want = checkers._model_clauses(reference, spec.signature)
+    space = state_space(name, cfg)
+    differ, compared, accepted = [], 0, 0
+    for pre_e in [None] if feature.kind == "constructor" else space:
+        old, ref = (pre_e.state, pre_e.obj.ref) if pre_e else (None, None)
+        for args in checkers._arg_combos(feature, cfg):
+            if not contracts.pre_holds(feature, old, args, ref):
+                continue
+            for e in space:
+                holds = checkers._post_holds(clauses, old, e.state, args, None)
+                compared += 1
+                accepted += holds
+                if holds != checkers._post_holds(want, old, e.state, args,
+                                                 None):
+                    differ.append((old, args, e.state))
+    return differ, compared, accepted
+
+
+CFG_U3 = EnumerationConfig(universe=3, max_size=2)
+
+
+class TestRestatedDefinitions:
+    @pytest.mark.parametrize("cfg", [CFG, CFG_U3], ids=["default", "u3s2"])
+    @pytest.mark.parametrize("name, fname", sorted(REPLACED))
+    def test_definition_equals_the_relational_clauses(self, name, fname,
+                                                       cfg):
+        differ, compared, accepted = disagreements(name, fname, cfg)
+        assert differ == [] and accepted > 0
+
+    def test_fill_compares_every_triple(self):
+        # 400 (prestate, arguments) pairs of ArrayT's 41 states at default
+        # bounds, each against every candidate.
+        assert disagreements("ArrayT", "fill", CFG)[1] == 400 * 41
+
+    @pytest.mark.parametrize("name, fname, wrong", [
+        # fill that leaves the interval's last key as it was
+        ("ArrayT", "fill", Clause.defines(
+            "fill/map", "map", lambda c: c.old.map.replaced_at(
+                c.args[1], c.args[0]))),
+        # wipe_out that empties the bag but keeps the sequence
+        ("Stack", "wipe_out", Clause.defines(
+            "wipe_out/sequence", "sequence", lambda c: c.old.sequence)),
+        # add_root that puts its element under the left child's path
+        ("BinaryTree", "add_root", Clause.defines(
+            "add_root/map", "map",
+            lambda c: MMap([(MSeq([False]), c.args[0])]))),
+    ], ids=["fill", "wipe_out", "add_root"])
+    def test_a_wrong_definition_disagrees(self, monkeypatch, name, fname,
+                                          wrong):
+        spec = REGISTRY[name]
+        feature = spec.features[fname]
+        monkeypatch.setattr(feature, "clauses", tuple(
+            wrong if c.cid == wrong.cid else c for c in feature.clauses))
+        assert disagreements(name, fname, CFG)[0]
+
+    def test_untagged_features_define_their_poststate(self):
+        # A feature without an incompleteness tag defines every model query
+        # of its poststate, after frame expansion, or its result.
+        undefined = []
+        for name, fname in all_features():
+            spec = REGISTRY[name]
+            feature = spec.features.get(fname) or spec.constructor(fname)
+            defined = {c.target for c in checkers._model_clauses(
+                feature, spec.signature) if c.expr is not None}
+            needed = ({"result"} if feature.kind == "query"
+                      else set(spec.signature.names))
+            if not needed <= defined:
+                undefined.append(f"{name}.{fname}")
+            assert (needed <= defined) == (feature.incompleteness_tag is None)
+        assert len(list(all_features())) == 58
+        assert sorted(undefined) == ["ArrayT.reserve", "Dispenser.item",
+                                     "Dispenser.put", "Dispenser.remove"]
 
 
 class TestDefiningClauses:
