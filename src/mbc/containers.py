@@ -1,16 +1,17 @@
 """Contracted container library.
 
 Each container type registers a :class:`ContainerSpec` describing its model
-queries, contracted features, invariants (including linking invariants), and
+queries (some defined by others), contracted features, invariants and
 constructors, so the checkers, the random-testing harness, and the CLI can
 discover targets uniformly.  A spec names its concrete class, whose routine
 ``do_<name>`` runs the feature ``name``.  ``_query`` and ``_command`` write
 a feature whose clauses begin with defining ones, each named
 ``<feature>/<target>``: a query's result, a command's or a constructor's
 model queries.  Every feature without an incompleteness tag defines its
-result, or every model query of its poststate once the frame is added;
-only the four tagged ones (ArrayT ``reserve``, Dispenser ``put``,
-``item`` and ``remove``) are written out with relational clauses.
+result, or, once the frame is added, every model query of its poststate
+that the signature does not define (Dispenser's ``bag``, defined by its
+``sequence``); only the four tagged ones (ArrayT ``reserve``, Dispenser
+``put``, ``item`` and ``remove``) are written out with relational clauses.
 
 Stack and Queue inherit Dispenser's contracts and strengthen them
 (:func:`refine`).  The concrete classes run the other way: ``Dispenser``
@@ -425,9 +426,8 @@ def _table_spec():
 
 # ---------------------------------------------------------------------------
 # Collection / Dispenser / Stack / Queue hierarchy.
-# Collection's model is a bag; Dispenser adds a sequence tied to the bag by
-# a linking invariant; Stack and Queue refine Dispenser's spec and pin the
-# insertion and removal positions.
+# Collection's model is a bag; Dispenser's a sequence and the bag it defines.
+# Stack and Queue refine Dispenser's spec and pin where put and remove act.
 
 class _SeqBacked:
     """Shared concrete representation: a Python list of element tokens."""
@@ -435,9 +435,6 @@ class _SeqBacked:
     def __init__(self, faults=None):
         self.ref = fresh_ref()
         self.items = []
-
-    def model_bag(self) -> MBag:
-        return MBag(self.items)
 
     def model_sequence(self) -> MSeq:
         return MSeq(self.items)
@@ -457,6 +454,9 @@ class _SeqBacked:
 
 class Collection(_SeqBacked):
     spec_name = "Collection"
+
+    def model_bag(self) -> MBag:
+        return MBag(self.items)
 
     def do_occurrences(self, v):
         return self.items.count(v)
@@ -488,10 +488,6 @@ class Queue(_SeqBacked):
         self.items.pop(0)
 
 
-def _linking_invariant(c):
-    return c.new.bag == c.new.sequence.to_bag()
-
-
 def _put_bag(c):
     return c.old.bag.extended(c.args[0])
 
@@ -510,11 +506,11 @@ def _collection_spec():
 
 
 def _dispenser_spec():
-    """A bag tied to a sequence by the linking invariant.  put inherits only
-    the bag clause from Collection and leaves the sequence relevant but
-    unspecified; item and remove say no more than membership and counts."""
-    sig = ModelSignature([("bag", "MBag"), ("sequence", "MSeq")])
-    empty = {"bag": MBag(), "sequence": MSeq()}
+    """A sequence and the bag it defines.  put says only what it adds to the
+    bag; item and remove say no more than membership and count."""
+    sig = ModelSignature([("bag", "MBag", lambda s: s.sequence.to_bag()),
+                          ("sequence", "MSeq")])
+    empty = {"sequence": MSeq()}
     put = Feature(
         "put", "command",
         clauses=(Clause.defines("put/bag", "bag", _put_bag),),
@@ -536,16 +532,12 @@ def _dispenser_spec():
             Clause("remove/count", "model",
                    lambda c: c.new.sequence.count == c.old.sequence.count - 1,
                    target="sequence"),
-            Clause("remove/bag_count", "model",
-                   lambda c: c.new.bag.count == c.old.bag.count - 1,
-                   target="bag"),
         ),
         incompleteness_tag="inheritance")
     return ContainerSpec(
         "Dispenser", Dispenser, sig,
         features=[put, item, remove, _is_empty_query("bag"), _count_query("bag"),
                   _emptying("wipe_out", "command", empty)],
-        invariants=(Clause("linking", "model", _linking_invariant),),
         constructors=[_emptying("make_empty", "constructor", empty)])
 
 
@@ -561,11 +553,8 @@ def _stack_queue_specs(dispenser):
                 lambda c: c.old.sequence.extended(c.args[0])),),
             "item": (Clause.defines("item/result", "result",
                                     lambda c: c.old.sequence.item(pos(c.old))),),
-            "remove": (
-                Clause.defines("remove/sequence", "sequence",
-                               lambda c: rest(c.old.sequence)),
-                Clause.defines("remove/bag", "bag", lambda c: c.old.bag.removed(
-                    c.old.sequence.item(pos(c.old))))),
+            "remove": (Clause.defines("remove/sequence", "sequence",
+                                      lambda c: rest(c.old.sequence)),),
         })
 
     return [heir("Stack", Stack, lambda s: s.sequence.count,

@@ -77,16 +77,23 @@ class ContractViolation(Exception):
 
 
 class ModelSignature:
-    """Ordered model queries of a container type: (name, sort) pairs."""
+    """Ordered model queries of a container type: (name, sort) pairs, or
+    (name, sort, definition) for a query defined as by a JML ``represents``
+    clause: ``definition(state)`` computes it from the queries that are
+    not defined, which an object reads through its methods ``model_<q>``."""
 
-    def __init__(self, entries: Sequence[Tuple[str, str]]):
-        names = [n for n, _ in entries]
+    def __init__(self, entries: Sequence[tuple]):
+        names = [e[0] for e in entries]
         if len(set(names)) != len(names) or not names:
             raise ConfigurationError("signature names must be unique and nonempty")
         self.entries = tuple(entries)
         self.names = tuple(names)
-        # The method that reads each query, in the same order.
-        self.methods = tuple(["model_" + q for q in names])
+        # The method that reads each query, in order; None for a defined one.
+        self.methods = tuple(None if len(e) > 2 else "model_" + e[0]
+                             for e in entries)
+        self.definitions = tuple((i, e[2]) for i, e in enumerate(entries)
+                                 if len(e) > 2)
+        self.defined = frozenset(names[i] for i, _ in self.definitions)
         # This signature's states: ``state.q`` reads the entry of query q.
         namespace = {q: property(itemgetter(i)) for i, q in enumerate(names)}
         namespace["__slots__"] = ()
@@ -363,12 +370,15 @@ def spec_of(obj) -> ContainerSpec:
 def abstract_state(obj) -> AbstractState:
     """The tuple of current model-query values of a registered object.
 
-    It calls each query by its signature's prebuilt method name and builds
-    the signature's ``state_type`` directly: one value per query, so the
-    arity check of ``AbstractState`` cannot fail here.
+    It calls each query that is not defined by its prebuilt method name,
+    then fills in the defined ones, and builds the ``state_type`` directly:
+    one value per query, so the arity check of ``AbstractState`` cannot fail.
     """
     sig = spec_of(obj).signature
-    return tuple.__new__(sig.state_type, [getattr(obj, m)() for m in sig.methods])
+    values = [getattr(obj, m)() if m else None for m in sig.methods]
+    for i, definition in sig.definitions:
+        values[i] = definition(tuple.__new__(sig.state_type, values))
+    return tuple.__new__(sig.state_type, values)
 
 
 def _serialize_arg(a) -> str:
@@ -379,17 +389,18 @@ def _serialize_arg(a) -> str:
 
 def expand_frame(feature: Feature, signature: ModelSignature):
     """Effective clause tuple: explicit clauses, then one frame clause for
-    every model query q that no clause targets and that is not relevant,
-    which defines q as ``old.q``.  Built once per clause tuple, relevant
-    set and signature and kept on the feature, so callers must not mutate
-    it."""
+    every model query q that no clause targets, not relevant and not
+    defined (what fixes the queries it reads fixes it), which defines q as
+    ``old.q``.  Built once per clause tuple, relevant set and signature
+    and kept on the feature, so callers must not mutate it."""
     if feature.kind != "command":
         raise UsageError("frame expansion applies to commands")
     memo = feature._frame
     if (memo is not None and memo[0] is feature.clauses
             and memo[1] is feature.relevant and memo[2] is signature):
         return memo[3]
-    targets = {c.target for c in feature.clauses} | feature.relevant
+    targets = ({c.target for c in feature.clauses} | feature.relevant
+               | signature.defined)
     clauses = tuple(feature.clauses) + tuple(
         Clause.defines(f"{feature.name}/frame:{q}", q,
                        lambda c, _q=q: getattr(c.old, _q))

@@ -76,19 +76,19 @@ def _queue_make_empty_false(monkeypatch):
     ctor = REGISTRY["Queue"].constructor("make_empty")
     monkeypatch.setattr(ctor, "clauses", tuple(
         Clause(k.cid, k.tag, lambda c: False, k.target)
-        if k.cid == "make_empty/bag"
+        if k.cid == "make_empty/sequence"
         else k for k in ctor.clauses))
 
 
 # A constructor that fails.  EqSet.make raises on the total relation over
 # the element pool (16 pairs), not on the identity (4), so EqSet campaigns
-# go on; Queue.make_empty's bag clause is always false, so every Queue
+# go on; Queue.make_empty's sequence clause is always false, so every Queue
 # construction is a report while the Stack calls go on.
 FAILING_CONSTRUCTORS = {
     "body-raises": (_eqset_make_raises, ["EqSet"],
                     "make/exception:RuntimeError", "exception"),
     "post-false": (_queue_make_empty_false, ["Queue", "Stack"],
-                   "make_empty/bag", "postcondition"),
+                   "make_empty/sequence", "postcondition"),
 }
 
 
@@ -258,7 +258,7 @@ class TestCampaigns:
         assert str(e.value) == (
             "fault report failed self-validation: is_empty/purity:target: "
             "the Stack target's own trace of 2 steps does not reproduce the "
-            "violation (replay gives make_empty/bag); either the object "
+            "violation (replay gives make_empty/sequence); either the object "
             "changed outside its own checked calls, or its implementation "
             "is not deterministic")
 

@@ -22,9 +22,9 @@ from mbc.model_math import Ref
 from test_benchmark_hooks import LIST, SCRIPT
 
 CAMPAIGN = {"checked_calls": 1000, "abstract_state_calls": 836,
-            "clause_evals": 1581, "body_calls": 778}
+            "clause_evals": 1340, "body_calls": 778}
 SCRIPTS = {"checked_calls": 50, "abstract_state_calls": 97,
-           "clause_evals": 151, "body_calls": 50}
+           "clause_evals": 126, "body_calls": 50}
 
 
 def _rebind(monkeypatch, name, wrap):

@@ -401,7 +401,6 @@ def all_features():
 RELATIONAL = {
     "reserve/grows": "capacity", "reserve/enough": "capacity",
     "item/member": "result", "remove/count": "sequence",
-    "remove/bag_count": "bag",
 }
 
 
@@ -511,7 +510,7 @@ class TestRestatedDefinitions:
         ("ArrayT", "fill", Clause.defines(
             "fill/map", "map", lambda c: c.old.map.replaced_at(
                 c.args[1], c.args[0]))),
-        # wipe_out that empties the bag but keeps the sequence
+        # wipe_out that keeps the sequence, and so the bag it defines
         ("Stack", "wipe_out", Clause.defines(
             "wipe_out/sequence", "sequence", lambda c: c.old.sequence)),
         # add_root that puts its element under the left child's path
@@ -529,7 +528,8 @@ class TestRestatedDefinitions:
 
     def test_untagged_features_define_their_poststate(self):
         # A feature without an incompleteness tag defines every model query
-        # of its poststate, after frame expansion, or its result.
+        # of its poststate that the signature does not define, after frame
+        # expansion, or its result.
         undefined = []
         for name, fname in all_features():
             spec = REGISTRY[name]
@@ -537,7 +537,7 @@ class TestRestatedDefinitions:
             defined = {c.target for c in checkers._model_clauses(
                 feature, spec.signature) if c.expr is not None}
             needed = ({"result"} if feature.kind == "query"
-                      else set(spec.signature.names))
+                      else set(spec.signature.names) - spec.signature.defined)
             if not needed <= defined:
                 undefined.append(f"{name}.{fname}")
             assert (needed <= defined) == (feature.incompleteness_tag is None)
@@ -650,7 +650,8 @@ class TestDefiningClauses:
                 if "/frame:" in c.cid:
                     assert c.target == c.cid.split(":")[1]
             if feature.kind != "query":
-                assert pinned >= set(spec.signature.names), f"{name}.{fname}"
+                assert pinned >= (set(spec.signature.names)
+                                  - spec.signature.defined), f"{name}.{fname}"
         assert seen == set(RELATIONAL)
         assert loose == ["merge_right/other_sequence", "merge_right/other_index"]
 

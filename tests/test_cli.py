@@ -166,7 +166,7 @@ class TestExitCodes:
         assert err == (
             "unconfirmed: fault report failed self-validation: "
             "is_empty/purity:target: the Stack target's own trace of 2 steps "
-            "does not reproduce the violation (replay gives make_empty/bag); "
+            "does not reproduce the violation (replay gives make_empty/sequence); "
             "either the object changed outside its own checked calls, or its "
             "implementation is not deterministic\n")
 

@@ -188,24 +188,18 @@ class TestCollectionFamily:
         checked_command(d, "remove")
         assert checked_query(d, "count") == 1
 
-    def test_linking_invariant_holds(self):
-        d = build("Dispenser")
-        for x in (A, B, A):
-            checked_command(d, "put", [x])
-        s = abstract_state(d)
-        assert s.bag == s.sequence.to_bag()
-
-    def test_linking_invariant_compares_multiplicities(self):
-        from types import SimpleNamespace
-        from mbc.containers import _linking_invariant
-        from mbc.contracts import Ctx
-        seq = MSeq([A, B, A])
-        for bag, linked in [(MBag([A, A, B]), True),
-                            (MBag([A, B]), False),
-                            (MBag([A, A, B, C]), False),
-                            (MBag([A, A]), False)]:
-            s = SimpleNamespace(bag=bag, sequence=seq)
-            assert _linking_invariant(Ctx(new=s)) is linked, bag
+    def test_put_bag_checks_the_defined_bag(self, monkeypatch):
+        # A put that drops its element leaves the sequence, and so the
+        # bag it defines, as it was: Dispenser's put/bag, checked before
+        # Stack's put/sequence, reports it.
+        s = build("Stack")
+        checked_command(s, "put", [A])
+        monkeypatch.setattr(REGISTRY["Stack"].features["put"], "body",
+                            lambda obj, v: None)
+        with pytest.raises(ContractViolation) as e:
+            checked_command(s, "put", [B])
+        assert (e.value.clause, e.value.kind) == ("put/bag", "postcondition")
+        assert e.value.new_state == "({a:1}, ⟨a⟩)"
 
 
 @pytest.mark.parametrize("name", ["Stack", "Queue"])
@@ -235,7 +229,7 @@ def test_checked_dispenser_calls_count_no_bag(monkeypatch, name):
 class TestDispenserHeirs:
     # The clauses each heir adds to Dispenser's, in order.
     OWN = {"put": ["put/sequence"], "item": ["item/result"],
-           "remove": ["remove/sequence", "remove/bag"]}
+           "remove": ["remove/sequence"]}
 
     @pytest.mark.parametrize("name, cls", [("Stack", Stack), ("Queue", Queue)])
     def test_heir_conjoins_dispenser_contracts(self, name, cls):

@@ -76,14 +76,29 @@ class TestAbstractState:
         assert a == b and hash(a) == hash(b)
 
     def test_every_query_read_by_name_in_signature_order(self):
+        # A query that is not defined is read by its method, a defined one
+        # is its definition of the state.
         for name in CONTAINER_NAMES:
             sig = REGISTRY[name].signature
             for e in state_space(name, EnumerationConfig()):
                 s = abstract_state(e.obj)
                 assert type(s) is sig.state_type
-                want = [getattr(e.obj, "model_" + q)() for q in sig.names]
+                want = [entry[2](s) if len(entry) > 2
+                        else getattr(e.obj, "model_" + entry[0])()
+                        for entry in sig.entries]
                 assert list(s) == want
                 assert list(map(type, s)) == list(map(type, want))
+
+    def test_model_methods_are_the_queries_not_defined(self):
+        # Of its signature's queries, a class has a method for exactly
+        # those that are not defined.
+        for spec in REGISTRY.values():
+            sig, cls = spec.signature, spec.constructors[0].body
+            methods = {q for q in sig.names if hasattr(cls, "model_" + q)}
+            assert methods == set(sig.names) - sig.defined, spec.name
+        assert REGISTRY["Collection"].signature.defined == frozenset()
+        for name in ("Dispenser", "Stack", "Queue"):
+            assert REGISTRY[name].signature.defined == {"bag"}
 
 
 class TestSnapshots:
@@ -300,6 +315,18 @@ class TestFrameExpansion:
         cids = [c.cid for c in expand_frame(put, REGISTRY["Dispenser"].signature)]
         # bag is targeted, sequence is relevant: no frame clause for either.
         assert not any("frame:" in c for c in cids)
+
+    @pytest.mark.parametrize("name", ["Dispenser", "Stack", "Queue"])
+    def test_defined_query_gets_no_frame_clause(self, name):
+        # The bag is defined by the sequence, which remove and wipe_out
+        # change: a frame clause would wrongly freeze it.  put/bag, which
+        # says what put adds, is the family's only clause on the bag.
+        spec = REGISTRY[name]
+        for f in [*spec.features.values(), *spec.constructors]:
+            clauses = (expand_frame(f, spec.signature) if f.kind == "command"
+                       else f.clauses)
+            assert [c.cid for c in clauses if c.target == "bag"] == (
+                ["put/bag"] if f.name == "put" else []), f.name
 
     def test_only_commands(self):
         with pytest.raises(UsageError):

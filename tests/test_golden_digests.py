@@ -83,7 +83,7 @@ def test_fault_reports_replay_from_the_written_file(tmp_path):
 # constructor's as written.  Only a violation shows a clause id in the
 # outputs above, so this pins the frame clauses no run happens to break.
 CLAUSE_LISTS = (
-    "ccbe6ee0ddf273c98c65782efa186aad83096af658a74c72d3048aa99dabe727")
+    "54f257a325143b379202e31ef421a96c8e2bd514815f65df32089bc4082e77b3")
 
 
 def test_effective_clause_lists_digest():
