@@ -172,8 +172,8 @@ class Clause:
     argument's poststate, which only a feature with a container argument
     may have.  The completeness checkers vary the target's poststate or
     the result only, so a clause on an argument's poststate constrains no
-    candidate there.  A command's frame covers every query no clause
-    targets.  A defining clause (built by :meth:`defines`) also gives the
+    candidate there.  ``expand_frame`` says which queries a command's
+    frame covers.  A defining clause (built by :meth:`defines`) also gives the
     ``expr(ctx)`` its target must equal; ``expr`` reads no poststate and
     no result.  The checkers evaluate ``expr`` once instead of testing
     ``fn`` on every candidate.  Frame clauses are defining; the rest, with
