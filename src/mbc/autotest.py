@@ -22,9 +22,8 @@ from .checkers import MAX_UNIVERSE, Built, _build, _state_size, element_tokens
 from .contracts import (
     ContractViolation, PreconditionRejected, REGISTRY, abstract_state,
     checked_command, checked_constructor, checked_query, domain_values,
-    draw_value,
 )
-from .model_math import Ref
+from .model_math import MSeq, Ref
 
 ELEMENT_POOL = element_tokens(4)
 _UNIVERSE_OF = {r.token: i + 1 for i, r in enumerate(element_tokens(MAX_UNIVERSE))}
@@ -161,20 +160,19 @@ def _decode_trace(trace):
     if not isinstance(spec_name, str) or spec_name not in REGISTRY:
         raise ReplayError(f"unknown container type {spec_name!r}")
     spec = REGISTRY[spec_name]
-    try:
-        ctor = spec.constructor(ctor_name)
-    except KeyError:
-        raise ReplayError(f"unknown constructor {spec_name}.{ctor_name}") from None
+    ctor = spec.named.get(ctor_name) if isinstance(ctor_name, str) else None
+    if ctor is None or ctor.kind != "constructor":
+        raise ReplayError(f"unknown constructor {spec_name}.{ctor_name}")
     steps = [(ctor, _decode_args(ctor, ctor_args))]
     for entry in calls:
         if not (isinstance(entry, list) and len(entry) == 3
                 and entry[0] == "call"):
             raise ReplayError(f"bad trace entry {entry!r}")
         _, feature_name, enc_args = entry
-        if not (isinstance(feature_name, str)
-                and feature_name in spec.features):
+        feature = (spec.named.get(feature_name)
+                   if isinstance(feature_name, str) else None)
+        if feature is None or feature.kind == "constructor":
             raise ReplayError(f"unknown feature {spec_name}.{feature_name}")
-        feature = spec.features[feature_name]
         steps.append((feature, _decode_args(feature, enc_args)))
     return spec, steps
 
@@ -207,11 +205,14 @@ def replay(report: FaultReport, faults=None, mode="model"):
     return None
 
 
+_TABLES = {}  # a drawn domain -> domain_values(domain, ELEMENT_POOL)
+
+
 def generate_arguments(feature, rng, pools, target=None):
     """Draw an argument list for a feature from its argument domains over
     the element pool, and from the ``Built`` records of ``pools`` (type name
-    to pool objects), or None; preconditions filter afterwards.  Any other
-    value than a path is read from a prebuilt table (see ``draw_value``)."""
+    to pool objects), or None; preconditions filter afterwards.  A path is
+    drawn by its length, then its bits, any other value from ``_TABLES``."""
     args = []
     for d in feature.arg_domains:
         if d[0] == "container":
@@ -220,8 +221,14 @@ def generate_arguments(feature, rng, pools, target=None):
             if not candidates:
                 return None
             args.append(rng.choice(candidates))
+        elif d[0] == "path":
+            n = rng.randint(0, d[1])
+            args.append(MSeq(rng.choice([False, True]) for _ in range(n)))
         else:
-            args.append(draw_value(d, rng, ELEMENT_POOL))
+            table = _TABLES.get(d)
+            if table is None:
+                table = _TABLES[d] = domain_values(d, ELEMENT_POOL)
+            args.append(rng.choice(table))
     return args
 
 

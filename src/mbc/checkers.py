@@ -213,9 +213,8 @@ def _model_clauses(feature, signature):
     """The model clauses that constrain a candidate, the target's poststate
     or the result: those naming a target.  A clause on a container
     argument's poststate (no target) constrains no candidate."""
-    clauses = (expand_frame(feature, signature) if feature.kind == "command"
-               else feature.clauses)
-    return [c for c in clauses if c.tag == "model" and c.target is not None]
+    return [c for c in expand_frame(feature, signature)
+            if c.tag == "model" and c.target is not None]
 
 
 def _post_holds(clauses, old, new, args, result):
@@ -305,7 +304,7 @@ def check_command_completeness(name, feature_name, cfg) -> CheckVerdict:
     poststates satisfying the effective (frame-expanded) postcondition must
     be abstractly equal.  Candidates are drawn from the enumerated state
     space."""
-    return _completeness(name, REGISTRY[name].features[feature_name], cfg)
+    return _completeness(name, REGISTRY[name].feature(feature_name), cfg)
 
 
 def _result_candidates(feature, cfg):
@@ -324,13 +323,13 @@ def check_query_completeness(name, feature_name, cfg) -> CheckVerdict:
     """All results satisfying the postcondition must be equal: model
     values by value, element results by token, container results by
     abstract state."""
-    return _completeness(name, REGISTRY[name].features[feature_name], cfg)
+    return _completeness(name, REGISTRY[name].feature(feature_name), cfg)
 
 
 def check_constructor_completeness(name, ctor_name, cfg) -> CheckVerdict:
     """Constructors are queries returning fresh objects: all poststates
     satisfying the postcondition must be abstractly equal."""
-    return _completeness(name, REGISTRY[name].constructor(ctor_name), cfg)
+    return _completeness(name, REGISTRY[name].feature(ctor_name), cfg)
 
 
 @dataclass
@@ -419,10 +418,10 @@ BENIGN_TAGS = {"nondeterministic", "inheritance", "information-hiding"}
 
 
 def classify_feature(name, feature_name, cfg) -> CheckVerdict:
-    spec = REGISTRY[name]
-    if any(c.name == feature_name for c in spec.constructors):
+    kind = REGISTRY[name].feature(feature_name).kind
+    if kind == "constructor":
         return check_constructor_completeness(name, feature_name, cfg)
-    if spec.features[feature_name].kind == "command":
+    if kind == "command":
         return check_command_completeness(name, feature_name, cfg)
     return check_query_completeness(name, feature_name, cfg)
 
@@ -437,9 +436,8 @@ def classify_library(cfg, names=None) -> dict:
     incomplete = 0
     errors = []
     for name in names:
-        spec = REGISTRY[name]
         per = {}
-        for feature_name in list(spec.features) + [c.name for c in spec.constructors]:
+        for feature_name in REGISTRY[name].named:
             v = classify_feature(name, feature_name, cfg)
             per[feature_name] = v.to_dict()
             total += 1

@@ -14,8 +14,8 @@ that the signature does not define (Dispenser's ``bag``, defined by its
 ``put``, ``item`` and ``remove``) are written out with relational clauses.
 
 Stack and Queue inherit Dispenser's contracts and strengthen them
-(:func:`refine`).  The concrete classes run the other way: ``Dispenser``
-is a subclass of ``Stack``, a stand-in that reaches every abstract state.
+(:func:`refine`), and their concrete classes are heirs of ``Dispenser``,
+whose item and remove act at the end, as Stack's do.
 
 Model queries read the *concrete* structure (e.g. ``LinkedList.sequence``
 walks the cell chain), which is what lets model clauses catch faults that
@@ -427,7 +427,8 @@ def _table_spec():
 # ---------------------------------------------------------------------------
 # Collection / Dispenser / Stack / Queue hierarchy.
 # Collection's model is a bag; Dispenser's a sequence and the bag it defines.
-# Stack and Queue refine Dispenser's spec and pin where put and remove act.
+# Stack and Queue refine Dispenser's spec and pin where put and remove act;
+# their classes are heirs of Dispenser's, which holds the sequence.
 
 class _SeqBacked:
     """Shared concrete representation: a Python list of element tokens."""
@@ -435,9 +436,6 @@ class _SeqBacked:
     def __init__(self, faults=None):
         self.ref = fresh_ref()
         self.items = []
-
-    def model_sequence(self) -> MSeq:
-        return MSeq(self.items)
 
     def do_put(self, v):
         self.items.append(v)
@@ -462,8 +460,13 @@ class Collection(_SeqBacked):
         return self.items.count(v)
 
 
-class Stack(_SeqBacked):
-    spec_name = "Stack"
+class Dispenser(_SeqBacked):
+    # Concrete class used to enumerate the abstract one: appending puts
+    # reach every sequence; item and remove act at the end, as Stack's do.
+    spec_name = "Dispenser"
+
+    def model_sequence(self) -> MSeq:
+        return MSeq(self.items)
 
     def do_item(self):
         return self.items[-1]
@@ -472,13 +475,11 @@ class Stack(_SeqBacked):
         self.items.pop()
 
 
-class Dispenser(Stack):
-    # Concrete stand-in used to enumerate the abstract class: Stack's
-    # append-only puts reach every sequence, removal/item operate at the end.
-    spec_name = "Dispenser"
+class Stack(Dispenser):
+    spec_name = "Stack"
 
 
-class Queue(_SeqBacked):
+class Queue(Dispenser):
     spec_name = "Queue"
 
     def do_item(self):

@@ -256,28 +256,12 @@ def domain_values(domain, elements):
     raise ValueError(f"unknown argument domain {domain!r}")
 
 
-_TABLES = {}  # a drawn domain -> (elements, its domain_values over them)
-
-
-def draw_value(domain, rng, elements):
-    """One random value of a non-container domain: a uniform choice over
-    ``domain_values``, except that a path draws its length, then its bits.
-    Any other draw reads a table of them, built on the domain's first draw
-    and kept while the same, unchanged ``elements`` list is passed."""
-    if domain[0] == "path":
-        n = rng.randint(0, domain[1])
-        return MSeq(rng.choice([False, True]) for _ in range(n))
-    table = _TABLES.get(domain)
-    if table is None or table[0] is not elements:
-        table = _TABLES[domain] = (elements, domain_values(domain, elements))
-    return rng.choice(table[1])
-
-
 class ContainerSpec:
     """Self-description of a container type for the engine and the tools.
     Each feature runs the routine ``do_<name>`` of the concrete class
     ``cls``, which must have one, and each constructor runs ``cls`` with
-    its arguments and ``faults``."""
+    its arguments and ``faults``.  ``named`` maps every feature, then
+    every constructor, by name; a name given twice is a ConfigurationError."""
 
     def __init__(self, name, cls, signature, features, invariants=(),
                  constructors=(), snapshot=None):
@@ -287,7 +271,11 @@ class ContainerSpec:
         self.invariants = tuple(invariants)
         self.constructors = tuple(constructors)
         self.snapshot = snapshot or (lambda obj: {})
+        self.named = {}
         for f in list(features) + list(constructors):
+            if f.name in self.named:
+                raise ConfigurationError(f"{name}: two features named {f.name!r}")
+            self.named[f.name] = f
             for s in f.relevant:
                 if s not in signature.names:
                     raise ConfigurationError(
@@ -304,11 +292,11 @@ class ContainerSpec:
                 raise ConfigurationError(
                     f"{name}.{f.name}: {cls.__name__} has no do_{f.name}")
 
-    def constructor(self, name) -> Feature:
-        for c in self.constructors:
-            if c.name == name:
-                return c
-        raise KeyError(f"{self.name} has no constructor {name!r}")
+    def feature(self, name) -> Feature:
+        try:
+            return self.named[name]
+        except KeyError:
+            raise KeyError(f"{self.name} has no feature {name!r}") from None
 
     def commands(self):
         return [f for f in self.features.values() if f.kind == "command"]
@@ -388,13 +376,14 @@ def _serialize_arg(a) -> str:
 
 
 def expand_frame(feature: Feature, signature: ModelSignature):
-    """Effective clause tuple: explicit clauses, then one frame clause for
-    every model query q that no clause targets, not relevant and not
-    defined (what fixes the queries it reads fixes it), which defines q as
-    ``old.q``.  Built once per clause tuple, relevant set and signature
-    and kept on the feature, so callers must not mutate it."""
+    """Effective clause tuple: a query's or constructor's own clauses; a
+    command's explicit clauses, then one frame clause for every model
+    query q that no clause targets, not relevant and not defined (what
+    fixes the queries it reads fixes it), which defines q as ``old.q``.
+    Built once per clause tuple, relevant set and signature and kept on
+    the feature, so callers must not mutate it."""
     if feature.kind != "command":
-        raise UsageError("frame expansion applies to commands")
+        return feature.clauses
     memo = feature._frame
     if (memo is not None and memo[0] is feature.clauses
             and memo[1] is feature.relevant and memo[2] is signature):
@@ -407,10 +396,6 @@ def expand_frame(feature: Feature, signature: ModelSignature):
         for q in signature.names if q not in targets)
     feature._frame = (feature.clauses, feature.relevant, signature, clauses)
     return clauses
-
-
-def _mode_keeps(clause_tag: str, mode: str) -> bool:
-    return mode == "model" or clause_tag == "classic"
 
 
 def _state_text(state):
@@ -463,11 +448,12 @@ def _check_clauses(clauses, ctx, kind, feature_name, old, new, views, mode,
     """Raise a ``kind`` violation, written with ``old`` and ``new``, at the
     first clause ``mode`` keeps that is false on ``ctx``, named by its id
     (prefixed by ``<owner>/invariant:`` for an invariant of the spec named
-    ``owner``).  Model mode keeps every clause.  A clause raising
+    ``owner``).  Model mode keeps every clause, classic mode the classic
+    ones.  A clause raising
     DomainError is false; one raising anything else is an ``exception``
     violation, raised from the original."""
     if mode != "model":
-        clauses = [c for c in clauses if _mode_keeps(c.tag, mode)]
+        clauses = [c for c in clauses if c.tag == "classic"]
     for clause in clauses:
         try:
             holds = clause.fn(ctx)
@@ -515,15 +501,12 @@ def _checked_call(spec, obj, name, kind, args, mode, faults=None, old=None):
     PreconditionRejected when the precondition filters the call, and
     ContractViolation on a false clause or when the body, a clause, the
     precondition or a model query raises."""
-    feature = spec.features.get(name)
-    if feature is None or feature.kind != kind:
-        feature = next((c for c in spec.constructors if c.name == name),
-                       feature)
-        if feature is None:
-            raise KeyError(f"{spec.name} has no feature {name!r}")
-        if feature.kind != kind:
-            raise UsageError(f"{spec.name}.{name} is a {feature.kind}, "
-                             f"not a {kind}")
+    feature = spec.named.get(name)
+    if feature is None:
+        raise KeyError(f"{spec.name} has no feature {name!r}")
+    if feature.kind != kind:
+        raise UsageError(f"{spec.name}.{name} is a {feature.kind}, "
+                         f"not a {kind}")
     query = kind == "query"
     views = raw = tuple(args)
     nested = feature.container_args
@@ -573,10 +556,8 @@ def _checked_call(spec, obj, name, kind, args, mode, faults=None, old=None):
     if query and feature.returns_container:  # clauses read its state
         result = _state(out, name, old, new, views)
     ctx = Ctx(old, new, views, result, obj, cold, obj.ref)
-    clauses = (expand_frame(feature, spec.signature) if kind == "command"
-               else feature.clauses)
-    _check_clauses(clauses, ctx, "postcondition", name, old, new, views,
-                   mode)
+    _check_clauses(expand_frame(feature, spec.signature), ctx,
+                   "postcondition", name, old, new, views, mode)
     if query:
         if feature.returns_container:
             _check_invariants(spec_of(out), Ctx(new=result, obj=out), name,

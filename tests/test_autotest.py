@@ -17,7 +17,7 @@ from mbc.checkers import (
 from mbc.containers import CONTAINER_NAMES, EqSet, FaultSwitch, Stack
 from mbc.contracts import (
     Clause, ContractViolation, PreconditionRejected, REGISTRY, abstract_state,
-    domain_values, draw_value, serialize_state,
+    domain_values, serialize_state,
 )
 from mbc.model_math import MSeq, Ref
 
@@ -69,11 +69,11 @@ def _eqset_make_raises(monkeypatch):
             raise RuntimeError("boom")
         return EqSet(rel, faults=faults)
 
-    monkeypatch.setattr(REGISTRY["EqSet"].constructor("make"), "body", make)
+    monkeypatch.setattr(REGISTRY["EqSet"].feature("make"), "body", make)
 
 
 def _queue_make_empty_false(monkeypatch):
-    ctor = REGISTRY["Queue"].constructor("make_empty")
+    ctor = REGISTRY["Queue"].feature("make_empty")
     monkeypatch.setattr(ctor, "clauses", tuple(
         Clause(k.cid, k.tag, lambda c: False, k.target)
         if k.cid == "make_empty/sequence"
@@ -251,7 +251,7 @@ class TestCampaigns:
             s.items = shared
             return s
 
-        monkeypatch.setattr(REGISTRY["Stack"].constructor("make_empty"),
+        monkeypatch.setattr(REGISTRY["Stack"].feature("make_empty"),
                             "body", make_empty)
         with pytest.raises(RuntimeError) as e:
             run_campaign(["Stack"], 2000, 0)
@@ -263,6 +263,7 @@ class TestCampaigns:
             "is not deterministic")
 
 
+@pytest.mark.bytegate
 class TestHeldPrestates:
     """A campaign passes each pool object's held state as the prestate of
     its next checked call, and on this library that state is exact.  CI
@@ -332,7 +333,8 @@ def reference_arguments(feature, rng, pools, target=None):
                 return None
             args.append(rng.choice(candidates))
         elif d[0] == "path":
-            args.append(draw_value(d, rng, autotest.ELEMENT_POOL))
+            n = rng.randint(0, d[1])
+            args.append(MSeq(rng.choice([False, True]) for _ in range(n)))
         else:
             args.append(rng.choice(domain_values(d, autotest.ELEMENT_POOL)))
     return args
@@ -409,6 +411,7 @@ def reference_campaign(targets, calls, seed, faults=None, mode="model"):
     return CampaignResult(stats=stats, reports=reports)
 
 
+@pytest.mark.bytegate
 class TestDriverEquivalence:
     """``run_campaign`` draws the same values and writes the same bytes as
     the reference driver, while doing each piece of per-call work once.
@@ -458,14 +461,14 @@ class TestDriverEquivalence:
         assert 0 < counts["sizes"] <= counts["set"] < r.stats["passed"]
 
     def test_domain_values_once_per_domain(self, monkeypatch):
-        built, build = [], contracts.domain_values
+        built, build = [], autotest.domain_values
 
         def values(domain, elements):
             built.append(domain)
             return build(domain, elements)
 
-        monkeypatch.setattr(contracts, "_TABLES", {})
-        monkeypatch.setattr(contracts, "domain_values", values)
+        monkeypatch.setattr(autotest, "_TABLES", {})
+        monkeypatch.setattr(autotest, "domain_values", values)
         for seed in (0, 1):
             assert run_campaign(CONTAINER_NAMES, 2000, seed).violations == 0
         assert built and len(built) == len(set(built))
@@ -514,6 +517,18 @@ class TestReplay:
         with pytest.raises(ReplayError, match="unknown constructor"):
             replay(FaultReport(violation={},
                                trace=[["new", "Stack", "nope", []]]))
+
+    def test_command_is_no_constructor(self):
+        with pytest.raises(ReplayError, match="unknown constructor Stack.put"):
+            replay(FaultReport(violation={}, trace=[
+                ["new", "Stack", "put", [["elem", "a"]]]]))
+
+    def test_constructor_is_no_feature(self):
+        with pytest.raises(ReplayError,
+                           match="unknown feature Stack.make_empty"):
+            replay(FaultReport(violation={}, trace=[
+                ["new", "Stack", "make_empty", []],
+                ["call", "make_empty", []]]))
 
     def test_constructor_arity_rejected(self):
         with pytest.raises(ReplayError, match="takes 0 arguments"):

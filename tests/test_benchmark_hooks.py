@@ -21,7 +21,8 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # Names the benchmark still uses that no longer exist in mbc; repointing
 # them is a change to the benchmark.
-STALE = {"mbc.checkers._raw_pre", "mbc.checkers.check_precondition_soundness"}
+STALE = {"mbc.checkers._raw_pre", "mbc.checkers.check_precondition_soundness",
+         "mbc.contracts._mode_keeps"}
 # Dicts of run.py keyed by span name.
 SPAN_COUNTERS = ("calls", "self_ns", "incl_ns")
 

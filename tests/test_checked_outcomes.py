@@ -14,6 +14,8 @@ import hashlib
 import itertools
 import json
 
+import pytest
+
 from mbc.checkers import EnumerationConfig, _build, element_tokens, state_space
 from mbc.containers import CONTAINER_NAMES, FaultSwitch, reset_ref_counter
 from mbc.contracts import (
@@ -22,6 +24,8 @@ from mbc.contracts import (
     serialize_state,
 )
 from mbc.model_math import to_text
+
+pytestmark = pytest.mark.bytegate
 
 OUTCOMES = "d191b3e1724a77efbc374cabfe55a3cbca02fc210ae8812cbf88e2c1d524b281"
 CALLS = 30_976

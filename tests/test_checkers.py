@@ -468,7 +468,7 @@ def disagreements(name, fname, cfg):
     holds.  Return the triples they judge differently, the number
     compared and the number the feature's clauses accept."""
     spec = REGISTRY[name]
-    feature = spec.features.get(fname) or spec.constructor(fname)
+    feature = spec.feature(fname)
     reference = dataclasses.replace(feature, clauses=REPLACED[name, fname])
     clauses = checkers._model_clauses(feature, spec.signature)
     want = checkers._model_clauses(reference, spec.signature)
@@ -533,7 +533,7 @@ class TestRestatedDefinitions:
         undefined = []
         for name, fname in all_features():
             spec = REGISTRY[name]
-            feature = spec.features.get(fname) or spec.constructor(fname)
+            feature = spec.feature(fname)
             defined = {c.target for c in checkers._model_clauses(
                 feature, spec.signature) if c.expr is not None}
             needed = ({"result"} if feature.kind == "query"
@@ -546,6 +546,7 @@ class TestRestatedDefinitions:
                                      "Dispenser.put", "Dispenser.remove"]
 
 
+@pytest.mark.bytegate
 class TestDefiningClauses:
     @pytest.mark.parametrize("bounds", [dict(max_size=2),
                                         dict(universe=3, max_size=2)])
@@ -637,7 +638,7 @@ class TestDefiningClauses:
         loose = []  # the clauses on a container argument's poststate
         for name, fname in all_features():
             spec = REGISTRY[name]
-            feature = spec.features.get(fname) or spec.constructor(fname)
+            feature = spec.feature(fname)
             loose += [c.cid for c in feature.clauses
                       if c.tag == "model" and c.target is None]
             pinned = set(feature.relevant)

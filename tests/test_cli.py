@@ -157,7 +157,7 @@ class TestExitCodes:
             s.items = shared
             return s
 
-        monkeypatch.setattr(REGISTRY["Stack"].constructor("make_empty"),
+        monkeypatch.setattr(REGISTRY["Stack"].feature("make_empty"),
                             "body", make_empty)
         code, out, err = run(capsys, "test", "--target", "Stack",
                              "--calls", "2000", "--seed", "0")

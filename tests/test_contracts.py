@@ -9,14 +9,14 @@ import random
 import pytest
 
 from mbc import contracts
-from mbc.autotest import ELEMENT_POOL
+from mbc.autotest import ELEMENT_POOL, generate_arguments
 from mbc.checkers import EnumerationConfig, state_space
 from mbc.containers import ALL_SPECS, CONTAINER_NAMES, Ref, FaultSwitch
 from mbc.contracts import (
     Clause, ConfigurationError, ContainerSpec, ContractViolation, Ctx, Feature,
     ModelSignature, PreconditionRejected, REGISTRY, UsageError, AbstractState,
     abstract_state, checked_command, checked_constructor, checked_query,
-    domain_values, draw_value, expand_frame, serialize_state,
+    domain_values, expand_frame, serialize_state,
 )
 from mbc.model_math import MSeq
 
@@ -90,12 +90,13 @@ class TestAbstractState:
                 assert list(map(type, s)) == list(map(type, want))
 
     def test_model_methods_are_the_queries_not_defined(self):
-        # Of its signature's queries, a class has a method for exactly
-        # those that are not defined.
+        # A class's model_* methods are exactly those of its signature's
+        # queries that are not defined.
         for spec in REGISTRY.values():
             sig, cls = spec.signature, spec.constructors[0].body
-            methods = {q for q in sig.names if hasattr(cls, "model_" + q)}
-            assert methods == set(sig.names) - sig.defined, spec.name
+            methods = {a for a in dir(cls) if a.startswith("model_")}
+            assert methods == {"model_" + q for q in sig.names
+                               if q not in sig.defined}, spec.name
         assert REGISTRY["Collection"].signature.defined == frozenset()
         for name in ("Dispenser", "Stack", "Queue"):
             assert REGISTRY[name].signature.defined == {"bag"}
@@ -214,7 +215,7 @@ class TestBodyExceptions:
 
     def test_constructor_body_raises(self, monkeypatch):
         eqset = REGISTRY["EqSet"]
-        monkeypatch.setattr(eqset.constructor("make"), "body",
+        monkeypatch.setattr(eqset.feature("make"), "body",
                             lambda rel, faults=None: 1 // 0)
         rel = domain_values(("relation",), ELEMENT_POOL)[0]
         with pytest.raises(ContractViolation) as e:
@@ -256,7 +257,7 @@ class TestRaisingHooks:
         assert v.old_state == v.new_state == "({a:1}, ⟨a⟩)"
 
     def test_constructor_precondition_raises(self, monkeypatch):
-        make = REGISTRY["EqSet"].constructor("make")
+        make = REGISTRY["EqSet"].feature("make")
         monkeypatch.setattr(make, "pre", lambda s, a, r: s.count)
         rel = domain_values(("relation",), ELEMENT_POOL)[0]
         with pytest.raises(ContractViolation) as e:
@@ -322,15 +323,17 @@ class TestFrameExpansion:
         # change: a frame clause would wrongly freeze it.  put/bag, which
         # says what put adds, is the family's only clause on the bag.
         spec = REGISTRY[name]
-        for f in [*spec.features.values(), *spec.constructors]:
-            clauses = (expand_frame(f, spec.signature) if f.kind == "command"
-                       else f.clauses)
+        for f in spec.named.values():
+            clauses = expand_frame(f, spec.signature)
             assert [c.cid for c in clauses if c.target == "bag"] == (
                 ["put/bag"] if f.name == "put" else []), f.name
 
-    def test_only_commands(self):
-        with pytest.raises(UsageError):
-            expand_frame(SPEC.features["count"], SPEC.signature)
+    def test_query_and_constructor_keep_their_clauses(self):
+        # Only a command has a frame: a query's state is kept by purity,
+        # and a constructor has no prestate.
+        for f in (SPEC.features["count"], SPEC.feature("make_empty")):
+            assert f.clauses
+            assert expand_frame(f, SPEC.signature) is f.clauses
 
     def test_frame_clauses_define_their_query(self):
         start = SPEC.features["start"]
@@ -384,6 +387,32 @@ class TestBinding:
             constructors=[Feature("make", "constructor")])
         assert spec.features["f"].body is _Thing.do_f
         assert spec.constructors[0].body is _Thing
+
+    def test_named_holds_features_then_constructors(self):
+        spec = ContainerSpec(
+            "Good", _Thing, self.SIG, features=[Feature("f", "command")],
+            constructors=[Feature("make", "constructor")])
+        assert list(spec.named) == ["f", "make"]
+        assert spec.feature("f") is spec.features["f"]
+        assert spec.feature("make") is spec.constructors[0]
+        with pytest.raises(KeyError, match="Good has no feature 'nope'"):
+            spec.feature("nope")
+        for spec in REGISTRY.values():
+            assert list(spec.named.values()) == [*spec.features.values(),
+                                                 *spec.constructors]
+
+    def test_two_features_with_one_name_rejected(self):
+        with pytest.raises(ConfigurationError,
+                           match="Bad: two features named 'f'"):
+            ContainerSpec("Bad", _Thing, self.SIG, features=[
+                Feature("f", "command"), Feature("f", "query")])
+
+    def test_constructor_named_like_a_command_rejected(self):
+        with pytest.raises(ConfigurationError,
+                           match="Bad: two features named 'f'"):
+            ContainerSpec("Bad", _Thing, self.SIG,
+                          features=[Feature("f", "command")],
+                          constructors=[Feature("f", "constructor")])
 
     def test_missing_routine_rejected(self):
         with pytest.raises(ConfigurationError, match="_Thing has no do_g"):
@@ -529,6 +558,7 @@ class TestCheckedCalls:
                        lambda c: seen.append(c.result) or True),))
         plain.body = forgetful
         monkeypatch.setitem(SPEC.features, "duplicate", plain)
+        monkeypatch.setitem(SPEC.named, "duplicate", plain)
         obj = make_list("x")
         checked_command(obj, "start")
         states = []
@@ -588,7 +618,7 @@ class TestCheckedCalls:
         before = abstract_state(obj)
         ran = []
         for f in (SPEC.features["forth"], SPEC.features["count"],
-                  SPEC.constructor("make_empty")):
+                  SPEC.feature("make_empty")):
             monkeypatch.setattr(f, "body",
                                 lambda *a, _f=f, **k: ran.append(_f.name))
             monkeypatch.setattr(f, "pre",
@@ -718,6 +748,7 @@ class TestContainerArguments:
                                     arg_domains=(("container", "LinkedList"),))
         count.body = body
         monkeypatch.setitem(SPEC.features, "count", count)
+        monkeypatch.setitem(SPEC.named, "count", count)
 
     def test_query_checks_argument_purity(self, monkeypatch):
         def count_and_grow(o, other):
@@ -766,7 +797,7 @@ class TestContainerArguments:
 class TestDomains:
     def test_declared_domains_have_values_and_draws_fall_inside(self):
         domains = sorted({d for spec in ALL_SPECS
-                          for f in list(spec.features.values()) + list(spec.constructors)
+                          for f in spec.named.values()
                           for d in f.arg_domains if d[0] != "container"})
         assert {d[0] for d in domains} == {"element", "int", "bool", "path",
                                            "relation"}
@@ -775,15 +806,7 @@ class TestDomains:
             values = domain_values(d, ELEMENT_POOL)
             assert values, d
             typed = [(type(v), v) for v in values]
+            feature = Feature("f", "command", arg_domains=(d,))
             for _ in range(200):
-                x = draw_value(d, rng, ELEMENT_POOL)
+                [x] = generate_arguments(feature, rng, {})
                 assert (type(x), x) in typed, (d, x)
-
-    def test_draw_table_follows_the_element_list(self, monkeypatch):
-        monkeypatch.setattr(contracts, "_TABLES", {})
-        rng, one = random.Random(0), [Ref("x")]
-        assert {draw_value(("element",), rng, one) for _ in range(20)} == {
-            Ref("x")}
-        drawn = {draw_value(("element",), rng, ELEMENT_POOL)
-                 for _ in range(50)}
-        assert drawn == set(ELEMENT_POOL)

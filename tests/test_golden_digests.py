@@ -13,6 +13,8 @@ from mbc.cli import main
 from mbc.containers import CONTAINER_NAMES, FaultSwitch
 from mbc.contracts import REGISTRY, expand_frame
 
+pytestmark = pytest.mark.bytegate
+
 GOLDEN = {
     "complete": (
         ["complete", "--all"],
@@ -91,8 +93,7 @@ def test_effective_clause_lists_digest():
     for name in CONTAINER_NAMES:
         spec = REGISTRY[name]
         for f in list(spec.features.values()) + list(spec.constructors):
-            clauses = (expand_frame(f, spec.signature) if f.kind == "command"
-                       else f.clauses)
+            clauses = expand_frame(f, spec.signature)
             lists.append([name, f.name, [
                 [c.cid, c.tag, c.target if c.expr is not None else None]
                 for c in clauses]])

@@ -385,6 +385,7 @@ def keyed(pairs):
     return [(order_key(x), n) for x, n in pairs]
 
 
+@pytest.mark.bytegate
 class TestBagAlgebra:
     """Every bag operation against the quadratic reference.  Bags and
     probes may mix booleans and integers: a bag keys its elements by
@@ -818,6 +819,7 @@ VARIANTS = {
 }
 
 
+@pytest.mark.bytegate
 class TestOneIdentity:
     """For nested mixes of booleans, integers and Refs in every model-value
     class, ``==`` holds exactly when the ``order_key``s are equal, equal
@@ -948,6 +950,7 @@ def scan_hits(held, v):
     return [i for i, x in enumerate(held) if x == v and type(x) is type(v)]
 
 
+@pytest.mark.bytegate
 class TestKeyedLookups:
     """``has``, ``has_key``, ``item``, ``image_of``, ``replaced_at`` and
     ``updated`` give what the scan with ``==`` and the type gave, for
