@@ -23,7 +23,7 @@ from .contracts import (
     ContractViolation, PreconditionRejected, REGISTRY, abstract_state,
     checked_command, checked_constructor, checked_query, domain_values,
 )
-from .model_math import MSeq, Ref
+from .model_math import MSeq
 
 ELEMENT_POOL = element_tokens(4)
 _UNIVERSE_OF = {r.token: i + 1 for i, r in enumerate(element_tokens(MAX_UNIVERSE))}
@@ -105,11 +105,11 @@ def _universe(value):
 
 def _decode_arg(feature, domain, e):
     """The value of ``domain`` that ``e``, an argument of ``feature``,
-    encodes: a container's is its decoded trace, an element any token of
-    ``element_tokens(MAX_UNIVERSE)``, any other is looked up among the
-    domain's values over the least universe holding its tokens (a relation
-    spells each), so a value outside the domain is rejected.  Encodings
-    are compared by ``repr``, which tells JSON ``true`` from ``1``."""
+    encodes: a container's is its decoded trace, any other is looked up
+    among the domain's values over the least universe holding its tokens
+    (an element or a relation spells each), so a value outside the domain
+    is rejected.  Encodings are compared by ``repr``, which tells JSON
+    ``true`` from ``1``."""
     if not (isinstance(e, list) and len(e) == 2):
         raise ReplayError(
             f"{feature.name}: argument encoding {e!r} is not a "
@@ -124,12 +124,7 @@ def _decode_arg(feature, domain, e):
             raise ReplayError(
                 f"argument {spec.name} object is not a {domain[1]}")
         return trace
-    n = _universe(e[1])
-    if domain[0] == "element":
-        values = [Ref(e[1])] if n and isinstance(e[1], str) else []
-    else:
-        values = domain_values(domain, element_tokens(n))
-    for v in values:
+    for v in domain_values(domain, element_tokens(_universe(e[1]))):
         if repr(_encode_arg(domain, v)) == repr(e):
             return v
     raise ReplayError(

@@ -3,9 +3,9 @@
 Each container type registers a :class:`ContainerSpec` describing its model
 queries (some defined by others), contracted features, invariants and
 constructors, so the checkers, the random-testing harness, and the CLI can
-discover targets uniformly.  A spec names its concrete class, whose routine
-``do_<name>`` runs the feature ``name``.  ``_query`` and ``_command`` write
-a feature whose clauses begin with defining ones, each named
+discover targets uniformly.  A spec is named by its concrete class, whose
+routine ``do_<name>`` runs the feature ``name``.  ``_query`` and ``_command``
+write a feature whose clauses begin with defining ones, each named
 ``<feature>/<target>``: a query's result, a command's or a constructor's
 model queries.  Every feature without an incompleteness tag defines its
 result, or, once the frame is added, every model query of its poststate
@@ -141,8 +141,6 @@ class _Cell:
 
 
 class LinkedList:
-    spec_name = "LinkedList"
-
     def __init__(self, faults=None):
         self.ref = fresh_ref()
         self.first = None
@@ -292,7 +290,7 @@ def _linked_list_spec():
                lambda c: 0 <= c.obj.index <= c.obj.count + 1),
     )
     return ContainerSpec(
-        "LinkedList", LinkedList, sig,
+        LinkedList, sig,
         features=[put_right, item, has, count, is_empty, duplicate,
                   start, forth, go_before, merge_right],
         invariants=invariants,
@@ -306,8 +304,6 @@ def _linked_list_spec():
 # information-hiding incompleteness).
 
 class ArrayT:
-    spec_name = "ArrayT"
-
     def __init__(self, lower, upper, default, faults=None):
         self.ref = fresh_ref()
         self.lower = lower
@@ -377,7 +373,7 @@ def _array_spec():
                lambda c: c.new.capacity >= c.new.map.count),
     )
     return ContainerSpec(
-        "ArrayT", ArrayT, sig,
+        ArrayT, sig,
         features=[_map_put(("int", 0, 4)), _map_item("item", ("int", 0, 4)),
                   fill, reserve, capacity],
         invariants=invariants,
@@ -389,8 +385,6 @@ def _array_spec():
 # and a precondition-free force for fresh keys.
 
 class Table:
-    spec_name = "Table"
-
     def __init__(self, faults=None):
         self.ref = fresh_ref()
         self.data = {}
@@ -418,7 +412,7 @@ def _table_spec():
         "force", {"map": lambda c: c.old.map.updated(c.args[1], c.args[0])},
         arg_domains=(("element",), ("element",)))
     return ContainerSpec(
-        "Table", Table, sig,
+        Table, sig,
         features=[_map_put(("element",)), force,
                   _map_item("item", ("element",)), _count_query("map")],
         constructors=[_emptying("make_empty", "constructor", {"map": MMap()})])
@@ -451,8 +445,6 @@ class _SeqBacked:
 
 
 class Collection(_SeqBacked):
-    spec_name = "Collection"
-
     def model_bag(self) -> MBag:
         return MBag(self.items)
 
@@ -463,8 +455,6 @@ class Collection(_SeqBacked):
 class Dispenser(_SeqBacked):
     # Concrete class used to enumerate the abstract one: appending puts
     # reach every sequence; item and remove act at the end, as Stack's do.
-    spec_name = "Dispenser"
-
     def model_sequence(self) -> MSeq:
         return MSeq(self.items)
 
@@ -476,12 +466,10 @@ class Dispenser(_SeqBacked):
 
 
 class Stack(Dispenser):
-    spec_name = "Stack"
+    """Dispenser's class unchanged: item and remove act at the end."""
 
 
 class Queue(Dispenser):
-    spec_name = "Queue"
-
     def do_item(self):
         return self.items[0]
 
@@ -500,7 +488,7 @@ def _collection_spec():
     occurrences = _query("occurrences", lambda c: c.old.bag[c.args[0]],
                          ("int",), arg_domains=(("element",),))
     return ContainerSpec(
-        "Collection", Collection, sig,
+        Collection, sig,
         features=[put, _is_empty_query("bag"), _count_query("bag"),
                   occurrences, _emptying("wipe_out", "command", empty)],
         constructors=[_emptying("make_empty", "constructor", empty)])
@@ -515,7 +503,6 @@ def _dispenser_spec():
     put = Feature(
         "put", "command",
         clauses=(Clause.defines("put/bag", "bag", _put_bag),),
-        relevant=frozenset({"sequence"}),
         incompleteness_tag="inheritance",
         arg_domains=(("element",),))
     item = Feature(
@@ -536,7 +523,7 @@ def _dispenser_spec():
         ),
         incompleteness_tag="inheritance")
     return ContainerSpec(
-        "Dispenser", Dispenser, sig,
+        Dispenser, sig,
         features=[put, item, remove, _is_empty_query("bag"), _count_query("bag"),
                   _emptying("wipe_out", "command", empty)],
         constructors=[_emptying("make_empty", "constructor", empty)])
@@ -547,8 +534,8 @@ def _stack_queue_specs(dispenser):
     ``pos(state)`` is the position that item reads and remove takes away
     (the end for Stack, the front for Queue), and ``rest(sequence)`` is
     what remove leaves."""
-    def heir(name, cls, pos, rest):
-        return refine(dispenser, name, cls, {
+    def heir(cls, pos, rest):
+        return refine(dispenser, cls, {
             "put": (Clause.defines(
                 "put/sequence", "sequence",
                 lambda c: c.old.sequence.extended(c.args[0])),),
@@ -558,9 +545,9 @@ def _stack_queue_specs(dispenser):
                                       lambda c: rest(c.old.sequence)),),
         })
 
-    return [heir("Stack", Stack, lambda s: s.sequence.count,
+    return [heir(Stack, lambda s: s.sequence.count,
                  lambda q: q.front(q.count - 1)),
-            heir("Queue", Queue, lambda s: 1, lambda q: q.tail(2))]
+            heir(Queue, lambda s: 1, lambda q: q.tail(2))]
 
 
 # ---------------------------------------------------------------------------
@@ -568,8 +555,6 @@ def _stack_queue_specs(dispenser):
 # universe; no two stored elements are equivalent.
 
 class EqSet:
-    spec_name = "EqSet"
-
     def __init__(self, relation: MRel, faults=None):
         self.ref = fresh_ref()
         self.relation = relation
@@ -631,7 +616,7 @@ def _eqset_spec():
                lambda c: _relation_is_equivalence(c.new.relation)),
     )
     return ContainerSpec(
-        "EqSet", EqSet, sig,
+        EqSet, sig,
         features=[has, add, count],
         invariants=invariants,
         constructors=[make])
@@ -651,8 +636,6 @@ class _TreeNode:
 
 
 class BinaryTree:
-    spec_name = "BinaryTree"
-
     def __init__(self, faults=None):
         self.ref = fresh_ref()
         self.root = None
@@ -718,7 +701,7 @@ def _tree_spec():
             lambda p: p.is_empty or domain.has(p.front(p.count - 1)))
 
     return ContainerSpec(
-        "BinaryTree", BinaryTree, sig,
+        BinaryTree, sig,
         features=[add_root, put_child, _map_item("item_at", ("path", 2)),
                   _count_query("map")],
         invariants=(Clause("prefix_closed", "model", prefix_closed),),

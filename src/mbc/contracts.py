@@ -3,7 +3,8 @@ and runtime checking of pre/postconditions, invariants, and abstract purity.
 
 Container types register a :class:`ContainerSpec` describing their model
 queries and contracted features (:func:`refine` derives an heir's); the
-functions here evaluate the contracts against live objects.
+functions here find an object's spec by its class and evaluate the
+contracts against live objects.
 
 An abstract state is a tuple of model values, of one AbstractState type
 per signature.  Every postcondition and invariant clause is a
@@ -206,7 +207,6 @@ class Feature:
     kind: str  # "command" | "query" | "constructor"
     pre: Optional[Callable] = None  # fn(state, args, target_ref) -> bool
     clauses: Tuple[Clause, ...] = ()
-    relevant: frozenset = frozenset()
     incompleteness_tag: Optional[str] = None  # nondeterministic | inheritance | information-hiding
     arg_domains: Tuple = ()  # one domain per argument, see domain_values
     result_domain: Optional[object] = None
@@ -214,7 +214,7 @@ class Feature:
     # constructor; bound by ContainerSpec.
     body: Optional[Callable] = field(default=None, init=False, repr=False,
                                      compare=False)
-    # expand_frame's memo: (clauses, relevant, signature, expanded clauses).
+    # expand_frame's memo: (clauses, signature, expanded clauses).
     _frame: Optional[tuple] = field(default=None, init=False, repr=False,
                                     compare=False)
 
@@ -257,29 +257,37 @@ def domain_values(domain, elements):
 
 
 class ContainerSpec:
-    """Self-description of a container type for the engine and the tools.
-    Each feature runs the routine ``do_<name>`` of the concrete class
-    ``cls``, which must have one, and each constructor runs ``cls`` with
-    its arguments and ``faults``.  ``named`` maps every feature, then
-    every constructor, by name; a name given twice is a ConfigurationError."""
+    """Self-description of a container type for the engine and the tools,
+    named by its concrete class ``cls``.  Each feature runs the routine
+    ``do_<name>`` of ``cls``, which must have one, and each constructor
+    runs ``cls`` with its arguments and ``faults``.  ``named`` maps every
+    feature, then every constructor, by name.  A ConfigurationError is
+    raised for a name given twice, a constructor among ``features`` or a
+    command or query among ``constructors``, and a ``model_<q>`` method of
+    ``cls`` for a query ``q`` that the signature defines."""
 
-    def __init__(self, name, cls, signature, features, invariants=(),
+    def __init__(self, cls, signature, features, invariants=(),
                  constructors=(), snapshot=None):
-        self.name = name
+        self.name = name = cls.__name__
+        self.cls = cls
         self.signature = signature
         self.features = {f.name: f for f in features}
         self.invariants = tuple(invariants)
         self.constructors = tuple(constructors)
         self.snapshot = snapshot or (lambda obj: {})
+        for q in signature.defined:
+            if hasattr(cls, "model_" + q):
+                raise ConfigurationError(
+                    f"{name}: model_{q} reads the defined query {q!r}")
         self.named = {}
-        for f in list(features) + list(constructors):
+        for i, f in enumerate([*features, *constructors]):
             if f.name in self.named:
                 raise ConfigurationError(f"{name}: two features named {f.name!r}")
             self.named[f.name] = f
-            for s in f.relevant:
-                if s not in signature.names:
-                    raise ConfigurationError(
-                        f"{name}.{f.name}: unknown model query {s!r}")
+            listed = "constructors" if i >= len(features) else "features"
+            if (f.kind == "constructor") != (listed == "constructors"):
+                raise ConfigurationError(
+                    f"{name}.{f.name}: a {f.kind} listed under {listed}")
             for c in f.clauses:
                 if c.target is not None:
                     _check_target(name, f, c, signature)
@@ -317,7 +325,7 @@ def _check_target(name, feature, clause, signature):
             f"{where} targets unknown model query {clause.target!r}")
 
 
-def refine(parent: ContainerSpec, name, cls, strengthen) -> ContainerSpec:
+def refine(parent: ContainerSpec, cls, strengthen) -> ContainerSpec:
     """The spec of ``cls``, an heir of ``parent``: the parent's signature,
     invariants and snapshot, and copies of its constructors and features
     bound to ``cls``.  ``strengthen`` maps a feature's name to the heir's
@@ -327,31 +335,36 @@ def refine(parent: ContainerSpec, name, cls, strengthen) -> ContainerSpec:
     conjoined, the heir is a behavioural subtype by construction."""
     unknown = set(strengthen) - set(parent.features)
     if unknown:
-        raise ConfigurationError(f"{name}: {parent.name} has no {sorted(unknown)}")
+        raise ConfigurationError(
+            f"{cls.__name__}: {parent.name} has no {sorted(unknown)}")
 
     def heir(f):
         own = tuple(strengthen.get(f.name, ()))
         tag = None if own else f.incompleteness_tag
         return replace(f, clauses=f.clauses + own, incompleteness_tag=tag)
 
-    return ContainerSpec(name, cls, parent.signature,
+    return ContainerSpec(cls, parent.signature,
                          [heir(f) for f in parent.features.values()],
                          parent.invariants, [heir(c) for c in parent.constructors],
                          parent.snapshot)
 
 
 REGISTRY: dict = {}
+_BY_CLASS: dict = {}
 
 
 def register(spec: ContainerSpec) -> ContainerSpec:
     REGISTRY[spec.name] = spec
+    _BY_CLASS[spec.cls] = spec
     return spec
 
 
 def spec_of(obj) -> ContainerSpec:
+    """The registered spec of ``obj``'s class; an object of any other
+    class, a subclass of a registered one too, is a UsageError."""
     try:
-        return REGISTRY[obj.spec_name]
-    except (AttributeError, KeyError):
+        return _BY_CLASS[type(obj)]
+    except KeyError:
         raise UsageError(f"object {obj!r} is not a registered container") from None
 
 
@@ -378,23 +391,26 @@ def _serialize_arg(a) -> str:
 def expand_frame(feature: Feature, signature: ModelSignature):
     """Effective clause tuple: a query's or constructor's own clauses; a
     command's explicit clauses, then one frame clause for every model
-    query q that no clause targets, not relevant and not defined (what
-    fixes the queries it reads fixes it), which defines q as ``old.q``.
-    Built once per clause tuple, relevant set and signature and kept on
-    the feature, so callers must not mutate it."""
+    query q that no clause targets and that is not defined (what fixes
+    the queries it reads fixes it), which defines q as ``old.q``.  A
+    defined query is computed from the queries that are not, so a clause
+    on it may constrain any of them: a command with one gets no frame
+    clause.  Built once per clause tuple and signature and kept on the
+    feature, so callers must not mutate it."""
     if feature.kind != "command":
         return feature.clauses
     memo = feature._frame
     if (memo is not None and memo[0] is feature.clauses
-            and memo[1] is feature.relevant and memo[2] is signature):
-        return memo[3]
-    targets = ({c.target for c in feature.clauses} | feature.relevant
-               | signature.defined)
+            and memo[1] is signature):
+        return memo[2]
+    targets = {c.target for c in feature.clauses}
+    targets = signature.names if targets & signature.defined else (
+        targets | signature.defined)
     clauses = tuple(feature.clauses) + tuple(
         Clause.defines(f"{feature.name}/frame:{q}", q,
                        lambda c, _q=q: getattr(c.old, _q))
         for q in signature.names if q not in targets)
-    feature._frame = (feature.clauses, feature.relevant, signature, clauses)
+    feature._frame = (feature.clauses, signature, clauses)
     return clauses
 
 

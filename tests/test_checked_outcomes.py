@@ -34,7 +34,7 @@ CALLS = 30_976
 def _text(x):
     if isinstance(x, AbstractState):
         return "state " + serialize_state(x)
-    if hasattr(x, "spec_name"):
+    if any(type(x) is spec.cls for spec in REGISTRY.values()):
         return "container " + serialize_state(abstract_state(x))
     if isinstance(x, (bool, int)):
         return str(x)

@@ -308,15 +308,13 @@ class TestCompleteness:
         sig = ModelSignature([("bag", "MBag")])
         from mbc.containers import Collection
 
-        class Leaky(Collection):
-            spec_name = "LeakyCollection"
-
+        class LeakyCollection(Collection):
             def do_leaky(self):
                 pass
 
         flipping = lambda s, a, r, _it=itertools.count(): next(_it) % 2 == 0
         spec = ContainerSpec(
-            "LeakyCollection", Leaky, sig,
+            LeakyCollection, sig,
             features=[
                 Feature("put", "command",
                         clauses=(Clause("put/bag", "model",
@@ -334,6 +332,7 @@ class TestCompleteness:
             assert not v.pre_sound
         finally:
             del REGISTRY["LeakyCollection"]
+            del contracts._BY_CLASS[LeakyCollection]
 
 
 def state_groups(spec, cfg, reps):
@@ -641,7 +640,12 @@ class TestDefiningClauses:
             feature = spec.feature(fname)
             loose += [c.cid for c in feature.clauses
                       if c.tag == "model" and c.target is None]
-            pinned = set(feature.relevant)
+            # A clause on a defined query may constrain every query the
+            # definition reads: the frame leaves them all to it.
+            pinned = set()
+            if feature.kind == "command" and any(
+                    c.target in spec.signature.defined for c in feature.clauses):
+                pinned = set(spec.signature.names)
             for c in checkers._model_clauses(feature, spec.signature):
                 if c.expr is None:
                     assert c.cid in RELATIONAL, f"{name}.{c.cid}"

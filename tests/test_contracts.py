@@ -52,6 +52,22 @@ class TestAbstractState:
         assert abstract_state(a) == abstract_state(b)
         assert serialize_state(abstract_state(a)) == "(⟨x⟩, 0)"
 
+    def test_unregistered_subclass_is_a_usage_error(self):
+        # Its spec would run the registered class's routines, not its own.
+        from mbc.containers import Stack
+
+        class Broken(Stack):
+            def do_put(self, v):
+                raise RuntimeError("not run by a checked call")
+
+        obj = Broken()
+        for call in (lambda: checked_command(obj, "put", [Ref("x")]),
+                     lambda: checked_query(obj, "count"),
+                     lambda: abstract_state(obj)):
+            with pytest.raises(UsageError, match="not a registered container"):
+                call()
+        assert obj.items == []
+
     def test_arity_mismatch(self):
         with pytest.raises(UsageError):
             AbstractState(SPEC.signature, [MSeq()])
@@ -311,11 +327,12 @@ class TestFrameExpansion:
         assert "start/frame:sequence" in cids
         assert not any("frame:index" in c for c in cids)
 
-    def test_mentioned_and_relevant_are_skipped(self):
+    def test_clause_on_a_defined_query_leaves_no_frame(self):
         put = REGISTRY["Dispenser"].features["put"]
         cids = [c.cid for c in expand_frame(put, REGISTRY["Dispenser"].signature)]
-        # bag is targeted, sequence is relevant: no frame clause for either.
-        assert not any("frame:" in c for c in cids)
+        # put/bag constrains the bag, so put may change the sequence that
+        # defines it: no frame clause for either.
+        assert cids == ["put/bag"]
 
     @pytest.mark.parametrize("name", ["Dispenser", "Stack", "Queue"])
     def test_defined_query_gets_no_frame_clause(self, name):
@@ -353,25 +370,12 @@ class TestFrameExpansion:
         assert again[0] is own[0]
         assert [c.cid for c in again] == [c.cid for c in first]
 
-    def test_expanded_again_when_relevant_changes(self, monkeypatch):
-        put = REGISTRY["Dispenser"].features["put"]
-        sig = REGISTRY["Dispenser"].signature
-        assert [c.cid for c in expand_frame(put, sig)] == ["put/bag"]
-        monkeypatch.setattr(put, "relevant", frozenset())
-        assert [c.cid for c in expand_frame(put, sig)] == [
-            "put/bag", "put/frame:sequence"]
-        monkeypatch.undo()
-        assert [c.cid for c in expand_frame(put, sig)] == ["put/bag"]
-
     def test_signature_validation(self):
         sig = ModelSignature([("value", "int")])
         bad = Feature("f", "command", clauses=(
             Clause("f/nope", "model", lambda c: True, target="nope"),))
         with pytest.raises(ConfigurationError):
-            ContainerSpec("Bad", _Thing, sig, features=[bad])
-        ctor = Feature("make", "constructor", relevant=frozenset({"nope"}))
-        with pytest.raises(ConfigurationError, match="unknown model query"):
-            ContainerSpec("Bad", _Thing, sig, features=[], constructors=[ctor])
+            ContainerSpec(_Thing, sig, features=[bad])
 
 
 def _defines(target):
@@ -382,20 +386,20 @@ class TestBinding:
     SIG = ModelSignature([("value", "int")])
 
     def test_bodies_are_the_class_routines(self):
-        spec = ContainerSpec(
-            "Good", _Thing, self.SIG, features=[Feature("f", "command")],
-            constructors=[Feature("make", "constructor")])
+        spec = ContainerSpec(_Thing, self.SIG,
+                             features=[Feature("f", "command")],
+                             constructors=[Feature("make", "constructor")])
         assert spec.features["f"].body is _Thing.do_f
         assert spec.constructors[0].body is _Thing
 
     def test_named_holds_features_then_constructors(self):
-        spec = ContainerSpec(
-            "Good", _Thing, self.SIG, features=[Feature("f", "command")],
-            constructors=[Feature("make", "constructor")])
+        spec = ContainerSpec(_Thing, self.SIG,
+                             features=[Feature("f", "command")],
+                             constructors=[Feature("make", "constructor")])
         assert list(spec.named) == ["f", "make"]
         assert spec.feature("f") is spec.features["f"]
         assert spec.feature("make") is spec.constructors[0]
-        with pytest.raises(KeyError, match="Good has no feature 'nope'"):
+        with pytest.raises(KeyError, match="_Thing has no feature 'nope'"):
             spec.feature("nope")
         for spec in REGISTRY.values():
             assert list(spec.named.values()) == [*spec.features.values(),
@@ -403,27 +407,58 @@ class TestBinding:
 
     def test_two_features_with_one_name_rejected(self):
         with pytest.raises(ConfigurationError,
-                           match="Bad: two features named 'f'"):
-            ContainerSpec("Bad", _Thing, self.SIG, features=[
+                           match="_Thing: two features named 'f'"):
+            ContainerSpec(_Thing, self.SIG, features=[
                 Feature("f", "command"), Feature("f", "query")])
 
     def test_constructor_named_like_a_command_rejected(self):
         with pytest.raises(ConfigurationError,
-                           match="Bad: two features named 'f'"):
-            ContainerSpec("Bad", _Thing, self.SIG,
+                           match="_Thing: two features named 'f'"):
+            ContainerSpec(_Thing, self.SIG,
                           features=[Feature("f", "command")],
                           constructors=[Feature("f", "constructor")])
 
     def test_missing_routine_rejected(self):
         with pytest.raises(ConfigurationError, match="_Thing has no do_g"):
-            ContainerSpec("Bad", _Thing, self.SIG,
+            ContainerSpec(_Thing, self.SIG,
                           features=[Feature("g", "query")])
+
+    def test_spec_named_by_its_class(self):
+        spec = ContainerSpec(_Thing, self.SIG, features=[])
+        assert (spec.name, spec.cls) == ("_Thing", _Thing)
+        for name, spec in REGISTRY.items():
+            assert name == spec.name == spec.cls.__name__
+
+    def test_model_method_of_a_defined_query_rejected(self):
+        # The definition computes the bag; a model_bag would be a second
+        # reading that no state ever takes.
+        class Bagged(_Thing):
+            def model_bag(self):
+                pass
+
+        sig = REGISTRY["Dispenser"].signature
+        with pytest.raises(ConfigurationError,
+                           match="Bagged: model_bag reads the defined query"):
+            ContainerSpec(Bagged, sig, features=[])
+
+    def test_constructor_listed_as_a_feature_rejected(self):
+        with pytest.raises(ConfigurationError,
+                           match="make: a constructor listed under features"):
+            ContainerSpec(_Thing, self.SIG,
+                          features=[Feature("make", "constructor")])
+
+    @pytest.mark.parametrize("kind", ["command", "query"])
+    def test_feature_listed_as_a_constructor_rejected(self, kind):
+        with pytest.raises(ConfigurationError,
+                           match=f"f: a {kind} listed under constructors"):
+            ContainerSpec(_Thing, self.SIG, features=[],
+                          constructors=[Feature("f", kind)])
 
     def test_refining_an_unknown_feature_rejected(self):
         from mbc.containers import Stack
         with pytest.raises(ConfigurationError,
                            match=r"Dispenser has no \['nope'\]"):
-            contracts.refine(REGISTRY["Dispenser"], "Bad", Stack, {"nope": ()})
+            contracts.refine(REGISTRY["Dispenser"], Stack, {"nope": ()})
 
 
 class TestDefiningClauses:
@@ -444,15 +479,15 @@ class TestDefiningClauses:
     ])
     def test_bad_target_rejected(self, feature, message):
         with pytest.raises(ConfigurationError, match=message):
-            ContainerSpec("Bad", _Thing, self.SIG, features=[feature])
+            ContainerSpec(_Thing, self.SIG, features=[feature])
 
     def test_constructor_target_must_be_a_query(self):
         ctor = Feature("make", "constructor", clauses=_defines("result"))
         with pytest.raises(ConfigurationError, match="unknown model query"):
-            ContainerSpec("Bad", _Thing, self.SIG, features=[],
+            ContainerSpec(_Thing, self.SIG, features=[],
                           constructors=[ctor])
         ok = Feature("make", "constructor", clauses=_defines("value"))
-        ContainerSpec("Good", _Thing, self.SIG, features=[], constructors=[ok])
+        ContainerSpec(_Thing, self.SIG, features=[], constructors=[ok])
 
     @pytest.mark.parametrize("kind", ["command", "query", "constructor"])
     def test_target_less_model_clause_needs_a_container_argument(self, kind):
@@ -463,9 +498,9 @@ class TestDefiningClauses:
             feature = Feature("f", kind, clauses=(clause,),
                               arg_domains=arg_domains)
             if kind == "constructor":
-                return ContainerSpec("S", _Thing, self.SIG, features=[],
+                return ContainerSpec(_Thing, self.SIG, features=[],
                                      constructors=[feature])
-            return ContainerSpec("S", _Thing, self.SIG, features=[feature])
+            return ContainerSpec(_Thing, self.SIG, features=[feature])
 
         loose = Clause("f/x", "model", lambda c: True)
         with pytest.raises(ConfigurationError, match="f/x names no target"):

@@ -103,7 +103,8 @@ def test_effective_clause_lists_digest():
 
 
 # Each feature's declaration, as (container, name, kind, argument domains,
-# result domain, sorted relevant queries, incompleteness tag, whether it
+# result domain, the sorted queries not defined that its frame leaves free
+# because it constrains a defined query, incompleteness tag, whether it
 # has a precondition), for all 58 features, constructors included.  The
 # clause lists above do not show a domain or a tag, so a spec rewrite
 # must not change one silently.
@@ -115,9 +116,14 @@ def test_feature_declarations_digest():
     decls = []
     for name in CONTAINER_NAMES:
         spec = REGISTRY[name]
+        sig = spec.signature
         for f in list(spec.features.values()) + list(spec.constructors):
+            free = (sorted(set(sig.names) - sig.defined)
+                    if f.kind == "command"
+                    and any(c.target in sig.defined for c in f.clauses)
+                    else [])
             decls.append([name, f.name, f.kind, f.arg_domains,
-                          f.result_domain, sorted(f.relevant),
+                          f.result_domain, free,
                           f.incompleteness_tag, f.pre is not None])
     assert len(decls) == 58
     text = json.dumps(decls, sort_keys=True)

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mbc import model_math
-from mbc.containers import Collection
 from mbc.contracts import (
     REGISTRY, AbstractState, ContractViolation, ModelSignature,
     checked_constructor, checked_query,
@@ -880,7 +879,7 @@ class TestOneIdentity:
     def test_purity_compares_by_order_key(self, monkeypatch, swap, pure):
         # A query whose body swaps each entry for an equal but distinct
         # object is pure; one that turns 1 into True is not.
-        spec = REGISTRY[Collection.spec_name]
+        spec = REGISTRY["Collection"]
         c = checked_constructor(spec, "make_empty")
         c.items[:] = [A, 1, B]
         feature = spec.features["count"]
