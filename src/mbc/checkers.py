@@ -309,8 +309,6 @@ def check_command_completeness(name, feature_name, cfg) -> CheckVerdict:
 
 def _result_candidates(feature, cfg):
     d = feature.result_domain
-    if d is None:
-        return []
     if feature.returns_container:
         return [e.state for e in state_space(d[1], cfg)]
     if d == ("int",):
@@ -346,13 +344,10 @@ class AdequacyVerdict:
 
 def _query_result(obj, feat, args):
     """What a client observes of a query whose precondition holds: a
-    container-domain result by its abstract state, an element by its token."""
+    container-domain result by its abstract state, any other by its value
+    (an element ``Ref`` equals one of the same token only)."""
     result = feat.body(obj, *args)
-    if feat.returns_container:
-        return ("value", abstract_state(result))
-    if isinstance(result, Ref):
-        return ("ref", result.token)
-    return ("value", result)
+    return abstract_state(result) if feat.returns_container else result
 
 
 def _distinguishable(spec, queries, commands, e1, e2, depth):

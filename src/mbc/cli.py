@@ -72,8 +72,10 @@ def cmd_test(args) -> int:
 
 
 def _enum_config(args) -> EnumerationConfig:
-    return EnumerationConfig(universe=args.universe, max_size=args.max_size,
-                             depth=getattr(args, "depth", 3))
+    """The bounds the command has flags for; the others keep their defaults."""
+    return EnumerationConfig(**{f.name: getattr(args, f.name)
+                                for f in fields(EnumerationConfig)
+                                if hasattr(args, f.name)})
 
 
 def cmd_complete(args) -> int:
@@ -127,14 +129,18 @@ def _add_target_flags(p):
     p.add_argument("--out", metavar="PATH", help="write output to a file")
 
 
-def _add_enum_flags(p):
-    p.add_argument("--universe", type=int, default=2,
-                   help="element universe size (default 2)")
-    p.add_argument("--max-size", type=int, default=3, dest="max_size",
-                   help="max structure size (default 3)")
+def _add_enum_flags(p, depth=False):
+    p.add_argument("--universe", type=int, default=EnumerationConfig.universe,
+                   help="element universe size (default %(default)s)")
+    p.add_argument("--max-size", type=int, default=EnumerationConfig.max_size,
+                   dest="max_size", help="max structure size (default %(default)s)")
+    if depth:
+        p.add_argument("--depth", type=int, default=EnumerationConfig.depth,
+                       help="call depth for adequacy (default %(default)s)")
 
 
-def _add_seed_flag(p):
+def _add_campaign_flags(p):
+    p.add_argument("--calls", type=int, default=10_000)
     # argparse converts a string default with ``type``, so a malformed
     # MBC_SEED is a usage error (exit 2) unless --seed overrides it.
     p.add_argument("--seed", type=int, default=os.environ.get("MBC_SEED", "0"),
@@ -148,8 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("test", help="random contract testing")
     _add_target_flags(p)
-    p.add_argument("--calls", type=int, default=10_000)
-    _add_seed_flag(p)
+    _add_campaign_flags(p)
     p.add_argument("--inject", action="append", metavar="FAULT",
                    choices=[f.name for f in fields(containers.FaultSwitch)],
                    help="enable a named fault switch (repeatable)")
@@ -163,8 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("adequacy", help="bounded observational adequacy")
     _add_target_flags(p)
-    _add_enum_flags(p)
-    p.add_argument("--depth", type=int, default=3)
+    _add_enum_flags(p, depth=True)
     p.set_defaults(func=cmd_adequacy)
 
     p = sub.add_parser("export-boogie", help="write the Boogie theories")
@@ -173,10 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="combined JSON report")
     _add_target_flags(p)
-    _add_enum_flags(p)
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--calls", type=int, default=10_000)
-    _add_seed_flag(p)
+    _add_enum_flags(p, depth=True)
+    _add_campaign_flags(p)
     p.set_defaults(func=cmd_report)
     return parser
 

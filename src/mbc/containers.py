@@ -4,14 +4,14 @@ Each container type registers a :class:`ContainerSpec` describing its model
 queries (some defined by others), contracted features, invariants and
 constructors, so the checkers, the random-testing harness, and the CLI can
 discover targets uniformly.  A spec is named by its concrete class, whose
-routine ``do_<name>`` runs the feature ``name``.  ``_query`` and ``_command``
-write a feature whose clauses begin with defining ones, each named
-``<feature>/<target>``: a query's result, a command's or a constructor's
-model queries.  Every feature without an incompleteness tag defines its
-result, or, once the frame is added, every model query of its poststate
-that the signature does not define (Dispenser's ``bag``, defined by its
-``sequence``); only the four tagged ones (ArrayT ``reserve``, Dispenser
-``put``, ``item`` and ``remove``) are written out with relational clauses.
+routine ``do_<name>`` runs the feature ``name``.  :func:`declare` writes
+every feature, and names each of its defining clauses ``<feature>/<target>``:
+a query's result, a command's or a constructor's model queries.  Every
+feature without an incompleteness tag defines its result, or, once the
+frame is added, every model query of its poststate that the signature does
+not define (Dispenser's ``bag``, defined by its ``sequence``); the four
+tagged ones (ArrayT ``reserve``, Dispenser ``put``, ``item`` and
+``remove``) leave the rest to relational clauses or to none.
 
 Stack and Queue inherit Dispenser's contracts and strengthen them
 (:func:`refine`), and their concrete classes are heirs of ``Dispenser``,
@@ -45,7 +45,7 @@ import itertools
 from dataclasses import dataclass
 
 from .contracts import (
-    AbstractState, Clause, ContainerSpec, Feature, ModelSignature, refine,
+    AbstractState, Clause, ContainerSpec, ModelSignature, declare, refine,
     register,
 )
 from .model_math import (
@@ -72,24 +72,10 @@ class FaultSwitch:
     merge_right_missing_link: bool = False
 
 
-def _query(name, expr, result_domain, pre=None, arg_domains=()):
+def _query(name, expr, result_domain, **kw):
     """The query ``name`` whose one clause, ``<name>/result``, defines its
     result as ``expr(ctx)``."""
-    return Feature(name, "query", pre=pre,
-                   clauses=(Clause.defines(f"{name}/result", "result", expr),),
-                   arg_domains=arg_domains, result_domain=result_domain)
-
-
-def _command(name, defines, pre=None, arg_domains=(), clauses=(),
-             kind="command"):
-    """The command, or the constructor if ``kind`` says so, ``name`` whose
-    clauses are one defining clause ``<name>/<q>``, ``new.q ==
-    expr(ctx)``, for each entry ``q: expr`` of ``defines``, in order, then
-    ``clauses``."""
-    return Feature(name, kind, pre=pre,
-                   clauses=tuple(Clause.defines(f"{name}/{q}", q, expr)
-                                 for q, expr in defines.items()) + clauses,
-                   arg_domains=arg_domains)
+    return declare(name, {"result": expr}, result_domain=result_domain, **kw)
 
 
 def _count_query(model):
@@ -108,7 +94,7 @@ def _map_item(name, key_domain):
 def _map_put(key_domain):
     """``put(v, k)``: replace the value at key ``k``, which must be in the
     domain of the ``map`` model."""
-    return _command(
+    return declare(
         "put", {"map": lambda c: c.old.map.replaced_at(c.args[1], c.args[0])},
         pre=lambda s, a, r: s.map.domain.has(a[1]),
         arg_domains=(("element",), key_domain))
@@ -120,12 +106,11 @@ def _is_empty_query(model):
                   ("bool",))
 
 
-def _emptying(name, kind, empties):
-    """The constructor or command ``name`` that defines each model query
+def _emptying(name, empties):
+    """The command or constructor ``name`` that defines each model query
     ``q`` of ``empties`` as its empty value ``empties[q]``.  Model values
     are immutable, so that one value serves every call."""
-    return _command(name, {q: lambda c, _e=e: _e for q, e in empties.items()},
-                    kind=kind)
+    return declare(name, {q: lambda c, _e=e: _e for q, e in empties.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +215,9 @@ class LinkedList:
 
 def _linked_list_spec():
     sig = ModelSignature([("sequence", "MSeq"), ("index", "int")])
-    make_empty = _command("make_empty", {"sequence": lambda c: MSeq(),
-                                         "index": lambda c: 0},
-                          kind="constructor")
-    put_right = _command(
+    make_empty = declare("make_empty", {"sequence": lambda c: MSeq(),
+                                        "index": lambda c: 0})
+    put_right = declare(
         "put_right", {
             "sequence": lambda c: c.old.sequence.front(c.old.index)
             .extended(c.args[0]) + c.old.sequence.tail(c.old.index + 1),
@@ -258,11 +242,11 @@ def _linked_list_spec():
             c.old.index, c.old.index + c.args[0] - 1), 0]),
         ("container", "LinkedList"),
         pre=lambda s, a, r: a[0] >= 0, arg_domains=(("int", 0, 4),))
-    start = _command("start", {"index": lambda c: 1})
-    forth = _command("forth", {"index": lambda c: c.old.index + 1},
-                     pre=lambda s, a, r: s.index <= s.sequence.count)
-    go_before = _command("go_before", {"index": lambda c: 0})
-    merge_right = _command(
+    start = declare("start", {"index": lambda c: 1})
+    forth = declare("forth", {"index": lambda c: c.old.index + 1},
+                    pre=lambda s, a, r: s.index <= s.sequence.count)
+    go_before = declare("go_before", {"index": lambda c: 0})
+    merge_right = declare(
         "merge_right", {
             "sequence": lambda c: c.old.sequence.front(c.old.index)
             + c.args[0].old.sequence + c.old.sequence.tail(c.old.index + 1),
@@ -339,24 +323,22 @@ def _array_spec():
     sig = ModelSignature([("map", "MMap"), ("capacity", "int")])
     # make(l, u, v) puts v at each key l..u of an empty map; fill(v, l, u)
     # replaces the value at each, and an absent key is a DomainError.
-    make = _command(
+    make = declare(
         "make", {
             "map": lambda c: functools.reduce(
                 lambda m, k: m.updated(k, c.args[2]),
                 int_interval(c.args[0], c.args[1]), MMap()),
             "capacity": lambda c: c.args[1] - c.args[0] + 1},
         pre=lambda s, a, r: a[1] >= a[0] - 1,
-        arg_domains=(("int", 1, 1), ("int", 0, 3), ("element",)),
-        kind="constructor")
-    fill = _command(
+        arg_domains=(("int", 1, 1), ("int", 0, 3), ("element",)))
+    fill = declare(
         "fill", {"map": lambda c: functools.reduce(
             lambda m, k: m.replaced_at(k, c.args[0]),
             int_interval(c.args[1], c.args[2]), c.old.map)},
         pre=lambda s, a, r: s.map.domain.has(a[1]) and s.map.domain.has(a[2]),
         arg_domains=(("element",), ("int", 0, 4), ("int", 0, 4)))
-    reserve = Feature(
-        "reserve", "command",
-        pre=lambda s, a, r: a[0] >= 0,
+    reserve = declare(
+        "reserve", pre=lambda s, a, r: a[0] >= 0,
         clauses=(
             Clause("reserve/grows", "model",
                    lambda c: c.new.capacity >= c.old.capacity, target="capacity"),
@@ -408,14 +390,14 @@ class Table:
 
 def _table_spec():
     sig = ModelSignature([("map", "MMap")])
-    force = _command(
+    force = declare(
         "force", {"map": lambda c: c.old.map.updated(c.args[1], c.args[0])},
         arg_domains=(("element",), ("element",)))
     return ContainerSpec(
         Table, sig,
         features=[_map_put(("element",)), force,
                   _map_item("item", ("element",)), _count_query("map")],
-        constructors=[_emptying("make_empty", "constructor", {"map": MMap()})])
+        constructors=[_emptying("make_empty", {"map": MMap()})])
 
 
 # ---------------------------------------------------------------------------
@@ -484,14 +466,14 @@ def _put_bag(c):
 def _collection_spec():
     sig = ModelSignature([("bag", "MBag")])
     empty = {"bag": MBag()}
-    put = _command("put", {"bag": _put_bag}, arg_domains=(("element",),))
+    put = declare("put", {"bag": _put_bag}, arg_domains=(("element",),))
     occurrences = _query("occurrences", lambda c: c.old.bag[c.args[0]],
                          ("int",), arg_domains=(("element",),))
     return ContainerSpec(
         Collection, sig,
         features=[put, _is_empty_query("bag"), _count_query("bag"),
-                  occurrences, _emptying("wipe_out", "command", empty)],
-        constructors=[_emptying("make_empty", "constructor", empty)])
+                  occurrences, _emptying("wipe_out", empty)],
+        constructors=[_emptying("make_empty", empty)])
 
 
 def _dispenser_spec():
@@ -500,22 +482,17 @@ def _dispenser_spec():
     sig = ModelSignature([("bag", "MBag", lambda s: s.sequence.to_bag()),
                           ("sequence", "MSeq")])
     empty = {"sequence": MSeq()}
-    put = Feature(
-        "put", "command",
-        clauses=(Clause.defines("put/bag", "bag", _put_bag),),
-        incompleteness_tag="inheritance",
-        arg_domains=(("element",),))
-    item = Feature(
-        "item", "query",
-        pre=lambda s, a, r: not s.sequence.is_empty,
+    put = declare("put", {"bag": _put_bag}, incompleteness_tag="inheritance",
+                  arg_domains=(("element",),))
+    item = declare(
+        "item", pre=lambda s, a, r: not s.sequence.is_empty,
         clauses=(Clause("item/member", "model",
                         lambda c: c.old.sequence.has(c.result),
                         target="result"),),
         incompleteness_tag="inheritance",
         result_domain=("element",))
-    remove = Feature(
-        "remove", "command",
-        pre=lambda s, a, r: not s.sequence.is_empty,
+    remove = declare(
+        "remove", pre=lambda s, a, r: not s.sequence.is_empty,
         clauses=(
             Clause("remove/count", "model",
                    lambda c: c.new.sequence.count == c.old.sequence.count - 1,
@@ -525,8 +502,8 @@ def _dispenser_spec():
     return ContainerSpec(
         Dispenser, sig,
         features=[put, item, remove, _is_empty_query("bag"), _count_query("bag"),
-                  _emptying("wipe_out", "command", empty)],
-        constructors=[_emptying("make_empty", "constructor", empty)])
+                  _emptying("wipe_out", empty)],
+        constructors=[_emptying("make_empty", empty)])
 
 
 def _stack_queue_specs(dispenser):
@@ -536,13 +513,9 @@ def _stack_queue_specs(dispenser):
     what remove leaves."""
     def heir(cls, pos, rest):
         return refine(dispenser, cls, {
-            "put": (Clause.defines(
-                "put/sequence", "sequence",
-                lambda c: c.old.sequence.extended(c.args[0])),),
-            "item": (Clause.defines("item/result", "result",
-                                    lambda c: c.old.sequence.item(pos(c.old))),),
-            "remove": (Clause.defines("remove/sequence", "sequence",
-                                      lambda c: rest(c.old.sequence)),),
+            "put": {"sequence": lambda c: c.old.sequence.extended(c.args[0])},
+            "item": {"result": lambda c: c.old.sequence.item(pos(c.old))},
+            "remove": {"sequence": lambda c: rest(c.old.sequence)},
         })
 
     return [heir(Stack, lambda s: s.sequence.count,
@@ -591,16 +564,16 @@ def _relation_is_equivalence(rel: MRel) -> bool:
 
 def _eqset_spec():
     sig = ModelSignature([("set", "MSet"), ("relation", "MRel")])
-    make = _command("make", {"set": lambda c: MSet(),
-                             "relation": lambda c: c.args[0]},
-                    pre=lambda s, a, r: _relation_is_equivalence(a[0]),
-                    arg_domains=(("relation",),), kind="constructor")
+    make = declare("make", {"set": lambda c: MSet(),
+                            "relation": lambda c: c.args[0]},
+                   pre=lambda s, a, r: _relation_is_equivalence(a[0]),
+                   arg_domains=(("relation",),))
     def held(c):  # whether the set holds an element equivalent to args[0]
         return not (c.old.set * c.old.relation.image_of(c.args[0])).is_empty
 
     has = _query("has", held, ("bool",), arg_domains=(("element",),),
                  pre=lambda s, a, r: s.relation.domain.has(a[0]))
-    add = _command("add", {"set": lambda c: (
+    add = declare("add", {"set": lambda c: (
         c.old.set if held(c) else c.old.set | MSet([c.args[0]]))},
         pre=lambda s, a, r: s.relation.domain.has(a[0]),
         arg_domains=(("element",),))
@@ -685,10 +658,10 @@ class BinaryTree:
 
 def _tree_spec():
     sig = ModelSignature([("map", "MMap")])
-    add_root = _command(
+    add_root = declare(
         "add_root", {"map": lambda c: MMap([(MSeq(), c.args[0])])},
         pre=lambda s, a, r: s.map.is_empty, arg_domains=(("element",),))
-    put_child = _command(
+    put_child = declare(
         "put_child", {"map": lambda c: c.old.map.updated(
             c.args[0].extended(c.args[1]), c.args[2])},
         pre=lambda s, a, r: (s.map.domain.has(a[0])
@@ -705,7 +678,7 @@ def _tree_spec():
         features=[add_root, put_child, _map_item("item_at", ("path", 2)),
                   _count_query("map")],
         invariants=(Clause("prefix_closed", "model", prefix_closed),),
-        constructors=[_emptying("make_empty", "constructor", {"map": MMap()})])
+        constructors=[_emptying("make_empty", {"map": MMap()})])
 
 
 _dispenser = _dispenser_spec()

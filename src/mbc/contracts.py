@@ -199,12 +199,12 @@ class Clause:
 
 @dataclass
 class Feature:
-    """A command, query or constructor as its spec declares it.  Its
-    domains say, once, which arguments are objects the caller supplies
-    (``container_args``, those of a container domain) and whether a
-    query's result is one (``returns_container``)."""
+    """A feature as its spec declares it.  Its ``kind`` is ``"query"`` if
+    it declares a ``result_domain``, else ``"command"``, or ``"constructor"``
+    if its spec lists it under ``constructors``.  Its domains say, once,
+    which arguments are objects the caller supplies (``container_args``)
+    and whether a query's result is one (``returns_container``)."""
     name: str
-    kind: str  # "command" | "query" | "constructor"
     pre: Optional[Callable] = None  # fn(state, args, target_ref) -> bool
     clauses: Tuple[Clause, ...] = ()
     incompleteness_tag: Optional[str] = None  # nondeterministic | inheritance | information-hiding
@@ -219,6 +219,7 @@ class Feature:
                                     compare=False)
 
     def __post_init__(self):
+        self.kind = "command" if self.result_domain is None else "query"
         self.container_args = tuple(i for i, d in enumerate(self.arg_domains)
                                     if d[0] == "container")
         self.returns_container = (self.result_domain is not None
@@ -262,9 +263,9 @@ class ContainerSpec:
     ``do_<name>`` of ``cls``, which must have one, and each constructor
     runs ``cls`` with its arguments and ``faults``.  ``named`` maps every
     feature, then every constructor, by name.  A ConfigurationError is
-    raised for a name given twice, a constructor among ``features`` or a
-    command or query among ``constructors``, and a ``model_<q>`` method of
-    ``cls`` for a query ``q`` that the signature defines."""
+    raised for a name given twice, a constructor with a result domain (it
+    returns its object), and a ``model_<q>`` method of ``cls`` for a query
+    ``q`` that the signature defines."""
 
     def __init__(self, cls, signature, features, invariants=(),
                  constructors=(), snapshot=None):
@@ -284,10 +285,11 @@ class ContainerSpec:
             if f.name in self.named:
                 raise ConfigurationError(f"{name}: two features named {f.name!r}")
             self.named[f.name] = f
-            listed = "constructors" if i >= len(features) else "features"
-            if (f.kind == "constructor") != (listed == "constructors"):
-                raise ConfigurationError(
-                    f"{name}.{f.name}: a {f.kind} listed under {listed}")
+            if i >= len(features):
+                if f.result_domain is not None:
+                    raise ConfigurationError(
+                        f"{name}.{f.name}: a constructor declares a result")
+                f.kind = "constructor"
             for c in f.clauses:
                 if c.target is not None:
                     _check_target(name, f, c, signature)
@@ -325,21 +327,31 @@ def _check_target(name, feature, clause, signature):
             f"{where} targets unknown model query {clause.target!r}")
 
 
+def declare(name, defines=None, clauses=(), **declared) -> Feature:
+    """The feature ``name`` with the fields ``declared``, whose clauses are
+    one defining clause ``<name>/<q>`` (:meth:`Clause.defines`) for each
+    entry ``q: expr`` of ``defines``, in order, then ``clauses``."""
+    return Feature(name, clauses=tuple(
+        Clause.defines(f"{name}/{q}", q, expr)
+        for q, expr in (defines or {}).items()) + clauses, **declared)
+
+
 def refine(parent: ContainerSpec, cls, strengthen) -> ContainerSpec:
     """The spec of ``cls``, an heir of ``parent``: the parent's signature,
     invariants and snapshot, and copies of its constructors and features
     bound to ``cls``.  ``strengthen`` maps a feature's name to the heir's
-    own clauses, checked after the parent's (Eiffel's ``ensure then``); a
-    strengthened feature drops the parent's incompleteness tag.  With the
-    parent's preconditions and invariants kept and every postcondition
-    conjoined, the heir is a behavioural subtype by construction."""
+    own defining clauses, ``{target: expr}`` as :func:`declare` takes them,
+    checked after the parent's (Eiffel's ``ensure then``); a strengthened
+    feature drops the parent's incompleteness tag.  The heir keeps the
+    parent's preconditions and invariants and conjoins every postcondition,
+    so it is a behavioural subtype by construction."""
     unknown = set(strengthen) - set(parent.features)
     if unknown:
         raise ConfigurationError(
             f"{cls.__name__}: {parent.name} has no {sorted(unknown)}")
 
     def heir(f):
-        own = tuple(strengthen.get(f.name, ()))
+        own = declare(f.name, strengthen.get(f.name)).clauses
         tag = None if own else f.incompleteness_tag
         return replace(f, clauses=f.clauses + own, incompleteness_tag=tag)
 
@@ -498,7 +510,8 @@ def _checked_call(spec, obj, name, kind, args, mode, faults=None, old=None):
     """Check one call of ``spec``'s feature or constructor ``name`` on
     ``obj``; return a command's checked poststate, a query's result, or a
     constructor's new object, built with ``faults`` (``obj`` is None).
-    One not of ``kind`` is a UsageError, raised before anything runs.
+    One not of ``kind``, or whose arguments do not match its domains in
+    number or container type, is a UsageError, raised before anything runs.
     A given ``old`` is the target's prestate, as the caller last saw it
     checked, and no prestate of the target is taken; a wrong one is not
     trusted, since purity and the postconditions compare it with the
@@ -525,12 +538,19 @@ def _checked_call(spec, obj, name, kind, args, mode, faults=None, old=None):
                          f"not a {kind}")
     query = kind == "query"
     views = raw = tuple(args)
+    if len(raw) != len(feature.arg_domains):
+        raise UsageError(f"{spec.name}.{name}: {len(raw)} arguments given, "
+                         f"{len(feature.arg_domains)} declared")
     nested = feature.container_args
     if nested:  # each container argument seen with its prestate
         views = list(raw)
         for i in nested:
             a = raw[i]
-            views[i] = Ctx(obj=a, ref=a.ref, cold=spec_of(a).snapshot(a))
+            a_spec = spec_of(a)
+            if a_spec.name != feature.arg_domains[i][1]:
+                raise UsageError(f"{spec.name}.{name}: a {a_spec.name} "
+                                 f"argument, not a {feature.arg_domains[i][1]}")
+            views[i] = Ctx(obj=a, ref=a.ref, cold=a_spec.snapshot(a))
         views = tuple(views)
         for i in nested:
             views[i].old = _state(raw[i], name, None, None, views)

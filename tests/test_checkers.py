@@ -316,16 +316,14 @@ class TestCompleteness:
         spec = ContainerSpec(
             LeakyCollection, sig,
             features=[
-                Feature("put", "command",
+                Feature("put",
                         clauses=(Clause("put/bag", "model",
                                         lambda c: c.new.bag == c.old.bag.extended(c.args[0]),
                                         target="bag"),),
                         arg_domains=(("element",),)),
-                Feature("leaky", "command",
-                        pre=flipping,
-                        clauses=()),
+                Feature("leaky", pre=flipping),
             ],
-            constructors=[Feature("make_empty", "constructor", clauses=())])
+            constructors=[Feature("make_empty")])
         register(spec)
         try:
             v = classify_feature("LeakyCollection", "leaky", CFG)

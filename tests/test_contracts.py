@@ -113,6 +113,10 @@ class TestAbstractState:
             methods = {a for a in dir(cls) if a.startswith("model_")}
             assert methods == {"model_" + q for q in sig.names
                                if q not in sig.defined}, spec.name
+            # And its do_* routines exactly its commands and queries, so
+            # no routine runs uncontracted.
+            routines = {a for a in dir(cls) if a.startswith("do_")}
+            assert routines == {"do_" + f for f in spec.features}, spec.name
         assert REGISTRY["Collection"].signature.defined == frozenset()
         for name in ("Dispenser", "Stack", "Queue"):
             assert REGISTRY[name].signature.defined == {"bag"}
@@ -372,7 +376,7 @@ class TestFrameExpansion:
 
     def test_signature_validation(self):
         sig = ModelSignature([("value", "int")])
-        bad = Feature("f", "command", clauses=(
+        bad = Feature("f", clauses=(
             Clause("f/nope", "model", lambda c: True, target="nope"),))
         with pytest.raises(ConfigurationError):
             ContainerSpec(_Thing, sig, features=[bad])
@@ -387,15 +391,15 @@ class TestBinding:
 
     def test_bodies_are_the_class_routines(self):
         spec = ContainerSpec(_Thing, self.SIG,
-                             features=[Feature("f", "command")],
-                             constructors=[Feature("make", "constructor")])
+                             features=[Feature("f")],
+                             constructors=[Feature("make")])
         assert spec.features["f"].body is _Thing.do_f
         assert spec.constructors[0].body is _Thing
 
     def test_named_holds_features_then_constructors(self):
         spec = ContainerSpec(_Thing, self.SIG,
-                             features=[Feature("f", "command")],
-                             constructors=[Feature("make", "constructor")])
+                             features=[Feature("f")],
+                             constructors=[Feature("make")])
         assert list(spec.named) == ["f", "make"]
         assert spec.feature("f") is spec.features["f"]
         assert spec.feature("make") is spec.constructors[0]
@@ -409,19 +413,19 @@ class TestBinding:
         with pytest.raises(ConfigurationError,
                            match="_Thing: two features named 'f'"):
             ContainerSpec(_Thing, self.SIG, features=[
-                Feature("f", "command"), Feature("f", "query")])
+                Feature("f"), Feature("f", result_domain=("bool",))])
 
     def test_constructor_named_like_a_command_rejected(self):
         with pytest.raises(ConfigurationError,
                            match="_Thing: two features named 'f'"):
             ContainerSpec(_Thing, self.SIG,
-                          features=[Feature("f", "command")],
-                          constructors=[Feature("f", "constructor")])
+                          features=[Feature("f")],
+                          constructors=[Feature("f")])
 
     def test_missing_routine_rejected(self):
         with pytest.raises(ConfigurationError, match="_Thing has no do_g"):
             ContainerSpec(_Thing, self.SIG,
-                          features=[Feature("g", "query")])
+                          features=[Feature("g", result_domain=("bool",))])
 
     def test_spec_named_by_its_class(self):
         spec = ContainerSpec(_Thing, self.SIG, features=[])
@@ -441,24 +445,42 @@ class TestBinding:
                            match="Bagged: model_bag reads the defined query"):
             ContainerSpec(Bagged, sig, features=[])
 
-    def test_constructor_listed_as_a_feature_rejected(self):
-        with pytest.raises(ConfigurationError,
-                           match="make: a constructor listed under features"):
-            ContainerSpec(_Thing, self.SIG,
-                          features=[Feature("make", "constructor")])
+    @pytest.mark.parametrize("result_domain, constructor, kind", [
+        (None, False, "command"), (("bool",), False, "query"),
+        (None, True, "constructor")])
+    def test_kind_follows_the_declaration(self, result_domain, constructor,
+                                          kind):
+        # A result domain makes a query; a feature listed under
+        # constructors is a constructor, whose body is the class.
+        f = Feature("f", result_domain=result_domain)
+        if constructor:
+            ContainerSpec(_Thing, self.SIG, [], constructors=[f])
+        else:
+            ContainerSpec(_Thing, self.SIG, [f])
+        assert f.kind == kind
+        assert f.body is (_Thing if constructor else _Thing.do_f)
 
-    @pytest.mark.parametrize("kind", ["command", "query"])
-    def test_feature_listed_as_a_constructor_rejected(self, kind):
+    def test_constructor_with_a_result_domain_rejected(self):
+        # A constructor returns its object.
         with pytest.raises(ConfigurationError,
-                           match=f"f: a {kind} listed under constructors"):
-            ContainerSpec(_Thing, self.SIG, features=[],
-                          constructors=[Feature("f", kind)])
+                           match="f: a constructor declares a result"):
+            ContainerSpec(_Thing, self.SIG, [], constructors=[
+                Feature("f", result_domain=("bool",))])
 
     def test_refining_an_unknown_feature_rejected(self):
         from mbc.containers import Stack
         with pytest.raises(ConfigurationError,
                            match=r"Dispenser has no \['nope'\]"):
-            contracts.refine(REGISTRY["Dispenser"], Stack, {"nope": ()})
+            contracts.refine(REGISTRY["Dispenser"], Stack, {"nope": {}})
+
+    def test_strengthened_ids_name_feature_and_target(self):
+        class Heir(_Thing):
+            pass
+
+        parent = ContainerSpec(_Thing, self.SIG, [Feature("f")])
+        heir = contracts.refine(parent, Heir, {"f": {"value": lambda c: 0}})
+        assert [c.cid for c in heir.features["f"].clauses] == ["f/value"]
+        assert heir.features["f"].clauses[0].target == "value"
 
 
 class TestDefiningClauses:
@@ -473,20 +495,26 @@ class TestDefiningClauses:
         assert not result.fn(Ctx(old=state, new=None, result=3))
 
     @pytest.mark.parametrize("feature, message", [
-        (Feature("f", "command", clauses=_defines("nope")),
+        (Feature("f", clauses=_defines("nope")),
          "unknown model query 'nope'"),
-        (Feature("f", "query", clauses=_defines("value")), "target 'result'"),
+        (Feature("f", clauses=_defines("value"), result_domain=("int",)),
+         "target 'result'"),
+        # A result clause without a result domain is a command's, so it
+        # names no model query; read as a query's, it would be complete
+        # over no candidate results, a verdict that cannot fail.
+        (Feature("f", clauses=_defines("result")),
+         "unknown model query 'result'"),
     ])
     def test_bad_target_rejected(self, feature, message):
         with pytest.raises(ConfigurationError, match=message):
             ContainerSpec(_Thing, self.SIG, features=[feature])
 
     def test_constructor_target_must_be_a_query(self):
-        ctor = Feature("make", "constructor", clauses=_defines("result"))
+        ctor = Feature("make", clauses=_defines("result"))
         with pytest.raises(ConfigurationError, match="unknown model query"):
             ContainerSpec(_Thing, self.SIG, features=[],
                           constructors=[ctor])
-        ok = Feature("make", "constructor", clauses=_defines("value"))
+        ok = Feature("make", clauses=_defines("value"))
         ContainerSpec(_Thing, self.SIG, features=[], constructors=[ok])
 
     @pytest.mark.parametrize("kind", ["command", "query", "constructor"])
@@ -495,8 +523,8 @@ class TestDefiningClauses:
         # container argument it is a forgotten target, which completeness
         # would silently leave out.
         def spec(clause, *arg_domains):
-            feature = Feature("f", kind, clauses=(clause,),
-                              arg_domains=arg_domains)
+            feature = Feature("f", clauses=(clause,), arg_domains=arg_domains,
+                              result_domain=("int",) if kind == "query" else None)
             if kind == "constructor":
                 return ContainerSpec(_Thing, self.SIG, features=[],
                                      constructors=[feature])
@@ -672,6 +700,29 @@ class TestCheckedCalls:
         monkeypatch.undo()
         assert abstract_state(obj) == before
 
+    @pytest.mark.parametrize("target, feature, args, message", [
+        ("Stack", "put", [], r"Stack\.put: 0 arguments given, 1 declared"),
+        (None, "make_empty", [Ref("x")],
+         r"Stack\.make_empty: 1 arguments given, 0 declared"),
+        ("LinkedList", "merge_right", ["Stack"],
+         r"LinkedList\.merge_right: a Stack argument, not a LinkedList"),
+    ])
+    def test_call_not_matching_its_declaration_is_a_usage_error(
+            self, monkeypatch, target, feature, args, message):
+        # The caller's mistake, raised before any state is taken; the body
+        # would raise and blame the implementation.
+        objects = {n: checked_constructor(REGISTRY[n], "make_empty")
+                   for n in ("Stack", "LinkedList")}
+        args = [objects.get(a, a) for a in args]
+        taken = []
+        monkeypatch.setattr(contracts, "abstract_state", taken.append)
+        with pytest.raises(UsageError, match=message):
+            if target is None:
+                checked_constructor(REGISTRY["Stack"], feature, args)
+            else:
+                checked_command(objects[target], feature, args)
+        assert taken == []
+
 
 def test_model_invariants_that_read_the_object():
     # Every invariant tagged "model" can be evaluated on an abstract state
@@ -841,7 +892,7 @@ class TestDomains:
             values = domain_values(d, ELEMENT_POOL)
             assert values, d
             typed = [(type(v), v) for v in values]
-            feature = Feature("f", "command", arg_domains=(d,))
+            feature = Feature("f", arg_domains=(d,))
             for _ in range(200):
                 [x] = generate_arguments(feature, rng, {})
                 assert (type(x), x) in typed, (d, x)
